@@ -12,6 +12,9 @@
 #             finding and leaves a machine-readable artifact at
 #             $QSALINT_JSON (default /tmp/qsalint.json)
 #   test      the short suite, then again under the race detector
+#   benchmark the benchmark/ module (its own go.mod, so ./... above leaves
+#             it out): vet + its short suite under -race, so the yardstick
+#             that drives catalog, registry and sim cannot rot unbuilt
 #   chaos     the netproto fault-injection suite, explicitly under -race
 #   coverage  internal/netproto statement coverage must not drop below
 #             the pre-fault-plane baseline (91.0%); internal/obs (the
@@ -47,6 +50,9 @@
 #             steady-state Aggregate allocation budget is gated without
 #             -race (the detector inflates counts). Full numbers:
 #             scripts/bench_hotpath.sh regenerates BENCH_hotpath.json.
+#             BenchmarkRingChurn (one join + one failure on rings of 10⁴,
+#             10⁵ and 10⁶ nodes) runs once; its ns/op are in
+#             EXPERIMENTS.md.
 #
 # Full statistical replays (minutes): go test ./...
 set -eu
@@ -71,6 +77,9 @@ go test -short ./...
 
 echo '>> go test -race -short ./...'
 go test -race -short ./...
+
+echo '>> benchmark module: vet + short suite under -race'
+(cd benchmark && go vet . && go test -short -race .)
 
 echo '>> chaos suite under -race'
 go test -race -short -run 'TestChaos' ./internal/netproto/
@@ -166,6 +175,9 @@ go test -run '^$' -bench Telemetry -benchtime=1x ./internal/obs/ ./internal/netp
 echo '>> hot-path bench smoke under -race'
 go test -race -run '^$' -bench 'Benchmark(QCS|Discover|Aggregate|SimMinute|TableRemove|ResolveFull)$' \
 	-benchtime=1x ./internal/compose/ ./internal/core/ ./internal/probe/ ./internal/sim/ > /dev/null
+
+echo '>> ring membership bench smoke'
+go test -run '^$' -bench 'BenchmarkRingChurn$' -benchtime=1x ./internal/chord/ > /dev/null
 
 echo '>> steady-state allocation gates'
 go test -run 'TestAggregateSteadyStateAllocs' -count=1 ./internal/core/ > /dev/null

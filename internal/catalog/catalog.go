@@ -96,7 +96,8 @@ type Catalog struct {
 	cfg       Config
 	Apps      []*service.Application
 	Instances map[service.Name][]*service.Instance
-	order     []service.Name // deterministic service iteration order
+	order     []service.Name      // deterministic service iteration order
+	all       []*service.Instance // every instance, services in generation order
 
 	// userQoS holds one immutable requirement vector per QoS level, built
 	// once at generation time. UserQoS hands out these shared vectors, so
@@ -174,6 +175,7 @@ func (c *Catalog) genInstances(rng *xrand.Source, name service.Name) {
 	}
 	c.Instances[name] = insts
 	c.order = append(c.order, name)
+	c.all = append(c.all, insts...)
 }
 
 // ServiceNames returns all abstract service names in generation order.
@@ -183,14 +185,10 @@ func (c *Catalog) ServiceNames() []service.Name {
 	return out
 }
 
-// AllInstances returns every instance in deterministic order.
-func (c *Catalog) AllInstances() []*service.Instance {
-	var out []*service.Instance
-	for _, name := range c.order {
-		out = append(out, c.Instances[name]...)
-	}
-	return out
-}
+// AllInstances returns every instance in deterministic order: services in
+// generation order, each service's instances in theirs. The slice is built
+// once at generation and shared by every caller — treat it as read-only.
+func (c *Catalog) AllInstances() []*service.Instance { return c.all }
 
 // InstancesOf returns the instances of one abstract service.
 func (c *Catalog) InstancesOf(name service.Name) []*service.Instance {

@@ -16,9 +16,11 @@
 package chord
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/xrand"
@@ -112,10 +114,11 @@ func (n *Node) Items() int {
 // Ring is the collection of Chord nodes plus the ground-truth membership
 // used by RefreshNode (the stand-in for the stabilization protocol).
 type Ring struct {
-	cfg    Config
-	sorted []*Node      // alive nodes ordered by id
-	byID   map[ID]*Node // alive nodes
-	stats  Stats
+	cfg     Config
+	idx     index        // alive nodes ordered by id
+	byID    map[ID]*Node // alive nodes
+	stats   Stats
+	targets []*Node // replicaTargets' result buffer, cap cfg.Replicas
 }
 
 // Stats accumulates ring-wide routing statistics.
@@ -128,11 +131,11 @@ type Stats struct {
 // NewRing returns an empty ring.
 func NewRing(cfg Config) *Ring {
 	cfg.fillDefaults()
-	return &Ring{cfg: cfg, byID: make(map[ID]*Node)}
+	return &Ring{cfg: cfg, byID: make(map[ID]*Node), targets: make([]*Node, 0, max(cfg.Replicas, 1))}
 }
 
 // Size returns the number of alive nodes.
-func (r *Ring) Size() int { return len(r.sorted) }
+func (r *Ring) Size() int { return r.idx.size }
 
 // Stats returns routing statistics accumulated so far.
 func (r *Ring) Stats() Stats { return r.stats }
@@ -144,14 +147,11 @@ func (r *Ring) Join(label string, id ID) (*Node, error) {
 		return nil, fmt.Errorf("chord: id %d already on the ring", id)
 	}
 	n := &Node{id: id, label: label, alive: true, store: make(map[ID]map[string]any)}
-	idx := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id >= id })
-	r.sorted = append(r.sorted, nil)
-	copy(r.sorted[idx+1:], r.sorted[idx:])
-	r.sorted[idx] = n
+	r.idx.insert(id, n)
 	r.byID[id] = n
 
 	// Take over keys in (pred, n] from the successor.
-	if len(r.sorted) > 1 {
+	if r.idx.size > 1 {
 		succ := r.successorOf(id, true)
 		pred := r.predecessorOf(id)
 		for key, items := range succ.store {
@@ -179,18 +179,18 @@ func (r *Ring) JoinRandom(label string, rng *xrand.Source) (*Node, error) {
 
 // JoinBulk joins one node per label at fresh pseudo-random ids, sorting
 // the ring once and refreshing all routing state once at the end,
-// instead of the per-join O(N) sorted insert + refresh that makes 10⁶
-// sequential joins infeasible. It draws ids from rng in exactly the
-// order sequential JoinRandom calls would, so a run that populates the
-// ring either way sees identical node placement.
+// instead of a per-join insert + refresh. It draws ids from rng in
+// exactly the order sequential JoinRandom calls would, so a run that
+// populates the ring either way sees identical node placement.
 //
 // JoinBulk is for initial population only: it must run before any data
 // is stored on the ring (there is nothing to transfer ownership of) and
 // it returns an error if any existing node already holds items.
 func (r *Ring) JoinBulk(labels []string, rng *xrand.Source) ([]*Node, error) {
-	for _, n := range r.sorted {
-		if len(n.store) > 0 {
-			return nil, fmt.Errorf("chord: JoinBulk on a ring holding data (node %d has %d keys)", n.id, len(n.store))
+	all := r.idx.appendAll(make([]entry, 0, r.idx.size+len(labels)))
+	for _, e := range all {
+		if len(e.node.store) > 0 {
+			return nil, fmt.Errorf("chord: JoinBulk on a ring holding data (node %d has %d keys)", e.id, len(e.node.store))
 		}
 	}
 	out := make([]*Node, 0, len(labels))
@@ -207,12 +207,13 @@ func (r *Ring) JoinBulk(labels []string, rng *xrand.Source) ([]*Node, error) {
 			return nil, fmt.Errorf("chord: could not find a free id after 64 tries")
 		}
 		n := &Node{id: id, label: label, alive: true, store: make(map[ID]map[string]any)}
-		r.sorted = append(r.sorted, n)
+		all = append(all, entry{id: id, node: n})
 		r.byID[id] = n
 		out = append(out, n)
 	}
-	sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i].id < r.sorted[j].id })
-	r.RefreshAll()
+	slices.SortFunc(all, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+	r.idx.build(all)
+	r.refreshAll(all)
 	return out, nil
 }
 
@@ -222,7 +223,7 @@ func (r *Ring) Leave(n *Node) error {
 	if !n.alive {
 		return fmt.Errorf("chord: node %d already gone", n.id)
 	}
-	if len(r.sorted) > 1 {
+	if r.idx.size > 1 {
 		succ := r.successorOf(n.id, true)
 		for key, items := range n.store {
 			dst, ok := succ.store[key]
@@ -252,41 +253,22 @@ func (r *Ring) Fail(n *Node) error {
 
 func (r *Ring) remove(n *Node) {
 	n.alive = false
-	idx := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id >= n.id })
-	if idx < len(r.sorted) && r.sorted[idx] == n {
-		r.sorted = append(r.sorted[:idx], r.sorted[idx+1:]...)
-	}
+	r.idx.remove(n.id)
 	delete(r.byID, n.id)
-	n.store = make(map[ID]map[string]any)
+	n.store = nil // a dead node is never written to again
 }
 
 // successorOf returns the first alive node with id >= target (wrapping).
 // When excludeSelf is true a node exactly at target is skipped.
 func (r *Ring) successorOf(target ID, excludeSelf bool) *Node {
-	if len(r.sorted) == 0 {
-		return nil
-	}
-	idx := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id >= target })
 	if excludeSelf {
-		idx = sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id > target })
+		return r.idx.after(target)
 	}
-	if idx == len(r.sorted) {
-		idx = 0
-	}
-	return r.sorted[idx]
+	return r.idx.ceil(target)
 }
 
 // predecessorOf returns the last alive node with id < target (wrapping).
-func (r *Ring) predecessorOf(target ID) *Node {
-	if len(r.sorted) == 0 {
-		return nil
-	}
-	idx := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id >= target })
-	if idx == 0 {
-		return r.sorted[len(r.sorted)-1]
-	}
-	return r.sorted[idx-1]
-}
+func (r *Ring) predecessorOf(target ID) *Node { return r.idx.before(target) }
 
 // Owner returns the ground-truth owner of key: successor(key).
 func (r *Ring) Owner(key ID) *Node { return r.successorOf(key, false) }
@@ -295,27 +277,32 @@ func (r *Ring) Owner(key ID) *Node { return r.successorOf(key, false) }
 // ground truth — the simulation stand-in for Chord's periodic
 // stabilize/fix_fingers exchanges. Call it periodically; between calls the
 // node routes with whatever (possibly stale) state it has.
+//
+// Finger i is successor(n.id + 2^i), and a finger f found at level i is
+// also the answer at every higher level whose start still lies in (n, f]:
+// no alive node sits between those starts and f. With N nodes that leaves
+// ~log₂N searches instead of 64 — the low ~64−log₂N levels all resolve to
+// successor(n) in one.
 func (r *Ring) RefreshNode(n *Node) {
-	if !n.alive || len(r.sorted) == 0 {
+	if !n.alive {
 		return
 	}
 	if n.fingers == nil {
 		n.fingers = make([]*Node, 64)
 	}
-	for i := 0; i < 64; i++ {
-		start := n.id + (ID(1) << uint(i)) // wraps mod 2^64 naturally
-		n.fingers[i] = r.successorOf(start, false)
-	}
-	n.succList = n.succList[:0]
-	cur := n.id
-	for len(n.succList) < r.cfg.SuccessorListLen && len(n.succList) < len(r.sorted)-1 {
-		s := r.successorOf(cur, true)
-		if s == n {
-			break
+	for i := 0; i < 64; {
+		f := r.idx.ceil(n.id + ID(1)<<uint(i)) // wraps mod 2^64 naturally
+		// 2^j <= f.id − n.id exactly for j < reach; a search that comes
+		// all the way round to n covers the rest of the ring.
+		reach := 64
+		if f != n {
+			reach = bits.Len64(f.id - n.id)
 		}
-		n.succList = append(n.succList, s)
-		cur = s.id
+		for ; i < reach; i++ {
+			n.fingers[i] = f
+		}
 	}
+	n.succList = r.idx.appendAfter(n.succList[:0], n.id, min(r.cfg.SuccessorListLen, r.idx.size-1))
 }
 
 // RefreshAll refreshes every alive node. It computes exactly the state
@@ -324,30 +311,32 @@ func (r *Ring) RefreshNode(n *Node) {
 // the targets id+2^i are monotone in ring order except for one wrap, so
 // a single successor pointer sweeps the sorted ring once per level.
 func (r *Ring) RefreshAll() {
-	n := len(r.sorted)
-	if n == 0 {
-		return
-	}
-	for _, nd := range r.sorted {
-		if nd.fingers == nil {
-			nd.fingers = make([]*Node, 64)
+	r.refreshAll(r.idx.appendAll(make([]entry, 0, r.idx.size)))
+}
+
+// refreshAll is RefreshAll over the index's entries laid out flat.
+func (r *Ring) refreshAll(ring []entry) {
+	n := len(ring)
+	for _, e := range ring {
+		if e.node.fingers == nil {
+			e.node.fingers = make([]*Node, 64)
 		}
 	}
 	for i := 0; i < 64; i++ {
 		off := ID(1) << uint(i)
 		// Targets wrap past 2⁶⁴ exactly when id > ^off; those nodes have
 		// the smallest targets and are swept first.
-		wrapFrom := sort.Search(n, func(j int) bool { return r.sorted[j].id > ^off })
+		wrapFrom := sort.Search(n, func(j int) bool { return ring[j].id > ^off })
 		p := 0
 		assign := func(j int) {
-			start := r.sorted[j].id + off // wraps mod 2^64 naturally
-			for p < n && r.sorted[p].id < start {
+			start := ring[j].id + off // wraps mod 2^64 naturally
+			for p < n && ring[p].id < start {
 				p++
 			}
 			if p == n {
-				r.sorted[j].fingers[i] = r.sorted[0]
+				ring[j].node.fingers[i] = ring[0].node
 			} else {
-				r.sorted[j].fingers[i] = r.sorted[p]
+				ring[j].node.fingers[i] = ring[p].node
 			}
 		}
 		for j := wrapFrom; j < n; j++ {
@@ -361,10 +350,11 @@ func (r *Ring) RefreshAll() {
 	if k > n-1 {
 		k = n - 1
 	}
-	for j, nd := range r.sorted {
+	for j, e := range ring {
+		nd := e.node
 		nd.succList = nd.succList[:0]
 		for t := 1; t <= k; t++ {
-			nd.succList = append(nd.succList, r.sorted[(j+t)%n])
+			nd.succList = append(nd.succList, ring[(j+t)%n].node)
 		}
 	}
 }
@@ -402,7 +392,7 @@ func (n *Node) closestPrecedingFinger(key ID) *Node {
 // returning the owner and the number of application-level hops taken.
 // It fails only when the ring is empty or start is dead.
 func (r *Ring) Lookup(start *Node, key ID) (*Node, int, error) {
-	if len(r.sorted) == 0 {
+	if r.idx.size == 0 {
 		return nil, 0, fmt.Errorf("chord: empty ring")
 	}
 	if start == nil || !start.alive {
@@ -429,10 +419,10 @@ func (r *Ring) Lookup(start *Node, key ID) (*Node, int, error) {
 			// find_successor, the candidate confirms ownership and the
 			// query walks forward until the true owner is reached.
 			hops++
-			for succ != r.Owner(key) {
+			for owner := r.Owner(key); succ != owner; {
 				succ = r.successorOf(succ.id, true)
 				hops++
-				if hops >= r.cfg.MaxHops+len(r.sorted) {
+				if hops >= r.cfg.MaxHops+r.idx.size {
 					return nil, hops, fmt.Errorf("chord: owner walk for %d diverged", key)
 				}
 			}
@@ -448,7 +438,7 @@ func (r *Ring) Lookup(start *Node, key ID) (*Node, int, error) {
 	}
 	// Fingers too stale to converge: linear successor walk from cur.
 	r.stats.Fallbacks++
-	for walked := 0; walked <= len(r.sorted); walked++ {
+	for walked := 0; walked <= r.idx.size; walked++ {
 		succ := r.successorOf(cur.id, true)
 		hops++
 		if between(cur.id, succ.id, key) {
@@ -479,19 +469,11 @@ func (r *Ring) touch(n *Node) {
 }
 
 // replicaTargets returns the owner and up to Replicas−1 distinct alive
-// successors of owner.
+// successors of owner. The result is valid until the next call.
 func (r *Ring) replicaTargets(owner *Node) []*Node {
-	targets := []*Node{owner}
-	cur := owner.id
-	for len(targets) < r.cfg.Replicas && len(targets) < len(r.sorted) {
-		s := r.successorOf(cur, true)
-		if s == owner {
-			break
-		}
-		targets = append(targets, s)
-		cur = s.id
-	}
-	return targets
+	r.targets = append(r.targets[:0], owner)
+	r.targets = r.idx.appendAfter(r.targets, owner.id, min(r.cfg.Replicas, r.idx.size)-1)
+	return r.targets
 }
 
 // Put routes from start to the owner of key and stores (itemID → value)

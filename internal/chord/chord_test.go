@@ -503,10 +503,19 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
+// ringNodes returns the alive nodes in id order.
+func ringNodes(r *Ring) []*Node {
+	var out []*Node
+	for _, e := range r.idx.appendAll(nil) {
+		out = append(out, e.node)
+	}
+	return out
+}
+
 // refreshAllSlow is the pre-optimization RefreshAll: one RefreshNode per
 // node. It is the oracle for the linear-time sweep.
 func refreshAllSlow(r *Ring) {
-	for _, n := range r.sorted {
+	for _, n := range ringNodes(r) {
 		r.RefreshNode(n)
 	}
 }
@@ -525,14 +534,15 @@ func TestRefreshAllMatchesPerNodeRefresh(t *testing.T) {
 			}
 		}
 		refreshAllSlow(r)
+		sorted := ringNodes(r)
 		wantFingers := make([][]*Node, n)
 		wantSucc := make([][]*Node, n)
-		for j, nd := range r.sorted {
+		for j, nd := range sorted {
 			wantFingers[j] = append([]*Node(nil), nd.fingers...)
 			wantSucc[j] = append([]*Node(nil), nd.succList...)
 		}
 		r.RefreshAll()
-		for j, nd := range r.sorted {
+		for j, nd := range sorted {
 			for i := range nd.fingers {
 				if nd.fingers[i] != wantFingers[j][i] {
 					t.Fatalf("n=%d node %d finger %d: fast %v want %v", n, j, i, nd.fingers[i].id, wantFingers[j][i].id)
@@ -584,8 +594,9 @@ func TestJoinBulkMatchesSequentialJoins(t *testing.T) {
 	if seq.Size() != bulk.Size() {
 		t.Fatalf("sizes differ: %d vs %d", seq.Size(), bulk.Size())
 	}
-	for j := range seq.sorted {
-		a, b := seq.sorted[j], bulk.sorted[j]
+	seqNodes, bulkNodes := ringNodes(seq), ringNodes(bulk)
+	for j := range seqNodes {
+		a, b := seqNodes[j], bulkNodes[j]
 		if a.id != b.id || a.label != b.label {
 			t.Fatalf("node %d: (%d,%s) vs (%d,%s)", j, a.id, a.label, b.id, b.label)
 		}
