@@ -43,6 +43,8 @@
 #             (full curve: scripts/bench_serving.sh → BENCH_serving.json);
 #             the admission fast path must hold its zero-allocations
 #             budget (TestAdmitFastPathAllocs, TestAdmissionFastPathAllocs)
+#             and a warm RPC exchange its 16 KiB bytes budget
+#             (TestRPCExchangeBytes: no 64 KiB reader per exchange)
 #   bench     the Telemetry benchmarks run once; they fail if the
 #             disabled-sink hot paths allocate. The request hot-path
 #             benchmarks (QCS, Discover, Aggregate, SimMinute, the probe
@@ -183,6 +185,6 @@ echo '>> steady-state allocation gates'
 go test -run 'TestAggregateSteadyStateAllocs' -count=1 ./internal/core/ > /dev/null
 go test -run 'TestBinarySteadyStateAllocs' -count=1 ./internal/wire/ > /dev/null
 go test -run 'TestAdmitFastPathAllocs' -count=1 ./internal/core/ > /dev/null
-go test -run 'TestAdmissionFastPathAllocs' -count=1 ./internal/netproto/ > /dev/null
+go test -run 'TestAdmissionFastPathAllocs|TestRPCExchangeBytes' -count=1 ./internal/netproto/ > /dev/null
 
 echo 'ci: ok'

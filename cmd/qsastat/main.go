@@ -161,6 +161,8 @@ func wireReport(out io.Writer, c map[string]uint64) {
 	if s, r := c["wire.bytes_sent.other"], c["wire.bytes_recv.other"]; s+r > 0 {
 		fmt.Fprintf(out, "  %-10s %12d %12d\n", "other", s, r)
 	}
+	fmt.Fprintf(out, "  lookups failed:   %d (members left out of a discovery after retries)\n",
+		c["discovery.lookup_failed"])
 	fmt.Fprintf(out, "  fragments:        %d sent, %d received\n",
 		c["wire.frags_sent"], c["wire.frags_recv"])
 	fmt.Fprintf(out, "  retransmits:      %d\n", c["wire.retransmits"])

@@ -183,6 +183,7 @@ func TestWireReport(t *testing.T) {
 	reg.Counter("wire.bytes_sent.lookup").Add(4130)
 	reg.Counter("wire.bytes_recv.lookup").Add(9020)
 	reg.Counter("rpc.lookup.sent").Add(10)
+	reg.Counter("discovery.lookup_failed").Add(4)
 	reg.Counter("wire.bytes_sent.other").Add(77)
 	reg.Counter("wire.frags_sent").Add(24)
 	reg.Counter("wire.frags_recv").Add(21)
@@ -211,6 +212,7 @@ func TestWireReport(t *testing.T) {
 		"wire efficiency:",
 		"lookup", "4130", "9020", "413B", // 4130 bytes over 10 lookups
 		"other", "77",
+		"lookups failed:   4",
 		"fragments:        24 sent, 21 received",
 		"retransmits:      3",
 		"dups dropped:     2",

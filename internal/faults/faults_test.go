@@ -200,3 +200,34 @@ func TestLatencyInjection(t *testing.T) {
 		t.Fatalf("dial returned after %v, want ≥ 30ms injected latency", elapsed)
 	}
 }
+
+// PacketStatsFrom is the sum of PacketStatsFor over a source's links and
+// leaves other sources out.
+func TestPacketStatsFromSumsOutgoingLinks(t *testing.T) {
+	f := mustNew(t, Config{Seed: 5})
+	if st := f.PacketStatsFrom("a"); st != (PacketStats{}) {
+		t.Fatalf("disabled packet plane has stats %+v", st)
+	}
+	if err := f.EnablePackets(PacketConfig{DropRate: 0.3, DupRate: 0.3, ReorderRate: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := f.PacketNode("a"), f.PacketNode("b")
+	for i := 0; i < 50; i++ {
+		a.Packet("b", 100)
+		a.Packet("c", 100)
+		b.Packet("a", 100)
+	}
+	ab, ac := f.PacketStatsFor("a", "b"), f.PacketStatsFor("a", "c")
+	want := PacketStats{
+		Sent:       ab.Sent + ac.Sent,
+		Dropped:    ab.Dropped + ac.Dropped,
+		Duplicated: ab.Duplicated + ac.Duplicated,
+		Delayed:    ab.Delayed + ac.Delayed,
+	}
+	if got := f.PacketStatsFrom("a"); got != want || got.Sent != 100 {
+		t.Fatalf("PacketStatsFrom(a) = %+v, want %+v", got, want)
+	}
+	if got := f.PacketStatsFrom("b"); got != f.PacketStatsFor("b", "a") {
+		t.Fatalf("PacketStatsFrom(b) = %+v, want the b→a link alone", got)
+	}
+}

@@ -131,6 +131,30 @@ func (f *Fabric) PacketStatsFor(src, dst string) PacketStats {
 	return PacketStats{}
 }
 
+// PacketStatsFrom sums the stats of every link whose source is src —
+// requests, acks and replies alike, to registered peers and to
+// ephemeral client sockets.
+func (f *Fabric) PacketStatsFrom(src string) PacketStats {
+	f.mu.Lock()
+	pp := f.packets
+	f.mu.Unlock()
+	var sum PacketStats
+	if pp == nil {
+		return sum
+	}
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	for l, s := range pp.stats {
+		if l.src == src {
+			sum.Sent += s.Sent
+			sum.Dropped += s.Dropped
+			sum.Duplicated += s.Duplicated
+			sum.Delayed += s.Delayed
+		}
+	}
+	return sum
+}
+
 // admitPacket decides the fate of one outgoing datagram from src to
 // the peer at dst (a registered listen address, or an ephemeral socket
 // address for server→client traffic).

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/netproto"
+	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/resource"
 	"repro/internal/service"
@@ -191,6 +192,63 @@ func TestChaosRetryBeatsBaseline(t *testing.T) {
 	}
 	if plan.Peers[0] != peers[1].Addr() {
 		t.Fatalf("plan landed on %s, want the provider", plan.Peers[0])
+	}
+	waitFullCapacity(t, peers, cpu, 5*time.Second)
+}
+
+// TestChaosDiscoveryCountsLostMembers: a member whose lookup fails after
+// retries is left out of that aggregation's discovery, and
+// discovery.lookup_failed says so — 0 on the lossless fabric, one per
+// unreachable member per aggregation under a cut.
+func TestChaosDiscoveryCountsLostMembers(t *testing.T) {
+	fab, err := faults.New(faults.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	const cpu = 200
+	// n0 bootstrap, n1 and n2 providers, n3 the metered user.
+	peers := chaosCluster(t, fab, 4, cpu, func(i int, cfg *netproto.Config) {
+		if i == 3 {
+			cfg.Metrics = reg
+			cfg.Retry = netproto.RetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond}
+		}
+	})
+	w := chaosInst("work#0", "work", "A", "B", 30)
+	for _, p := range peers[1:3] {
+		if err := p.Provide(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	user := peers[3]
+	lost := func() uint64 {
+		for _, c := range reg.Snapshot().Counters {
+			if c.Name == "discovery.lookup_failed" {
+				return c.Value
+			}
+		}
+		t.Fatal("discovery.lookup_failed is not registered")
+		return 0
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := user.Aggregate([]service.Name{"work"}, chaosQoS, 50*time.Millisecond); err != nil {
+			t.Fatalf("lossless request %d: %v", i, err)
+		}
+	}
+	if n := lost(); n != 0 {
+		t.Fatalf("discovery.lookup_failed = %d on the lossless fabric", n)
+	}
+
+	fab.Cut(nodeName(3), nodeName(1))
+	plan, err := user.Aggregate([]service.Name{"work"}, chaosQoS, 50*time.Millisecond)
+	if err != nil {
+		t.Fatalf("the reachable provider should have carried the request: %v", err)
+	}
+	if plan.Peers[0] != peers[2].Addr() {
+		t.Fatalf("plan landed on %s, want the provider on the near side of the cut", plan.Peers[0])
+	}
+	if n := lost(); n != 1 {
+		t.Fatalf("discovery.lookup_failed = %d after one aggregation across a cut to one member, want 1", n)
 	}
 	waitFullCapacity(t, peers, cpu, 5*time.Second)
 }

@@ -111,7 +111,10 @@ func TestChaosUDPAggregateUnderPacketLoss(t *testing.T) {
 			t.Logf("packet drop=%v: %d/%d aggregations completed", rate, ok, requests)
 			waitFullCapacity(t, peers, cpu, 10*time.Second)
 			if rate > 0 {
-				st := fab.PacketStatsFor(nodeName(4), nodeName(0))
+				// Summed over the user's outgoing links: verdicts are pure
+				// functions of (seed, src, dst, n), so a single link that
+				// carries only a dozen packets can draw no drop at 10 %.
+				st := fab.PacketStatsFrom(nodeName(4))
 				if st.Sent == 0 || st.Dropped == 0 {
 					t.Fatalf("packet plane never engaged: %+v", st)
 				}

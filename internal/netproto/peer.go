@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -547,7 +548,8 @@ func (p *Peer) handle(conn net.Conn) {
 	// request's codec, so mixed-codec overlays interoperate and a JSON
 	// rollback needs no flag day. The choice is per connection: clients
 	// never switch codecs mid-stream.
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := getReader(conn)
+	defer putReader(br)
 	first, err := br.Peek(1)
 	if err != nil {
 		return
@@ -682,12 +684,15 @@ func (p *Peer) handleLeave(req request) response {
 	return response{OK: true}
 }
 
+// handleLookup answers with this peer's offers for the service named in
+// req.Service (the single-service form older initiators send) and for
+// every service in req.Services (one lookup carries the whole path).
 func (p *Peer) handleLookup(req request) response {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var offers []offer
 	for _, in := range p.provides {
-		if string(in.Service) == req.Service {
+		if svc := string(in.Service); svc == req.Service || slices.Contains(req.Services, svc) {
 			offers = append(offers, offer{Instance: ToWire(in), Provider: p.addr})
 		}
 	}
@@ -954,12 +959,79 @@ func (p *Peer) handleSelect(req request) response {
 	return out
 }
 
+// discover is Aggregate's discovery stage: every member (this peer
+// included) gets one lookup naming every service of the path, and the
+// offers that come back are binned by their own service name — a name
+// that occurs twice in the path fills both layers. It returns one layer
+// of instances per path position, sorted by ID, and each instance's
+// provider addresses, sorted. A member whose lookup fails after retries
+// contributes nothing and is counted in discovery.lookup_failed.
+func (p *Peer) discover(path []string) ([][]*service.Instance, map[string][]string) {
+	members := p.Members()
+	lookup := request{Type: msgLookup, Services: path}
+	results := make(chan []offer, len(members)+1)
+	results <- p.handleLookup(lookup).Offers
+	var wg sync.WaitGroup
+	for _, m := range members {
+		wg.Add(1)
+		go func(m string) {
+			defer wg.Done()
+			resp, err := p.rpcRetry(m, lookup, p.cfg.RPCTimeout)
+			if err != nil {
+				p.tele.lookupFailed()
+				return
+			}
+			// lint:allow goleak results is buffered to the fan-out and each goroutine sends at most once
+			results <- resp.Offers
+		}(m)
+	}
+	wg.Wait()
+	close(results)
+
+	layerOf := make(map[string][]int, len(path))
+	for k, name := range path {
+		layerOf[name] = append(layerOf[name], k)
+	}
+	layers := make([][]*service.Instance, len(path))
+	providers := make(map[string][]string)     // instance ID -> provider addrs
+	seen := make([]map[string]bool, len(path)) // per layer: instance IDs already in it
+	for k := range seen {
+		seen[k] = make(map[string]bool)
+	}
+	for offers := range results {
+		for _, off := range offers {
+			for _, k := range layerOf[off.Instance.Service] {
+				in, err := FromWire(off.Instance)
+				if err != nil {
+					continue
+				}
+				if !seen[k][in.ID] {
+					seen[k][in.ID] = true
+					layers[k] = append(layers[k], in)
+				}
+				providers[in.ID] = append(providers[in.ID], off.Provider)
+			}
+		}
+	}
+	for _, layer := range layers {
+		sort.Slice(layer, func(i, j int) bool { return layer[i].ID < layer[j].ID })
+	}
+	for id := range providers {
+		sort.Strings(providers[id])
+	}
+	return layers, providers
+}
+
 // Aggregate runs the full two-tier model from this peer as the user's
 // host: discover, compose (QCS), select hop-by-hop over the network, and
 // reserve.
 func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.Duration) (*Plan, error) {
 	if len(path) == 0 {
 		return nil, fmt.Errorf("netproto: empty path")
+	}
+	names := make([]string, len(path))
+	for i, svc := range path {
+		names[i] = string(svc)
 	}
 	tr := p.cfg.Tracer
 	var rid uint64
@@ -968,10 +1040,6 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 		p.nextReq++
 		rid = p.nextReq
 		p.mu.Unlock()
-		names := make([]string, len(path))
-		for i, svc := range path {
-			names[i] = string(svc)
-		}
 		tr.Emit(obs.Event{Kind: obs.KindRequest, Req: rid, User: p.addr,
 			App: strings.Join(names, "+"), Duration: duration.Seconds()})
 	}
@@ -992,61 +1060,9 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 		root.End(obs.Event{Stage: stage, Err: err.Error()})
 		return err
 	}
-	members := append(p.Members(), p.addr)
-
 	spDisc := root.Child()
 	discStart := time.Now()
-
-	// Discovery fan-out, one goroutine per member.
-	type lookupResult struct {
-		svc    int
-		offers []offer
-	}
-	results := make(chan lookupResult, len(members)*len(path))
-	var wg sync.WaitGroup
-	for si, svc := range path {
-		for _, m := range members {
-			wg.Add(1)
-			go func(si int, svc service.Name, m string) {
-				defer wg.Done()
-				if m == p.addr {
-					resp := p.handleLookup(request{Service: string(svc)})
-					// lint:allow goleak results is buffered to the exact fan-out and each goroutine sends at most once
-					results <- lookupResult{svc: si, offers: resp.Offers}
-					return
-				}
-				resp, err := p.rpcRetry(m, request{Type: msgLookup, Service: string(svc)}, p.cfg.RPCTimeout)
-				if err == nil {
-					// lint:allow goleak results is buffered to the exact fan-out and each goroutine sends at most once
-					results <- lookupResult{svc: si, offers: resp.Offers}
-				}
-			}(si, svc, m)
-		}
-	}
-	wg.Wait()
-	close(results)
-
-	layers := make([][]*service.Instance, len(path))
-	providers := make(map[string][]string) // instance ID -> provider addrs
-	seen := make(map[int]map[string]*service.Instance)
-	for r := range results {
-		for _, off := range r.offers {
-			in, err := FromWire(off.Instance)
-			if err != nil {
-				continue
-			}
-			if seen[r.svc] == nil {
-				seen[r.svc] = make(map[string]*service.Instance)
-			}
-			if prev, ok := seen[r.svc][in.ID]; ok {
-				in = prev
-			} else {
-				seen[r.svc][in.ID] = in
-				layers[r.svc] = append(layers[r.svc], in)
-			}
-			providers[in.ID] = append(providers[in.ID], off.Provider)
-		}
-	}
+	layers, providers := p.discover(names)
 	discDone := func(ok bool) {
 		p.tele.stage(obs.StageDiscovery, time.Since(discStart).Seconds())
 		spDisc.End(obs.Event{Stage: obs.StageDiscovery, OK: ok})
@@ -1056,10 +1072,6 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 			discDone(false)
 			return nil, fail(obs.StageDiscovery, fmt.Errorf("netproto: no candidates for %q", path[k]))
 		}
-		sort.Slice(layers[k], func(i, j int) bool { return layers[k][i].ID < layers[k][j].ID })
-	}
-	for id := range providers {
-		sort.Strings(providers[id])
 	}
 	discDone(true)
 

@@ -8,8 +8,9 @@
 //   - membership: a joiner contacts any bootstrap peer and announces
 //     itself to the membership it learns (full membership at prototype
 //     scale, standing in for the simulator's DHT);
-//   - discovery: the requesting peer fans a lookup out to the members and
-//     merges the (instance spec, provider) offers;
+//   - discovery: the requesting peer sends every member one lookup that
+//     names every service of the path, and bins the (instance spec,
+//     provider) offers that come back into one layer per path position;
 //   - probing: candidates are probed — resource availability and
 //     uptime from the response, network quality from the measured RTT;
 //   - composition: QCS runs on the requesting peer over the discovered
@@ -35,13 +36,17 @@
 //
 // A server never needs codec configuration: the first byte of a message
 // distinguishes JSON ('{') from a binary frame (0x51), and the reply
-// uses whatever codec the request arrived in.
+// uses whatever codec the request arrived in. Stream connections are
+// read through small pooled readers (getReader), so an exchange of a few
+// hundred bytes allocates about that much.
 package netproto
 
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -186,8 +191,10 @@ func rpcWith(tr Transport, codec wire.Codec, wt *wireTele, addr string, req requ
 	wt.message(req.Type, len(buf.B), false)
 	var resp response
 	if codec.Name() == "json" {
-		br := bufio.NewReaderSize(conn, 64<<10)
-		if err := readJSONResponse(br, &resp, wt, req.Type); err != nil {
+		br := getReader(conn)
+		err := readJSONResponse(br, &resp, wt, req.Type)
+		putReader(br)
+		if err != nil {
 			return nil, err
 		}
 		markReusable(conn)
@@ -198,8 +205,9 @@ func rpcWith(tr Transport, codec wire.Codec, wt *wireTele, addr string, req requ
 			// one reassembled message — no stream re-framing needed.
 			frame, err = mc.ReadMessage()
 		} else {
-			br := bufio.NewReaderSize(conn, 64<<10)
+			br := getReader(conn)
 			buf.B, err = wire.ReadFrame(br, buf.B)
+			putReader(br)
 			frame = buf.B
 		}
 		if err != nil {
@@ -219,6 +227,34 @@ func rpcWith(tr Transport, codec wire.Codec, wt *wireTele, addr string, req requ
 		return &resp, fmt.Errorf("netproto: %s failed at %s: %s", req.Type, addr, resp.Err)
 	}
 	return &resp, nil
+}
+
+// readerSize is the buffer of a pooled stream reader. It is a read-ahead
+// window, not a message bound: ReadBytes, json.Decoder and
+// wire.ReadFrame all read past it, so the 1 MiB JSON bound and
+// wire.MaxMessage stay the limits, and an RPC of a few hundred bytes
+// (the common case) no longer pays for a 64 KiB buffer.
+const readerSize = 4 << 10
+
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
+
+// getReader checks a stream reader out of the pool onto r. The caller
+// hands it back with putReader when the exchange (client) or the
+// connection (server) ends.
+//
+// lint:hotpath reader checkout runs per RPC exchange and per served connection
+func getReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// putReader returns br to the pool, dropping its reference to the
+// connection (and any bytes read ahead, which belong to a stream the
+// caller is done with).
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
 }
 
 // markReusable tells a pooled connection (see connPool) the exchange

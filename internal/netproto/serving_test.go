@@ -3,12 +3,15 @@ package netproto
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // servingCluster starts a serving peer (admission-controlled, metered)
@@ -311,6 +314,69 @@ func TestAdmissionFastPathAllocs(t *testing.T) {
 	}
 }
 
+// TestRPCExchangeBytes is the ci-gated bytes-per-exchange budget: a warm
+// probe exchange allocates well under the 64 KiB stream reader it used
+// to construct — per exchange on the client (JSON and binary over a
+// pooled TCP connection, in-process server included) and per datagram on
+// the UDP server side, where handle runs once per reassembled message.
+func TestRPCExchangeBytes(t *testing.T) {
+	const budget, warm, runs = 16 << 10, 10, 200
+	gate := func(t *testing.T, exchange func()) {
+		t.Helper()
+		for i := 0; i < warm; i++ {
+			exchange() // connection, buffer pools, the decoder's interning
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			exchange()
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%.0f bytes allocated per exchange", per)
+		if per > budget {
+			t.Fatalf("%.0f bytes allocated per exchange, budget %d", per, budget)
+		}
+	}
+	for _, codec := range []wire.Codec{wire.JSON{}, wire.NewBinary()} {
+		t.Run("tcp/"+codec.Name(), func(t *testing.T) {
+			srv, err := Start(Config{Listen: "127.0.0.1:0", CPU: 10, Memory: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			pool := newConnPool(TCP{}, nil, 1, time.Minute)
+			defer pool.Close()
+			gate(t, func() {
+				if _, err := rpcWith(pool, codec, nil, srv.Addr(), request{Type: msgProbe}, time.Second); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+	t.Run("udp/handle", func(t *testing.T) {
+		srv, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp", CPU: 10, Memory: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		frame, err := wire.NewBinary().AppendRequest(nil, 1, &request{Type: msgProbe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate(t, func() {
+			msg := wire.GetBuf(len(frame))
+			msg.B = append(msg.B, frame...)
+			c := &udpServerConn{msg: msg, msgLen: len(frame)}
+			srv.handle(c)
+			if c.out == nil || len(c.out.B) == 0 {
+				t.Fatal("handle wrote no reply")
+			}
+			c.discard()
+		})
+	})
+}
+
 // TestConnPoolReuse: sequential RPCs to the same peer reuse one pooled
 // connection — dials stay flat while reuses climb.
 func TestConnPoolReuse(t *testing.T) {
@@ -338,6 +404,81 @@ func TestConnPoolReuse(t *testing.T) {
 	}
 	if cl.pool.idleCount(srv.Addr()) != 1 {
 		t.Errorf("idle pool holds %d conns, want 1", cl.pool.idleCount(srv.Addr()))
+	}
+}
+
+// TestDialsPerAggregation measures wire.conn_dials per aggregation, summed
+// over a 32-peer TCP overlay in wire_flood_32's shape (3-service path, 12
+// providers, 4 instances per service on 2 providers each), for one and
+// four closed-loop callers at the default PoolConns and at 8 — the table
+// in EXPERIMENTS.md "Discovery fan-out and per-exchange buffers". With
+// one lookup per member a lone caller never needs two connections to one
+// target at a time, so the default pool must dial less than once per
+// aggregation in steady state; the other rows are reported, not gated.
+func TestDialsPerAggregation(t *testing.T) {
+	const (
+		nPeers, nServices, perService, instances, copies = 32, 3, 4, 4, 2
+		warm, measured                                   = 5, 40
+	)
+	for _, leg := range []struct{ poolConns, callers int }{{0, 1}, {0, 4}, {8, 1}, {8, 4}} {
+		t.Run(fmt.Sprintf("pool=%d/callers=%d", leg.poolConns, leg.callers), func(t *testing.T) {
+			reg := obs.NewRegistry() // fleet-wide: every peer's dials count
+			peers := make([]*Peer, nPeers)
+			for i := range peers {
+				p, err := Start(Config{Listen: "127.0.0.1:0", CPU: 1e5, Memory: 1e5,
+					RPCTimeout: 2 * time.Second, PoolConns: leg.poolConns, Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { p.Close() })
+				peers[i] = p
+				if i > 0 {
+					if err := p.Join(peers[0].Addr()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var path []service.Name
+			for s := 0; s < nServices; s++ {
+				name := fmt.Sprintf("svc%d", s)
+				path = append(path, service.Name(name))
+				for i := 0; i < instances; i++ {
+					in := inst(fmt.Sprintf("%s#%d", name, i), service.Name(name),
+						fmt.Sprintf("F%d", s), fmt.Sprintf("F%d", s+1), 5, 50)
+					for c := 0; c < copies; c++ {
+						if err := peers[1+s*perService+(i+c)%perService].Provide(in); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			run := func(n int) {
+				var wg sync.WaitGroup
+				for c := 0; c < leg.callers; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							if _, err := peers[0].Aggregate(path, userQoS, 20*time.Millisecond); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			}
+			run(warm)
+			before := snapCounter(t, reg.Snapshot(), "wire.conn_dials")
+			run(measured)
+			dials := snapCounter(t, reg.Snapshot(), "wire.conn_dials") - before
+			per := float64(dials) / float64(measured*leg.callers)
+			t.Logf("PoolConns %d, %d callers: %d dials over %d aggregations = %.2f per aggregation",
+				leg.poolConns, leg.callers, dials, measured*leg.callers, per)
+			if leg.poolConns == 0 && leg.callers == 1 && per >= 1 {
+				t.Fatalf("one caller at the default PoolConns dials %.2f times per aggregation, want < 1", per)
+			}
+		})
 	}
 }
 

@@ -54,6 +54,10 @@ type peerTele struct {
 	// p50/p99/p999 without pre-chosen bucket bounds.
 	rpcLatency *obs.LatencyHist // rpc.latency_seconds
 
+	// lookupFail counts members dropped from an aggregation's discovery
+	// because their lookup failed after retries.
+	lookupFail *obs.Counter // discovery.lookup_failed
+
 	stageLat map[string]*obs.LatencyHist // agg.stage_seconds.<stage>
 	aggLat   *obs.LatencyHist            // agg.latency_seconds
 
@@ -90,6 +94,7 @@ func newPeerTele(reg *obs.Registry) *peerTele {
 		rpcFailed:     make(map[string]*obs.Counter, len(msgTypes)),
 		rpcRetried:    make(map[string]*obs.Counter, len(msgTypes)),
 		rpcLatency:    reg.Latency("rpc.latency_seconds"),
+		lookupFail:    reg.Counter("discovery.lookup_failed"),
 		aggLat:        reg.Latency("agg.latency_seconds"),
 		probeHits:     reg.Counter("probe.cache_hits"),
 		probeMisses:   reg.Counter("probe.cache_misses"),
@@ -293,6 +298,13 @@ func (t *peerTele) retried(typ string) {
 		return
 	}
 	t.rpcRetried[typ].Inc()
+}
+
+func (t *peerTele) lookupFailed() {
+	if t == nil {
+		return
+	}
+	t.lookupFail.Inc()
 }
 
 func (t *peerTele) probeCache(hit bool) {
