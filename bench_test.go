@@ -16,7 +16,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/can"
 	"repro/internal/catalog"
 	"repro/internal/chord"
 	"repro/internal/compose"
@@ -298,29 +297,6 @@ func BenchmarkChordLookup(b *testing.B) {
 		}
 	}
 	b.ReportMetric(r.Stats().MeanHops(), "hops/lookup")
-}
-
-// BenchmarkCANLookup measures one DHT lookup on a 4096-node CAN (d=2) and
-// reports the mean hop count — O(d·N^(1/d)), contrasting with Chord's
-// O(log N) in BenchmarkChordLookup.
-func BenchmarkCANLookup(b *testing.B) {
-	s := can.NewSpace(can.Config{})
-	rng := xrand.New(3)
-	var nodes []*can.Node
-	for i := 0; i < 4096; i++ {
-		n, err := s.Join("n", rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Get(nodes[i%len(nodes)], rng.Uint64()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(s.Stats().MeanHops(), "hops/lookup")
 }
 
 // BenchmarkPhi measures one evaluation of the integrated selection metric.

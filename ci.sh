@@ -10,51 +10,37 @@
 #             dataflow passes (hotalloc, lockorder, goleak, detflow) —
 #             see README "Static analysis". Fails on any unsuppressed
 #             finding and leaves a machine-readable artifact at
-#             $QSALINT_JSON (default /tmp/qsalint.json)
-#   test      the short suite, then again under the race detector
+#             $QSALINT_JSON (default /tmp/qsalint.json); then again with
+#             -tests, so a stale waiver in a test file fails too
+#   test      the short suite with statement coverage, then again under
+#             the race detector. It carries the determinism and SLO gates:
+#             byte-identical output across shard counts
+#             (TestShardCountInvariance) and with caches off
+#             (TestCachesAreInvisible), binary at most half of JSON on
+#             lookup/select (TestBinaryHalvesPayloadRPCs), zero shed at
+#             low load and bounded shedding under overload
+#             (TestServingSLO), frames byte-identical to older peers'
+#             (TestGoldenRequestBytes)
+#   coverage  each package in the table below must keep the short
+#             suite's statement coverage at or above its floor
 #   benchmark the benchmark/ module (its own go.mod, so ./... above leaves
 #             it out): vet + its short suite under -race, so the yardstick
 #             that drives catalog, registry and sim cannot rot unbuilt
 #   chaos     the netproto fault-injection suite, explicitly under -race
-#   coverage  internal/netproto statement coverage must not drop below
-#             the pre-fault-plane baseline (91.0%); internal/obs (the
-#             telemetry plane) must stay at or above 94.0%;
-#             internal/analysis (the lint engine the other gates lean
-#             on) must stay at or above 90.0%; internal/eventsim (the
-#             sharded scheduler the million-peer runs sit on) must stay
-#             at or above 90.0%; internal/wire (the binary codec and
-#             packet framing under the UDP transport) must stay at or
-#             above 90.0%; internal/load (the open-loop generator
-#             behind qsaload) must stay at or above 90.0%
-#   shards    scripts/bench_shards.sh smoke: a 1-shard and a 4-shard run
-#             of the same seed must produce byte-identical output and
-#             both must complete (timings printed; full curve via
-#             scripts/bench_shards.sh → BENCH_shards.json)
-#   rpc       scripts/bench_rpc.sh smoke: both transport legs (JSON over
-#             TCP, binary over UDP) must complete a closed-loop run and
-#             binary must stay ≥2x smaller on the payload-bearing RPCs
-#             (full numbers: scripts/bench_rpc.sh → BENCH_rpc.json);
-#             the binary codec fuzz corpus (FuzzBinaryDecode seeds) must
-#             decode clean, and the steady-state encode/decode path must
-#             hold its zero-allocations budget (TestBinarySteadyStateAllocs)
-#   serving   scripts/bench_serving.sh smoke: the open-loop serving plane
-#             must shed nothing at low load on all four schedule×stack
-#             legs and must shed with bounded p99 on the overload leg
-#             (full curve: scripts/bench_serving.sh → BENCH_serving.json);
-#             the admission fast path must hold its zero-allocations
-#             budget (TestAdmitFastPathAllocs, TestAdmissionFastPathAllocs)
-#             and a warm RPC exchange its 16 KiB bytes budget
-#             (TestRPCExchangeBytes: no 64 KiB reader per exchange)
+#   fuzz      the binary codec fuzz corpus (FuzzBinaryDecode seeds) must
+#             decode clean
 #   bench     the Telemetry benchmarks run once; they fail if the
 #             disabled-sink hot paths allocate. The request hot-path
 #             benchmarks (QCS, Discover, Aggregate, SimMinute, the probe
-#             table) also run once under -race as a smoke test, and the
-#             steady-state Aggregate allocation budget is gated without
-#             -race (the detector inflates counts). Full numbers:
-#             scripts/bench_hotpath.sh regenerates BENCH_hotpath.json.
+#             table) also run once under -race as a smoke test, and
 #             BenchmarkRingChurn (one join + one failure on rings of 10⁴,
 #             10⁵ and 10⁶ nodes) runs once; its ns/op are in
-#             EXPERIMENTS.md.
+#             EXPERIMENTS.md
+#   allocs    the zero-allocation budgets of the steady-state Aggregate,
+#             the binary codec and the admission fast paths, and a warm
+#             RPC exchange's 16 KiB bytes budget (TestRPCExchangeBytes:
+#             no 64 KiB reader per exchange), all without -race (the
+#             detector inflates counts)
 #
 # Full statistical replays (minutes): go test ./...
 set -eu
@@ -73,9 +59,37 @@ if ! go run ./cmd/qsalint -json ./... > "$QSALINT_JSON"; then
 	exit 1
 fi
 echo "qsalint: clean (artifact: $QSALINT_JSON)"
+echo '>> go run ./cmd/qsalint -tests ./...'
+go run ./cmd/qsalint -tests ./...
 
-echo '>> go test -short ./...'
-go test -short ./...
+echo '>> go test -short -cover ./...'
+short_out=$(mktemp /tmp/qsa_short.XXXXXX)
+trap 'rm -f "$short_out"' EXIT
+if ! go test -short -cover ./... > "$short_out"; then
+	cat "$short_out"
+	exit 1
+fi
+cat "$short_out"
+
+echo '>> coverage floors'
+while read -r pkg floor; do
+	awk -v pkg="repro/internal/$pkg" -v floor="$floor" '
+		$2 == pkg { for (i = 3; i < NF; i++) if ($i == "coverage:") { c = $(i + 1); sub(/%/, "", c) } }
+		END {
+			if (c == "" || c + 0 < floor + 0) {
+				print pkg " coverage " c "% dropped below the " floor "% floor"
+				exit 1
+			}
+			print pkg " coverage " c "% (floor " floor "%)"
+		}' "$short_out"
+done <<EOF
+netproto 91.0
+obs 94.0
+analysis 90.0
+eventsim 90.0
+wire 90.0
+load 90.0
+EOF
 
 echo '>> go test -race -short ./...'
 go test -race -short ./...
@@ -85,88 +99,6 @@ echo '>> benchmark module: vet + short suite under -race'
 
 echo '>> chaos suite under -race'
 go test -race -short -run 'TestChaos' ./internal/netproto/
-
-echo '>> netproto coverage gate'
-cover_out=$(mktemp /tmp/qsa_netproto_cover.XXXXXX)
-obs_cover_out=$(mktemp /tmp/qsa_obs_cover.XXXXXX)
-analysis_cover_out=$(mktemp /tmp/qsa_analysis_cover.XXXXXX)
-eventsim_cover_out=$(mktemp /tmp/qsa_eventsim_cover.XXXXXX)
-wire_cover_out=$(mktemp /tmp/qsa_wire_cover.XXXXXX)
-load_cover_out=$(mktemp /tmp/qsa_load_cover.XXXXXX)
-trap 'rm -f "$cover_out" "$obs_cover_out" "$analysis_cover_out" "$eventsim_cover_out" "$wire_cover_out" "$load_cover_out"' EXIT
-go test -short -coverprofile="$cover_out" ./internal/netproto/ > /dev/null
-cover=$(go tool cover -func="$cover_out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
-awk -v c="$cover" 'BEGIN {
-	if (c + 0 < 91.0) {
-		print "netproto coverage " c "% dropped below the 91.0% baseline"
-		exit 1
-	}
-	print "netproto coverage " c "% (baseline 91.0%)"
-}'
-
-echo '>> obs (telemetry) coverage gate'
-go test -short -coverprofile="$obs_cover_out" ./internal/obs/ > /dev/null
-obs_cover=$(go tool cover -func="$obs_cover_out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
-awk -v c="$obs_cover" 'BEGIN {
-	if (c + 0 < 94.0) {
-		print "obs coverage " c "% dropped below the 94.0% baseline"
-		exit 1
-	}
-	print "obs coverage " c "% (baseline 94.0%)"
-}'
-
-echo '>> analysis (lint engine) coverage gate'
-go test -short -coverprofile="$analysis_cover_out" ./internal/analysis/ > /dev/null
-analysis_cover=$(go tool cover -func="$analysis_cover_out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
-awk -v c="$analysis_cover" 'BEGIN {
-	if (c + 0 < 90.0) {
-		print "analysis coverage " c "% dropped below the 90.0% baseline"
-		exit 1
-	}
-	print "analysis coverage " c "% (baseline 90.0%)"
-}'
-
-echo '>> eventsim (sharded scheduler) coverage gate'
-go test -short -coverprofile="$eventsim_cover_out" ./internal/eventsim/ > /dev/null
-eventsim_cover=$(go tool cover -func="$eventsim_cover_out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
-awk -v c="$eventsim_cover" 'BEGIN {
-	if (c + 0 < 90.0) {
-		print "eventsim coverage " c "% dropped below the 90.0% baseline"
-		exit 1
-	}
-	print "eventsim coverage " c "% (baseline 90.0%)"
-}'
-
-echo '>> wire (binary codec) coverage gate'
-go test -short -coverprofile="$wire_cover_out" ./internal/wire/ > /dev/null
-wire_cover=$(go tool cover -func="$wire_cover_out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
-awk -v c="$wire_cover" 'BEGIN {
-	if (c + 0 < 90.0) {
-		print "wire coverage " c "% dropped below the 90.0% baseline"
-		exit 1
-	}
-	print "wire coverage " c "% (baseline 90.0%)"
-}'
-
-echo '>> load (open-loop generator) coverage gate'
-go test -short -coverprofile="$load_cover_out" ./internal/load/ > /dev/null
-load_cover=$(go tool cover -func="$load_cover_out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
-awk -v c="$load_cover" 'BEGIN {
-	if (c + 0 < 90.0) {
-		print "load coverage " c "% dropped below the 90.0% baseline"
-		exit 1
-	}
-	print "load coverage " c "% (baseline 90.0%)"
-}'
-
-echo '>> shard determinism smoke'
-scripts/bench_shards.sh smoke
-
-echo '>> rpc wire-plane smoke'
-scripts/bench_rpc.sh smoke
-
-echo '>> serving-plane SLO smoke'
-scripts/bench_serving.sh smoke
 
 echo '>> binary codec fuzz corpus'
 go test -run '^FuzzBinaryDecode$' -count=1 ./internal/wire/ > /dev/null

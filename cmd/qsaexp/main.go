@@ -42,7 +42,6 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each figure's data as CSV into this directory")
 		repeats  = flag.Int("repeats", 1, "replicas per curve cell (mean±sd across seeds)")
 		scal     = flag.Bool("scalability", false, "run the grid-size scalability sweep")
-		nocache  = flag.Bool("nocache", false, "disable the hot-path caches (same results, slower; for benchmarking)")
 		shards   = flag.Int("shards", 0, "event lanes for the sharded engine in every run (0 = classic engine; results identical)")
 		shardW   = flag.Int("shard-workers", 0, "prepare workers per sharded run (0 = min(shards, GOMAXPROCS))")
 	)
@@ -64,7 +63,6 @@ func main() {
 	}
 	s.Workers = *workers
 	s.Repeats = *repeats
-	s.DisableCaches = *nocache
 	s.Shards = *shards
 	s.ShardWorkers = *shardW
 
@@ -217,10 +215,10 @@ func main() {
 			die(err)
 		}
 		fmt.Println("Scalability: grid size sweep (constant per-peer load)")
-		fmt.Printf("%-10s%12s%14s%14s%18s\n", "peers", "psi", "chord hops", "can hops", "probes/request")
+		fmt.Printf("%-10s%12s%14s%18s\n", "peers", "psi", "chord hops", "probes/request")
 		for i := range c.N {
-			fmt.Printf("%-10d%11.1f%%%14.2f%14.2f%18.1f\n",
-				c.N[i], 100*c.Psi[i], c.ChordHops[i], c.CANHops[i], c.ProbesPerRequest[i])
+			fmt.Printf("%-10d%11.1f%%%14.2f%18.1f\n",
+				c.N[i], 100*c.Psi[i], c.ChordHops[i], c.ProbesPerRequest[i])
 		}
 		fmt.Println()
 	}

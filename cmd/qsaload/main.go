@@ -45,7 +45,6 @@ func run(args []string, out io.Writer) error {
 		target   = fs.String("target", "", "serving peer address (required)")
 		network  = fs.String("network", "tcp", "transport: tcp or udp")
 		codec    = fs.String("codec", "", "wire codec: json or binary (default: json over tcp, binary over udp)")
-		compress = fs.Bool("compress", false, "flate-compress large bodies and advertise decompression (binary codec)")
 		conns    = fs.Int("conns", 0, "idle pooled TCP connections per worker (0 = default 2, -1 = no pooling)")
 		schedule = fs.String("schedule", "constant", "arrival schedule: constant, bursty, or diurnal")
 		rate     = fs.Float64("rate", 100, "offered arrivals per second (total across workers)")
@@ -106,7 +105,6 @@ func run(args []string, out io.Writer) error {
 			Target:    *target,
 			Network:   *network,
 			Codec:     *codec,
-			Compress:  *compress,
 			PoolConns: *conns,
 			Timeout:   *timeout,
 		})

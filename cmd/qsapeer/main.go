@@ -19,10 +19,8 @@
 // optional ,accepts=FORMAT input constraint (RAW accepted by default).
 //
 // For sustained open-loop traffic (cmd/qsaload), turn on the serving
-// plane: -admit-workers bounds concurrent aggregations (shedding with a
-// retry-after hint past -admit-queue), -gossip batches background
-// announcements, and -compress flate-compresses large binary bodies.
-// See DESIGN.md §14.
+// plane: -admit-workers bounds concurrent aggregations, shedding with a
+// retry-after hint past -admit-queue. See DESIGN.md §14.
 package main
 
 import (
@@ -109,8 +107,6 @@ func main() {
 		traceFrac = flag.Float64("trace-sample", 1, "fraction of aggregations to trace with causal spans (deterministic per request ID)")
 		admitWork = flag.Int("admit-workers", 0, "concurrent aggregations served before queueing (0 = admission control off, DESIGN.md §14)")
 		admitQ    = flag.Int("admit-queue", 0, "bounded wait queue behind the admission workers; beyond it the least important request is shed (default 4x workers)")
-		gossipInt = flag.Duration("gossip", 0, "interval between batched announcement-gossip rounds (0 = off, DESIGN.md §14)")
-		compress  = flag.Bool("compress", false, "flate-compress large binary-codec bodies (negotiated per message; peers without it interop unchanged)")
 	)
 	flag.Parse()
 
@@ -122,10 +118,9 @@ func main() {
 		*teleOut = *traceOut
 	}
 	pcfg := netproto.Config{Listen: *listen, CPU: *cpu, Memory: *mem, Network: *transport, Codec: *codec,
-		TraceSample: *traceFrac, Compress: *compress}
+		TraceSample: *traceFrac}
 	pcfg.Wire.MTU = *mtu
 	pcfg.Admit = netproto.AdmitConfig{Workers: *admitWork, MaxQueue: *admitQ}
-	pcfg.Gossip = netproto.GossipConfig{Interval: *gossipInt}
 	if *debugAddr != "" {
 		pcfg.Metrics = obs.NewRegistry()
 	}

@@ -30,7 +30,6 @@ func main() {
 		duration = flag.Float64("duration", 60, "workload duration in simulated minutes")
 		window   = flag.Float64("window", 2, "ψ sampling window in minutes")
 		recovery = flag.Bool("recovery", false, "enable runtime session recovery (paper future work)")
-		lookup   = flag.String("lookup", "chord", "discovery substrate: chord or can")
 		series   = flag.Bool("series", true, "print the ψ-over-time series")
 		traceOut = flag.String("trace-out", "", "record the workload to this JSONL trace file")
 		traceIn  = flag.String("trace-in", "", "replay the workload from this JSONL trace file")
@@ -55,7 +54,6 @@ func main() {
 	cfg.Duration = *duration
 	cfg.SampleWindow = *window
 	cfg.EnableRecovery = *recovery
-	cfg.Lookup = *lookup
 	cfg.Shards = *shards
 	cfg.ShardWorkers = *workers
 	cfg.ShardLookahead = *lookhd

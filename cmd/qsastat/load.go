@@ -142,10 +142,6 @@ func serveReport(out io.Writer, snap obs.Snapshot) {
 		fmt.Fprintf(out, "    p%-2d %8d served  p50 %10s  p99 %10s  p999 %10s\n",
 			class, lv.Count, fmtQ(lv.Quantile(0.50)), fmtQ(lv.Quantile(0.99)), fmtQ(lv.Quantile(0.999)))
 	}
-	if rounds := c["gossip.rounds_sent"]; rounds > 0 {
-		fmt.Fprintf(out, "  gossip: %d rounds, %d batches received, %d peers learned, %d probes refreshed\n",
-			rounds, c["gossip.batches_recv"], c["gossip.peers_learned"], c["gossip.probes_refreshed"])
-	}
 }
 
 func fmtQ(s float64) string {

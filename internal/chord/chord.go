@@ -33,7 +33,6 @@ type ID = uint64
 // the ring with FNV-1a, the consistent-hashing step of Chord.
 func HashString(s string) ID {
 	h := fnv.New64a()
-	// lint:allow hotalloc FNV-1a over short service-name keys; the lookup is epoch-cached so this amortizes across requests
 	h.Write([]byte(s))
 	return h.Sum64()
 }

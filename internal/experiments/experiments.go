@@ -51,12 +51,6 @@ type Scale struct {
 	// each cell once, like the paper.
 	Repeats int
 
-	// DisableCaches turns off the hot-path performance plane (the epoch
-	// lookup cache and the compatibility memo) in every run. Results are
-	// identical either way — the flag exists to measure the plane's cost,
-	// not to change outcomes.
-	DisableCaches bool
-
 	// Shards runs every simulation on the sharded event engine with this
 	// many lanes (0 = classic single-heap engine). Results are identical
 	// for every positive value; see sim.Config.Shards.
@@ -122,7 +116,6 @@ func (s Scale) baseConfig(alg sim.Algorithm, rate, churn, duration float64) sim.
 	if cfg.SampleWindow == 0 {
 		cfg.SampleWindow = 2
 	}
-	cfg.DisableCaches = s.DisableCaches
 	cfg.Shards = s.Shards
 	cfg.ShardWorkers = s.ShardWorkers
 	return cfg
@@ -437,10 +430,9 @@ type RetryCurve struct {
 }
 
 // Scalability sweeps the grid size N and measures the quantities behind
-// the paper's scalability claims (§3): DHT lookup hops (O(log N) for
-// Chord, O(√N) for CAN at d=2), probing cost per request (bounded by the
-// M cap regardless of N), and ψ. The request rate scales with N so the
-// per-peer load is constant.
+// the paper's scalability claims (§3): Chord lookup hops (O(log N)),
+// probing cost per request (bounded by the M cap regardless of N), and
+// ψ. The request rate scales with N so the per-peer load is constant.
 func Scalability(s Scale, sizes []int) (*ScalabilityCurve, error) {
 	if len(sizes) == 0 {
 		sizes = []int{500, 1000, 2000, 4000, 8000}
@@ -448,11 +440,9 @@ func Scalability(s Scale, sizes []int) (*ScalabilityCurve, error) {
 	var cfgs []sim.Config
 	for _, n := range sizes {
 		rate := s.Fig7Rate * float64(n) / float64(s.Peers)
-		chordCfg := s.baseConfig(sim.QSA, rate, 0, s.Fig7Duration)
-		chordCfg.Peers = n
-		canCfg := chordCfg
-		canCfg.Lookup = "can"
-		cfgs = append(cfgs, chordCfg, canCfg)
+		cfg := s.baseConfig(sim.QSA, rate, 0, s.Fig7Duration)
+		cfg.Peers = n
+		cfgs = append(cfgs, cfg)
 	}
 	results, err := runAll(cfgs, s.workers())
 	if err != nil {
@@ -460,14 +450,13 @@ func Scalability(s Scale, sizes []int) (*ScalabilityCurve, error) {
 	}
 	c := &ScalabilityCurve{}
 	for i, n := range sizes {
-		chordRes, canRes := results[2*i], results[2*i+1]
+		res := results[i]
 		c.N = append(c.N, n)
-		c.Psi = append(c.Psi, chordRes.Psi.Value())
-		c.ChordHops = append(c.ChordHops, chordRes.Lookup.MeanHops())
-		c.CANHops = append(c.CANHops, canRes.Lookup.MeanHops())
-		probes := float64(chordRes.Probes.Probes)
-		if chordRes.Requests.Issued > 0 {
-			probes /= float64(chordRes.Requests.Issued)
+		c.Psi = append(c.Psi, res.Psi.Value())
+		c.ChordHops = append(c.ChordHops, res.Lookup.MeanHops())
+		probes := float64(res.Probes.Probes)
+		if res.Requests.Issued > 0 {
+			probes /= float64(res.Requests.Issued)
 		}
 		c.ProbesPerRequest = append(c.ProbesPerRequest, probes)
 	}
@@ -478,8 +467,7 @@ func Scalability(s Scale, sizes []int) (*ScalabilityCurve, error) {
 type ScalabilityCurve struct {
 	N                []int
 	Psi              []float64
-	ChordHops        []float64 // mean DHT hops per lookup, Chord
-	CANHops          []float64 // mean DHT hops per lookup, CAN (d=2)
+	ChordHops        []float64 // mean Chord hops per lookup
 	ProbesPerRequest []float64
 }
 

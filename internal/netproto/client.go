@@ -37,9 +37,6 @@ type ClientConfig struct {
 	// PoolConns caps idle pooled connections per target (TCP only):
 	// 0 defaults to 2, -1 disables pooling.
 	PoolConns int
-	// Compress enables flate compression of large request bodies and
-	// advertises decompression support to the server (binary only).
-	Compress bool
 	// Metrics, when non-nil, receives the client's RPC counters and
 	// wire byte accounting.
 	Metrics *obs.Registry
@@ -82,12 +79,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Metrics != nil {
 		cl.tele = newPeerTele(cfg.Metrics)
 	}
-	bin := wire.NewBinary()
-	if cfg.Compress {
-		bin.SetCompression(wire.DefaultCompressMin)
-	}
 	if cfg.Codec == "binary" {
-		cl.codec = bin
+		cl.codec = wire.NewBinary()
 	} else {
 		cl.codec = wire.JSON{}
 	}

@@ -1,6 +1,8 @@
 package netproto
 
 import (
+	"bufio"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/qos"
 	"repro/internal/resource"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 func inst(id string, svc service.Name, inFmt, outFmt string, r, kbps float64) *service.Instance {
@@ -451,6 +454,66 @@ func TestHandleSurfacesDecodeError(t *testing.T) {
 	}
 	if r.OK || !strings.Contains(r.Err, "bad request") {
 		t.Fatalf("response = %+v, want bad-request error", r)
+	}
+}
+
+// TestOldPeerAnnouncementGetsErrorReply: the announcement batches older
+// peers may still send — a JSON "gossip" message, or a binary request
+// whose serving tail carries announcements — get an error reply, and
+// the connection keeps serving.
+func TestOldPeerAnnouncementGetsErrorReply(t *testing.T) {
+	peers := cluster(t, 1, 100)
+	conn, err := TCP{}.Dial(peers[0].Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(conn)
+	for _, msg := range []string{
+		`{"type":"gossip","addr":"127.0.0.1:9","anns":[{"addr":"127.0.0.1:8","avail":[4,4],"uptime_sec":3}]}`,
+		`{"type":"probe"}`,
+	} {
+		if _, err := conn.Write([]byte(msg + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		var r response
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("%s: no response: %v", msg, err)
+		}
+		if want := !strings.Contains(msg, "gossip"); r.OK != want {
+			t.Fatalf("%s: response %+v, want OK=%v", msg, r, want)
+		}
+	}
+
+	// An aggregate request with one announcement "x" in its serving tail.
+	frame, err := hex.DecodeString("51530108306200000000000000440e3132372e302e302e313a3930303000000000000000c07c0000002a2b0306736f75726365097472616e73636f646506706c61796572c05c04bfa0030101017800000000cd4bb5ba")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bconn, err := TCP{}.Dial(peers[0].Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bconn.Close()
+	if err := bconn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bconn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.ReadFrame(bufio.NewReader(bconn), nil)
+	if err != nil {
+		t.Fatalf("no binary reply: %v", err)
+	}
+	var r response
+	if _, err := wire.NewBinary().DecodeResponse(reply, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.OK || !strings.Contains(r.Err, "retired") {
+		t.Fatalf("binary reply %+v, want a retired-extension error", r)
 	}
 }
 

@@ -83,25 +83,12 @@ type Config struct {
 	// Admit bounds concurrent aggregate serving (DESIGN §14). Zero
 	// Workers — the default — disables admission control entirely.
 	Admit AdmitConfig
-	// Gossip enables batched probe/announcement gossip: every Interval
-	// the peer sends one batch of cached measurements to Fanout members,
-	// amortizing background freshness traffic to O(1) datagrams per
-	// interval. Zero Interval — the default — disables it.
-	Gossip GossipConfig
 	// PoolConns controls TCP connection reuse for outgoing RPCs: 0
 	// (default) pools up to 2 idle connections per target when this
 	// peer uses the default TCP transport; > 0 sets that per-target
 	// cap explicitly (also on injected transports); -1 disables
 	// pooling and dials per exchange.
 	PoolConns int
-	// Compress enables flate compression of outgoing binary bodies of
-	// at least CompressMin bytes (default wire.DefaultCompressMin) and
-	// advertises decompression support to servers. Decoding compressed
-	// frames always works; this only gates encoding.
-	Compress bool
-	// CompressMin overrides the compression threshold when Compress is
-	// set. 0 means wire.DefaultCompressMin.
-	CompressMin int
 }
 
 func (c *Config) fillDefaults() {
@@ -129,7 +116,6 @@ func (c *Config) fillDefaults() {
 	}
 	c.Wire.fillDefaults()
 	c.Admit.fillDefaults()
-	c.Gossip.fillDefaults()
 	if c.Transport == nil && c.Network != "udp" {
 		// The UDP default is built in Start, where the telemetry handle
 		// exists to plumb into the transport.
@@ -180,14 +166,8 @@ func (c Config) Validate() error {
 	if c.Admit.Workers < 0 || c.Admit.MaxQueue < 0 || c.Admit.RetryAfter < 0 {
 		return fmt.Errorf("netproto: negative admission bounds")
 	}
-	if c.Gossip.Interval < 0 || c.Gossip.Fanout < 0 || c.Gossip.Batch < 0 {
-		return fmt.Errorf("netproto: negative gossip parameters")
-	}
 	if c.PoolConns < -1 {
 		return fmt.Errorf("netproto: PoolConns %d (want >= -1)", c.PoolConns)
-	}
-	if c.CompressMin < 0 {
-		return fmt.Errorf("netproto: negative CompressMin %d", c.CompressMin)
 	}
 	return nil
 }
@@ -307,13 +287,6 @@ func Start(cfg Config) (*Peer, error) {
 		return nil, err
 	}
 	bin := wire.NewBinary()
-	if cfg.Compress {
-		min := cfg.CompressMin
-		if min == 0 {
-			min = wire.DefaultCompressMin
-		}
-		bin.SetCompression(min)
-	}
 	var codec wire.Codec = wire.JSON{}
 	if cfg.Codec == "binary" {
 		codec = bin
@@ -346,10 +319,6 @@ func Start(cfg Config) (*Peer, error) {
 	}
 	p.wg.Add(1)
 	go p.serve()
-	if cfg.Gossip.Interval > 0 {
-		p.wg.Add(1)
-		go p.gossipLoop()
-	}
 	return p, nil
 }
 
@@ -614,13 +583,6 @@ func (p *Peer) handleBinary(conn net.Conn, br *bufio.Reader) {
 			// closing (or parking) the connection.
 			return
 		}
-		// The reply may be flate-compressed only when this client
-		// advertised it can inflate (satellite: flag-negotiated
-		// compression, never sprung on an old peer).
-		compressOK := false
-		if flags, ok := wire.MessageFlags(buf.B); ok {
-			compressOK = flags&wire.FlagCompressOK != 0
-		}
 		reqID, err := p.bin.DecodeRequest(buf.B, req)
 		var resp response
 		if err != nil {
@@ -628,7 +590,7 @@ func (p *Peer) handleBinary(conn net.Conn, br *bufio.Reader) {
 		} else {
 			resp = p.dispatch(*req)
 		}
-		buf.B, err = p.bin.AppendResponseNegotiated(buf.B[:0], reqID, &resp, compressOK)
+		buf.B, err = p.bin.AppendResponse(buf.B[:0], reqID, &resp)
 		if err != nil {
 			return
 		}
@@ -659,8 +621,6 @@ func (p *Peer) dispatch(req request) response {
 		return p.handleRelease(req)
 	case msgAggregate:
 		return p.handleAggregate(req)
-	case msgGossip:
-		return p.handleGossip(req)
 	default:
 		return response{Err: fmt.Sprintf("unknown message %q", req.Type)}
 	}

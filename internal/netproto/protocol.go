@@ -72,7 +72,6 @@ type (
 	request  = wire.Request
 	response = wire.Response
 	offer    = wire.Offer
-	wireAnn  = wire.Ann
 )
 
 // Message types.
@@ -86,7 +85,6 @@ const (
 	msgRelease = wire.TypeRelease
 	// Serving plane (DESIGN §14).
 	msgAggregate = wire.TypeAggregate
-	msgGossip    = wire.TypeGossip
 )
 
 func toWireParams(v qos.Vector) []WireParam {

@@ -527,101 +527,3 @@ func TestConnPoolExpiry(t *testing.T) {
 	}
 	pool.Close()
 }
-
-// TestGossipPropagatesMembership: with gossip on, a peer that only
-// ever met the bootstrap learns the rest of the overlay from gossip
-// batches, and announcements refresh already-probed cache entries.
-func TestGossipPropagatesMembership(t *testing.T) {
-	reg := obs.NewRegistry()
-	gossip := GossipConfig{Interval: 20 * time.Millisecond, Fanout: 2, Batch: 8}
-	a, err := Start(Config{Listen: "127.0.0.1:0", CPU: 10, Memory: 10, Gossip: gossip, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	b, err := Start(Config{Listen: "127.0.0.1:0", CPU: 10, Memory: 10, Gossip: gossip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	if err := b.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	// c joins through b only: it learns a's address via gossip alone
-	// (Join announces to the members c knows — just b).
-	c, err := Start(Config{Listen: "127.0.0.1:0", CPU: 10, Memory: 10, Gossip: gossip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if err := c.Join(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		members := c.Members()
-		if len(members) == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("c still only knows %v", members)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// a's gossip counters moved: it sent rounds and ingested batches.
-	deadline = time.Now().Add(3 * time.Second)
-	for {
-		snap := reg.Snapshot()
-		if snapCounter(t, snap, "gossip.rounds_sent") > 0 &&
-			snapCounter(t, snap, "gossip.batches_recv") > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("gossip counters never moved")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestGossipRefreshKeepsRTT: a gossiped announcement about an
-// already-probed peer refreshes availability and measurement time but
-// never overwrites the directly measured RTT.
-func TestGossipRefreshKeepsRTT(t *testing.T) {
-	p, err := Start(Config{Listen: "127.0.0.1:0", CPU: 10, Memory: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	stale := time.Now().Add(-10 * time.Second)
-	p.mu.Lock()
-	p.probes["10.9.9.9:1"] = probeResult{alive: true, rtt: 7 * time.Millisecond,
-		uptime: time.Second, measured: stale}
-	p.mu.Unlock()
-	resp := p.handleGossip(request{Type: msgGossip, Addr: "10.0.0.2:1", Anns: []wireAnn{
-		{Addr: "10.9.9.9:1", Avail: []float64{4, 4}, UptimeSec: 11, AgeSec: 0.5},
-		{Addr: "10.8.8.8:1", Avail: []float64{1, 1}, UptimeSec: 2}, // never probed: learned only
-	}})
-	if !resp.OK {
-		t.Fatalf("gossip rejected: %+v", resp)
-	}
-	p.mu.Lock()
-	got := p.probes["10.9.9.9:1"]
-	_, neverProbed := p.probes["10.8.8.8:1"]
-	members := len(p.members)
-	p.mu.Unlock()
-	if got.rtt != 7*time.Millisecond {
-		t.Errorf("gossip overwrote the measured RTT: %v", got.rtt)
-	}
-	if got.avail[0] != 4 || got.uptime != 11*time.Second {
-		t.Errorf("gossip did not refresh availability: %+v", got)
-	}
-	if !got.measured.After(stale) {
-		t.Error("gossip did not advance the measurement time")
-	}
-	if neverProbed {
-		t.Error("gossip minted a probe entry for a peer never probed directly")
-	}
-	if members != 3 {
-		t.Errorf("learned %d members, want 3 (sender + two announced)", members)
-	}
-}

@@ -75,15 +75,10 @@ type peerTele struct {
 	serveLat   [4]*obs.LatencyHist     // serve.latency_seconds.p<class>
 	serveDepth *obs.Gauge              // serve.queue_depth
 
-	gossipSent    *obs.Counter // gossip.rounds_sent
-	gossipRecv    *obs.Counter // gossip.batches_recv
-	gossipLearned *obs.Counter // gossip.peers_learned
-	gossipRefresh *obs.Counter // gossip.probes_refreshed
-
 	wire *wireTele
 }
 
-var msgTypes = []string{msgJoin, msgLeave, msgLookup, msgProbe, msgSelect, msgReserve, msgRelease, msgAggregate, msgGossip}
+var msgTypes = []string{msgJoin, msgLeave, msgLookup, msgProbe, msgSelect, msgReserve, msgRelease, msgAggregate}
 
 // shedReasons mirrors the shed* constants for counter pre-resolution.
 var shedReasons = []string{shedQueueFull, shedEvicted, shedDeadline, shedShutdown}
@@ -106,10 +101,6 @@ func newPeerTele(reg *obs.Registry) *peerTele {
 		serveSheds:    make(map[string]*obs.Counter, len(shedReasons)),
 		serveWait:     reg.Latency("serve.queue_wait_seconds"),
 		serveDepth:    reg.Gauge("serve.queue_depth"),
-		gossipSent:    reg.Counter("gossip.rounds_sent"),
-		gossipRecv:    reg.Counter("gossip.batches_recv"),
-		gossipLearned: reg.Counter("gossip.peers_learned"),
-		gossipRefresh: reg.Counter("gossip.probes_refreshed"),
 		wire:          newWireTele(reg),
 	}
 	for _, r := range shedReasons {
@@ -396,25 +387,6 @@ func (t *peerTele) serveQueueDepth(n int) {
 		return
 	}
 	t.serveDepth.Set(int64(n))
-}
-
-func (t *peerTele) gossipRound() {
-	if t == nil {
-		return
-	}
-	t.gossipSent.Inc()
-}
-
-// gossipBatch accounts one received gossip batch: learned is the
-// number of previously unknown peers, refreshed the number of probe
-// cache entries renewed without a direct probe.
-func (t *peerTele) gossipBatch(learned, refreshed int) {
-	if t == nil {
-		return
-	}
-	t.gossipRecv.Inc()
-	t.gossipLearned.Add(uint64(learned))
-	t.gossipRefresh.Add(uint64(refreshed))
 }
 
 // emitHops replays the wire-level selection report (one WireHop per hop,

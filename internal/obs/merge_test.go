@@ -154,7 +154,6 @@ func TestMergeLatencyMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		// lint:allow float-eq identical buckets must give identical quantiles
 		if got.Quantile(q) != want.Quantile(q) {
 			t.Fatalf("q%.3f: merged %g, oracle %g", q, got.Quantile(q), want.Quantile(q))
 		}

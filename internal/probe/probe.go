@@ -129,8 +129,6 @@ type Stats struct {
 	Evictions uint64 // lower-benefit neighbors displaced
 	Rejected  uint64 // candidates denied because the table was full of
 	// equal-or-higher-benefit neighbors
-	Gossiped uint64 // neighbor entries refreshed from gossip batches
-	// instead of direct probes (ApplyGossip)
 }
 
 // Config parameterizes the probing layer.

@@ -136,12 +136,8 @@ type Config struct {
 	// TTL is the soft-state lifetime of one registration in minutes;
 	// providers must refresh within it. Default 10.
 	TTL float64
-	// Chord configures the default underlying DHT ring; ignored when DHT
-	// is set explicitly.
+	// Chord configures the underlying DHT ring.
 	Chord chord.Config
-	// DHT overrides the lookup substrate (default: a Chord ring built
-	// from the Chord config; internal/can provides the alternative).
-	DHT DHT
 	// DisableCache turns off the epoch-keyed lookup cache, forcing every
 	// Lookup through the DHT. Results are byte-identical either way (the
 	// differential suite asserts this); only routing statistics differ.
@@ -164,11 +160,12 @@ type cachedLookup struct {
 	entries    []*InstanceEntry
 }
 
-// Registry binds peers to DHT nodes and stores instance/provider records.
+// Registry binds peers to Chord nodes and stores instance/provider
+// records on the ring.
 type Registry struct {
 	cfg   Config
-	dht   DHT
-	nodes map[topology.PeerID]DHTNode
+	ring  *chord.Ring
+	nodes map[topology.PeerID]*chord.Node
 	rng   *xrand.Source
 
 	// epoch is the monotonic mutation counter: every Register, Unregister,
@@ -193,29 +190,47 @@ type Registry struct {
 // New returns an empty registry.
 func New(cfg Config, seed uint64) *Registry {
 	cfg.fillDefaults()
-	dht := cfg.DHT
-	if dht == nil {
-		dht = NewChordDHT(cfg.Chord)
-	}
 	return &Registry{
 		cfg:   cfg,
-		dht:   dht,
-		nodes: make(map[topology.PeerID]DHTNode),
+		ring:  chord.NewRing(cfg.Chord),
+		nodes: make(map[topology.PeerID]*chord.Node),
 		rng:   xrand.New(seed).SplitLabeled("registry"),
 		cache: make(map[service.Name]*cachedLookup),
 	}
 }
 
-// Stats exposes the lookup substrate's routing statistics plus the
-// registry's own cache effectiveness counters. Lookups/TotalHops count
-// real DHT traversals only; cache hits pay no hops and are reported
-// separately.
+// LookupStats is the registry's routing statistics view. Lookups and
+// TotalHops count real ring traversals; cache hits skip routing entirely
+// and are never counted as Lookups, so hop averages stay attributed to
+// real traversals only.
+type LookupStats struct {
+	Lookups   uint64
+	TotalHops uint64
+
+	CacheHits   uint64 // lookups served from the registry's epoch cache
+	CacheMisses uint64 // lookups that fell through to the ring
+	Epoch       uint64 // the registry's mutation epoch at snapshot time
+}
+
+// MeanHops returns the average routing hops per lookup.
+func (s LookupStats) MeanHops() float64 {
+	if s.Lookups == 0 {
+		return 0
+	}
+	return float64(s.TotalHops) / float64(s.Lookups)
+}
+
+// Stats exposes the ring's routing statistics plus the registry's own
+// cache effectiveness counters.
 func (r *Registry) Stats() LookupStats {
-	s := r.dht.Stats()
-	s.CacheHits = r.cacheHits
-	s.CacheMisses = r.cacheMisses
-	s.Epoch = r.epoch
-	return s
+	s := r.ring.Stats()
+	return LookupStats{
+		Lookups:     s.Lookups,
+		TotalHops:   s.TotalHops,
+		CacheHits:   r.cacheHits,
+		CacheMisses: r.cacheMisses,
+		Epoch:       r.epoch,
+	}
 }
 
 // Epoch returns the current mutation epoch.
@@ -227,27 +242,24 @@ func (r *Registry) bumpEpoch() {
 	r.Obs.EpochBumps.Inc()
 }
 
-// Stabilize asks the lookup substrate to bring all routing state to
-// convergence. Call it after bulk joins (initial grid setup): a real
-// deployment would have run its stabilization protocol continuously, so a
-// freshly *observed* grid starts converged. Substrates without the hook
-// (CAN keeps exact neighbor state by construction) ignore it.
-func (r *Registry) Stabilize() {
-	if s, ok := r.dht.(interface{ Stabilize() }); ok {
-		s.Stabilize()
-	}
-}
+// Stabilize brings all routing state to convergence: every node
+// refreshes its fingers and successor list from ring ground truth, the
+// converged end state of Chord's stabilize/fix_fingers rounds. Call it
+// after bulk joins (initial grid setup): a real deployment would have run
+// its stabilization protocol continuously, so a freshly *observed* grid
+// starts converged.
+func (r *Registry) Stabilize() { r.ring.RefreshAll() }
 
 // TTL returns the soft-state registration lifetime.
 func (r *Registry) TTL() float64 { return r.cfg.TTL }
 
-// AddPeer joins the peer's DHT node. Idempotent additions are an error:
-// the caller owns peer lifecycle.
+// AddPeer joins the peer's Chord node. Idempotent additions are an
+// error: the caller owns peer lifecycle.
 func (r *Registry) AddPeer(p topology.PeerID) error {
 	if _, ok := r.nodes[p]; ok {
 		return fmt.Errorf("registry: peer %d already joined", p)
 	}
-	n, err := r.dht.Join(fmt.Sprintf("peer-%d", p), r.rng)
+	n, err := r.ring.JoinRandom(fmt.Sprintf("peer-%d", p), r.rng)
 	if err != nil {
 		return err
 	}
@@ -256,29 +268,13 @@ func (r *Registry) AddPeer(p topology.PeerID) error {
 	return nil
 }
 
-// BulkJoiner is the optional DHT fast path for initial population: join
-// one node per label, drawing placement from rng exactly as sequential
-// Join calls would, with routing state brought to convergence once at
-// the end instead of per join.
-type BulkJoiner interface {
-	JoinBulk(labels []string, rng *xrand.Source) ([]DHTNode, error)
-}
-
-// AddPeers joins many peers' DHT nodes at once. Substrates implementing
-// BulkJoiner (Chord) avoid the per-join O(N) insert + refresh that makes
-// a 10⁶-peer population infeasible; others fall back to sequential
-// AddPeer. The epoch advances once per peer either way, so epoch counts
-// match the sequential path exactly.
+// AddPeers joins many peers' Chord nodes at once (initial population):
+// ids are drawn from the registry's stream exactly as sequential AddPeer
+// calls would draw them, but the ring is sorted and its routing state
+// refreshed once at the end, avoiding the per-join insert + refresh that
+// makes a 10⁶-peer population infeasible. The epoch advances once per
+// peer, so epoch counts match the sequential path exactly.
 func (r *Registry) AddPeers(ps []topology.PeerID) error {
-	bulk, ok := r.dht.(BulkJoiner)
-	if !ok {
-		for _, p := range ps {
-			if err := r.AddPeer(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	labels := make([]string, len(ps))
 	for i, p := range ps {
 		if _, dup := r.nodes[p]; dup {
@@ -286,7 +282,7 @@ func (r *Registry) AddPeers(ps []topology.PeerID) error {
 		}
 		labels[i] = fmt.Sprintf("peer-%d", p)
 	}
-	nodes, err := bulk.JoinBulk(labels, r.rng)
+	nodes, err := r.ring.JoinBulk(labels, r.rng)
 	if err != nil {
 		return err
 	}
@@ -297,8 +293,8 @@ func (r *Registry) AddPeers(ps []topology.PeerID) error {
 	return nil
 }
 
-// RemovePeer removes the peer's DHT node — gracefully (keys handed over)
-// or abruptly (fail, as under churn).
+// RemovePeer removes the peer's Chord node — gracefully (keys handed
+// over) or abruptly (fail, as under churn).
 func (r *Registry) RemovePeer(p topology.PeerID, graceful bool) error {
 	n, ok := r.nodes[p]
 	if !ok {
@@ -306,11 +302,14 @@ func (r *Registry) RemovePeer(p topology.PeerID, graceful bool) error {
 	}
 	delete(r.nodes, p)
 	r.bumpEpoch() // an abrupt removal may lose stored data
-	return r.dht.Remove(n, graceful)
+	if graceful {
+		return r.ring.Leave(n)
+	}
+	return r.ring.Fail(n)
 }
 
-// node returns the DHT node of a joined peer.
-func (r *Registry) node(p topology.PeerID) (DHTNode, error) {
+// node returns the Chord node of a joined peer.
+func (r *Registry) node(p topology.PeerID) (*chord.Node, error) {
 	n, ok := r.nodes[p]
 	if !ok || !n.Alive() {
 		return nil, fmt.Errorf("registry: peer %d not on the DHT", p)
@@ -333,7 +332,7 @@ func (r *Registry) Register(from topology.PeerID, inst *service.Instance, provid
 		return err
 	}
 	r.bumpEpoch()
-	_, err = r.dht.Update(n, serviceKey(inst.Service), inst.ID, func(prev any) any {
+	_, err = r.ring.Update(n, serviceKey(inst.Service), inst.ID, func(prev any) any {
 		e, ok := prev.(*InstanceEntry)
 		if !ok || e == nil {
 			e = &InstanceEntry{Inst: inst, idx: make(map[topology.PeerID]int)}
@@ -353,7 +352,7 @@ func (r *Registry) Unregister(from topology.PeerID, inst *service.Instance, prov
 		return err
 	}
 	r.bumpEpoch()
-	_, err = r.dht.Update(n, serviceKey(inst.Service), inst.ID, func(prev any) any {
+	_, err = r.ring.Update(n, serviceKey(inst.Service), inst.ID, func(prev any) any {
 		e, ok := prev.(*InstanceEntry)
 		if !ok || e == nil {
 			return nil
@@ -378,7 +377,7 @@ func (r *Registry) Unregister(from topology.PeerID, inst *service.Instance, prov
 // lapse can never be masked). Cache hits pay zero hops and are counted in
 // LookupStats.CacheHits, never in Lookups. The returned slice is shared
 // with the cache and other callers: treat it as immutable.
-func (r *Registry) Lookup(from topology.PeerID, name service.Name, now float64) (entries []*InstanceEntry, hops int, err error) {
+func (r *Registry) Lookup(from topology.PeerID, name service.Name, now float64) ([]*InstanceEntry, int, error) {
 	r.lookupMu.Lock()
 	defer r.lookupMu.Unlock()
 	n, err := r.node(from)
@@ -394,8 +393,16 @@ func (r *Registry) Lookup(from topology.PeerID, name service.Name, now float64) 
 		r.cacheMisses++
 		r.Obs.CacheMisses.Inc()
 	}
+	return r.route(n, name, now)
+}
+
+// route is Lookup past the epoch cache: it routes the query through the
+// ring and rebuilds (and, with the cache on, stores) the sorted result.
+//
+// lint:coldpath cache miss; epoch-cached discovery amortizes routing and the rebuild across steady-state requests
+func (r *Registry) route(n *chord.Node, name service.Name, now float64) (entries []*InstanceEntry, hops int, err error) {
 	r.Obs.Lookups.Inc()
-	items, hops, err := r.dht.Get(n, serviceKey(name))
+	items, hops, err := r.ring.Get(n, serviceKey(name))
 	if err != nil {
 		return nil, hops, err
 	}
@@ -413,14 +420,12 @@ func (r *Registry) Lookup(from topology.PeerID, name service.Name, now float64) 
 		}
 		entries = append(entries, e)
 	}
-	// lint:allow hotalloc cache-miss rebuild; epoch-cached discovery amortizes this across steady-state requests
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Inst.ID < entries[j].Inst.ID })
 	if !r.cfg.DisableCache {
-		// lint:allow hotalloc cache-miss rebuild; epoch-cached discovery amortizes this across steady-state requests
 		r.cache[name] = &cachedLookup{epoch: r.epoch, validUntil: validUntil, entries: entries}
 	}
 	return entries, hops, nil
 }
 
-// PeerCount returns the number of peers currently joined to the DHT.
+// PeerCount returns the number of peers currently joined to the ring.
 func (r *Registry) PeerCount() int { return len(r.nodes) }

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/can"
 	"repro/internal/catalog"
 	"repro/internal/compose"
 	"repro/internal/core"
@@ -142,11 +141,6 @@ type Config struct {
 	// RegistryRefresh is the provider re-registration period in minutes;
 	// default half the registry TTL.
 	RegistryRefresh float64
-
-	// Lookup selects the discovery substrate: "chord" (default) or "can" —
-	// the two protocols the paper names (§3.2). Ignored when Registry.DHT
-	// is set explicitly.
-	Lookup string
 
 	// DisableRetry forces single-shot aggregation (the paper-literal
 	// behaviour, without the recomposition-on-failure extension); used by
@@ -282,16 +276,6 @@ func (c *Config) fillDefaults() error {
 			ttl = 10
 		}
 		c.RegistryRefresh = ttl / 2
-	}
-	if c.Registry.DHT == nil {
-		switch c.Lookup {
-		case "", "chord":
-			// registry.New builds a Chord ring by default.
-		case "can":
-			c.Registry.DHT = registry.NewCANDHT(can.Config{})
-		default:
-			return fmt.Errorf("sim: unknown lookup substrate %q", c.Lookup)
-		}
 	}
 	return nil
 }

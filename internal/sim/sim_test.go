@@ -281,40 +281,6 @@ func TestChordLookupsHappen(t *testing.T) {
 	}
 }
 
-func TestCANSubstrate(t *testing.T) {
-	skipIfShort(t)
-	// The whole closed loop also runs over the CAN lookup service, with a
-	// comparable success ratio (discovery is substrate-independent).
-	chordCfg := small(23, QSA)
-	canCfg := small(23, QSA)
-	canCfg.Lookup = "can"
-	a, err := Run(chordCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(canCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Requests.Issued == 0 || b.Lookup.Lookups == 0 {
-		t.Fatal("CAN run issued no requests or lookups")
-	}
-	if diff := a.Psi.Value() - b.Psi.Value(); diff > 0.05 || diff < -0.05 {
-		t.Fatalf("ψ diverges across substrates: chord %v vs can %v", a.Psi.Value(), b.Psi.Value())
-	}
-	if b.Lookup.MeanHops() <= 0 {
-		t.Fatal("CAN lookups recorded no hops")
-	}
-}
-
-func TestUnknownLookupSubstrate(t *testing.T) {
-	cfg := small(24, QSA)
-	cfg.Lookup = "pastry"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("unknown substrate must be rejected")
-	}
-}
-
 func TestTraceRecordAndReplay(t *testing.T) {
 	skipIfShort(t)
 	// Record a run's workload, then replay it: the replayed run must issue

@@ -16,7 +16,8 @@ import (
 //	              lets a server tell binary from JSON without config
 //	offset 2      version (currently 1)
 //	offset 3      message kind (Kind*; KindOther carries the string)
-//	offset 4      flags (response / idempotent / ok / trace / trace-ctx)
+//	offset 4      flags (response / idempotent / ok / trace / trace-ctx /
+//	              serving)
 //	offset 5..12  request correlation ID, uint64
 //	offset 13..   body length as uvarint, then the body
 //	last 4 bytes  CRC32C (Castagnoli) of everything preceding
@@ -68,20 +69,19 @@ const (
 	FlagTraceCtx byte = 1 << 4
 
 	// FlagServing marks a frame whose body tail carries the serving-plane
-	// fields (aggregate path/priority/deadline, gossip announcements,
-	// shed/retry-after — DESIGN §14), appended after the trace-context
-	// tail. Same extension discipline as FlagTraceCtx: frames without
-	// serving fields stay byte-identical to the pre-extension format.
+	// fields (lookup/aggregate path, priority, deadline, shed/retry-after
+	// — DESIGN §14), appended after the trace-context tail. Same
+	// extension discipline as FlagTraceCtx: frames without serving fields
+	// stay byte-identical to the pre-extension format. A request's tail
+	// ends with one zero byte, the count of a retired announcement batch;
+	// the decoder rejects any other value.
 	FlagServing byte = 1 << 5
 
-	// FlagCompressed marks a frame whose body is flate-compressed:
-	// uvarint(raw body length) followed by the deflate stream. The CRC
-	// trailer covers the compressed bytes as written.
-	FlagCompressed byte = 1 << 6
-	// FlagCompressOK on a request advertises that the sender can decode
-	// compressed responses; a server only compresses replies to clients
-	// that set it, so the negotiation needs no handshake round-trip.
-	FlagCompressOK byte = 1 << 7
+	// flagCompressed marked a flate-compressed body, a retired extension:
+	// the decoder rejects such frames rather than parse deflate bytes as
+	// a plain body. Bit 7 once advertised the ability to inflate replies;
+	// it is ignored.
+	flagCompressed byte = 1 << 6
 )
 
 // MaxMessage bounds one framed message (body + envelope). Anything
@@ -98,6 +98,7 @@ var (
 	ErrTooLarge  = errors.New("wire: message exceeds MaxMessage")
 	errEnvelope  = errors.New("wire: frame/role mismatch (request vs response)")
 	errTrailing  = errors.New("wire: trailing bytes after body")
+	errRetired   = errors.New("wire: frame uses a retired extension (compressed body or announcement batch)")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -137,12 +138,6 @@ type Binary struct {
 	tab      map[string]string // decode-side intern table
 	keys     []string          // encode scratch: sorted candidate keys
 	candFree [][]string        // decode scratch: recycled provider lists
-
-	// compressMin, when > 0, flate-compresses bodies of at least that
-	// many bytes and advertises FlagCompressOK on requests. 0 (the
-	// default) sends every frame uncompressed; decoding compressed
-	// frames works either way. See SetCompression.
-	compressMin int
 }
 
 // NewBinary returns a ready codec with an empty intern table.
@@ -489,9 +484,6 @@ func (c *Binary) AppendRequest(dst []byte, reqID uint64, req *Request) ([]byte, 
 	if servingRequest(req) {
 		flags |= FlagServing
 	}
-	if c.compressMin > 0 {
-		flags |= FlagCompressOK
-	}
 	start := len(dst)
 	dst = appendHeader(dst, kind, flags, reqID)
 	bodyStart := len(dst)
@@ -546,13 +538,7 @@ func (c *Binary) AppendRequest(dst []byte, reqID uint64, req *Request) ([]byte, 
 		dst = appendZigzag(dst, req.Priority)
 		dst = appendF64(dst, req.Deadline)
 		dst = append(dst, boolByte(req.DTolerant))
-		dst = appendUvarint(dst, uint64(len(req.Anns)))
-		for i := range req.Anns {
-			dst = appendAnn(dst, &req.Anns[i])
-		}
-	}
-	if c.compressMin > 0 && len(dst)-bodyStart >= c.compressMin {
-		dst = compressBody(dst, start, bodyStart)
+		dst = append(dst, 0) // retired announcement count
 	}
 	return finishFrame(dst, start, bodyStart)
 }
@@ -564,7 +550,7 @@ func (c *Binary) AppendRequest(dst []byte, reqID uint64, req *Request) ([]byte, 
 func servingRequest(req *Request) bool {
 	return len(req.Services) > 0 || math.Float64bits(req.MinRate) != 0 ||
 		req.Priority != 0 || math.Float64bits(req.Deadline) != 0 ||
-		req.DTolerant || len(req.Anns) > 0
+		req.DTolerant
 }
 
 // servingResponse is servingRequest for the reply envelope.
@@ -580,39 +566,10 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// lint:hotpath announcement encode runs per entry in every gossip batch
-func appendAnn(dst []byte, a *Ann) []byte {
-	dst = appendString(dst, a.Addr)
-	dst = appendUvarint(dst, uint64(len(a.Avail)))
-	for _, f := range a.Avail {
-		dst = appendF64(dst, f)
-	}
-	dst = appendF64(dst, a.UptimeSec)
-	dst = appendF64(dst, a.AgeSec)
-	dst = appendUvarint(dst, uint64(len(a.Services)))
-	for _, s := range a.Services {
-		dst = appendString(dst, s)
-	}
-	return dst
-}
-
-// AppendResponse implements Codec. It assumes the receiver can decode
-// compressed frames; servers replying to a request whose header did
-// not advertise FlagCompressOK must use AppendResponseNegotiated.
+// AppendResponse implements Codec.
 //
 // lint:hotpath per-RPC response encode; pooled buffers keep the steady state allocation-free
 func (c *Binary) AppendResponse(dst []byte, reqID uint64, resp *Response) ([]byte, error) {
-	return c.AppendResponseNegotiated(dst, reqID, resp, true)
-}
-
-// AppendResponseNegotiated is AppendResponse with the client's
-// compression advertisement: compressOK is the request header's
-// FlagCompressOK bit (read via MessageFlags), so a server never sends
-// a compressed reply to a client that cannot decode one — the
-// flag-negotiation that makes compression rollout reversible.
-//
-// lint:hotpath per-RPC response encode; pooled buffers keep the steady state allocation-free
-func (c *Binary) AppendResponseNegotiated(dst []byte, reqID uint64, resp *Response, compressOK bool) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	flags := FlagResponse
@@ -666,9 +623,6 @@ func (c *Binary) AppendResponseNegotiated(dst []byte, reqID uint64, resp *Respon
 		dst = appendF64(dst, resp.RetryAfterSec)
 		dst = append(dst, boolByte(resp.Shed))
 	}
-	if compressOK && c.compressMin > 0 && len(dst)-bodyStart >= c.compressMin {
-		dst = compressBody(dst, start, bodyStart)
-	}
 	return finishFrame(dst, start, bodyStart)
 }
 
@@ -706,8 +660,6 @@ const (
 	minCand  = 2*minStr + minF64       // addr + reason + phi
 	minHop   = 1 + 4*minStr + 1        // idx + four strings + cand count
 	minOffer = minInst + minStr        // instance + provider
-	minAnn   = minStr + 1 + 2*minF64 + 1
-	// ^ addr + avail count + uptime + age + services count
 )
 
 // DecodeRequest implements Codec: overwrites every field of req,
@@ -726,28 +678,9 @@ func (c *Binary) DecodeRequest(data []byte, req *Request) (uint64, error) {
 	if flags&FlagResponse != 0 {
 		return 0, errEnvelope
 	}
-	if flags&FlagCompressed != 0 {
-		buf, cerr := inflateBody(body)
-		if cerr != nil {
-			return 0, cerr
-		}
-		err = c.decodeRequestBody(kind, flags, buf.B, req)
-		PutBuf(buf)
-		if err != nil {
-			return 0, err
-		}
-		return reqID, nil
+	if flags&flagCompressed != 0 {
+		return 0, errRetired
 	}
-	if err := c.decodeRequestBody(kind, flags, body, req); err != nil {
-		return 0, err
-	}
-	return reqID, nil
-}
-
-// decodeRequestBody decodes a (possibly inflated) request body.
-//
-// lint:hotpath per-RPC request decode body walk
-func (c *Binary) decodeRequestBody(kind, flags byte, body []byte, req *Request) error {
 	r := reader{data: body}
 	if kind == KindOther {
 		req.Type = c.intern(r.bytes())
@@ -779,53 +712,21 @@ func (c *Binary) decodeRequestBody(kind, flags byte, body []byte, req *Request) 
 		req.Priority = r.zigzag()
 		req.Deadline = r.f64()
 		req.DTolerant = r.byte() != 0
-		req.Anns = c.decodeAnns(&r, req.Anns)
+		if r.byte() != 0 {
+			return 0, errRetired
+		}
 	} else {
 		req.Services = nil
 		req.MinRate, req.Priority, req.Deadline = 0, 0, 0
 		req.DTolerant = false
-		req.Anns = nil
 	}
 	if r.fail {
-		return ErrTruncated
+		return 0, ErrTruncated
 	}
 	if r.remaining() != 0 {
-		return errTrailing
+		return 0, errTrailing
 	}
-	return nil
-}
-
-// decodeAnns reads a gossip announcement batch, reusing dst capacity.
-//
-// lint:hotpath announcement decode runs per entry in every gossip batch
-func (c *Binary) decodeAnns(r *reader, dst []Ann) []Ann {
-	n := r.count(minAnn)
-	if n == 0 {
-		return nil
-	}
-	if cap(dst) < n {
-		// lint:allow hotalloc grows once per working-set-larger batch shape, then reuses
-		dst = make([]Ann, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		a := &dst[i]
-		a.Addr = c.intern(r.bytes())
-		m := r.count(minF64)
-		if m == 0 {
-			a.Avail = nil
-		} else {
-			av := a.Avail[:0]
-			for j := 0; j < m; j++ {
-				av = append(av, r.f64())
-			}
-			a.Avail = av
-		}
-		a.UptimeSec = r.f64()
-		a.AgeSec = r.f64()
-		a.Services = c.decodeStrings(r, a.Services)
-	}
-	return dst
+	return reqID, nil
 }
 
 // DecodeResponse implements Codec.
@@ -841,28 +742,9 @@ func (c *Binary) DecodeResponse(data []byte, resp *Response) (uint64, error) {
 	if flags&FlagResponse == 0 {
 		return 0, errEnvelope
 	}
-	if flags&FlagCompressed != 0 {
-		buf, cerr := inflateBody(body)
-		if cerr != nil {
-			return 0, cerr
-		}
-		err = c.decodeResponseBody(flags, buf.B, resp)
-		PutBuf(buf)
-		if err != nil {
-			return 0, err
-		}
-		return reqID, nil
+	if flags&flagCompressed != 0 {
+		return 0, errRetired
 	}
-	if err := c.decodeResponseBody(flags, body, resp); err != nil {
-		return 0, err
-	}
-	return reqID, nil
-}
-
-// decodeResponseBody decodes a (possibly inflated) response body.
-//
-// lint:hotpath per-RPC response decode body walk
-func (c *Binary) decodeResponseBody(flags byte, body []byte, resp *Response) error {
 	r := reader{data: body}
 	resp.OK = flags&flagOK != 0
 	resp.Err = c.intern(r.bytes())
@@ -943,12 +825,12 @@ func (c *Binary) decodeResponseBody(flags byte, body []byte, resp *Response) err
 		resp.Shed = false
 	}
 	if r.fail {
-		return ErrTruncated
+		return 0, ErrTruncated
 	}
 	if r.remaining() != 0 {
-		return errTrailing
+		return 0, errTrailing
 	}
-	return nil
+	return reqID, nil
 }
 
 // decodeStrings reads a plain-count string sequence into dst's

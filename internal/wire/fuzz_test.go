@@ -31,19 +31,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		bytes.Repeat([]byte{magic0}, 64),
 		AppendPacket(nil, &Packet{Type: PktData, MsgID: 9, FragIdx: 0, FragCount: 1, Payload: []byte("hi")}),
 	)
-	// Compressed frames: the decoder inflates these regardless of its
-	// own compression setting, and canonicality still holds because
-	// re-encoding goes through the (non-compressing) default codec.
-	comp := NewBinary()
-	comp.SetCompression(1)
-	if b, err := comp.AppendRequest(nil, 99, &sampleRequests()[4]); err == nil {
-		seeds = append(seeds, b)
-	}
-	big := bigLookupResponse()
-	if b, err := comp.AppendResponse(nil, 99, &big); err == nil {
-		seeds = append(seeds, b)
-	}
-	return seeds
+	// Frames of the retired extensions, which every decoder must reject.
+	return append(seeds, compressedFrame(tb), announcingFrame(tb))
 }
 
 // FuzzBinaryDecode throws arbitrary bytes at every decoder: none may

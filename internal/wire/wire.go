@@ -29,7 +29,6 @@ const (
 	TypeReserve   = "reserve"   // reserve resources for a session
 	TypeRelease   = "release"   // drop a session's reservation early
 	TypeAggregate = "aggregate" // run a full aggregation at the serving peer
-	TypeGossip    = "gossip"    // batched membership/availability announcements
 )
 
 // Binary message kinds: the one-byte encoding of the Type string in
@@ -45,7 +44,6 @@ const (
 	KindReserve
 	KindRelease
 	KindAggregate
-	KindGossip
 )
 
 // kindOf maps a Type string to its binary kind.
@@ -67,8 +65,6 @@ func kindOf(typ string) byte {
 		return KindRelease
 	case TypeAggregate:
 		return KindAggregate
-	case TypeGossip:
-		return KindGossip
 	default:
 		return KindOther
 	}
@@ -94,16 +90,14 @@ func typeOf(kind byte) string {
 		return TypeRelease
 	case KindAggregate:
 		return TypeAggregate
-	case KindGossip:
-		return TypeGossip
 	default:
 		return ""
 	}
 }
 
 // Idempotent reports whether an RPC type may be retransmitted without
-// changing the outcome: probing, discovery, membership and gossip
-// messages are; reserve is not (a duplicate could double-book
+// changing the outcome: probing, discovery and membership messages
+// are; reserve is not (a duplicate could double-book
 // capacity), select is not (a duplicate would re-run the downstream
 // selection recursion), and aggregate is not (it admits a session,
 // so a duplicate would book a second one). The UDP transport consults
@@ -111,7 +105,7 @@ func typeOf(kind byte) string {
 // lost datagram may be resent.
 func Idempotent(typ string) bool {
 	switch typ {
-	case TypeJoin, TypeLeave, TypeLookup, TypeProbe, TypeRelease, TypeGossip:
+	case TypeJoin, TypeLeave, TypeLookup, TypeProbe, TypeRelease:
 		return true
 	}
 	return false
@@ -190,27 +184,14 @@ type Request struct {
 	TraceID uint64 `json:"trace_id,omitempty"`
 	SpanID  uint64 `json:"span_id,omitempty"`
 
-	// Serving plane (aggregate / gossip, DESIGN §14). In JSON the
-	// fields omit when zero; the binary codec gates them behind
-	// FlagServing at the body tail, after the trace context.
-	Services  []string `json:"services,omitempty"`  // aggregate: abstract path
+	// Serving plane (aggregate, DESIGN §14; lookup carries Services
+	// too). In JSON the fields omit when zero; the binary codec gates
+	// them behind FlagServing at the body tail, after the trace context.
+	Services  []string `json:"services,omitempty"`  // aggregate: abstract path; lookup: services wanted
 	MinRate   float64  `json:"min_rate,omitempty"`  // aggregate: end-to-end rate floor
 	Priority  int      `json:"priority,omitempty"`  // aggregate: higher is more important
 	Deadline  float64  `json:"deadline,omitempty"`  // aggregate: client latency budget, seconds
 	DTolerant bool     `json:"dtolerant,omitempty"` // aggregate: disruption-tolerant flow
-	Anns      []Ann    `json:"anns,omitempty"`      // gossip: batched announcements
-}
-
-// Ann is one gossiped peer announcement: the batched form of a probe
-// response, so one datagram per gossip interval refreshes many
-// entries (DESIGN §14). AgeSec is how stale the announcement already
-// was at the sender — receivers only keep strictly fresher state.
-type Ann struct {
-	Addr      string    `json:"addr"`
-	Avail     []float64 `json:"avail,omitempty"`
-	UptimeSec float64   `json:"uptime_sec,omitempty"`
-	AgeSec    float64   `json:"age_sec,omitempty"`
-	Services  []string  `json:"services,omitempty"`
 }
 
 // Offer is one (instance, provider) discovery result.

@@ -71,14 +71,10 @@ func sampleRequests() []Request {
 			DTolerant:   true,
 			DurationSec: 30,
 		},
-		{ // gossip: batched announcements, with nil-avail edge
-			Type: TypeGossip,
-			Addr: "127.0.0.1:9001",
-			Anns: []Ann{
-				{Addr: "127.0.0.1:9002", Avail: []float64{500, 256}, UptimeSec: 3600,
-					AgeSec: 0.5, Services: []string{"transcode", "player"}},
-				{Addr: "127.0.0.1:9003", UptimeSec: 10},
-			},
+		{ // lookup naming the whole path (FlagServing tail, no other serving field)
+			Type:     TypeLookup,
+			Service:  "transcode",
+			Services: []string{"source", "transcode", "player"},
 		},
 		{ // serving tail composes with the trace-context tail
 			Type:     TypeAggregate,
