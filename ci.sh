@@ -34,7 +34,9 @@
 #             benchmarks (QCS, Discover, Aggregate, SimMinute, the probe
 #             table) also run once under -race as a smoke test, and
 #             BenchmarkRingChurn (one join + one failure on rings of 10⁴,
-#             10⁵ and 10⁶ nodes) runs once; its ns/op are in
+#             10⁵ and 10⁶ nodes) and BenchmarkRegistryRefresh (one
+#             soft-state sweep of every registration on a 10⁴-peer ring,
+#             reporting routed lookups/op) run once; their numbers are in
 #             EXPERIMENTS.md
 #   allocs    the zero-allocation budgets of the steady-state Aggregate,
 #             the binary codec and the admission fast paths, and a warm
@@ -110,8 +112,8 @@ echo '>> hot-path bench smoke under -race'
 go test -race -run '^$' -bench 'Benchmark(QCS|Discover|Aggregate|SimMinute|TableRemove|ResolveFull)$' \
 	-benchtime=1x ./internal/compose/ ./internal/core/ ./internal/probe/ ./internal/sim/ > /dev/null
 
-echo '>> ring membership bench smoke'
-go test -run '^$' -bench 'BenchmarkRingChurn$' -benchtime=1x ./internal/chord/ > /dev/null
+echo '>> ring membership and registry refresh bench smoke'
+go test -run '^$' -bench 'Benchmark(RingChurn|RegistryRefresh)$' -benchtime=1x ./internal/chord/ ./internal/registry/ > /dev/null
 
 echo '>> steady-state allocation gates'
 go test -run 'TestAggregateSteadyStateAllocs' -count=1 ./internal/core/ > /dev/null

@@ -162,8 +162,10 @@ func main() {
 	}
 	fmt.Printf("selector: informed=%d fallbacks=%d failures=%d\n",
 		res.Selection.Informed, res.Selection.Fallbacks, res.Selection.Failures)
-	fmt.Printf("lookup:   lookups=%d mean-hops=%.2f\n",
-		res.Lookup.Lookups, res.Lookup.MeanHops())
+	fmt.Printf("lookup:   lookups=%d hops=%d mean-hops=%.2f direct-writes=%d\n",
+		res.Lookup.Lookups, res.Lookup.TotalHops, res.Lookup.MeanHops(), res.Lookup.DirectWrites)
+	fmt.Printf("chord:    owner-walk-hops=%d dead-finger-skips=%d fallbacks=%d\n",
+		res.Ring.OwnerWalkHops, res.Ring.DeadFingerSkips, res.Ring.Fallbacks)
 	fmt.Printf("peers alive at end: %d\n", res.AliveAtEnd)
 
 	if reg != nil {

@@ -10,13 +10,15 @@
 // so lookup paths and hop counts are those of real Chord (O(log N)).
 // What is simulated away is the asynchronous stabilization gossip: instead
 // of stabilize()/fix_fingers() message exchanges, RefreshNode recomputes a
-// node's fingers from ring ground truth. Between refreshes fingers go stale
-// exactly as in a real deployment, and routing must survive that (dead
-// fingers are skipped, successor lists provide the fallback path).
+// node's fingers from ring ground truth, and a join runs notify plus one
+// stabilize round at the joiner's predecessors. Between refreshes fingers
+// go stale exactly as in a real deployment, and routing must survive that
+// (dead fingers are skipped, successor lists provide the fallback path).
 package chord
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -118,13 +120,20 @@ type Ring struct {
 	byID    map[ID]*Node // alive nodes
 	stats   Stats
 	targets []*Node // replicaTargets' result buffer, cap cfg.Replicas
+	preds   []*Node // notify's buffer of the joiner's predecessors
 }
 
-// Stats accumulates ring-wide routing statistics.
+// Stats accumulates ring-wide routing statistics. TotalHops splits by
+// cause: OwnerWalkHops are the hops Lookup's owner walk pays past a
+// successor pointer that missed a joiner; when Fallbacks is 0 the rest
+// are finger and successor hops.
 type Stats struct {
 	Lookups   uint64
 	TotalHops uint64
 	Fallbacks uint64 // lookups that exhausted MaxHops and walked successors
+
+	OwnerWalkHops   uint64
+	DeadFingerSkips uint64 // dead fingers passed over that would have made progress
 }
 
 // NewRing returns an empty ring.
@@ -140,7 +149,8 @@ func (r *Ring) Size() int { return r.idx.size }
 func (r *Ring) Stats() Stats { return r.stats }
 
 // Join adds a node with the given id, transfers the keys it now owns from
-// its successor, and refreshes its routing state. It fails on duplicate ids.
+// its successor, refreshes its routing state and notifies its
+// predecessors. It fails on duplicate ids.
 func (r *Ring) Join(label string, id ID) (*Node, error) {
 	if _, dup := r.byID[id]; dup {
 		return nil, fmt.Errorf("chord: id %d already on the ring", id)
@@ -161,7 +171,23 @@ func (r *Ring) Join(label string, id ID) (*Node, error) {
 		}
 	}
 	r.RefreshNode(n)
+	r.notify(n)
 	return n, nil
+}
+
+// notify is Chord's notify from a joiner followed by one stabilize round
+// at each of its r predecessors, nearest first: each adopts its successor
+// and that successor's list, cut to r. The joiner's list is fresh from
+// RefreshNode, so every predecessor ends with the list converged
+// stabilization would give it, in one index search and r steps.
+func (r *Ring) notify(n *Node) {
+	k := min(r.cfg.SuccessorListLen, r.idx.size-1)
+	r.preds = r.idx.appendBefore(r.preds[:0], n.id, k)
+	next := n
+	for _, p := range r.preds {
+		p.succList = append(append(p.succList[:0], next), next.succList[:k-1]...)
+		next = p
+	}
 }
 
 // JoinRandom joins a node at a fresh pseudo-random id drawn from rng.
@@ -370,19 +396,20 @@ func (n *Node) firstAliveSuccessor() *Node {
 }
 
 // closestPrecedingFinger returns the alive finger of n that most closely
-// precedes key, or nil when no finger makes progress.
-func (n *Node) closestPrecedingFinger(key ID) *Node {
+// precedes key, or nil when no finger makes progress. Each dead finger it
+// passes over on the way counts as a DeadFingerSkip.
+func (r *Ring) closestPrecedingFinger(n *Node, key ID) *Node {
 	for i := len(n.fingers) - 1; i >= 0; i-- {
 		f := n.fingers[i]
-		if f == nil || !f.alive || f == n {
+		if f == nil || f == n || f.id == n.id || f.id == key || !between(n.id, key, f.id) {
 			continue
 		}
-		if between(n.id, key, f.id) && f.id != key {
-			// f strictly precedes key going around from n.
-			if f.id != n.id {
-				return f
-			}
+		// f strictly precedes key going around from n.
+		if !f.alive {
+			r.stats.DeadFingerSkips++
+			continue
 		}
+		return f
 	}
 	return nil
 }
@@ -421,6 +448,7 @@ func (r *Ring) Lookup(start *Node, key ID) (*Node, int, error) {
 			for owner := r.Owner(key); succ != owner; {
 				succ = r.successorOf(succ.id, true)
 				hops++
+				r.stats.OwnerWalkHops++
 				if hops >= r.cfg.MaxHops+r.idx.size {
 					return nil, hops, fmt.Errorf("chord: owner walk for %d diverged", key)
 				}
@@ -428,7 +456,7 @@ func (r *Ring) Lookup(start *Node, key ID) (*Node, int, error) {
 			r.finish(hops)
 			return succ, hops, nil
 		}
-		next := cur.closestPrecedingFinger(key)
+		next := r.closestPrecedingFinger(cur, key)
 		if next == nil || next == cur {
 			next = succ
 		}
@@ -475,24 +503,6 @@ func (r *Ring) replicaTargets(owner *Node) []*Node {
 	return r.targets
 }
 
-// Put routes from start to the owner of key and stores (itemID → value)
-// there and on Replicas−1 successors. It returns the routing hop count.
-func (r *Ring) Put(start *Node, key ID, itemID string, value any) (int, error) {
-	owner, hops, err := r.Lookup(start, key)
-	if err != nil {
-		return hops, err
-	}
-	for _, t := range r.replicaTargets(owner) {
-		m, ok := t.store[key]
-		if !ok {
-			m = make(map[string]any)
-			t.store[key] = m
-		}
-		m[itemID] = value
-	}
-	return hops, nil
-}
-
 // Get routes from start to the owner of key and returns the stored items.
 // If the owner has none (it may have just joined and not yet received
 // re-replication), the replicas are consulted.
@@ -516,15 +526,40 @@ func (r *Ring) Get(start *Node, key ID) (map[string]any, int, error) {
 	return map[string]any{}, hops, nil
 }
 
-// Update routes from start to the owner of key and atomically applies fn
-// to the current value stored under itemID (nil when absent); the returned
-// value replaces it on the owner and its replicas. Returning nil deletes
-// the item. It returns the routing hop count.
-func (r *Ring) Update(start *Node, key ID, itemID string, fn func(prev any) any) (int, error) {
+// ErrNotOwner is UpdateAt's answer when the node it was addressed to does
+// not own the key: it has failed, or a join has taken the key over since
+// the caller located it.
+var ErrNotOwner = errors.New("chord: node does not own the key")
+
+// Update routes from start to the owner of key and applies fn there, as
+// UpdateAt does. It returns the owner it reached and the routing hop
+// count.
+func (r *Ring) Update(start *Node, key ID, itemID string, fn func(prev any) any) (*Node, int, error) {
 	owner, hops, err := r.Lookup(start, key)
 	if err != nil {
-		return hops, err
+		return nil, hops, err
 	}
+	r.apply(owner, key, itemID, fn)
+	return owner, hops, nil
+}
+
+// UpdateAt atomically applies fn, at the node with id owner, to the
+// current value stored under itemID (nil when absent); the returned value
+// replaces it on that node and its replicas, and nil deletes the item. It
+// routes nothing: owner is a node the caller located before, and the
+// write is refused with ErrNotOwner unless that node is alive and still
+// owns key — as a real node that knows its predecessor would refuse it.
+func (r *Ring) UpdateAt(owner, key ID, itemID string, fn func(prev any) any) error {
+	n := r.Owner(key)
+	if n == nil || n.id != owner {
+		return ErrNotOwner
+	}
+	r.apply(n, key, itemID, fn)
+	return nil
+}
+
+// apply is UpdateAt at an owner already known to own key.
+func (r *Ring) apply(owner *Node, key ID, itemID string, fn func(prev any) any) {
 	var prev any
 	if m, ok := owner.store[key]; ok {
 		prev = m[itemID]
@@ -547,24 +582,6 @@ func (r *Ring) Update(start *Node, key ID, itemID string, fn func(prev any) any)
 		}
 		m[itemID] = next
 	}
-	return hops, nil
-}
-
-// Remove deletes itemID under key from the owner and its replicas.
-func (r *Ring) Remove(start *Node, key ID, itemID string) (int, error) {
-	owner, hops, err := r.Lookup(start, key)
-	if err != nil {
-		return hops, err
-	}
-	for _, t := range r.replicaTargets(owner) {
-		if m, ok := t.store[key]; ok {
-			delete(m, itemID)
-			if len(m) == 0 {
-				delete(t.store, key)
-			}
-		}
-	}
-	return hops, nil
 }
 
 // MeanHops returns the average hops per completed lookup.

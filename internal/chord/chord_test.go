@@ -1,7 +1,9 @@
 package chord
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +24,18 @@ func buildRing(t *testing.T, seed uint64, n int) (*Ring, []*Node) {
 	}
 	r.RefreshAll()
 	return r, nodes
+}
+
+// put stores value under (key, itemID) by routing from start.
+func put(r *Ring, start *Node, key ID, itemID string, value any) (int, error) {
+	_, hops, err := r.Update(start, key, itemID, func(any) any { return value })
+	return hops, err
+}
+
+// del deletes (key, itemID) by routing from start.
+func del(r *Ring, start *Node, key ID, itemID string) (int, error) {
+	_, hops, err := r.Update(start, key, itemID, func(any) any { return nil })
+	return hops, err
 }
 
 func TestBetween(t *testing.T) {
@@ -121,10 +135,10 @@ func TestDuplicateIDRejected(t *testing.T) {
 func TestPutGetRemove(t *testing.T) {
 	r, nodes := buildRing(t, 3, 64)
 	key := HashString("video-server")
-	if _, err := r.Put(nodes[0], key, "inst-1", "spec-1"); err != nil {
+	if _, err := put(r, nodes[0], key, "inst-1", "spec-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put(nodes[10], key, "inst-2", "spec-2"); err != nil {
+	if _, err := put(r, nodes[10], key, "inst-2", "spec-2"); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := r.Get(nodes[33], key)
@@ -134,12 +148,37 @@ func TestPutGetRemove(t *testing.T) {
 	if len(got) != 2 || got["inst-1"] != "spec-1" || got["inst-2"] != "spec-2" {
 		t.Fatalf("Get = %v", got)
 	}
-	if _, err := r.Remove(nodes[5], key, "inst-1"); err != nil {
+	if _, err := del(r, nodes[5], key, "inst-1"); err != nil {
 		t.Fatal(err)
 	}
 	got, _, _ = r.Get(nodes[60], key)
 	if len(got) != 1 {
-		t.Fatalf("after Remove, Get = %v", got)
+		t.Fatalf("after delete, Get = %v", got)
+	}
+}
+
+// TestUpdateAtRefusesNonOwner: a write addressed straight to a node lands
+// only while that node owns the key; a joiner that takes the key over
+// makes the old owner refuse it.
+func TestUpdateAtRefusesNonOwner(t *testing.T) {
+	r := NewRing(Config{Replicas: 1})
+	if err := r.UpdateAt(100, 50, "x", func(any) any { return 0 }); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("write on an empty ring = %v, want ErrNotOwner", err)
+	}
+	a, _ := r.Join("a", 100)
+	set := func(v any) func(any) any { return func(any) any { return v } }
+	if err := r.UpdateAt(a.id, 50, "x", set(1)); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := r.Join("b", 60)
+	if err := r.UpdateAt(a.id, 50, "x", set(2)); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("write at the pre-join owner = %v, want ErrNotOwner", err)
+	}
+	if err := r.UpdateAt(b.id, 50, "x", set(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := r.Get(a, 50); got["x"] != 3 {
+		t.Fatalf("Get = %v, want the write at the new owner", got)
 	}
 }
 
@@ -148,7 +187,7 @@ func TestKeysMoveOnJoin(t *testing.T) {
 	a, _ := r.Join("a", 100)
 	r.RefreshAll()
 	// Key 50 is owned by a (only node).
-	if _, err := r.Put(a, 50, "x", 1); err != nil {
+	if _, err := put(r, a, 50, "x", 1); err != nil {
 		t.Fatal(err)
 	}
 	// A node at 60 takes over ownership of key 50.
@@ -169,7 +208,7 @@ func TestKeysMoveOnJoin(t *testing.T) {
 func TestGracefulLeaveKeepsData(t *testing.T) {
 	r, nodes := buildRing(t, 4, 32)
 	key := HashString("translator")
-	r.Put(nodes[0], key, "i", "v")
+	put(r, nodes[0], key, "i", "v")
 	owner := r.Owner(key)
 	if err := r.Leave(owner); err != nil {
 		t.Fatal(err)
@@ -194,7 +233,7 @@ func TestGracefulLeaveKeepsData(t *testing.T) {
 func TestAbruptFailureSurvivedByReplicas(t *testing.T) {
 	r, nodes := buildRing(t, 5, 64) // Replicas default 3
 	key := HashString("image-enhancer")
-	r.Put(nodes[0], key, "i", "v")
+	put(r, nodes[0], key, "i", "v")
 	owner := r.Owner(key)
 	if err := r.Fail(owner); err != nil {
 		t.Fatal(err)
@@ -324,7 +363,7 @@ func TestPropertyDataDurability(t *testing.T) {
 		}
 		r.RefreshAll()
 		for i, k := range keys {
-			if _, err := r.Put(nodes[i%len(nodes)], k, fmt.Sprintf("it%d", i), i); err != nil {
+			if _, err := put(r, nodes[i%len(nodes)], k, fmt.Sprintf("it%d", i), i); err != nil {
 				return false
 			}
 		}
@@ -345,19 +384,16 @@ func TestPropertyDataDurability(t *testing.T) {
 }
 
 func TestLookupCorrectDespiteStaleSuccessors(t *testing.T) {
-	// Join 200 nodes one at a time WITHOUT refreshing the earlier ones:
-	// their successor lists miss the late joiners, the situation that made
-	// lookups land on the pre-join owner. The final-step owner walk must
-	// still deliver the true owner from any start node.
+	// Join 200 nodes one at a time with notify undone and no refresh of
+	// the earlier ones: their successor lists miss the late joiners, the
+	// situation that made lookups land on the pre-join owner. The
+	// final-step owner walk must still deliver the true owner from any
+	// start node.
 	r := NewRing(Config{AutoRefreshEvery: -1}) // no refresh at all
 	rng := xrand.New(33)
 	var nodes []*Node
 	for i := 0; i < 200; i++ {
-		n, err := r.JoinRandom("n", rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
+		nodes = append(nodes, joinUnnotified(t, r, rng))
 	}
 	for i := 0; i < 300; i++ {
 		key := rng.Uint64()
@@ -370,6 +406,28 @@ func TestLookupCorrectDespiteStaleSuccessors(t *testing.T) {
 			t.Fatalf("stale-successor lookup found %d, true owner %d", got.id, want.id)
 		}
 	}
+	if r.Stats().OwnerWalkHops == 0 {
+		t.Fatal("stale successor lists never sent a lookup down the owner walk")
+	}
+}
+
+// joinUnnotified joins a node at a random id, then puts every other
+// node's successor list back as it was: a join whose notify never
+// arrived, the staleness Lookup's owner walk is the backstop for.
+func joinUnnotified(t *testing.T, r *Ring, rng *xrand.Source) *Node {
+	t.Helper()
+	saved := map[*Node][]*Node{}
+	for _, n := range ringNodes(r) {
+		saved[n] = slices.Clone(n.succList)
+	}
+	n, err := r.JoinRandom("n", rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, list := range saved {
+		m.succList = list
+	}
+	return n
 }
 
 func TestAutoRefreshBoundsStaleness(t *testing.T) {
@@ -460,17 +518,14 @@ func TestFallbackWalkWhenFingersUseless(t *testing.T) {
 func TestOpsFromDeadNodeFail(t *testing.T) {
 	r, nodes := buildRing(t, 77, 8)
 	r.Fail(nodes[0])
-	if _, err := r.Put(nodes[0], 1, "i", 1); err == nil {
-		t.Fatal("Put from dead node must fail")
-	}
 	if _, _, err := r.Get(nodes[0], 1); err == nil {
 		t.Fatal("Get from dead node must fail")
 	}
-	if _, err := r.Remove(nodes[0], 1, "i"); err == nil {
-		t.Fatal("Remove from dead node must fail")
-	}
-	if _, err := r.Update(nodes[0], 1, "i", func(any) any { return 1 }); err == nil {
+	if _, _, err := r.Update(nodes[0], 1, "i", func(any) any { return 1 }); err == nil {
 		t.Fatal("Update from dead node must fail")
+	}
+	if err := r.UpdateAt(nodes[0].id, nodes[0].id, "i", func(any) any { return 1 }); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("UpdateAt a dead node = %v, want ErrNotOwner", err)
 	}
 	if err := r.Fail(nodes[0]); err == nil {
 		t.Fatal("double Fail must error")
@@ -480,8 +535,8 @@ func TestOpsFromDeadNodeFail(t *testing.T) {
 func TestRemoveLastItemCleansKey(t *testing.T) {
 	r, nodes := buildRing(t, 78, 16)
 	key := HashString("solo")
-	r.Put(nodes[0], key, "only", 1)
-	r.Remove(nodes[1], key, "only")
+	put(r, nodes[0], key, "only", 1)
+	del(r, nodes[1], key, "only")
 	owner := r.Owner(key)
 	if owner.Items() != 0 {
 		t.Fatalf("owner still stores %d items", owner.Items())
@@ -497,7 +552,7 @@ func TestNodeAccessors(t *testing.T) {
 	if n.Items() != 0 {
 		t.Fatal("fresh node must store nothing")
 	}
-	r.Put(n, 5, "a", 1)
+	put(r, n, 5, "a", 1)
 	if n.Items() != 1 {
 		t.Fatalf("Items = %d", n.Items())
 	}
@@ -617,7 +672,7 @@ func TestJoinBulkRefusesDataBearingRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put(a, 42, "item", "v"); err != nil {
+	if _, err := put(r, a, 42, "item", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.JoinBulk([]string{"b"}, rng); err == nil {

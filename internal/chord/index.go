@@ -131,6 +131,27 @@ func (x *index) appendAfter(dst []*Node, id ID, k int) []*Node {
 	return dst
 }
 
+// appendBefore appends to dst the k nodes that precede id in ring order,
+// nearest first, wrapping. The caller keeps k <= size.
+func (x *index) appendBefore(dst []*Node, id ID, k int) []*Node {
+	if k <= 0 {
+		return dst
+	}
+	b, i := x.seek(id)
+	for ; k > 0; k-- {
+		if i == 0 {
+			if b == 0 {
+				b = len(x.blocks)
+			}
+			b--
+			i = len(x.blocks[b])
+		}
+		i--
+		dst = append(dst, x.blocks[b][i].node)
+	}
+	return dst
+}
+
 // insert adds n under id. The caller has checked that id is not present.
 func (x *index) insert(id ID, n *Node) {
 	x.size++

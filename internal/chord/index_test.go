@@ -91,6 +91,14 @@ func checkIndex(t *testing.T, x *index, o oracle, probes []ID) {
 				t.Fatalf("appendAfter(%d)[%d] = %d, oracle %d", p, j, got[j].id, cur)
 			}
 		}
+		got = x.appendBefore(nil, p, k)
+		cur = p
+		for j := 0; j < k; j++ {
+			cur = o.before(cur)
+			if got[j].id != cur {
+				t.Fatalf("appendBefore(%d)[%d] = %d, oracle %d", p, j, got[j].id, cur)
+			}
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ package registry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,61 +40,41 @@ type providerReg struct {
 // InstanceEntry is the registry record for one service instance: its
 // QoS/resource specification plus the soft-state provider set. Provider
 // registrations are kept as a contiguous slice sorted by ascending PeerID
-// (the registry's deterministic order), with a side index for O(1)
-// refresh — the hot paths (Providers, expiry pruning) are straight array
-// walks with no map iteration and no per-call sort.
+// (the registry's deterministic order), found by binary search — the hot
+// paths (Providers, expiry pruning) are straight array walks with no map
+// iteration and no per-call sort.
 type InstanceEntry struct {
 	Inst  *service.Instance
-	provs []providerReg           // ascending pid
-	idx   map[topology.PeerID]int // pid -> index in provs
+	provs []providerReg // ascending pid
+}
+
+// find returns the position of p's registration, or where it would be
+// inserted, and whether it is present.
+func (e *InstanceEntry) find(p topology.PeerID) (int, bool) {
+	i := sort.Search(len(e.provs), func(i int) bool { return e.provs[i].pid >= p })
+	return i, i < len(e.provs) && e.provs[i].pid == p
 }
 
 // upsert records (or refreshes) a provider registration.
 func (e *InstanceEntry) upsert(p topology.PeerID, expires float64) {
-	if i, ok := e.idx[p]; ok {
-		e.provs[i].expires = expires
+	at, ok := e.find(p)
+	if ok {
+		e.provs[at].expires = expires
 		return
 	}
-	at := sort.Search(len(e.provs), func(i int) bool { return e.provs[i].pid >= p })
-	e.provs = append(e.provs, providerReg{})
-	copy(e.provs[at+1:], e.provs[at:])
-	e.provs[at] = providerReg{pid: p, expires: expires}
-	e.idx[p] = at
-	for i := at + 1; i < len(e.provs); i++ {
-		e.idx[e.provs[i].pid] = i
-	}
+	e.provs = slices.Insert(e.provs, at, providerReg{pid: p, expires: expires})
 }
 
 // drop removes a provider registration if present.
 func (e *InstanceEntry) drop(p topology.PeerID) {
-	i, ok := e.idx[p]
-	if !ok {
-		return
-	}
-	copy(e.provs[i:], e.provs[i+1:])
-	e.provs = e.provs[:len(e.provs)-1]
-	delete(e.idx, p)
-	for ; i < len(e.provs); i++ {
-		e.idx[e.provs[i].pid] = i
+	if at, ok := e.find(p); ok {
+		e.provs = slices.Delete(e.provs, at, at+1)
 	}
 }
 
 // pruneExpired drops registrations whose expiry is at or before now.
 func (e *InstanceEntry) pruneExpired(now float64) {
-	kept := e.provs[:0]
-	for _, r := range e.provs {
-		if r.expires > now {
-			kept = append(kept, r)
-		} else {
-			delete(e.idx, r.pid)
-		}
-	}
-	if len(kept) < len(e.provs) {
-		e.provs = kept
-		for i, r := range e.provs {
-			e.idx[r.pid] = i
-		}
-	}
+	e.provs = slices.DeleteFunc(e.provs, func(r providerReg) bool { return r.expires <= now })
 }
 
 // Providers appends to dst the peers whose registration is live at time
@@ -160,6 +141,12 @@ type cachedLookup struct {
 	entries    []*InstanceEntry
 }
 
+// ownerHint is the ID of the owner a peer's last write under key reached.
+// It holds no pointer: a departed owner is not kept alive by a hint.
+type ownerHint struct {
+	key, owner chord.ID
+}
+
 // Registry binds peers to Chord nodes and stores instance/provider
 // records on the ring.
 type Registry struct {
@@ -167,6 +154,12 @@ type Registry struct {
 	ring  *chord.Ring
 	nodes map[topology.PeerID]*chord.Node
 	rng   *xrand.Source
+
+	// owners holds, for each joined peer that has written, the owner its
+	// last write under each service key reached; RemovePeer drops the
+	// peer's. directWrites counts the writes that went straight there.
+	owners       map[topology.PeerID][]ownerHint
+	directWrites uint64
 
 	// epoch is the monotonic mutation counter: every Register, Unregister,
 	// peer join and peer leave bumps it, invalidating the lookup cache.
@@ -191,21 +184,27 @@ type Registry struct {
 func New(cfg Config, seed uint64) *Registry {
 	cfg.fillDefaults()
 	return &Registry{
-		cfg:   cfg,
-		ring:  chord.NewRing(cfg.Chord),
-		nodes: make(map[topology.PeerID]*chord.Node),
-		rng:   xrand.New(seed).SplitLabeled("registry"),
-		cache: make(map[service.Name]*cachedLookup),
+		cfg:    cfg,
+		ring:   chord.NewRing(cfg.Chord),
+		nodes:  make(map[topology.PeerID]*chord.Node),
+		rng:    xrand.New(seed).SplitLabeled("registry"),
+		owners: make(map[topology.PeerID][]ownerHint),
+		cache:  make(map[service.Name]*cachedLookup),
 	}
 }
 
 // LookupStats is the registry's routing statistics view. Lookups and
-// TotalHops count real ring traversals; cache hits skip routing entirely
-// and are never counted as Lookups, so hop averages stay attributed to
-// real traversals only.
+// TotalHops count real ring traversals; cache hits and direct writes skip
+// routing entirely and are never counted as Lookups, so hop averages stay
+// attributed to real traversals only.
 type LookupStats struct {
 	Lookups   uint64
 	TotalHops uint64
+
+	// DirectWrites are Register/Unregister calls that went straight to
+	// the owner the peer last reached under the same key; each would have
+	// been one more Lookup had it routed.
+	DirectWrites uint64
 
 	CacheHits   uint64 // lookups served from the registry's epoch cache
 	CacheMisses uint64 // lookups that fell through to the ring
@@ -225,13 +224,18 @@ func (s LookupStats) MeanHops() float64 {
 func (r *Registry) Stats() LookupStats {
 	s := r.ring.Stats()
 	return LookupStats{
-		Lookups:     s.Lookups,
-		TotalHops:   s.TotalHops,
-		CacheHits:   r.cacheHits,
-		CacheMisses: r.cacheMisses,
-		Epoch:       r.epoch,
+		Lookups:      s.Lookups,
+		TotalHops:    s.TotalHops,
+		DirectWrites: r.directWrites,
+		CacheHits:    r.cacheHits,
+		CacheMisses:  r.cacheMisses,
+		Epoch:        r.epoch,
 	}
 }
+
+// RingStats returns the ring's own routing statistics, whose hop split by
+// cause LookupStats does not carry.
+func (r *Registry) RingStats() chord.Stats { return r.ring.Stats() }
 
 // Epoch returns the current mutation epoch.
 func (r *Registry) Epoch() uint64 { return r.epoch }
@@ -294,13 +298,14 @@ func (r *Registry) AddPeers(ps []topology.PeerID) error {
 }
 
 // RemovePeer removes the peer's Chord node — gracefully (keys handed
-// over) or abruptly (fail, as under churn).
+// over) or abruptly (fail, as under churn) — and the owners it remembers.
 func (r *Registry) RemovePeer(p topology.PeerID, graceful bool) error {
 	n, ok := r.nodes[p]
 	if !ok {
 		return fmt.Errorf("registry: unknown peer %d", p)
 	}
 	delete(r.nodes, p)
+	delete(r.owners, p)
 	r.bumpEpoch() // an abrupt removal may lose stored data
 	if graceful {
 		return r.ring.Leave(n)
@@ -319,40 +324,61 @@ func (r *Registry) node(p topology.PeerID) (*chord.Node, error) {
 
 func serviceKey(name service.Name) chord.ID { return chord.HashString(string(name)) }
 
-// Register records (or refreshes) provider as hosting inst, from the
-// perspective of peer from (which pays the routing hops). The registration
-// expires TTL minutes after now unless refreshed. Expired co-registrations
-// of the same instance are pruned opportunistically.
-func (r *Registry) Register(from topology.PeerID, inst *service.Instance, provider topology.PeerID, now float64) error {
-	if err := inst.Validate(); err != nil {
-		return err
-	}
+// write applies fn to itemID under key at the key's owner, on behalf of
+// peer from. While the ring still names the owner from's last write under
+// key reached, the write goes straight there and routes nothing (a
+// DirectWrite); otherwise it routes from from's node, paying the hops, and
+// from remembers the owner it reached. Either way it lands on the same
+// owner, so only the routing statistics tell the two apart.
+func (r *Registry) write(from topology.PeerID, key chord.ID, itemID string, fn func(prev any) any) error {
 	n, err := r.node(from)
 	if err != nil {
 		return err
 	}
 	r.bumpEpoch()
-	_, err = r.ring.Update(n, serviceKey(inst.Service), inst.ID, func(prev any) any {
+	hints := r.owners[from]
+	h := slices.IndexFunc(hints, func(h ownerHint) bool { return h.key == key })
+	if h >= 0 && r.ring.UpdateAt(hints[h].owner, key, itemID, fn) == nil {
+		r.directWrites++
+		return nil
+	}
+	owner, _, err := r.ring.Update(n, key, itemID, fn)
+	if err != nil {
+		return err
+	}
+	if h >= 0 {
+		hints[h].owner = owner.ID()
+	} else {
+		r.owners[from] = append(hints, ownerHint{key: key, owner: owner.ID()})
+	}
+	return nil
+}
+
+// Register records (or refreshes) provider as hosting inst, written from
+// peer from: routed from from's node the first time, then straight to the
+// owner it reached for as long as that node owns the service's key
+// (write). The registration expires TTL minutes after now unless
+// refreshed. Expired co-registrations of the same instance are pruned
+// opportunistically.
+func (r *Registry) Register(from topology.PeerID, inst *service.Instance, provider topology.PeerID, now float64) error {
+	if err := inst.Validate(); err != nil {
+		return err
+	}
+	return r.write(from, serviceKey(inst.Service), inst.ID, func(prev any) any {
 		e, ok := prev.(*InstanceEntry)
 		if !ok || e == nil {
-			e = &InstanceEntry{Inst: inst, idx: make(map[topology.PeerID]int)}
+			e = &InstanceEntry{Inst: inst}
 		}
 		e.pruneExpired(now)
 		e.upsert(provider, now+r.cfg.TTL)
 		return e
 	})
-	return err
 }
 
 // Unregister drops provider's registration for inst immediately (graceful
 // provider shutdown; abrupt departures just let the TTL lapse).
 func (r *Registry) Unregister(from topology.PeerID, inst *service.Instance, provider topology.PeerID) error {
-	n, err := r.node(from)
-	if err != nil {
-		return err
-	}
-	r.bumpEpoch()
-	_, err = r.ring.Update(n, serviceKey(inst.Service), inst.ID, func(prev any) any {
+	return r.write(from, serviceKey(inst.Service), inst.ID, func(prev any) any {
 		e, ok := prev.(*InstanceEntry)
 		if !ok || e == nil {
 			return nil
@@ -363,7 +389,6 @@ func (r *Registry) Unregister(from topology.PeerID, inst *service.Instance, prov
 		}
 		return e
 	})
-	return err
 }
 
 // Lookup retrieves all candidate instances of the abstract service, with

@@ -23,6 +23,7 @@ import (
 	"strconv"
 
 	"repro/internal/catalog"
+	"repro/internal/chord"
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/eventsim"
@@ -301,6 +302,7 @@ type Result struct {
 	Probes     probe.Stats
 	Selection  selection.Stats      // meaningful for QSA only
 	Lookup     registry.LookupStats // DHT routing statistics
+	Ring       chord.Stats          // the same routing, hops split by cause
 	AliveAtEnd int
 
 	// TelemetryEvents is the number of decision-trace events emitted
@@ -1048,6 +1050,7 @@ func (s *Simulator) Run() *Result {
 		Probes:     s.probes.Stats(),
 		Selection:  s.qsaSel.Stats(),
 		Lookup:     s.reg.Stats(),
+		Ring:       s.reg.RingStats(),
 		AliveAtEnd: s.net.AliveCount(),
 	}
 	// Trim the series to the workload window (requests are attributed to
