@@ -19,16 +19,20 @@
 #             (TestCachesAreInvisible), binary at most half of JSON on
 #             lookup/select (TestBinaryHalvesPayloadRPCs), zero shed at
 #             low load and bounded shedding under overload
-#             (TestServingSLO), frames byte-identical to older peers'
-#             (TestGoldenRequestBytes)
+#             (TestServingSLO), frames and JSON lines byte-identical to
+#             older peers' (TestGoldenRequestBytes, TestGoldenJSONLines),
+#             and the JSON codec byte- and struct-identical to
+#             encoding/json (TestJSONMatchesEncodingJSON)
 #   coverage  each package in the table below must keep the short
 #             suite's statement coverage at or above its floor
 #   benchmark the benchmark/ module (its own go.mod, so ./... above leaves
 #             it out): vet + its short suite under -race, so the yardstick
 #             that drives catalog, registry and sim cannot rot unbuilt
 #   chaos     the netproto fault-injection suite, explicitly under -race
-#   fuzz      the binary codec fuzz corpus (FuzzBinaryDecode seeds) must
-#             decode clean
+#   fuzz      the codec fuzz corpora: FuzzBinaryDecode's seeds must decode
+#             clean, and on FuzzJSONDecode's (the committed edge cases
+#             in internal/wire/testdata) the JSON codec must agree with
+#             encoding/json
 #   bench     the Telemetry benchmarks run once; they fail if the
 #             disabled-sink hot paths allocate. The request hot-path
 #             benchmarks (QCS, Discover, Aggregate, SimMinute, the probe
@@ -39,7 +43,8 @@
 #             reporting routed lookups/op) run once; their numbers are in
 #             EXPERIMENTS.md
 #   allocs    the zero-allocation budgets of the steady-state Aggregate,
-#             the binary codec and the admission fast paths, and a warm
+#             the binary codec, the JSON codec's warm encode
+#             (TestJSONEncodeAllocs) and the admission fast paths, and a warm
 #             RPC exchange's 16 KiB bytes budget (TestRPCExchangeBytes:
 #             no 64 KiB reader per exchange), all without -race (the
 #             detector inflates counts)
@@ -102,8 +107,8 @@ echo '>> benchmark module: vet + short suite under -race'
 echo '>> chaos suite under -race'
 go test -race -short -run 'TestChaos' ./internal/netproto/
 
-echo '>> binary codec fuzz corpus'
-go test -run '^FuzzBinaryDecode$' -count=1 ./internal/wire/ > /dev/null
+echo '>> codec fuzz corpora'
+go test -run '^(FuzzBinaryDecode|FuzzJSONDecode)$' -count=1 ./internal/wire/ > /dev/null
 
 echo '>> telemetry zero-allocation bench smoke'
 go test -run '^$' -bench Telemetry -benchtime=1x ./internal/obs/ ./internal/netproto/ > /dev/null
@@ -117,7 +122,7 @@ go test -run '^$' -bench 'Benchmark(RingChurn|RegistryRefresh)$' -benchtime=1x .
 
 echo '>> steady-state allocation gates'
 go test -run 'TestAggregateSteadyStateAllocs' -count=1 ./internal/core/ > /dev/null
-go test -run 'TestBinarySteadyStateAllocs' -count=1 ./internal/wire/ > /dev/null
+go test -run 'TestBinarySteadyStateAllocs|TestJSONEncodeAllocs' -count=1 ./internal/wire/ > /dev/null
 go test -run 'TestAdmitFastPathAllocs' -count=1 ./internal/core/ > /dev/null
 go test -run 'TestAdmissionFastPathAllocs|TestRPCExchangeBytes' -count=1 ./internal/netproto/ > /dev/null
 

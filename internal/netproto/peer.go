@@ -2,9 +2,8 @@ package netproto
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"slices"
 	"sort"
@@ -505,7 +504,7 @@ func (p *Peer) serve() {
 
 func (p *Peer) handle(conn net.Conn) {
 	// Generous deadline: a select request recurses through the remaining
-	// hops before this handler can answer. Both codec loops refresh it
+	// hops before this handler can answer. The serve loop refreshes it
 	// per exchange, so a pooled client connection stays serviceable
 	// between requests without ever being deadline-free.
 	if err := conn.SetDeadline(time.Now().Add(p.cfg.RPCTimeout * 16)); err != nil {
@@ -523,40 +522,14 @@ func (p *Peer) handle(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	// Everything that is not a binary frame — including malformed
+	// garbage — takes the JSON path, whose decoder surfaces a bad-request
+	// reply instead of a silent hangup.
+	var codec wire.Codec = wire.JSON{}
 	if wire.IsBinary(first) {
-		p.handleBinary(conn, br)
-		return
+		codec = p.bin
 	}
-	// Everything else — including malformed garbage — takes the JSON
-	// path, whose decoder surfaces a bad-request reply instead of a
-	// silent hangup.
-	p.handleJSON(conn, br)
-}
-
-// handleJSON serves newline-delimited JSON exchanges until the client
-// hangs up (one decoder for the connection: it reads ahead, so
-// re-creating it per exchange would lose buffered bytes).
-func (p *Peer) handleJSON(conn net.Conn, br *bufio.Reader) {
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(br)
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF {
-				// Surface malformed requests to the caller instead of
-				// silently dropping the connection (best effort: the encode
-				// itself can fail if the peer hung up mid-request).
-				_ = enc.Encode(response{Err: fmt.Sprintf("bad request: %v", err)})
-			}
-			return
-		}
-		if err := enc.Encode(p.dispatch(req)); err != nil {
-			return
-		}
-		if err := conn.SetDeadline(time.Now().Add(p.cfg.RPCTimeout * 16)); err != nil {
-			return
-		}
-	}
+	p.serveConn(conn, br, codec)
 }
 
 // reqPool recycles server-side request structs: the binary decoder
@@ -564,37 +537,47 @@ func (p *Peer) handleJSON(conn net.Conn, br *bufio.Reader) {
 // without allocating.
 var reqPool = sync.Pool{New: func() any { return new(request) }}
 
-// handleBinary serves framed binary exchanges until the stream ends —
-// one message for a datagram connection, many for a pooled TCP one.
-func (p *Peer) handleBinary(conn net.Conn, br *bufio.Reader) {
+// serveConn serves codec exchanges until the stream ends — one message
+// for a datagram connection, many for a pooled TCP one. Each exchange
+// reads one message (readMessage), decodes it into the pooled request,
+// dispatches it, and writes the reply in the same codec. A message that
+// is framed but does not decode gets a bad-request reply and the
+// connection keeps serving: the framing (a JSON line, a binary frame)
+// leaves the stream aligned on the next message. Bytes that cannot be
+// framed end the connection — after a bad-request reply for an
+// oversized JSON line; silently for a broken binary frame, which
+// carries no request ID to correlate a reply with.
+func (p *Peer) serveConn(conn net.Conn, br *bufio.Reader, codec wire.Codec) {
 	buf := wire.GetBuf(512)
 	defer wire.PutBuf(buf)
 	req := reqPool.Get().(*request)
 	// Handlers copy what they keep, so the request can be recycled when
-	// the connection ends (the decoder reuses its slice capacity across
-	// the exchanges in between).
+	// the connection ends (the binary decoder reuses its slice capacity
+	// across the exchanges in between).
 	defer reqPool.Put(req)
 	for {
 		var err error
-		buf.B, err = wire.ReadFrame(br, buf.B)
-		if err != nil {
-			// Unframeable bytes carry no request ID to correlate an error
-			// reply with; drop the exchange. A clean EOF is the client
-			// closing (or parking) the connection.
+		buf.B, err = readMessage(br, codec, buf.B)
+		oversized := errors.Is(err, wire.ErrLineTooLong)
+		if err != nil && !oversized {
+			// A clean EOF is the client closing (or parking) the connection.
 			return
 		}
-		reqID, err := p.bin.DecodeRequest(buf.B, req)
+		var reqID uint64
+		if err == nil {
+			reqID, err = codec.DecodeRequest(buf.B, req)
+		}
 		var resp response
 		if err != nil {
 			resp = response{Err: fmt.Sprintf("bad request: %v", err)}
 		} else {
 			resp = p.dispatch(*req)
 		}
-		buf.B, err = p.bin.AppendResponse(buf.B[:0], reqID, &resp)
+		buf.B, err = codec.AppendResponse(buf.B[:0], reqID, &resp)
 		if err != nil {
 			return
 		}
-		if _, err := conn.Write(buf.B); err != nil {
+		if _, err := conn.Write(buf.B); err != nil || oversized {
 			return
 		}
 		if err := conn.SetDeadline(time.Now().Add(p.cfg.RPCTimeout * 16)); err != nil {

@@ -187,40 +187,33 @@ func rpcWith(tr Transport, codec wire.Codec, wt *wireTele, addr string, req requ
 		return nil, err
 	}
 	wt.message(req.Type, len(buf.B), false)
-	var resp response
-	if codec.Name() == "json" {
-		br := getReader(conn)
-		err := readJSONResponse(br, &resp, wt, req.Type)
-		putReader(br)
-		if err != nil {
-			return nil, err
-		}
-		markReusable(conn)
+	// One read step for both codecs: a message-oriented transport (UDP)
+	// hands over the reassembled response whole; a stream is re-framed by
+	// the codec's framing (readMessage).
+	var msg []byte
+	if mc, ok := conn.(messageConn); ok {
+		msg, err = mc.ReadMessage()
 	} else {
-		var frame []byte
-		if mc, ok := conn.(messageConn); ok {
-			// Message-oriented transport (UDP): the response arrives as
-			// one reassembled message — no stream re-framing needed.
-			frame, err = mc.ReadMessage()
-		} else {
-			br := getReader(conn)
-			buf.B, err = wire.ReadFrame(br, buf.B)
-			putReader(br)
-			frame = buf.B
-		}
-		if err != nil {
-			return nil, err
-		}
-		gotID, err := codec.DecodeResponse(frame, &resp)
-		if err != nil {
-			return nil, err
-		}
-		if gotID != reqID {
-			return nil, fmt.Errorf("netproto: response correlation mismatch (%d != %d)", gotID, reqID)
-		}
-		wt.message(req.Type, len(frame), true)
-		markReusable(conn)
+		br := getReader(conn)
+		buf.B, err = readMessage(br, codec, buf.B)
+		putReader(br)
+		msg = buf.B
 	}
+	if err != nil {
+		return nil, err
+	}
+	var resp response
+	gotID, err := codec.DecodeResponse(msg, &resp)
+	if err != nil {
+		return nil, err
+	}
+	// JSON carries no correlation ID (it reports 0); a binary reply must
+	// echo the request's.
+	if _, isJSON := codec.(wire.JSON); !isJSON && gotID != reqID {
+		return nil, fmt.Errorf("netproto: response correlation mismatch (%d != %d)", gotID, reqID)
+	}
+	wt.message(req.Type, len(msg), true)
+	markReusable(conn)
 	if !resp.OK {
 		return &resp, fmt.Errorf("netproto: %s failed at %s: %s", req.Type, addr, resp.Err)
 	}
@@ -228,10 +221,10 @@ func rpcWith(tr Transport, codec wire.Codec, wt *wireTele, addr string, req requ
 }
 
 // readerSize is the buffer of a pooled stream reader. It is a read-ahead
-// window, not a message bound: ReadBytes, json.Decoder and
-// wire.ReadFrame all read past it, so the 1 MiB JSON bound and
-// wire.MaxMessage stay the limits, and an RPC of a few hundred bytes
-// (the common case) no longer pays for a 64 KiB buffer.
+// window, not a message bound: wire.ReadLine and wire.ReadFrame both
+// read past it, so wire.MaxLine (1 MiB) and wire.MaxMessage stay the
+// limits, and an RPC of a few hundred bytes (the common case) does not
+// pay for a 64 KiB buffer.
 const readerSize = 4 << 10
 
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
@@ -265,19 +258,13 @@ func markReusable(conn net.Conn) {
 	}
 }
 
-// readJSONResponse reads one newline-delimited JSON reply. Split out
-// so the JSON-era 1 MiB read bound keeps a single owner.
-func readJSONResponse(br *bufio.Reader, resp *response, wt *wireTele, typ string) error {
-	line, err := br.ReadBytes('\n')
-	if err != nil && len(line) == 0 {
-		return err
+// readMessage reads one message in codec's stream framing into buf
+// (reusing its capacity): a newline-terminated line of at most
+// wire.MaxLine bytes for JSON, a binary frame otherwise. Client and
+// server both read through it, so the JSON line bound has one owner.
+func readMessage(br *bufio.Reader, codec wire.Codec, buf []byte) ([]byte, error) {
+	if _, isJSON := codec.(wire.JSON); isJSON {
+		return wire.ReadLine(br, buf)
 	}
-	if len(line) > 1<<20 {
-		return fmt.Errorf("netproto: oversized JSON response (%d bytes)", len(line))
-	}
-	if _, err := (wire.JSON{}).DecodeResponse(line, resp); err != nil {
-		return err
-	}
-	wt.message(typ, len(line), true)
-	return nil
+	return wire.ReadFrame(br, buf)
 }

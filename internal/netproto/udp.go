@@ -339,7 +339,7 @@ func (c *udpClientConn) Read(b []byte) (int, error) {
 }
 
 // ReadMessage returns the complete response message, valid until
-// Close. rpcWith uses it to skip stream re-framing on the binary path.
+// Close. rpcWith uses it to skip stream re-framing.
 func (c *udpClientConn) ReadMessage() ([]byte, error) {
 	if !c.sent {
 		c.sent = true

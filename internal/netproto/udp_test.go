@@ -1,8 +1,9 @@
 package netproto
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -754,23 +755,91 @@ func TestSweepExpiresState(t *testing.T) {
 	}
 }
 
-// TestReadJSONResponseBounds pins the JSON read path's guards.
+// floodConn is a stream of n bytes that opens a JSON string and never
+// closes it or the line, counting what its reader consumes and keeping
+// what is written to it.
+type floodConn struct {
+	net.Conn
+	n, read int
+	wrote   bytes.Buffer
+}
+
+func (c *floodConn) Read(b []byte) (int, error) {
+	const open = `{"err":"`
+	if c.read >= c.n {
+		return 0, io.EOF
+	}
+	k := min(len(b), c.n-c.read)
+	for i := range b[:k] {
+		if at := c.read + i; at < len(open) {
+			b[i] = open[at]
+		} else {
+			b[i] = 'x'
+		}
+	}
+	c.read += k
+	return k, nil
+}
+
+func (c *floodConn) Write(b []byte) (int, error)      { return c.wrote.Write(b) }
+func (c *floodConn) Close() error                     { return nil }
+func (c *floodConn) SetDeadline(time.Time) error      { return nil }
+func (c *floodConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *floodConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestReadJSONResponseBounds pins the JSON read path's guards on both
+// sides: a peer that streams 4 MiB without a newline costs the reader at
+// most the 1 MiB line bound plus one reader buffer (the client fails the
+// exchange; the server answers bad request and hangs up), and malformed
+// or missing replies fail the exchange.
 func TestReadJSONResponseBounds(t *testing.T) {
-	var resp response
-	big := strings.Repeat("x", 1<<20+2) + "\n"
-	err := readJSONResponse(bufio.NewReaderSize(strings.NewReader(big), 1<<21), &resp, nil, "probe")
-	if err == nil || !strings.Contains(err.Error(), "oversized") {
-		t.Fatalf("oversized line: err = %v", err)
+	const flood, bound = 4 << 20, wire.MaxLine + readerSize
+	client := &floodConn{n: flood}
+	dial := transportFunc(func(string, time.Duration) (net.Conn, error) { return client, nil })
+	if _, err := rpcWith(dial, wire.JSON{}, nil, "x", request{Type: msgProbe}, time.Second); !errors.Is(err, wire.ErrLineTooLong) {
+		t.Fatalf("flooded client: err = %v, want ErrLineTooLong", err)
 	}
-	err = readJSONResponse(bufio.NewReader(strings.NewReader("not json\n")), &resp, nil, "probe")
-	if err == nil {
-		t.Fatal("garbage line decoded")
+	if client.read > bound {
+		t.Fatalf("client consumed %d bytes, bound %d", client.read, bound)
 	}
-	err = readJSONResponse(bufio.NewReader(strings.NewReader("")), &resp, nil, "probe")
-	if err == nil {
-		t.Fatal("empty stream decoded")
+
+	p, err := Start(Config{Listen: "127.0.0.1:0", CPU: 10, Memory: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	server := &floodConn{n: flood}
+	p.handle(server)
+	if server.read > bound {
+		t.Fatalf("server consumed %d bytes, bound %d", server.read, bound)
+	}
+	var r response
+	if _, err := (wire.JSON{}).DecodeResponse(server.wrote.Bytes(), &r); err != nil || !strings.Contains(r.Err, "bad request") {
+		t.Fatalf("flooded server replied %q (%v), want a bad-request reply", server.wrote.Bytes(), err)
+	}
+
+	for _, reply := range []string{"not json\n", ""} {
+		dial := transportFunc(func(string, time.Duration) (net.Conn, error) {
+			return &replayConn{r: strings.NewReader(reply)}, nil
+		})
+		if _, err := rpcWith(dial, wire.JSON{}, nil, "x", request{Type: msgProbe}, time.Second); err == nil {
+			t.Fatalf("reply %q decoded", reply)
+		}
 	}
 }
+
+// replayConn replays a fixed reply and discards what is written to it.
+type replayConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *replayConn) Read(b []byte) (int, error)       { return c.r.Read(b) }
+func (c *replayConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (c *replayConn) Close() error                     { return nil }
+func (c *replayConn) SetDeadline(time.Time) error      { return nil }
+func (c *replayConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *replayConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestPeerLocalSurface covers the small local accessors alongside the
 // wire work: uptime advances and local reservations move the ledger.

@@ -231,8 +231,8 @@ type Response struct {
 // extended slice; Decode* overwrites every field of the destination
 // struct, reusing its slice and map capacity where the codec supports
 // it. reqID is the request correlation ID carried by the binary
-// header (the JSON codec, which runs one exchange per TCP connection,
-// ignores it and reports 0).
+// header (JSON carries none: the JSON codec ignores it and reports 0,
+// and a JSON connection runs one exchange at a time).
 type Codec interface {
 	// Name is the codec's configuration name: "json" or "binary".
 	Name() string
