@@ -1,38 +1,44 @@
 #!/bin/sh
 # CI gate for the QSA reproduction. Everything here is hermetic: pure Go,
-# standard library only, no network.
+# standard library only, no network. Each step runs once; nothing below
+# re-runs a test an earlier step already ran with the same flags.
 #
 #   build     the whole module, commands included
-#   vet       the stock Go checks
-#   qsalint   the repo's own analyzers, all ten: the per-package checks
-#             (determinism, float-eq, mutex-across-block, keyed-literals,
-#             panic-in-library, unchecked-error) plus the whole-module
-#             dataflow passes (hotalloc, lockorder, goleak, detflow) —
-#             see README "Static analysis". Fails on any unsuppressed
-#             finding and leaves a machine-readable artifact at
-#             $QSALINT_JSON (default /tmp/qsalint.json); then again with
-#             -tests, so a stale waiver in a test file fails too
-#   test      the short suite with statement coverage, then again under
-#             the race detector. It carries the determinism and SLO gates:
-#             byte-identical output across shard counts
-#             (TestShardCountInvariance) and with caches off
+#   vet       the stock Go checks (composites covers keyed struct literals)
+#   qsalint   the repo's own analyzers: determinism, panic-in-library,
+#             unchecked-error and lockorder (README "Static analysis").
+#             Fails on any unsuppressed finding and leaves a
+#             machine-readable artifact at $QSALINT_JSON (default
+#             /tmp/qsalint.json). This is the lint gate; TestLintClean
+#             repeats it only in the full, non-short suite
+#   test      the short suite with statement coverage. It carries the
+#             determinism and SLO gates: byte-identical output across
+#             shard counts (TestShardCountInvariance) and with caches off
 #             (TestCachesAreInvisible), binary at most half of JSON on
 #             lookup/select (TestBinaryHalvesPayloadRPCs), zero shed at
 #             low load and bounded shedding under overload
 #             (TestServingSLO), frames and JSON lines byte-identical to
 #             older peers' (TestGoldenRequestBytes, TestGoldenJSONLines),
-#             and the JSON codec byte- and struct-identical to
-#             encoding/json (TestJSONMatchesEncodingJSON)
+#             the JSON codec byte- and struct-identical to encoding/json
+#             (TestJSONMatchesEncodingJSON), the codec fuzz corpora
+#             (FuzzBinaryDecode's seeds decode clean; on FuzzJSONDecode's,
+#             the committed edge cases in internal/wire/testdata, the JSON
+#             codec agrees with encoding/json), and the allocation gates
+#             (testing.AllocsPerRun, each budget at its measured count):
+#             TestAggregateSteadyStateAllocs (Aggregate, Recover),
+#             TestQCSSteadyStateAllocs, TestResolveSteadyStateAllocs,
+#             TestBinarySteadyStateAllocs (codec, packet framing, buffer
+#             pool), TestJSONEncodeAllocs, the admission fast paths and
+#             TestRPCExchangeBytes (16 KiB per warm exchange, zero-alloc
+#             reader checkout)
 #   coverage  each package in the table below must keep the short
 #             suite's statement coverage at or above its floor
+#   race      the short suite again under the race detector, the netproto
+#             chaos suite included; allocation gates that a sync.Pool or
+#             the instrumentation would skew skip themselves there
 #   benchmark the benchmark/ module (its own go.mod, so ./... above leaves
 #             it out): vet + its short suite under -race, so the yardstick
 #             that drives catalog, registry and sim cannot rot unbuilt
-#   chaos     the netproto fault-injection suite, explicitly under -race
-#   fuzz      the codec fuzz corpora: FuzzBinaryDecode's seeds must decode
-#             clean, and on FuzzJSONDecode's (the committed edge cases
-#             in internal/wire/testdata) the JSON codec must agree with
-#             encoding/json
 #   bench     the Telemetry benchmarks run once; they fail if the
 #             disabled-sink hot paths allocate. The request hot-path
 #             benchmarks (QCS, Discover, Aggregate, SimMinute, the probe
@@ -42,12 +48,6 @@
 #             soft-state sweep of every registration on a 10⁴-peer ring,
 #             reporting routed lookups/op) run once; their numbers are in
 #             EXPERIMENTS.md
-#   allocs    the zero-allocation budgets of the steady-state Aggregate,
-#             the binary codec, the JSON codec's warm encode
-#             (TestJSONEncodeAllocs) and the admission fast paths, and a warm
-#             RPC exchange's 16 KiB bytes budget (TestRPCExchangeBytes:
-#             no 64 KiB reader per exchange), all without -race (the
-#             detector inflates counts)
 #
 # Full statistical replays (minutes): go test ./...
 set -eu
@@ -58,7 +58,7 @@ go build ./...
 echo '>> go vet ./...'
 go vet ./...
 
-echo '>> go run ./cmd/qsalint ./... (all ten analyzers)'
+echo '>> go run ./cmd/qsalint ./...'
 QSALINT_JSON="${QSALINT_JSON:-/tmp/qsalint.json}"
 if ! go run ./cmd/qsalint -json ./... > "$QSALINT_JSON"; then
 	cat "$QSALINT_JSON"
@@ -66,8 +66,6 @@ if ! go run ./cmd/qsalint -json ./... > "$QSALINT_JSON"; then
 	exit 1
 fi
 echo "qsalint: clean (artifact: $QSALINT_JSON)"
-echo '>> go run ./cmd/qsalint -tests ./...'
-go run ./cmd/qsalint -tests ./...
 
 echo '>> go test -short -cover ./...'
 short_out=$(mktemp /tmp/qsa_short.XXXXXX)
@@ -104,12 +102,6 @@ go test -race -short ./...
 echo '>> benchmark module: vet + short suite under -race'
 (cd benchmark && go vet . && go test -short -race .)
 
-echo '>> chaos suite under -race'
-go test -race -short -run 'TestChaos' ./internal/netproto/
-
-echo '>> codec fuzz corpora'
-go test -run '^(FuzzBinaryDecode|FuzzJSONDecode)$' -count=1 ./internal/wire/ > /dev/null
-
 echo '>> telemetry zero-allocation bench smoke'
 go test -run '^$' -bench Telemetry -benchtime=1x ./internal/obs/ ./internal/netproto/ > /dev/null
 
@@ -119,11 +111,5 @@ go test -race -run '^$' -bench 'Benchmark(QCS|Discover|Aggregate|SimMinute|Table
 
 echo '>> ring membership and registry refresh bench smoke'
 go test -run '^$' -bench 'Benchmark(RingChurn|RegistryRefresh)$' -benchtime=1x ./internal/chord/ ./internal/registry/ > /dev/null
-
-echo '>> steady-state allocation gates'
-go test -run 'TestAggregateSteadyStateAllocs' -count=1 ./internal/core/ > /dev/null
-go test -run 'TestBinarySteadyStateAllocs|TestJSONEncodeAllocs' -count=1 ./internal/wire/ > /dev/null
-go test -run 'TestAdmitFastPathAllocs' -count=1 ./internal/core/ > /dev/null
-go test -run 'TestAdmissionFastPathAllocs|TestRPCExchangeBytes' -count=1 ./internal/netproto/ > /dev/null
 
 echo 'ci: ok'

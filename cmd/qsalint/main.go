@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	qsalint [-list] [-run name,name] [-tests] [-json] [dir]
+//	qsalint [-list] [-run name,name] [-json] [dir]
 //
 // dir defaults to the current directory; the module containing it is
 // linted as a whole (package patterns like ./... are accepted and mean
 // the same thing). -list prints the analyzers and exits. -run restricts
-// the run to a comma-separated analyzer selection. -tests includes
-// _test.go files for the analyzers that opt in to them. -json emits the
+// the run to a comma-separated analyzer selection. -json emits the
 // diagnostics as a JSON array on stdout (exit status semantics
 // unchanged), for CI artifacts and tooling.
 package main
@@ -37,10 +36,9 @@ type jsonDiag struct {
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	tests := flag.Bool("tests", false, "include _test.go files for analyzers that opt in")
 	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: qsalint [-list] [-run name,name] [-tests] [-json] [dir]\n")
+		fmt.Fprintf(os.Stderr, "usage: qsalint [-list] [-run name,name] [-json] [dir]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -77,7 +75,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qsalint:", err)
 		os.Exit(2)
 	}
-	pkgs, err := analysis.LoadModuleWith(root, analysis.LoadOptions{Tests: *tests})
+	pkgs, err := analysis.LoadModule(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qsalint:", err)
 		os.Exit(2)

@@ -28,7 +28,7 @@ func TestFixtureModuleFails(t *testing.T) {
 	if code := exit.ExitCode(); code != 1 {
 		t.Fatalf("want exit status 1 (findings), got %d; stderr:\n%s", code, stderr.String())
 	}
-	for _, frag := range []string{"simfix.go:", "[determinism]", "[float-eq]", "[mutex-across-block]", "[keyed-literals]", "[panic-in-library]", "[unchecked-error]"} {
+	for _, frag := range []string{"simfix.go:", "[determinism]", "[panic-in-library]", "[unchecked-error]", "[lockorder]"} {
 		if !strings.Contains(out.String(), frag) {
 			t.Errorf("diagnostics missing %q; stdout:\n%s", frag, out.String())
 		}

@@ -6,18 +6,12 @@
 //   - determinism: simulation packages derive all randomness from
 //     internal/xrand and all time from the simulated clock — wall-clock
 //     and math/rand calls silently break bit-for-bit reproducibility;
-//   - float-eq: QoS and resource values are float64 vectors; comparing
-//     them with ==/!= (outside exact-sentinel zero checks) is almost
-//     always a bug in the satisfy relation (paper eq. 1);
-//   - mutex-across-block: holding a sync.Mutex across a channel
-//     operation or blocking call is the classic recipe for deadlock in
-//     the network prototype;
-//   - keyed-literals: QoS/spec structs gain fields as the model grows;
-//     positional composite literals rot silently;
 //   - panic-in-library: library packages return errors, they do not
 //     panic, unless a site is annotated as a genuine invariant;
 //   - unchecked-error: error results of this repo's own APIs must be
-//     consumed or explicitly discarded.
+//     consumed or explicitly discarded;
+//   - lockorder: no mutex acquisition cycle across the module, and no
+//     lock held across a channel operation or a call that blocks.
 //
 // Diagnostics can be suppressed per line with a justification comment:
 //
@@ -33,26 +27,19 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
 // Analyzer is one named check over a type-checked package.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in diagnostics and in
-	// lint:allow suppression comments.
+	// Name identifies the analyzer in diagnostics and in suppression
+	// comments.
 	Name string
 	// Doc is a one-line description of what the analyzer enforces.
 	Doc string
 	// Run inspects the package behind pass and reports violations.
 	Run func(pass *Pass)
-	// Tests opts the analyzer in to _test.go files when the module was
-	// loaded with LoadOptions.Tests. Most analyzers enforce library
-	// invariants that tests legitimately break (wall-clock timeouts,
-	// panics, dropped errors); the determinism-taint ones also guard
-	// the chaos and differential suites.
-	Tests bool
 }
 
 // Diagnostic is one reported violation.
@@ -72,9 +59,8 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Mod is the shared whole-module facts layer (call graph, transitive
-	// facts); every pass of one Run sees the same instance, so the
-	// cross-package analyzers compute their dataflow once.
+	// Mod is the shared whole-module call graph; every pass of one Run
+	// sees the same instance, so lockorder computes its facts once.
 	Mod *Module
 
 	report func(Diagnostic)
@@ -94,22 +80,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Files returns the package's parsed non-test source files, plus its
-// test files when the module holds them and the analyzer opted in.
-func (p *Pass) Files() []*ast.File {
-	if p.Analyzer.Tests && len(p.Pkg.TestFiles) > 0 {
-		return append(append([]*ast.File{}, p.Pkg.Files...), p.Pkg.TestFiles...)
-	}
-	return p.Pkg.Files
-}
-
-// TypesInfo returns the package's type-checking results.
-func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
-
 // suppression is one parsed lint:allow comment.
 type suppression struct {
 	analyzer string
-	reason   string
 	file     string
 	line     int
 	used     bool
@@ -139,12 +112,7 @@ func parseSuppressions(fset *token.FileSet, f *ast.File) (ok []*suppression, bad
 				})
 				continue
 			}
-			ok = append(ok, &suppression{
-				analyzer: name,
-				reason:   strings.TrimSpace(reason),
-				file:     pos.Filename,
-				line:     pos.Line,
-			})
+			ok = append(ok, &suppression{analyzer: name, file: pos.Filename, line: pos.Line})
 		}
 	}
 	return ok, bad
@@ -165,21 +133,14 @@ func (pkg *Package) suppressed(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// All returns the repo's analyzers in reporting order: the six
-// per-function syntactic checks of PR 1, then the four whole-module
-// dataflow analyzers built on the shared call graph.
+// All returns the repo's analyzers in reporting order: the three
+// per-package checks, then lockorder over the shared call graph.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		FloatEq,
-		MutexAcrossBlock,
-		KeyedLiterals,
 		PanicInLibrary,
 		UncheckedError,
-		HotAlloc,
 		LockOrder,
-		GoLeak,
-		DetFlow,
 	}
 }
 
@@ -209,11 +170,15 @@ func ByName(names string) ([]*Analyzer, error) {
 }
 
 // Run applies the given analyzers to every package and returns the
-// surviving diagnostics sorted by position. Unused and malformed
-// lint:allow comments are reported too, so suppressions cannot outlive
-// the violation they excuse.
+// surviving diagnostics sorted by position. Suppressions that are
+// unused, malformed or name no analyzer are reported too, so they cannot
+// outlive the violation or the check they excuse.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	mod := NewModule(pkgs)
+	active := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		active[a.Name] = true
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -227,18 +192,17 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 		diags = append(diags, pkg.badSuppressions...)
-		active := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			active[a.Name] = true
-		}
 		for _, s := range pkg.suppressions {
-			if s.used || !active[s.analyzer] {
+			msg := fmt.Sprintf("unused lint:allow %s suppression (nothing to suppress here)", s.analyzer)
+			if _, err := ByName(s.analyzer); err != nil {
+				msg = fmt.Sprintf("suppression names no analyzer: %q", s.analyzer)
+			} else if s.used || !active[s.analyzer] {
 				continue
 			}
 			diags = append(diags, Diagnostic{
 				Pos:      token.Position{Filename: s.file, Line: s.line, Column: 1},
 				Analyzer: "lint",
-				Message:  fmt.Sprintf("unused lint:allow %s suppression (nothing to suppress here)", s.analyzer),
+				Message:  msg,
 			})
 		}
 	}

@@ -13,7 +13,7 @@ import (
 
 // wantRe matches expectation markers in fixture sources:
 //
-//	n.ch <- 1 // want mutex-across-block
+//	n.ch <- 1 // want lockorder
 //
 // The marker names every analyzer expected to fire on that line.
 var wantRe = regexp.MustCompile(`//\s*want\s+([a-z-]+(?:\s+[a-z-]+)*)\s*$`)
@@ -99,7 +99,8 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // TestUnusedSuppression checks that a lint:allow comment with nothing to
-// suppress is itself reported, so stale suppressions cannot accumulate.
+// suppress is itself reported, and so is one naming a retired analyzer,
+// so stale suppressions cannot accumulate.
 func TestUnusedSuppression(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module tmpfix\n\ngo 1.24\n",
@@ -107,6 +108,9 @@ func TestUnusedSuppression(t *testing.T) {
 
 // lint:allow determinism nothing nondeterministic happens here
 func Add(a, b int) int { return a + b }
+
+// lint:allow hotalloc a check that no longer runs
+func Sub(a, b int) int { return a - b }
 `,
 	})
 	pkgs, err := LoadModule(dir)
@@ -114,11 +118,14 @@ func Add(a, b int) int { return a + b }
 		t.Fatalf("loading temp module: %v", err)
 	}
 	diags := Run(pkgs, All())
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 diagnostic, got %d: %v", len(diags), diags)
+	if len(diags) != 2 {
+		t.Fatalf("want exactly 2 diagnostics, got %d: %v", len(diags), diags)
 	}
 	if diags[0].Analyzer != "lint" || !strings.Contains(diags[0].Message, "unused") {
 		t.Errorf("want unused-suppression report, got %s", diags[0])
+	}
+	if diags[1].Analyzer != "lint" || !strings.Contains(diags[1].Message, `names no analyzer: "hotalloc"`) {
+		t.Errorf("want retired-analyzer report, got %s", diags[1])
 	}
 }
 
@@ -129,8 +136,8 @@ func TestMalformedSuppression(t *testing.T) {
 		"go.mod": "module tmpfix\n\ngo 1.24\n",
 		"lib/lib.go": `package lib
 
-// lint:allow float-eq
-func Same(a, b float64) bool { return a == b }
+// lint:allow panic-in-library
+func Boom() { panic("boom") }
 `,
 	})
 	pkgs, err := LoadModule(dir)
@@ -138,19 +145,19 @@ func Same(a, b float64) bool { return a == b }
 		t.Fatalf("loading temp module: %v", err)
 	}
 	diags := Run(pkgs, All())
-	var sawBad, sawFloat bool
+	var sawBad, sawPanic bool
 	for _, d := range diags {
 		if d.Analyzer == "lint" && strings.Contains(d.Message, "justification") {
 			sawBad = true
 		}
-		if d.Analyzer == "float-eq" {
-			sawFloat = true
+		if d.Analyzer == "panic-in-library" {
+			sawPanic = true
 		}
 	}
 	if !sawBad {
 		t.Errorf("want a malformed-suppression report, got %v", diags)
 	}
-	if !sawFloat {
+	if !sawPanic {
 		t.Errorf("malformed suppression must not suppress; got %v", diags)
 	}
 }
@@ -161,8 +168,8 @@ func TestSuppressionOnSameLine(t *testing.T) {
 		"go.mod": "module tmpfix\n\ngo 1.24\n",
 		"lib/lib.go": `package lib
 
-func Same(a, b float64) bool {
-	return a == b // lint:allow float-eq callers pass canonical bits
+func Boom() {
+	panic("boom") // lint:allow panic-in-library documented invariant
 }
 `,
 	})

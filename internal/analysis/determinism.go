@@ -70,7 +70,7 @@ func runDeterminism(pass *Pass) {
 	if !determinismApplies(pass.Pkg.ImportPath) {
 		return
 	}
-	for _, f := range pass.Files() {
+	for _, f := range pass.Pkg.Files {
 		// Alias tracking: `import mrand "math/rand"` must not evade the
 		// check, and a package named time that is not the stdlib time
 		// must not trip it.
@@ -102,7 +102,7 @@ func runDeterminism(pass *Pass) {
 			}
 			// Confirm the identifier really is the time package, not a
 			// local variable shadowing the import.
-			if pn, ok := pass.TypesInfo().Uses[id].(*types.PkgName); !ok || pn.Imported().Path() != "time" {
+			if pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName); !ok || pn.Imported().Path() != "time" {
 				return true
 			}
 			pass.Reportf(sel.Pos(), "simulation package calls time.%s; use the eventsim virtual clock so runs replay bit-for-bit", sel.Sel.Name)

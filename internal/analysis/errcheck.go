@@ -22,8 +22,8 @@ var UncheckedError = &Analyzer{
 
 func runUncheckedError(pass *Pass) {
 	mod := pass.Pkg.Module
-	info := pass.TypesInfo()
-	for _, f := range pass.Files() {
+	info := pass.Pkg.Info
+	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
 			if !ok {

@@ -3,15 +3,12 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -28,12 +25,6 @@ type Package struct {
 
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files, parsed with comments
-	// TestFiles holds the package's _test.go files when the module was
-	// loaded with Tests; analyzers opt in to them via Analyzer.Tests.
-	TestFiles []*ast.File
-	// ForTest marks an external test package (package foo_test): all of
-	// its sources are test files and nothing can import it.
-	ForTest bool
 
 	Types *types.Package
 	Info  *types.Info
@@ -77,36 +68,22 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// LoadOptions configures LoadModuleWith.
-type LoadOptions struct {
-	// Tests includes _test.go files: in-package test files type-check
-	// together with their package (Go forbids import cycles through
-	// them, so dependency order is unaffected), external foo_test
-	// packages load as their own ForTest entries after everything they
-	// import. Analyzers see test files only when they opt in via
-	// Analyzer.Tests.
-	Tests bool
-}
-
 // LoadModule parses and type-checks every package of the module rooted at
 // root. Test files (_test.go) are excluded: the analyzers enforce library
 // invariants, and tests legitimately use wall-clock timeouts and panics.
-// Standard-library imports are type-checked from GOROOT source, so the
-// loader works with a pure go.mod (zero external dependencies) and no
-// installed export data.
+// No library file carries a build constraint, so every .go file of a
+// directory belongs to its package. Standard-library imports are
+// type-checked from GOROOT source, so the loader works with a pure go.mod
+// (zero external dependencies) and no installed export data.
 func LoadModule(root string) ([]*Package, error) {
-	return LoadModuleWith(root, LoadOptions{})
-}
-
-// LoadModuleWith is LoadModule with options; see LoadOptions.
-func LoadModuleWith(root string, opt LoadOptions) ([]*Package, error) {
 	modPath, err := ModulePath(root)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
 
-	var dirs []string
+	byPath := make(map[string]*Package)
+	var pkgs []*Package
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -118,42 +95,16 @@ func LoadModuleWith(root string, opt LoadOptions) ([]*Package, error) {
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		entries, err := os.ReadDir(path)
-		if err != nil {
+		pkg, err := parseDir(fset, root, modPath, path)
+		if err != nil || pkg == nil {
 			return err
 		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			if opt.Tests || !strings.HasSuffix(e.Name(), "_test.go") {
-				dirs = append(dirs, path)
-				break
-			}
-		}
+		byPath[pkg.ImportPath] = pkg
+		pkgs = append(pkgs, pkg)
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	sort.Strings(dirs)
-
-	byPath := make(map[string]*Package, len(dirs))
-	var pkgs []*Package
-	for _, dir := range dirs {
-		base, ext, err := parseDir(fset, root, modPath, dir, opt.Tests)
-		if err != nil {
-			return nil, err
-		}
-		if base != nil {
-			byPath[base.ImportPath] = base
-			pkgs = append(pkgs, base)
-		}
-		if ext != nil {
-			// External test packages are not importable, so they join
-			// the ordering but never the import-resolution map.
-			pkgs = append(pkgs, ext)
-		}
 	}
 
 	ordered, err := topoSort(pkgs, byPath)
@@ -166,51 +117,32 @@ func LoadModuleWith(root string, opt LoadOptions) ([]*Package, error) {
 	return ordered, nil
 }
 
-// parseDir parses one package directory: the package proper (with its
-// in-package test files when tests is set) and, separately, an external
-// foo_test package if one exists.
-func parseDir(fset *token.FileSet, root, modPath, dir string, tests bool) (base, ext *Package, err error) {
+// parseDir parses one directory's non-test files into a package, nil
+// when it has none.
+func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rel, err := filepath.Rel(root, dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	importPath := modPath
 	if rel != "." {
 		importPath = modPath + "/" + filepath.ToSlash(rel)
 	}
-	base = &Package{ImportPath: importPath, Module: modPath, Dir: dir, Fset: fset}
+	pkg := &Package{ImportPath: importPath, Module: modPath, Dir: dir, Fset: fset}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !tests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if !buildConstraintsOK(f) {
-			continue
-		}
-		pkg := base
-		if isTest && strings.HasSuffix(f.Name.Name, "_test") {
-			if ext == nil {
-				ext = &Package{ImportPath: importPath, Module: modPath, Dir: dir, Fset: fset, ForTest: true}
-			}
-			pkg = ext
-		}
-		if isTest {
-			pkg.TestFiles = append(pkg.TestFiles, f)
-		} else {
-			pkg.Files = append(pkg.Files, f)
-		}
+		pkg.Files = append(pkg.Files, f)
 		pkg.Name = f.Name.Name
 		sup, bad := parseSuppressions(fset, f)
 		pkg.suppressions = append(pkg.suppressions, sup...)
@@ -222,39 +154,10 @@ func parseDir(fset *token.FileSet, root, modPath, dir string, tests bool) (base,
 			}
 		}
 	}
-	if len(base.Files) == 0 && len(base.TestFiles) == 0 {
-		base = nil
+	if len(pkg.Files) == 0 {
+		return nil, nil
 	}
-	return base, ext, nil
-}
-
-// buildConstraintsOK evaluates a file's //go:build line (if any) against
-// the default build context: current GOOS/GOARCH, gc, no race detector.
-// Mutually exclusive race/!race test variants would otherwise both load
-// and redeclare their shared symbols.
-func buildConstraintsOK(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break // constraints must precede the package clause
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			return expr.Eval(func(tag string) bool {
-				switch tag {
-				case runtime.GOOS, runtime.GOARCH, "gc":
-					return true
-				}
-				return strings.HasPrefix(tag, "go1.")
-			})
-		}
-	}
-	return true
+	return pkg, nil
 }
 
 // topoSort orders packages so every repo-internal dependency precedes its
@@ -265,8 +168,6 @@ func topoSort(pkgs []*Package, byPath map[string]*Package) ([]*Package, error) {
 		gray  = 1 // on the current path
 		black = 2 // done
 	)
-	// Keyed by identity, not import path: an external test package
-	// shares its directory's import path without being importable.
 	state := make(map[*Package]int, len(pkgs))
 	ordered := make([]*Package, 0, len(pkgs))
 	var visit func(p *Package) error
@@ -330,15 +231,7 @@ func typeCheck(fset *token.FileSet, ordered []*Package, byPath map[string]*Packa
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
 		conf := types.Config{Importer: imp}
-		files := pkg.Files
-		if len(pkg.TestFiles) > 0 {
-			files = append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
-		}
-		checkPath := pkg.ImportPath
-		if pkg.ForTest {
-			checkPath += "_test"
-		}
-		tpkg, err := conf.Check(checkPath, fset, files, info)
+		tpkg, err := conf.Check(pkg.ImportPath, fset, pkg.Files, info)
 		if err != nil {
 			return fmt.Errorf("analysis: type-checking %s: %w", pkg.ImportPath, err)
 		}

@@ -9,36 +9,69 @@ import (
 	"strings"
 )
 
-// LockOrder lifts the PR 1 mutex discipline from one function to the
-// whole module. It identifies every sync.(RW)Mutex by class — the named
-// struct field or package-level variable that owns it — and builds the
-// module-wide acquisition graph: an edge A→B is recorded whenever B is
-// locked while A is held, directly or through any chain of calls the
-// shared call graph can see. Two shapes are reported:
+// LockOrder is the module's one mutex check. It identifies every
+// sync.(RW)Mutex by class — the named struct field or package-level
+// variable that owns it — and walks every function in source order,
+// tracking the held set (branches merge by intersection: a lock counts
+// as held after a branch only when every non-terminating path holds
+// it; a deferred Unlock keeps it held to the end of the function;
+// goroutine and closure bodies start with nothing held). Two shapes are
+// reported:
 //
 //   - acquisition cycles (A held while locking B somewhere, B held
-//     while locking A somewhere else): the classic deadlock the
-//     sharded event loops and Raft reservations on the roadmap would
-//     otherwise invite;
-//   - a lock held across a call into another package that blocks
-//     (channel operation, net dial, Transport.Dial RPC): the
-//     intra-package case is mutex-across-block's job, but a dial
-//     hiding two packages deep is invisible to it.
+//     while locking A somewhere else, directly or through any chain of
+//     static calls);
+//   - a blocking operation while a lock is held: a channel send,
+//     receive, select or range, a known-blocking stdlib call
+//     (WaitGroup.Wait, time.Sleep, net dials and conn I/O), a dynamic
+//     Dial on a transport interface, or a static call to any module
+//     function that transitively does one of those. In the network
+//     prototype every RPC can take seconds; holding the peer mutex
+//     across one serializes the node.
 //
 // Classes are instance-insensitive: two different values of one struct
 // type share a class, so self-edges (locking two sessions in sequence)
 // are deliberately not reported.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "flag cyclic mutex acquisition orders and locks held across cross-package blocking calls",
+	Doc:  "flag cyclic mutex acquisition orders and locks held across blocking operations",
 	Run:  runLockOrder,
 }
 
 func runLockOrder(pass *Pass) {
 	mod := pass.Mod
 	mod.lockOnce.Do(func() { mod.lockDiags = computeLockOrder(mod) })
-	emitPending(pass, mod.lockDiags)
+	for _, d := range mod.lockDiags[pass.Pkg] {
+		pass.Reportf(d.pos, "%s", d.msg)
+	}
 }
+
+// lockMethods classifies sync.(RW)Mutex methods into acquisitions and
+// releases. TryLock variants never block and acquire only conditionally;
+// they are ignored (a false-negative trade for zero false positives).
+var lockMethods = map[string]int{
+	"Lock":    +1,
+	"RLock":   +1,
+	"Unlock":  -1,
+	"RUnlock": -1,
+}
+
+// syncBlockingMethods are sync/net methods that park the goroutine.
+var syncBlockingMethods = map[string]map[string]bool{
+	"sync": {"Wait": true}, // WaitGroup.Wait, Cond.Wait
+	"net":  {"Accept": true, "Read": true, "Write": true},
+}
+
+// blockingPkgFuncs are package-level stdlib functions that park the
+// goroutine.
+var blockingPkgFuncs = map[string]map[string]bool{
+	"time": {"Sleep": true},
+	"net":  {"Dial": true, "DialTimeout": true, "DialIP": true, "DialTCP": true, "DialUDP": true},
+}
+
+// dialMethods are RPC-shaped interface methods: a dynamic call to one
+// of these while a mutex is held serializes the node on the network.
+var dialMethods = map[string]bool{"Dial": true, "DialTimeout": true}
 
 // mutexClassOf names the lock behind the receiver expression of a
 // Lock/Unlock call: "pkgpath.Type.field" for struct-owned mutexes,
@@ -68,13 +101,10 @@ func mutexClassOf(info *types.Info, pkgPath string, x ast.Expr) string {
 // to its base ("registry.Registry.mu").
 func shortClass(class string) string {
 	head, rest, ok := strings.Cut(class, ":")
-	if !ok {
-		head, rest = class, ""
-	}
 	if i := strings.LastIndex(head, "/"); i >= 0 {
 		head = head[i+1:]
 	}
-	if rest != "" {
+	if ok {
 		return head + ":" + rest
 	}
 	return head
@@ -118,83 +148,31 @@ func lockClassCall(info *types.Info, pkgPath string, call *ast.CallExpr) (class 
 	return "", 0, false
 }
 
-// dialMethods are RPC-shaped interface methods: a dynamic call to one
-// of these while a mutex is held serializes the node on the network.
-var dialMethods = map[string]bool{"Dial": true, "DialTimeout": true}
-
-// blockReason computes, to a fixpoint over the call graph, why each
-// module function blocks ("" when it does not). Direct reasons are
-// channel operations, known-blocking stdlib calls and dynamic dials;
-// indirect ones flow through static calls outside function literals.
-func (m *Module) blockReason() map[*FuncInfo]string {
-	m.blockOnce.Do(func() {
-		m.blocking = make(map[*FuncInfo]string)
-		direct := func(fi *FuncInfo) string {
-			reason := ""
-			ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-				if reason != "" {
-					return false
-				}
-				switch n := n.(type) {
-				case *ast.FuncLit, *ast.GoStmt:
-					return false
-				case *ast.SendStmt:
-					reason = "sends on a channel"
-				case *ast.SelectStmt:
-					reason = "selects on channels"
-				case *ast.UnaryExpr:
-					if n.Op == token.ARROW {
-						reason = "receives from a channel"
-					}
-				case *ast.RangeStmt:
-					if t := fi.Pkg.Info.Types[n.X].Type; t != nil {
-						if _, ok := t.Underlying().(*types.Chan); ok {
-							reason = "ranges over a channel"
-						}
-					}
-				case *ast.CallExpr:
-					if r := directCallBlocks(fi.Pkg.Info, n); r != "" {
-						reason = r
-					}
-				}
-				return reason == ""
-			})
-			return reason
+// blocksDirectly says why node n parks the goroutine by itself ("" when
+// it does not): a channel operation, a known-blocking stdlib call, or a
+// dynamic transport dial. Calls into the module are resolved by the
+// blocking fixpoint, not here.
+func blocksDirectly(info *types.Info, n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return "sends on a channel"
+	case *ast.SelectStmt:
+		return "selects on channels"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return "receives from a channel"
 		}
-		for changed := true; changed; {
-			changed = false
-			for _, pkg := range m.Pkgs {
-				for _, fi := range m.Funcs(pkg) {
-					if m.blocking[fi] != "" {
-						continue
-					}
-					if r := direct(fi); r != "" {
-						m.blocking[fi] = r
-						changed = true
-						continue
-					}
-					for _, e := range fi.Edges() {
-						if e.Kind != EdgeCall || e.InFuncLit {
-							continue
-						}
-						if m.blocking[e.Callee] != "" {
-							m.blocking[fi] = "calls " + e.Callee.Name() + ", which " + m.blocking[e.Callee]
-							changed = true
-							break
-						}
-					}
-				}
+	case *ast.RangeStmt:
+		if t := info.Types[n.X].Type; t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				return "ranges over a channel"
 			}
 		}
-	})
-	return m.blocking
-}
-
-// directCallBlocks reports why a single call blocks, "" if it does not
-// visibly block. Module callees are resolved by the fixpoint, not here.
-func directCallBlocks(info *types.Info, call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
+	case *ast.CallExpr:
+		fun, ok := n.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
 		if sel, ok := info.Selections[fun]; ok {
 			mfn, ok := sel.Obj().(*types.Func)
 			if !ok {
@@ -210,8 +188,8 @@ func directCallBlocks(info *types.Info, call *ast.CallExpr) string {
 			}
 			return ""
 		}
-		if pn, ok := info.Uses[identOf(fun.X)].(*types.PkgName); ok {
-			if blockingPkgFuncs[pn.Imported().Path()][fun.Sel.Name] {
+		if id, ok := fun.X.(*ast.Ident); ok {
+			if pn, ok := info.Uses[id].(*types.PkgName); ok && blockingPkgFuncs[pn.Imported().Path()][fun.Sel.Name] {
 				return "calls " + pn.Imported().Name() + "." + fun.Sel.Name
 			}
 		}
@@ -219,57 +197,92 @@ func directCallBlocks(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
+// blockReasons computes, to a fixpoint over the call graph, why each
+// module function blocks ("" when it does not): a direct reason in its
+// own body outside function literals and go statements, or a callee
+// that blocks.
+func blockReasons(mod *Module) map[*FuncInfo]string {
+	blocking := make(map[*FuncInfo]string)
+	for _, pkg := range mod.Pkgs {
+		for _, fi := range mod.Funcs(pkg) {
+			ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.FuncLit, *ast.GoStmt:
+					return false
+				}
+				if blocking[fi] == "" {
+					blocking[fi] = blocksDirectly(pkg.Info, n)
+				}
+				return blocking[fi] == ""
+			})
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, pkg := range mod.Pkgs {
+			for _, fi := range mod.Funcs(pkg) {
+				if blocking[fi] != "" {
+					continue
+				}
+				for _, callee := range fi.Callees() {
+					if r := blocking[callee]; r != "" {
+						blocking[fi] = "calls " + callee.Name() + ", which " + r
+						changed = true
+						break
+					}
+				}
+			}
+		}
+	}
+	return blocking
+}
+
 // lockAcquires computes, to a fixpoint, every mutex class each function
 // may acquire, directly or through static calls.
-func (m *Module) lockAcquires() map[*FuncInfo]map[string]bool {
-	m.acqOnce.Do(func() {
-		m.acquires = make(map[*FuncInfo]map[string]bool)
-		add := func(fi *FuncInfo, class string) bool {
-			set := m.acquires[fi]
-			if set == nil {
-				set = make(map[string]bool)
-				m.acquires[fi] = set
-			}
-			if set[class] {
-				return false
-			}
-			set[class] = true
-			return true
+func lockAcquires(mod *Module) map[*FuncInfo]map[string]bool {
+	acquires := make(map[*FuncInfo]map[string]bool)
+	add := func(fi *FuncInfo, class string) bool {
+		set := acquires[fi]
+		if set == nil {
+			set = make(map[string]bool)
+			acquires[fi] = set
 		}
-		for _, pkg := range m.Pkgs {
-			for _, fi := range m.Funcs(pkg) {
-				ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-					if _, ok := n.(*ast.FuncLit); ok {
-						return false
-					}
-					if call, ok := n.(*ast.CallExpr); ok {
-						if class, delta, ok := lockClassCall(pkg.Info, pkg.ImportPath, call); ok && delta > 0 {
-							add(fi, class)
-						}
-					}
-					return true
-				})
-			}
+		if set[class] {
+			return false
 		}
-		for changed := true; changed; {
-			changed = false
-			for _, pkg := range m.Pkgs {
-				for _, fi := range m.Funcs(pkg) {
-					for _, e := range fi.Edges() {
-						if e.Kind != EdgeCall || e.InFuncLit {
-							continue
-						}
-						for class := range m.acquires[e.Callee] {
-							if add(fi, class) {
-								changed = true
-							}
+		set[class] = true
+		return true
+	}
+	for _, pkg := range mod.Pkgs {
+		for _, fi := range mod.Funcs(pkg) {
+			ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+				if _, ok := n.(*ast.FuncLit); ok {
+					return false
+				}
+				if call, ok := n.(*ast.CallExpr); ok {
+					if class, delta, ok := lockClassCall(pkg.Info, pkg.ImportPath, call); ok && delta > 0 {
+						add(fi, class)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, pkg := range mod.Pkgs {
+			for _, fi := range mod.Funcs(pkg) {
+				for _, callee := range fi.Callees() {
+					for class := range acquires[callee] {
+						if add(fi, class) {
+							changed = true
 						}
 					}
 				}
 			}
 		}
-	})
-	return m.acquires
+	}
+	return acquires
 }
 
 // lockEdge is one observed acquisition ordering: to was locked (or
@@ -286,8 +299,8 @@ type lockEdge struct {
 // diagnostics.
 func computeLockOrder(mod *Module) map[*Package][]pending {
 	diags := make(map[*Package][]pending)
-	blocking := mod.blockReason()
-	acquires := mod.lockAcquires()
+	blocking := blockReasons(mod)
+	acquires := lockAcquires(mod)
 
 	edges := make(map[string]map[string]lockEdge)
 	addEdge := func(e lockEdge) {
@@ -305,10 +318,13 @@ func computeLockOrder(mod *Module) map[*Package][]pending {
 	}
 
 	for _, pkg := range mod.Pkgs {
+		heldAcross := func(pos token.Pos, what string, held map[string]bool) {
+			diags[pkg] = append(diags[pkg], pending{
+				pos: pos,
+				msg: fmt.Sprintf("%s while %s is held; release the mutex before blocking", what, shortClass(sortedKeys(held)[0])),
+			})
+		}
 		for _, fi := range mod.Funcs(pkg) {
-			if fi.Test {
-				continue // lockorder audits library code, not test scaffolding
-			}
 			w := &lockWalker{
 				info:    pkg.Info,
 				pkgPath: pkg.ImportPath,
@@ -317,18 +333,16 @@ func computeLockOrder(mod *Module) map[*Package][]pending {
 						addEdge(lockEdge{from: from, to: class, pos: pos, pkg: pkg})
 					}
 				},
-				onCall: func(call *ast.CallExpr, held map[string]bool) {
+				onOp: func(n ast.Node, held map[string]bool) {
 					if len(held) == 0 {
 						return
 					}
-					heldSorted := sortedKeys(held)
-					// Dynamic dial under a lock: invisible to
-					// mutex-across-block, fatal in the prototype.
-					if r := directCallBlocks(pkg.Info, call); r == "dials the transport" {
-						diags[pkg] = append(diags[pkg], pending{
-							pos: call.Pos(),
-							msg: fmt.Sprintf("transport dial while %s is held; release the mutex before any RPC", shortClass(heldSorted[0])),
-						})
+					if r := blocksDirectly(pkg.Info, n); r != "" {
+						heldAcross(n.Pos(), r, held)
+						return
+					}
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
 						return
 					}
 					callee := mod.StaticCallee(pkg.Info, call)
@@ -340,13 +354,8 @@ func computeLockOrder(mod *Module) map[*Package][]pending {
 							addEdge(lockEdge{from: from, to: to, pos: call.Pos(), pkg: pkg, via: callee.Name()})
 						}
 					}
-					if callee.Pkg != pkg {
-						if r := blocking[callee]; r != "" {
-							diags[pkg] = append(diags[pkg], pending{
-								pos: call.Pos(),
-								msg: fmt.Sprintf("call into %s, which %s, while %s is held; release the mutex before crossing packages", callee.Name(), r, shortClass(heldSorted[0])),
-							})
-						}
+					if r := blocking[callee]; r != "" {
+						heldAcross(call.Pos(), "calls "+callee.Name()+", which "+r+",", held)
 					}
 				},
 			}
@@ -356,8 +365,8 @@ func computeLockOrder(mod *Module) map[*Package][]pending {
 
 	// Cycle detection over the class graph: any edge whose endpoints
 	// reach each other participates in a deadlock-capable order.
-	for _, from := range sortedEdgeKeys(edges) {
-		for _, to := range sortedKeys(boolKeys(edges[from])) {
+	for _, from := range sortedKeys(edges) {
+		for _, to := range sortedKeys(edges[from]) {
 			if !classReaches(edges, to, from) {
 				continue
 			}
@@ -402,26 +411,9 @@ func classReaches(edges map[string]map[string]lockEdge, from, to string) bool {
 	return dfs(from)
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func boolKeys(m map[string]lockEdge) map[string]bool {
-	out := make(map[string]bool, len(m))
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
 	for k := range m {
-		out[k] = true
-	}
-	return out
-}
-
-func sortedEdgeKeys(edges map[string]map[string]lockEdge) []string {
-	out := make([]string, 0, len(edges))
-	for k := range edges {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -429,14 +421,13 @@ func sortedEdgeKeys(edges map[string]map[string]lockEdge) []string {
 }
 
 // lockWalker tracks the held-mutex class set through a function body in
-// source order, with the same branch-intersection bias as
-// mutex-across-block: a lock counts as held after a branch only when
-// every non-terminating path holds it.
+// source order. onLock sees every acquisition with the set held before
+// it; onOp sees every other call and every channel operation.
 type lockWalker struct {
 	info    *types.Info
 	pkgPath string
 	onLock  func(class string, pos token.Pos, held map[string]bool)
-	onCall  func(call *ast.CallExpr, held map[string]bool)
+	onOp    func(n ast.Node, held map[string]bool)
 }
 
 func (w *lockWalker) stmts(list []ast.Stmt, held map[string]bool) map[string]bool {
@@ -476,8 +467,10 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) map[string]bool {
 			w.stmts(lit.Body.List, map[string]bool{})
 		}
 	case *ast.SendStmt:
+		w.onOp(s, held)
 		w.scanExpr(s.Value, held)
 	case *ast.SelectStmt:
+		w.onOp(s, held)
 		for _, clause := range s.Body.List {
 			if cc, ok := clause.(*ast.CommClause); ok {
 				w.stmts(cc.Body, copySet(held))
@@ -527,6 +520,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) map[string]bool {
 		}
 		return w.stmts(s.Body.List, held)
 	case *ast.RangeStmt:
+		w.onOp(s, held)
 		w.scanExpr(s.X, held)
 		return w.stmts(s.Body.List, held)
 	case *ast.SwitchStmt:
@@ -553,8 +547,9 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) map[string]bool {
 	return held
 }
 
-// scanExpr visits calls inside an expression without descending into
-// function literals (their bodies run on another schedule).
+// scanExpr visits calls and receives inside an expression; function
+// literal bodies run on another schedule, so they start with nothing
+// held.
 func (w *lockWalker) scanExpr(e ast.Expr, held map[string]bool) {
 	if e == nil {
 		return
@@ -564,11 +559,72 @@ func (w *lockWalker) scanExpr(e ast.Expr, held map[string]bool) {
 		case *ast.FuncLit:
 			w.stmts(n.Body.List, map[string]bool{})
 			return false
+		case *ast.UnaryExpr:
+			w.onOp(n, held)
 		case *ast.CallExpr:
 			if _, _, isLock := lockClassCall(w.info, w.pkgPath, n); !isLock {
-				w.onCall(n, held)
+				w.onOp(n, held)
 			}
 		}
 		return true
 	})
+}
+
+type branch struct {
+	out        map[string]bool
+	terminates bool
+}
+
+// mergeBranches intersects the held sets of the branches that fall
+// through; if every branch terminates, the pre-branch state continues.
+func mergeBranches(pre map[string]bool, branches ...branch) map[string]bool {
+	var live []map[string]bool
+	for _, b := range branches {
+		if !b.terminates {
+			live = append(live, b.out)
+		}
+	}
+	if len(live) == 0 {
+		return pre
+	}
+	merged := copySet(live[0])
+	for key := range merged {
+		for _, other := range live[1:] {
+			if !other[key] {
+				delete(merged, key)
+				break
+			}
+		}
+	}
+	return merged
+}
+
+// terminates reports whether a statement list ends in a control transfer.
+func terminates(list []ast.Stmt) bool {
+	return len(list) > 0 && stmtTerminates(list[len(list)-1])
+}
+
+func stmtTerminates(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "panic"
+	case *ast.BlockStmt:
+		return terminates(s.List)
+	}
+	return false
+}
+
+func copySet(s map[string]bool) map[string]bool {
+	out := make(map[string]bool, len(s))
+	for k := range s {
+		out[k] = true
+	}
+	return out
 }

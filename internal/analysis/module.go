@@ -5,81 +5,30 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// This file is the whole-module facts layer: one shared, cached
-// cross-package call graph over every loaded package, plus the memoized
-// transitive facts (allocation, blocking, lock acquisition, taint) the
-// dataflow analyzers read. The per-function syntactic analyzers of PR 1
-// see one package at a time; hotalloc, lockorder, goleak and detflow all
-// need to follow calls across package boundaries, and they must not each
-// rebuild that graph, so Run constructs one Module per invocation and
-// every Pass shares it.
-
-// CallKind classifies a call-graph edge.
-type CallKind int
-
-const (
-	// EdgeCall is a direct static call: f(...) or recv.M(...).
-	EdgeCall CallKind = iota
-	// EdgeMethodValue is a method or function used as a value (x.M or f
-	// without a call): the target may run later on an unknown schedule,
-	// so reachability keeps the edge.
-	EdgeMethodValue
-	// EdgeGo is the callee of a go statement.
-	EdgeGo
-)
-
-// String renders the edge kind for diagnostics.
-func (k CallKind) String() string {
-	switch k {
-	case EdgeCall:
-		return "call"
-	case EdgeMethodValue:
-		return "method value"
-	case EdgeGo:
-		return "go"
-	default:
-		return fmt.Sprintf("CallKind(%d)", int(k))
-	}
-}
-
-// CallEdge is one resolved call-graph edge to a module function.
-type CallEdge struct {
-	Callee *FuncInfo
-	Pos    token.Pos
-	Kind   CallKind
-	// InFuncLit marks edges textually inside a function literal of the
-	// caller: they run on the closure's schedule, not the caller's, so
-	// straight-line analyses (hotalloc, lockorder) skip them while
-	// reachability analyses may keep them.
-	InFuncLit bool
-}
+// This file is the whole-module call graph: every declared function of
+// the loaded packages, with its direct static calls resolved across
+// package boundaries. lockorder follows it to learn which functions
+// block and which mutexes they take; Run builds one Module per
+// invocation and every Pass shares it.
 
 // FuncInfo is one declared function or method of the module.
 type FuncInfo struct {
 	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// Test marks functions declared in _test.go files.
-	Test bool
-	// Hot marks functions annotated // lint:hotpath in their doc
-	// comment; hotalloc requires them transitively allocation-free.
-	Hot bool
-	// Cold marks functions annotated // lint:coldpath: a documented
-	// boundary where hotalloc stops descending (telemetry sinks, error
-	// formatting) because the steady-state benchmark never enters them.
-	Cold bool
 
-	edges []CallEdge
+	callees []*FuncInfo
 }
 
-// Edges returns the function's outgoing resolved call edges in source
-// order.
-func (f *FuncInfo) Edges() []CallEdge { return f.edges }
+// Callees returns the module functions the body calls directly, in
+// source order. Calls inside function literals and the callee of a go
+// statement run on another schedule and are left out, as are method
+// values and dynamic calls (interface methods, function values).
+func (f *FuncInfo) Callees() []*FuncInfo { return f.callees }
 
 // Name renders the function qualified enough for a diagnostic:
 // "pkgbase.Func" or "pkgbase.(Recv).Method".
@@ -108,216 +57,67 @@ type pending struct {
 	msg string
 }
 
-// emitPending reports a package's share of module-computed diagnostics.
-func emitPending(pass *Pass, byPkg map[*Package][]pending) {
-	for _, d := range byPkg[pass.Pkg] {
-		pass.Reportf(d.pos, "%s", d.msg)
-	}
-}
-
-// Module is the shared facts layer over every package of one Run.
+// Module is the shared call graph over every package of one Run.
 type Module struct {
 	Pkgs []*Package
-	Fset *token.FileSet
 
 	funcs map[*types.Func]*FuncInfo
 	byPkg map[*Package][]*FuncInfo // source order within each package
 
-	// Analyzer caches, each computed once per Run on first use.
-	hotOnce   sync.Once
-	hotDiags  map[*Package][]pending
 	lockOnce  sync.Once
 	lockDiags map[*Package][]pending
-	detOnce   sync.Once
-	detFacts  *detFacts
-
-	blockOnce sync.Once
-	blocking  map[*FuncInfo]string // why the function blocks, "" absent
-	acqOnce   sync.Once
-	acquires  map[*FuncInfo]map[string]bool // transitively locked classes
 }
 
-// hotpathMarker and coldpathMarker start the hot-path annotation
-// comments. The contract (DESIGN §10): every function whose doc comment
-// carries `// lint:hotpath <why>` must be transitively allocation-free
-// on its steady-state success path, checked by the hotalloc analyzer;
-// `// lint:coldpath <why>` declares a boundary the steady state never
-// crosses, stopping the traversal there.
-const (
-	hotpathMarker  = "lint:hotpath"
-	coldpathMarker = "lint:coldpath"
-)
-
-// NewModule indexes the packages' function declarations and builds the
-// resolved call graph.
+// NewModule indexes the packages' function declarations and resolves
+// their direct calls.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:  pkgs,
 		funcs: make(map[*types.Func]*FuncInfo),
 		byPkg: make(map[*Package][]*FuncInfo),
 	}
-	if len(pkgs) > 0 {
-		m.Fset = pkgs[0].Fset
-	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			m.indexFile(pkg, f, false)
-		}
-		for _, f := range pkg.TestFiles {
-			m.indexFile(pkg, f, true)
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg}
+				m.funcs[obj] = fi
+				m.byPkg[pkg] = append(m.byPkg[pkg], fi)
+			}
 		}
 	}
-	for _, pkg := range pkgs {
-		for _, fi := range m.byPkg[pkg] {
-			m.buildEdges(fi)
+	for _, fis := range m.byPkg {
+		for _, fi := range fis {
+			m.resolveCallees(fi)
 		}
 	}
 	return m
 }
 
-// indexFile registers one file's function declarations.
-func (m *Module) indexFile(pkg *Package, f *ast.File, test bool) {
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		fi := &FuncInfo{
-			Obj: obj, Decl: fd, Pkg: pkg, Test: test,
-			Hot:  hasMarker(fd, hotpathMarker),
-			Cold: hasMarker(fd, coldpathMarker),
-		}
-		m.funcs[obj] = fi
-		m.byPkg[pkg] = append(m.byPkg[pkg], fi)
-	}
-}
-
-// hasMarker reports whether the declaration's doc comment carries the
-// given annotation marker.
-func hasMarker(fd *ast.FuncDecl, marker string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"))
-		if text == marker || strings.HasPrefix(text, marker+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// FuncOf returns the module's info for a function object, nil for
-// functions outside the module (stdlib, interface methods).
-func (m *Module) FuncOf(obj *types.Func) *FuncInfo {
-	if obj == nil {
-		return nil
-	}
-	return m.funcs[obj]
-}
-
 // Funcs returns the package's declared functions in source order.
 func (m *Module) Funcs(pkg *Package) []*FuncInfo { return m.byPkg[pkg] }
 
-// posRange is a half-open source interval.
-type posRange struct{ lo, hi token.Pos }
-
-// funcLitRanges collects the source extents of every function literal in
-// the body, so edge construction can mark deferred-schedule edges.
-func funcLitRanges(body *ast.BlockStmt) []posRange {
-	var ranges []posRange
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			ranges = append(ranges, posRange{lit.Pos(), lit.End()})
-		}
-		return true
-	})
-	return ranges
-}
-
-func inRanges(ranges []posRange, pos token.Pos) bool {
-	for _, r := range ranges {
-		if r.lo <= pos && pos < r.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// buildEdges resolves the function's static calls, go spawns and
-// method/function values into call-graph edges.
-func (m *Module) buildEdges(fi *FuncInfo) {
-	info := fi.Pkg.Info
-	lits := funcLitRanges(fi.Decl.Body)
-
-	// Classify expression roles first so a SelectorExpr or Ident that is
-	// the Fun of a call is not double-counted as a value edge.
-	funNodes := make(map[ast.Expr]bool)
-	goNodes := make(map[ast.Expr]bool)
-	selSels := make(map[*ast.Ident]bool)
+// resolveCallees records the function's direct calls to module
+// functions, skipping go statements and function literals.
+func (m *Module) resolveCallees(fi *FuncInfo) {
+	spawned := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			funNodes[n.Fun] = true
+		case *ast.FuncLit:
+			return false
 		case *ast.GoStmt:
-			goNodes[n.Call.Fun] = true
-		case *ast.SelectorExpr:
-			selSels[n.Sel] = true
-		}
-		return true
-	})
-
-	addEdge := func(obj *types.Func, pos token.Pos, kind CallKind) {
-		callee := m.FuncOf(obj)
-		if callee == nil {
-			return
-		}
-		fi.edges = append(fi.edges, CallEdge{
-			Callee:    callee,
-			Pos:       pos,
-			Kind:      kind,
-			InFuncLit: inRanges(lits, pos),
-		})
-	}
-
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			obj, ok := info.Uses[n.Sel].(*types.Func)
-			if !ok {
-				return true
+			spawned[n.Call] = true
+		case *ast.CallExpr:
+			if callee := m.StaticCallee(fi.Pkg.Info, n); callee != nil && !spawned[n] {
+				fi.callees = append(fi.callees, callee)
 			}
-			switch {
-			case goNodes[ast.Expr(n)]:
-				addEdge(obj, n.Pos(), EdgeGo)
-			case funNodes[ast.Expr(n)]:
-				addEdge(obj, n.Pos(), EdgeCall)
-			default:
-				addEdge(obj, n.Pos(), EdgeMethodValue)
-			}
-			return true
-		case *ast.Ident:
-			// Selector targets are handled on their SelectorExpr above.
-			if selSels[n] {
-				return true
-			}
-			obj, ok := info.Uses[n].(*types.Func)
-			if !ok {
-				return true
-			}
-			switch {
-			case goNodes[ast.Expr(n)]:
-				addEdge(obj, n.Pos(), EdgeGo)
-			case funNodes[ast.Expr(n)]:
-				addEdge(obj, n.Pos(), EdgeCall)
-			default:
-				addEdge(obj, n.Pos(), EdgeMethodValue)
-			}
-			return true
 		}
 		return true
 	})
@@ -327,31 +127,8 @@ func (m *Module) buildEdges(fi *FuncInfo) {
 // when the target is dynamic (interface method, function value) or
 // outside the module.
 func (m *Module) StaticCallee(info *types.Info, call *ast.CallExpr) *FuncInfo {
-	return m.FuncOf(calleeFunc(info, call))
-}
-
-// Reachable walks the call graph from the roots over edges selected by
-// keep and returns every function reached (roots included), in
-// deterministic order.
-func (m *Module) Reachable(roots []*FuncInfo, keep func(CallEdge) bool) []*FuncInfo {
-	seen := make(map[*FuncInfo]bool)
-	var out []*FuncInfo
-	var visit func(fi *FuncInfo)
-	visit = func(fi *FuncInfo) {
-		if seen[fi] {
-			return
-		}
-		seen[fi] = true
-		out = append(out, fi)
-		for _, e := range fi.edges {
-			if keep == nil || keep(e) {
-				visit(e.Callee)
-			}
-		}
+	if fn := calleeFunc(info, call); fn != nil {
+		return m.funcs[fn]
 	}
-	for _, r := range roots {
-		visit(r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
-	return out
+	return nil
 }

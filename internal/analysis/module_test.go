@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -31,8 +30,18 @@ func findFunc(t *testing.T, mod *Module, pkgs []*Package, name string) *FuncInfo
 	return nil
 }
 
-// TestCallGraphMutualRecursion checks that edge construction and
-// reachability terminate on a call cycle and record both directions.
+func calls(from, to *FuncInfo) bool {
+	for _, c := range from.Callees() {
+		if c == to {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCallGraphMutualRecursion checks that call resolution records both
+// directions of a call cycle, and that the blocking fixpoint over it
+// terminates.
 func TestCallGraphMutualRecursion(t *testing.T) {
 	pkgs := loadTemp(t, map[string]string{
 		"go.mod": "module tmpfix\n\ngo 1.24\n",
@@ -54,24 +63,21 @@ func Pong(n int) {
 	mod := NewModule(pkgs)
 	ping := findFunc(t, mod, pkgs, "lib.Ping")
 	pong := findFunc(t, mod, pkgs, "lib.Pong")
-	if !hasEdge(ping, pong, EdgeCall) {
-		t.Errorf("Ping -> Pong edge missing: %v", ping.Edges())
+	if !calls(ping, pong) {
+		t.Errorf("Ping -> Pong edge missing: %v", ping.Callees())
 	}
-	if !hasEdge(pong, ping, EdgeCall) {
-		t.Errorf("Pong -> Ping edge missing: %v", pong.Edges())
+	if !calls(pong, ping) {
+		t.Errorf("Pong -> Ping edge missing: %v", pong.Callees())
 	}
-	reached := mod.Reachable([]*FuncInfo{ping}, func(CallEdge) bool { return true })
-	names := make(map[string]bool)
-	for _, fi := range reached {
-		names[fi.Name()] = true
-	}
-	if !names["lib.Ping"] || !names["lib.Pong"] {
-		t.Errorf("reachability over the cycle lost a node: %v", names)
+	if r := blockReasons(mod); r[ping] != "" || r[pong] != "" {
+		t.Errorf("a pure call cycle does not block: %v", r)
 	}
 }
 
-// TestCallGraphMethodValueAndGoEdges checks the edge kinds: a method
-// used as a value, a direct method call, and a go-statement callee.
+// TestCallGraphMethodValueAndGoEdges checks what counts as a call: a
+// direct method call does; a method used as a value, the callee of a go
+// statement and a call inside a function literal run on another schedule
+// and do not.
 func TestCallGraphMethodValueAndGoEdges(t *testing.T) {
 	pkgs := loadTemp(t, map[string]string{
 		"go.mod": "module tmpfix\n\ngo 1.24\n",
@@ -83,147 +89,47 @@ func (T) M() {}
 
 func Worker() {}
 
+func Later() {}
+
 func Use(t T) {
 	f := t.M
 	f()
-	t.M()
 	go Worker()
+	defer func() { Later() }()
+}
+
+func Direct(t T) {
+	t.M()
 }
 `,
 	})
 	mod := NewModule(pkgs)
 	use := findFunc(t, mod, pkgs, "lib.Use")
+	direct := findFunc(t, mod, pkgs, "lib.Direct")
 	m := findFunc(t, mod, pkgs, "lib.(T).M")
-	worker := findFunc(t, mod, pkgs, "lib.Worker")
-	if !hasEdge(use, m, EdgeMethodValue) {
-		t.Errorf("Use -> T.M method-value edge missing: %v", use.Edges())
+	if len(use.Callees()) != 0 {
+		t.Errorf("method value, go callee and closure call must not be edges: %v", use.Callees())
 	}
-	if !hasEdge(use, m, EdgeCall) {
-		t.Errorf("Use -> T.M direct-call edge missing: %v", use.Edges())
-	}
-	if !hasEdge(use, worker, EdgeGo) {
-		t.Errorf("Use -> Worker go edge missing: %v", use.Edges())
+	if !calls(direct, m) {
+		t.Errorf("Direct -> T.M call edge missing: %v", direct.Callees())
 	}
 }
 
-func hasEdge(from, to *FuncInfo, kind CallKind) bool {
-	for _, e := range from.Edges() {
-		if e.Callee == to && e.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
-// hotSrc builds a lint:hotpath function whose body is the given
-// statements, for the hotalloc regression pair below.
-func hotSrc(body string) string {
-	return `package lib
-
-// lint:hotpath regression fixture
-func Hot(buf []int, n int) int {
-` + body + `
-}
-`
-}
-
-// TestHotAllocRegression is the acceptance-criteria regression pair:
-// the annotated hot path is clean as written, and introducing a single
-// allocation into it makes hotalloc fail.
-func TestHotAllocRegression(t *testing.T) {
-	clean := loadTemp(t, map[string]string{
-		"go.mod":     "module tmpfix\n\ngo 1.24\n",
-		"lib/lib.go": hotSrc("	return n*2 + len(buf)"),
+// TestLoadSkipsTestFiles checks that _test.go files never reach the
+// analyzers: an in-package test file is not parsed into its package, and
+// a directory holding only test files is no package at all.
+func TestLoadSkipsTestFiles(t *testing.T) {
+	pkgs := loadTemp(t, map[string]string{
+		"go.mod":          "module tmpfix\n\ngo 1.24\n",
+		"lib/lib.go":      "package lib\n\nfunc Add(a, b int) int { return a + b }\n",
+		"lib/lib_test.go": "package lib\n\nfunc broken() { panic(undefined) }\n",
+		"only/x_test.go":  "package only_test\n",
 	})
-	if diags := Run(clean, []*Analyzer{HotAlloc}); len(diags) != 0 {
-		t.Fatalf("clean hot path must not be flagged, got %v", diags)
+	if len(pkgs) != 1 || pkgs[0].ImportPath != "tmpfix/lib" || len(pkgs[0].Files) != 1 {
+		t.Fatalf("want only tmpfix/lib with one file, got %v", pkgs)
 	}
-	broken := loadTemp(t, map[string]string{
-		"go.mod":     "module tmpfix\n\ngo 1.24\n",
-		"lib/lib.go": hotSrc("	tmp := make([]int, n)\n	return len(tmp)"),
-	})
-	diags := Run(broken, []*Analyzer{HotAlloc})
-	if len(diags) != 1 {
-		t.Fatalf("introduced allocation must yield exactly one finding, got %v", diags)
-	}
-	d := diags[0]
-	if d.Analyzer != "hotalloc" || !strings.Contains(d.Message, "hot path") {
-		t.Errorf("want a hotalloc hot-path finding, got %s", d)
-	}
-	if d.Pos.Line != 5 {
-		t.Errorf("finding should sit on the make line (5), got line %d", d.Pos.Line)
-	}
-}
-
-// TestLoadModuleWithTests checks the -tests loader path: in-package
-// test files merge into their package, external test packages load as
-// ForTest, and neither appears in a default load.
-func TestLoadModuleWithTests(t *testing.T) {
-	files := map[string]string{
-		"go.mod": "module tmpfix\n\ngo 1.24\n",
-		"lib/lib.go": `package lib
-
-func Add(a, b int) int { return a + b }
-`,
-		"lib/lib_test.go": `package lib
-
-import "testing"
-
-func TestAdd(t *testing.T) {
-	if Add(1, 2) != 3 {
-		t.Fatal("bad add")
-	}
-}
-`,
-		"lib/ext_test.go": `package lib_test
-
-import (
-	"testing"
-
-	"tmpfix/lib"
-)
-
-func TestAddExt(t *testing.T) {
-	if lib.Add(2, 2) != 4 {
-		t.Fatal("bad add")
-	}
-}
-`,
-	}
-	dir := writeModule(t, files)
-
-	plain, err := LoadModule(dir)
-	if err != nil {
-		t.Fatalf("default load: %v", err)
-	}
-	for _, pkg := range plain {
-		if len(pkg.TestFiles) != 0 || pkg.ForTest {
-			t.Errorf("default load must skip test files, got %s with %d test files (forTest=%v)",
-				pkg.ImportPath, len(pkg.TestFiles), pkg.ForTest)
-		}
-	}
-
-	withTests, err := LoadModuleWith(dir, LoadOptions{Tests: true})
-	if err != nil {
-		t.Fatalf("load with tests: %v", err)
-	}
-	var sawInPkg, sawExt bool
-	for _, pkg := range withTests {
-		if pkg.ImportPath == "tmpfix/lib" && len(pkg.TestFiles) == 1 {
-			sawInPkg = true
-		}
-		if pkg.ForTest && pkg.ImportPath == "tmpfix/lib" && pkg.Name == "lib_test" {
-			sawExt = true
-		}
-	}
-	if !sawInPkg {
-		t.Errorf("in-package test file not merged into tmpfix/lib")
-	}
-	if !sawExt {
-		t.Errorf("external test package lib_test not loaded as ForTest")
-	}
-	if diags := Run(withTests, All()); len(diags) != 0 {
-		t.Errorf("clean test module must produce no diagnostics, got %v", diags)
+	if diags := Run(pkgs, All()); len(diags) != 0 {
+		t.Errorf("want no diagnostics, got %v", diags)
 	}
 }
 
@@ -238,47 +144,15 @@ func TestModulePathErrors(t *testing.T) {
 	}
 }
 
-// TestLoadSkipsExcludedBuildTags checks that mutually exclusive
-// build-tagged files (//go:build race vs !race) do not collide when the
-// loader type-checks test files.
-func TestLoadSkipsExcludedBuildTags(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module tmpfix\n\ngo 1.24\n",
-		"lib/lib.go": `package lib
-
-func Enabled() bool { return raceEnabled }
-`,
-		"lib/race.go": `//go:build race
-
-package lib
-
-const raceEnabled = true
-`,
-		"lib/norace.go": `//go:build !race
-
-package lib
-
-const raceEnabled = false
-`,
-	})
-	pkgs, err := LoadModule(dir)
-	if err != nil {
-		t.Fatalf("build-tagged variants must not collide: %v", err)
-	}
-	if diags := Run(pkgs, All()); len(diags) != 0 {
-		t.Errorf("want no diagnostics, got %v", diags)
-	}
-}
-
 // TestByName checks CLI analyzer selection: valid comma lists resolve,
 // unknown or empty selections error.
 func TestByName(t *testing.T) {
-	as, err := ByName("hotalloc, goleak")
+	as, err := ByName("lockorder, determinism")
 	if err != nil {
 		t.Fatalf("valid selection: %v", err)
 	}
-	if len(as) != 2 || as[0].Name != "hotalloc" || as[1].Name != "goleak" {
-		t.Errorf("want [hotalloc goleak], got %v", as)
+	if len(as) != 2 || as[0].Name != "lockorder" || as[1].Name != "determinism" {
+		t.Errorf("want [lockorder determinism], got %v", as)
 	}
 	if _, err := ByName("no-such-analyzer"); err == nil {
 		t.Error("unknown analyzer must error")
@@ -290,16 +164,18 @@ func TestByName(t *testing.T) {
 
 // TestRenderers pins the human-readable forms used in diagnostics.
 func TestRenderers(t *testing.T) {
-	kinds := map[CallKind]string{EdgeCall: "call", EdgeMethodValue: "method value", EdgeGo: "go", CallKind(99): "CallKind(99)"}
-	for k, want := range kinds {
-		if got := k.String(); got != want {
-			t.Errorf("CallKind(%d).String() = %q, want %q", int(k), got, want)
-		}
-	}
-	d := Diagnostic{Analyzer: "hotalloc", Message: "boom"}
+	d := Diagnostic{Analyzer: "lockorder", Message: "boom"}
 	d.Pos.Filename, d.Pos.Line, d.Pos.Column = "x.go", 3, 7
-	if got := d.String(); got != "x.go:3:7: [hotalloc] boom" {
+	if got := d.String(); got != "x.go:3:7: [lockorder] boom" {
 		t.Errorf("Diagnostic.String() = %q", got)
+	}
+	for class, want := range map[string]string{
+		"repro/internal/registry.Registry.mu": "registry.Registry.mu",
+		"repro/internal/lib:n.mu":             "lib:n.mu",
+	} {
+		if got := shortClass(class); got != want {
+			t.Errorf("shortClass(%q) = %q, want %q", class, got, want)
+		}
 	}
 }
 

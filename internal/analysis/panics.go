@@ -22,8 +22,8 @@ func runPanicInLibrary(pass *Pass) {
 	if pass.Pkg.Name == "main" {
 		return
 	}
-	info := pass.TypesInfo()
-	for _, f := range pass.Files() {
+	info := pass.Pkg.Info
+	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

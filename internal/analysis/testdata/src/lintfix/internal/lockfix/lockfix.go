@@ -41,7 +41,7 @@ func Nested(a *A, b *B) {
 }
 
 // CrossPkg holds a mutex across a call into another package that
-// blocks — invisible to the per-function mutex analyzer.
+// blocks.
 func CrossPkg(a *A, ch chan int) {
 	a.mu.Lock()
 	lockdep.Wait(ch) // want lockorder
@@ -156,5 +156,95 @@ func Branchy(a *A, ok bool) {
 		return
 	} else {
 		a.mu.Unlock()
+	}
+}
+
+// D and E form a cycle whose second half hides inside a helper.
+type D struct{ mu sync.Mutex }
+type E struct{ mu sync.Mutex }
+
+func lockD(d *D) {
+	d.mu.Lock()
+	d.mu.Unlock()
+}
+
+func DThenE(d *D, e *E) {
+	d.mu.Lock()
+	e.mu.Lock() // want lockorder
+	e.mu.Unlock()
+	d.mu.Unlock()
+}
+
+func EThenD(e *E, d *D) {
+	e.mu.Lock()
+	lockD(d) // want lockorder
+	e.mu.Unlock()
+}
+
+// Fake has a Lock method that is not a sync mutex: no lock is held.
+type Fake struct{}
+
+func (Fake) Lock() {}
+
+func FakeLocked(f Fake, ch chan int) {
+	f.Lock()
+	ch <- 1
+}
+
+// LocalLocked blocks under a function-local mutex.
+func LocalLocked(ch chan int) {
+	var mu sync.Mutex
+	mu.Lock()
+	ch <- 1 // want lockorder
+	mu.Unlock()
+}
+
+// Shapes carries the lock through every statement form the walker
+// follows and blocks once at the end: that select is the only finding,
+// so no form above lost the lock or reported a false one.
+func Shapes(a *A, c *C, ch chan int, x any, n int, ok bool) {
+	a.mu.Lock()
+	var v = n + 1
+	if w := v * 2; w > n {
+		v = w
+	} else if w < 0 {
+		v = -w
+	}
+	if ok {
+		c.mu.Lock()
+	} else {
+		c.mu.Lock()
+		c.mu.Unlock()
+	}
+	for i := 0; i < n; i++ {
+		v += i
+	}
+	switch k := v % 3; k {
+	case 0:
+		v++
+	}
+	switch x.(type) {
+	case int:
+		v--
+	}
+outer:
+	for range []int{v} {
+		break outer
+	}
+	go func() { ch <- v }()
+	go lockdep.Wait(ch)
+	f := func() { <-ch }
+	defer lockdep.Wait(ch)
+	select { // want lockorder
+	case <-ch:
+		f()
+	default:
+	}
+	if ok {
+		a.mu.Unlock()
+		return
+	} else {
+		a.mu.Unlock()
+		panic("unreachable") // lint:allow panic-in-library fixture: a panic-terminated branch
 	}
 }

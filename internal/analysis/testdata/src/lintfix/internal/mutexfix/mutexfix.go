@@ -1,4 +1,6 @@
-// Package mutexfix is a fixture for the mutex-across-block analyzer.
+// Package mutexfix is a fixture for lockorder's in-package cases: a
+// channel operation under a lock, and a call under a lock to a helper of
+// the same package that blocks.
 package mutexfix
 
 import "sync"
@@ -13,8 +15,15 @@ type Node struct {
 // Bad sends on a channel with the lock held.
 func (n *Node) Bad() {
 	n.mu.Lock()
-	n.ch <- 1 // want mutex-across-block
+	n.ch <- 1 // want lockorder
 	n.mu.Unlock()
+}
+
+// BadRecv receives with the lock held.
+func (n *Node) BadRecv() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return <-n.ch // want lockorder
 }
 
 // BadViaHelper blocks indirectly: send is a package-local function that
@@ -22,7 +31,7 @@ func (n *Node) Bad() {
 func (n *Node) BadViaHelper() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.send() // want mutex-across-block
+	n.send() // want lockorder
 }
 
 func (n *Node) send() {
@@ -34,6 +43,13 @@ func (n *Node) Good() {
 	n.mu.Lock()
 	n.mu.Unlock()
 	n.ch <- 3
+}
+
+// GoodViaHelper releases the lock before calling the blocking helper.
+func (n *Node) GoodViaHelper() {
+	n.mu.Lock()
+	n.mu.Unlock()
+	n.send()
 }
 
 // GoodDefer holds the lock across straight-line code only.

@@ -45,3 +45,25 @@ func BenchmarkQCS(b *testing.B) {
 		}
 	}
 }
+
+// TestQCSSteadyStateAllocs pins QCS's allocation budget in steady state
+// at the count measured when it was set, so one added allocation fails:
+// with the memo and scratch warm, the only allocations are the composed
+// instance slice and the Path record that escape to the caller.
+func TestQCSSteadyStateAllocs(t *testing.T) {
+	layers := benchLayers()
+	cfg := Config{
+		Weights: []float64{1.0 / 3, 1.0 / 3, 1.0 / 3},
+		Memo:    NewMemo(),
+		Scratch: NewScratch(),
+	}
+	const budget = 2
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := QCS(layers, userA, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > budget {
+		t.Fatalf("steady-state QCS allocates %.1f/op, budget %d", avg, budget)
+	}
+}

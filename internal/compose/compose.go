@@ -89,7 +89,6 @@ func (s *Scratch) ensurePerms(k int) {
 
 func (c *Config) fillDefaults() {
 	if len(c.Weights) == 0 {
-		// lint:allow hotalloc zero-value config defaulting; the aggregator holds one persistent config, so the steady state skips this
 		c.Weights = []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
 	}
 	if c.RMax == 0 {
@@ -198,7 +197,6 @@ func validateLayers(layers [][]*service.Instance) error {
 // cfg.Scratch set the node graph and priority queue live in reused
 // buffers; with cfg.Memo set the compatibility checks are served from the
 // memo — neither changes the result.
-// lint:hotpath QCS relaxation is the per-request inner loop; Scratch/Memo exist so it stays allocation-free
 func QCS(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path, error) {
 	if err := validateLayers(layers); err != nil {
 		return nil, err
@@ -208,7 +206,6 @@ func QCS(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path, e
 
 	sc := cfg.Scratch
 	if sc == nil {
-		// lint:allow hotalloc fallback for callers without a Scratch; the steady-state bench always supplies one
 		sc = &Scratch{}
 	}
 	total := 0
@@ -218,12 +215,10 @@ func QCS(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path, e
 	// Size the slab before taking node pointers: the graph must not grow
 	// (and relocate) once *node handles exist.
 	if cap(sc.slab) < total {
-		// lint:allow hotalloc grow-once slab warm-up; amortizes to zero once sized for the topology
 		sc.slab = make([]node, total)
 	}
 	sc.slab = sc.slab[:total]
 	if cap(sc.off) < len(layers) {
-		// lint:allow hotalloc grow-once warm-up; amortizes to zero once sized
 		sc.off = make([]int, len(layers))
 	}
 	sc.off = sc.off[:len(layers)]
@@ -261,12 +256,10 @@ func QCS(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path, e
 		cur.settled = true
 		if cur.layer == 0 {
 			// First settled source instance: shortest aggregated cost.
-			// lint:allow hotalloc the composed path is the one output allocation per request, inside the 21 allocs/op budget
 			out := make([]*service.Instance, 0, len(layers))
 			for n := cur; n != nil; n = n.parent {
 				out = append(out, layers[n.layer][n.idx])
 			}
-			// lint:allow hotalloc one Path record per composed request, inside the budget
 			return &Path{Instances: out, Cost: cur.dist}, nil
 		}
 		curInst := layers[cur.layer][cur.idx]
@@ -306,7 +299,6 @@ func backtrack(layers [][]*service.Instance, userQoS qos.Vector, memo *Memo,
 	if layer < 0 {
 		return true
 	}
-	// lint:allow hotalloc strategy callback installed by the composer; its literal is flagged and justified at its creation site
 	for _, i := range order(layer, len(layers[layer])) {
 		cand := layers[layer][i]
 		if layer == len(layers)-1 {
@@ -334,13 +326,10 @@ func Random(layers [][]*service.Instance, userQoS qos.Vector, rng *xrand.Source,
 	cfg.fillDefaults()
 	sc := cfg.Scratch
 	if sc == nil {
-		// lint:allow hotalloc baseline composer; only QCS is the allocation-tuned path
 		sc = &Scratch{}
 	}
 	sc.ensurePerms(len(layers))
-	// lint:allow hotalloc baseline composer allocates its result by design; only QCS is the allocation-tuned path
 	chosen := make([]*service.Instance, len(layers))
-	// lint:allow hotalloc permutation callback closure; baseline composer is outside the tuned budget
 	ok := backtrack(layers, userQoS, cfg.Memo, chosen, len(layers)-1, func(layer, n int) []int {
 		sc.perms[layer] = rng.PermInto(sc.perms[layer], n)
 		return sc.perms[layer]
@@ -348,7 +337,6 @@ func Random(layers [][]*service.Instance, userQoS qos.Vector, rng *xrand.Source,
 	if !ok {
 		return nil, ErrNoConsistentPath
 	}
-	// lint:allow hotalloc baseline composer result record
 	return &Path{Instances: chosen, Cost: cfg.PathCost(chosen)}, nil
 }
 
@@ -363,13 +351,10 @@ func Fixed(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path,
 	cfg.fillDefaults()
 	sc := cfg.Scratch
 	if sc == nil {
-		// lint:allow hotalloc baseline composer; only QCS is the allocation-tuned path
 		sc = &Scratch{}
 	}
 	sc.ensurePerms(len(layers))
-	// lint:allow hotalloc baseline composer allocates its result by design; only QCS is the allocation-tuned path
 	chosen := make([]*service.Instance, len(layers))
-	// lint:allow hotalloc index-order callback closure; baseline composer is outside the tuned budget
 	ok := backtrack(layers, userQoS, cfg.Memo, chosen, len(layers)-1, func(layer, n int) []int {
 		p := sc.perms[layer]
 		if cap(p) < n {
@@ -385,6 +370,5 @@ func Fixed(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path,
 	if !ok {
 		return nil, ErrNoConsistentPath
 	}
-	// lint:allow hotalloc baseline composer result record
 	return &Path{Instances: chosen, Cost: cfg.PathCost(chosen)}, nil
 }

@@ -97,8 +97,6 @@ func (q *AdmitQueue) QueueLen() int { return len(q.queue) }
 //
 // The uncontended path (a free worker slot) is two integer compares
 // and an increment — the zero-allocation fast path ci.sh gates on.
-//
-// lint:hotpath admission decision runs per serving request
 func (q *AdmitQueue) Offer(priority int, dtolerant bool) (d AdmitDecision, item AdmitItem, evicted AdmitItem, hasEvict bool) {
 	if q.active < q.workers {
 		q.active++

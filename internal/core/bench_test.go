@@ -128,15 +128,17 @@ func BenchmarkAggregate(b *testing.B) {
 	}
 }
 
-// TestAggregateSteadyStateAllocs pins the allocation budget of the
-// steady-state request pipeline. The pre-optimization pipeline spent 124
-// allocations per admitted request on discovery slices, Dijkstra nodes,
-// provider sets and probe measurement vectors; the epoch cache, the node
-// slab, the reused provider buffers and the recycled measurement vectors
-// take that to ~21 (what remains is the session object, the composed
-// path, and the completion event — state that legitimately escapes the
-// request). The budget of 24 keeps a little headroom while still
-// guaranteeing the ≥80% reduction the performance plane promises.
+// TestAggregateSteadyStateAllocs pins the allocation budgets of the
+// aggregator's per-event entry points in steady state, each at the count
+// measured when it was set, so one added allocation fails the gate. The
+// pre-optimization pipeline spent 124 allocations per admitted request on
+// discovery slices, Dijkstra nodes, provider sets and probe measurement
+// vectors; the epoch cache, the node slab, the reused provider buffers
+// and the recycled measurement vectors take Aggregate to 21 (what
+// remains is the session object, the composed path, and the completion
+// event — state that legitimately escapes the request). Recover runs
+// once per departed host across every live session; its four
+// allocations grow the candidate list it collects (8 providers).
 func TestAggregateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -147,12 +149,26 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		aggregateOnce(t, agg, engine, req, &now) // reach buffer high-water marks
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		aggregateOnce(t, agg, engine, req, &now)
-	})
-	const budget = 24
-	if avg > budget {
-		t.Fatalf("steady-state Aggregate allocates %.1f/op, budget %d", avg, budget)
+	sess, err := agg.Aggregate(99, req, now, StrategyQSA)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("steady-state Aggregate: %.1f allocs/op (budget %d)", avg, budget)
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"Recover", 4, func() {
+			if _, ok := agg.Recover(sess, 1, now); !ok {
+				t.Fatal("no replacement for a live session's middle hop")
+			}
+		}},
+		{"Aggregate", 21, func() { aggregateOnce(t, agg, engine, req, &now) }},
+	} {
+		avg := testing.AllocsPerRun(200, c.run)
+		if avg > c.budget {
+			t.Errorf("steady-state %s allocates %.1f/op, budget %g", c.name, avg, c.budget)
+		}
+		t.Logf("steady-state %s: %.1f allocs/op (budget %g)", c.name, avg, c.budget)
+	}
 }

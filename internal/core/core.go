@@ -261,7 +261,6 @@ func (a *Aggregator) discoverInto(d *Discovery, user topology.PeerID, path []ser
 	d.Layers = d.Layers[:len(path)]
 	d.Entries = d.Entries[:len(path)]
 	if d.byInst == nil {
-		// lint:allow hotalloc first-call initialization; the map is cleared and reused on every later request
 		d.byInst = make(map[*service.Instance]*registry.InstanceEntry)
 	} else {
 		clear(d.byInst)
@@ -305,7 +304,6 @@ func (d *Discovery) Providers(k int, inst *service.Instance, now float64, dst []
 // Aggregate runs the full pipeline for one request. On success it returns
 // the admitted session; on failure, an *ErrAggregation carrying the stage
 // of the final attempt.
-// lint:hotpath per-request steady-state pipeline; its allocation budget is the bench-gated 21 allocs/op
 func (a *Aggregator) Aggregate(user topology.PeerID, req *service.Request,
 	now float64, strat Strategy) (*session.Session, error) {
 
@@ -384,25 +382,17 @@ func (a *Aggregator) runAttempts(user topology.PeerID, req *service.Request, now
 }
 
 // composePath runs the strategy's composition algorithm over layers.
-// Dispatch assigns rather than tail-returns: hotalloc reads a block that
-// terminates in `return ..., err` as a cold failure path, and the
-// composer calls must stay inside the analyzed hot region.
 func (a *Aggregator) composePath(layers [][]*service.Instance, req *service.Request,
 	strat Strategy, rng *xrand.Source) (*compose.Path, error) {
-	var path *compose.Path
-	var err error
 	switch strat.Compose {
 	case ComposeQCS:
-		path, err = compose.QCS(layers, req.UserQoS, a.ComposeConfig)
+		return compose.QCS(layers, req.UserQoS, a.ComposeConfig)
 	case ComposeRandom:
-		path, err = compose.Random(layers, req.UserQoS, rng, a.ComposeConfig)
+		return compose.Random(layers, req.UserQoS, rng, a.ComposeConfig)
 	case ComposeFixed:
-		path, err = compose.Fixed(layers, req.UserQoS, a.ComposeConfig)
-	default:
-		// lint:allow hotalloc invalid-Strategy guard; unreachable with the vetted strategies the bench and sim use
-		err = fmt.Errorf("unknown composer %d", strat.Compose)
+		return compose.Fixed(layers, req.UserQoS, a.ComposeConfig)
 	}
-	return path, err
+	return nil, fmt.Errorf("unknown composer %d", strat.Compose)
 }
 
 // attempt runs one compose→select→admit pass over the given layers.
@@ -430,7 +420,6 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 		return nil, nil, &ErrAggregation{StageCompose, err}
 	}
 	if a.Tracer != nil {
-		// lint:allow hotalloc tracer-enabled block; the steady-state bench runs with Tracer nil
 		ids := make([]string, len(path.Instances))
 		for i, in := range path.Instances {
 			ids[i] = in.ID
@@ -487,19 +476,15 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 		return nil, path, &ErrAggregation{StageAdmission, err}
 	}
 	if a.Tracer != nil {
-		// lint:allow hotalloc tracer-enabled block; the steady-state bench runs with Tracer nil
 		hosts := make([]string, len(peers))
 		for i, p := range peers {
-			// lint:allow hotalloc tracer-enabled block; the steady-state bench runs with Tracer nil
 			hosts[i] = strconv.Itoa(int(p))
 		}
 		a.Tracer.Emit(obs.Event{Kind: obs.KindAdmit, Req: a.ReqID, Attempt: attempt,
-			// lint:allow hotalloc tracer-enabled block; the steady-state bench runs with Tracer nil
 			Session: strconv.FormatUint(sess.ID, 10), Path: hosts, OK: true})
 	}
 	if a.Spans.Enabled() {
 		a.stageSpan(obs.Event{Stage: obs.StageAdmission, Attempt: attempt, OK: true,
-			// lint:allow hotalloc span-enabled block; the steady-state bench runs with Spans nil
 			Session: strconv.FormatUint(sess.ID, 10)})
 	}
 	return sess, path, nil
@@ -601,7 +586,6 @@ func (a *Aggregator) PathCost(instances []*service.Instance) float64 {
 // host departed — the session.RecoveryFunc implementation. The replacement
 // is chosen from the component's current live providers by the downstream
 // neighbor, using the Φ selector.
-// lint:hotpath churn-path recovery runs once per departed host across every live session
 func (a *Aggregator) Recover(s *session.Session, k int, now float64) (topology.PeerID, bool) {
 	// Recovery runs from churn handling, outside any Aggregate call, so
 	// the trace event is attributed via the session (ReqID is stale
@@ -609,11 +593,9 @@ func (a *Aggregator) Recover(s *session.Session, k int, now float64) (topology.P
 	// event's session binding.
 	replacement, ok := a.recoverStep(s, k, now)
 	if a.Tracer != nil {
-		// lint:allow hotalloc tracer-enabled block; recovery tracing is churn-path, not steady state
 		ev := obs.Event{Kind: obs.KindRecover, Session: strconv.FormatUint(s.ID, 10),
 			Hop: k + 1, Inst: s.Instances[k].ID, OK: ok}
 		if ok {
-			// lint:allow hotalloc tracer-enabled block; recovery tracing is churn-path, not steady state
 			ev.Peer = strconv.Itoa(int(replacement))
 		}
 		a.Tracer.Emit(ev)

@@ -92,7 +92,7 @@ type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	// lint:allow float-eq heap ordering needs the exact stored timestamps; a tolerance would break transitivity
+	// Exact timestamps: a tolerance would break the ordering's transitivity.
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}

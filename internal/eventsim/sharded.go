@@ -222,7 +222,7 @@ func (ev *ShardEvent) Cancelled() bool { return ev != nil && ev.state == stateCa
 type shardHeap []*ShardEvent
 
 func less(a, b *ShardEvent) bool {
-	// lint:allow float-eq heap ordering needs the exact stored timestamps; a tolerance would break transitivity
+	// Exact timestamps: a tolerance would break the ordering's transitivity.
 	if a.at != b.at {
 		return a.at < b.at
 	}

@@ -131,7 +131,6 @@ func runAll(cfgs []sim.Config, workers int) ([]*sim.Result, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// lint:allow goleak bounded-concurrency semaphore; wg.Wait joins every worker before runAll returns
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			results[i], errs[i] = sim.Run(cfgs[i])
@@ -522,7 +521,7 @@ func WriteSeries(w io.Writer, set *SeriesSet) {
 		for _, alg := range set.Algorithms {
 			v := math.NaN()
 			for _, p := range set.Series[alg] {
-				// lint:allow float-eq membership test against timestamps collected verbatim from these same series
+				// t was collected verbatim from these series.
 				if p.Time == t {
 					v = p.Value
 					break

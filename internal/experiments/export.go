@@ -104,7 +104,7 @@ func WriteSeriesCSV(w io.Writer, s *SeriesSet) error {
 		for _, alg := range s.Algorithms {
 			v := math.NaN()
 			for _, p := range s.Series[alg] {
-				// lint:allow float-eq membership test against timestamps collected verbatim from these same series
+				// t was collected verbatim from these series.
 				if p.Time == t {
 					v = p.Value
 					break

@@ -92,8 +92,6 @@ const (
 // class, parking until one frees when the queue has room. The
 // uncontended path — a free slot — takes the lock, bumps a counter
 // and returns; it allocates nothing (ci.sh gates this).
-//
-// lint:hotpath admission gate runs per serving request
 func (a *admission) acquire(priority int, dtolerant bool, deadline time.Duration) admitVerdict {
 	a.mu.Lock()
 	d, item, evicted, hasEvict := a.q.Offer(priority, dtolerant)
@@ -110,7 +108,7 @@ func (a *admission) acquire(priority int, dtolerant bool, deadline time.Duration
 	// under the same lock, so its shed verdict is ordered before any
 	// Release could pop it.
 	if hasEvict {
-		// lint:allow mutex-across-block every waiter's ready channel is buffered (cap 1, one completer); this never blocks
+		// lint:allow lockorder every waiter's ready channel is buffered (cap 1, one completer); this never blocks
 		a.completeLocked(evicted.Seq, admitVerdict{reason: shedEvicted, retryAfter: a.retryAfterLocked()})
 	}
 	// Queued requests are the contended cold path; the pool recycles waiters.
@@ -155,12 +153,12 @@ func (a *admission) release() {
 		}
 		waited := time.Since(w.enqueued)
 		if w.deadline > 0 && waited > w.deadline {
-			// lint:allow mutex-across-block ready is buffered (cap 1, one completer); this never blocks
+			// lint:allow lockorder ready is buffered (cap 1, one completer); this never blocks
 			a.completeLocked(next.Seq, admitVerdict{reason: shedDeadline, retryAfter: a.retryAfterLocked()})
 			continue
 		}
 		delete(a.waiters, next.Seq)
-		// lint:allow mutex-across-block ready is buffered (cap 1, one completer); this never blocks
+		// lint:allow lockorder ready is buffered (cap 1, one completer); this never blocks
 		w.ready <- admitVerdict{run: true, waited: waited}
 		a.tele.serveQueueDepth(a.q.QueueLen())
 		return

@@ -924,7 +924,7 @@ func (p *Peer) discover(path []string) ([][]*service.Instance, map[string][]stri
 				p.tele.lookupFailed()
 				return
 			}
-			// lint:allow goleak results is buffered to the fan-out and each goroutine sends at most once
+			// results is buffered to the fan-out: this send never blocks.
 			results <- resp.Offers
 		}(m)
 	}
@@ -1062,7 +1062,6 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 	selStart := time.Now()
 	resp := p.handleSelect(selReq)
 	p.tele.stage(obs.StageSelection, time.Since(selStart).Seconds())
-	// lint:allow detflow netproto traces record real-network outcomes; replay is sim-only
 	spSel.End(obs.Event{Stage: obs.StageSelection, OK: resp.OK})
 	if tr != nil {
 		emitHops(tr, rid, resp.Hops)
@@ -1105,12 +1104,11 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 			SpanID:      admCtx.Span,
 		}, p.cfg.RPCTimeout)
 		if tr != nil {
-			// lint:allow detflow netproto traces record real-network outcomes; bit-for-bit replay is a sim-only guarantee
 			ev := obs.Event{Kind: obs.KindReserve, Req: rid, Peer: host, Inst: in.ID, OK: err == nil}
 			if err != nil {
-				ev.Err = err.Error() // lint:allow detflow netproto traces record real-network outcomes; replay is sim-only
+				ev.Err = err.Error()
 			}
-			tr.Emit(ev) // lint:allow detflow netproto traces record real-network outcomes; replay is sim-only
+			tr.Emit(ev)
 		}
 		if err != nil {
 			for _, h := range reserved {
@@ -1132,7 +1130,6 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 	}
 	if tr != nil {
 		tr.Emit(obs.Event{Kind: obs.KindAdmit, Req: rid, Session: sid,
-			// lint:allow detflow netproto traces record real-network outcomes; replay is sim-only
 			Path: append([]string(nil), chain...), OK: true})
 	}
 	p.tele.aggregated(time.Since(aggStart).Seconds())

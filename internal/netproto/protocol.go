@@ -232,8 +232,6 @@ var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, rea
 // getReader checks a stream reader out of the pool onto r. The caller
 // hands it back with putReader when the exchange (client) or the
 // connection (server) ends.
-//
-// lint:hotpath reader checkout runs per RPC exchange and per served connection
 func getReader(r io.Reader) *bufio.Reader {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(r)

@@ -1,5 +1,5 @@
 //go:build race
 
-package netproto_test
+package netproto
 
-const raceEnabled = true
+const RaceEnabled = true

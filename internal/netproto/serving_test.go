@@ -319,6 +319,8 @@ func TestAdmissionFastPathAllocs(t *testing.T) {
 // to construct — per exchange on the client (JSON and binary over a
 // pooled TCP connection, in-process server included) and per datagram on
 // the UDP server side, where handle runs once per reassembled message.
+// The pooled reader checkout both sides use is pinned at zero
+// allocations once warm.
 func TestRPCExchangeBytes(t *testing.T) {
 	const budget, warm, runs = 16 << 10, 10, 200
 	gate := func(t *testing.T, exchange func()) {
@@ -374,6 +376,15 @@ func TestRPCExchangeBytes(t *testing.T) {
 			}
 			c.discard()
 		})
+	})
+	t.Run("reader", func(t *testing.T) {
+		if RaceEnabled {
+			t.Skip("a sync.Pool drops items at random under the race detector")
+		}
+		r := strings.NewReader("")
+		if per := testing.AllocsPerRun(200, func() { putReader(getReader(r)) }); per != 0 {
+			t.Fatalf("warm reader checkout allocates %.1f/op, want 0", per)
+		}
 	})
 }
 

@@ -135,7 +135,7 @@ func TestServingSLO(t *testing.T) {
 			t.Errorf("%s %s/%s: %d shed, %d errors, %d drops at low load, want none",
 				leg.schedule, leg.codec, leg.network, l.Shed, l.Errors, l.Dropped)
 		}
-		if !raceEnabled && l.P99Ms > target {
+		if !netproto.RaceEnabled && l.P99Ms > target {
 			t.Errorf("%s %s/%s: p99 %.1fms over the %.0fms target", leg.schedule, leg.codec, leg.network, l.P99Ms, target)
 		}
 	}
@@ -155,7 +155,7 @@ func TestServingSLO(t *testing.T) {
 	if l.OK == 0 {
 		t.Error("overload leg admitted nothing; shedding must not starve the plane")
 	}
-	if !raceEnabled && l.P99Ms > target {
+	if !netproto.RaceEnabled && l.P99Ms > target {
 		t.Errorf("overload p99 %.1fms over the %.0fms target: the bounded queue is not bounding latency", l.P99Ms, target)
 	}
 }

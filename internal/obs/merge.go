@@ -36,7 +36,7 @@ func MergeSnapshots(snaps ...Snapshot) (Snapshot, error) {
 				return Snapshot{}, fmt.Errorf("obs: histogram %q: %d vs %d buckets", h.Name, len(cur.Buckets), len(h.Buckets))
 			}
 			for i, b := range h.Buckets {
-				// lint:allow float-eq mergeable histograms must share bit-identical bounds; a near-miss is a config mismatch to reject, not float noise
+				// Bounds must match bit for bit; a near-miss is a config mismatch.
 				if cur.Buckets[i].Le != b.Le {
 					return Snapshot{}, fmt.Errorf("obs: histogram %q: bound %g vs %g at bucket %d", h.Name, cur.Buckets[i].Le, b.Le, i)
 				}

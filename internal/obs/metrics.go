@@ -290,7 +290,6 @@ type HistogramValue struct {
 // unbounded overflow region) reports the last bound — the histogram
 // cannot see past it.
 func (h HistogramValue) Quantile(q float64) float64 {
-	// lint:allow float-eq NaN self-inequality is the standard IEEE-754 NaN test
 	if h.Count == 0 || q != q {
 		return 0
 	}

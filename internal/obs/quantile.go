@@ -66,7 +66,6 @@ func latLow(i int) float64 {
 
 // Observe records one value.
 func (h *LatencyHist) Observe(v float64) {
-	// lint:allow float-eq NaN self-inequality is the standard IEEE-754 NaN test
 	if h == nil || v != v { // NaN has no place on a latency axis
 		return
 	}
@@ -178,7 +177,6 @@ func (v LatencyValue) Merge(o LatencyValue) LatencyValue {
 // the smallest recorded bucket's lower bound; q ≥ 1 the largest
 // recorded bucket's upper bound; zeros sit at value 0.
 func (v LatencyValue) Quantile(q float64) float64 {
-	// lint:allow float-eq NaN self-inequality is the standard IEEE-754 NaN test
 	if v.Count == 0 || q != q {
 		return 0
 	}

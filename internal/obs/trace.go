@@ -153,7 +153,6 @@ func NewTracer(w io.Writer, clock Clock) *Tracer {
 // so that start, end, and every other event of a request sit on one
 // timeline (virtual minutes in the simulator, wall seconds since start
 // in the prototype). A nil tracer reports 0.
-// lint:coldpath span starts exist only when tracing is enabled; the bench-gated steady state never reads the clock
 func (t *Tracer) Now() float64 {
 	if t == nil {
 		return 0
@@ -165,7 +164,6 @@ func (t *Tracer) Now() float64 {
 
 // Emit stamps and writes one event. The caller fills every field except
 // Seq and T.
-// lint:coldpath tracing is bench-gated off in the steady state; an enabled sink may allocate
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
@@ -179,7 +177,6 @@ func (t *Tracer) Emit(ev Event) {
 // Duration is set to T - start under the same clock reading, so a
 // span's endpoints reconcile exactly with the timestamps of the events
 // around it (start == T - Duration with no skew).
-// lint:coldpath tracing is bench-gated off in the steady state; an enabled sink may allocate
 func (t *Tracer) EmitSpan(ev Event, start float64) {
 	if t == nil {
 		return

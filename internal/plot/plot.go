@@ -100,7 +100,6 @@ func (c *Chart) dataRange(get func(Line) []float64) (lo, hi float64) {
 	if math.IsInf(lo, 1) {
 		lo, hi = 0, 1
 	}
-	// lint:allow float-eq degenerate-axis check: lo and hi are the same stored value when all samples coincide
 	if lo == hi {
 		lo, hi = lo-0.5, hi+0.5
 	}

@@ -186,7 +186,6 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Table(owner topology.PeerID) *Table {
 	t, ok := m.tables[owner]
 	if !ok {
-		// lint:allow hotalloc per-peer table created on first use; steady-state refreshes hit the existing table
 		t = &Table{cap: m.cfg.M, pos: make(map[topology.PeerID]int)}
 		m.tables[owner] = t
 	}
@@ -220,7 +219,6 @@ func (m *Manager) measure(owner, target topology.PeerID, now float64, reuse reso
 // rank, their soft state is refreshed, and any candidate without a
 // within-period measurement is probed. Candidates that do not fit under
 // the M cap (after evicting strictly lower-benefit entries) are skipped.
-// lint:hotpath probe refresh runs per resolution message on every simulated peer
 func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, rank Rank, now float64) {
 	t := m.Table(owner)
 	for _, c := range candidates {
@@ -234,7 +232,6 @@ func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, r
 				m.Obs.Rejected.Inc()
 				continue
 			}
-			// lint:allow hotalloc one entry per newly resolved neighbor, bounded by the M cap; refreshes recycle entries
 			e = &entry{rank: rank}
 			t.insert(c, e)
 		}

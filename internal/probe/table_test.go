@@ -217,3 +217,31 @@ func BenchmarkResolveFull(b *testing.B) {
 		m.Resolve(0, cands, DirectRank(1), 0.5)
 	}
 }
+
+// TestResolveSteadyStateAllocs pins Resolve's allocation budget in steady
+// state: every candidate already has a table entry, and each call lands
+// one probe period later, so every entry is re-measured into its own
+// recycled availability vector. One added allocation fails the gate.
+func TestResolveSteadyStateAllocs(t *testing.T) {
+	net, err := topology.New(topology.Default(1, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{M: 100, TTL: 10, Period: 1}, net)
+	cands := make([]topology.PeerID, 20)
+	for i := range cands {
+		cands[i] = topology.PeerID(i + 1)
+	}
+	now := 0.0
+	m.Resolve(0, cands, DirectRank(1), now)
+	avg := testing.AllocsPerRun(200, func() {
+		now += 1
+		m.Resolve(0, cands, DirectRank(1), now)
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state Resolve allocates %.1f/op, want 0", avg)
+	}
+	if s := m.Stats(); s.Probes != 20*202 {
+		t.Fatalf("probes = %d, want every candidate re-measured on every call (%d)", s.Probes, 20*202)
+	}
+}

@@ -62,7 +62,7 @@ func (p Param) String() string {
 	if p.Symbolic() {
 		return fmt.Sprintf("%s=%s", p.Name, p.Sym)
 	}
-	// lint:allow float-eq a degenerate range stores Lo and Hi as the same bits by construction (see Point)
+	// A degenerate range stores Lo and Hi as the same bits (see Point).
 	if p.Lo == p.Hi {
 		return fmt.Sprintf("%s=%g", p.Name, p.Lo)
 	}

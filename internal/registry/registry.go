@@ -423,8 +423,6 @@ func (r *Registry) Lookup(from topology.PeerID, name service.Name, now float64) 
 
 // route is Lookup past the epoch cache: it routes the query through the
 // ring and rebuilds (and, with the cache on, stores) the sorted result.
-//
-// lint:coldpath cache miss; epoch-cached discovery amortizes routing and the rebuild across steady-state requests
 func (r *Registry) route(n *chord.Node, name service.Name, now float64) (entries []*InstanceEntry, hops int, err error) {
 	r.Obs.Lookups.Inc()
 	items, hops, err := r.ring.Get(n, serviceKey(name))

@@ -42,7 +42,6 @@ func (l *BandwidthLedger) Capacity(a, b int) float64 { return l.capacity(a, b) }
 
 // Available returns the unreserved bandwidth of the pair (a, b) in kbps.
 func (l *BandwidthLedger) Available(a, b int) float64 {
-	// lint:allow hotalloc capacity is a pure arithmetic topology function installed at construction; it does not allocate
 	return l.capacity(a, b) - l.used[Pair(a, b)]
 }
 
@@ -52,7 +51,6 @@ func (l *BandwidthLedger) Reserve(a, b int, kbps float64) bool {
 		return false
 	}
 	k := Pair(a, b)
-	// lint:allow hotalloc capacity is a pure arithmetic topology function installed at construction; it does not allocate
 	if l.capacity(a, b)-l.used[k] < kbps {
 		return false
 	}

@@ -60,7 +60,6 @@ func (v Vector) Sub(o Vector) Vector {
 func (v Vector) SubInto(dst Vector, o Vector) Vector {
 	v.mustMatch(o)
 	if cap(dst) < len(v) {
-		// lint:allow hotalloc grows dst only when its capacity is insufficient; recycled buffers make this zero in the steady state
 		dst = make(Vector, len(v))
 	}
 	dst = dst[:len(v)]

@@ -181,7 +181,6 @@ func (s *Selector) selectStep(current topology.PeerID, inst *service.Instance,
 	s.probes.Resolve(current, candidates, rank, now)
 
 	var cands []CandReport
-	// lint:allow hotalloc non-escaping step-report closure; it only records when reporting is on, which the bench disables
 	add := func(c topology.PeerID, reason string, phi float64) int {
 		if !report {
 			return -1
@@ -236,7 +235,6 @@ func (s *Selector) selectStep(current topology.PeerID, inst *service.Instance,
 			}
 		}
 	}
-	// lint:allow hotalloc non-escaping step-report closure; it only records when reporting is on, which the bench disables
 	mark := func(i int) {
 		if report && i >= 0 {
 			cands[i].Reason = "chosen"
@@ -299,7 +297,6 @@ func (s *Selector) SelectPath(user topology.PeerID, instances []*service.Instanc
 			s.probes.Resolve(user, providers[k], probe.DirectRank(hop), now)
 		}
 	}
-	// lint:allow hotalloc the selected peer path is the one output allocation per request, inside the 21 allocs/op budget
 	chosen := make([]topology.PeerID, n)
 	current := user
 	for k := n - 1; k >= 0; k-- {
@@ -309,7 +306,6 @@ func (s *Selector) SelectPath(user topology.PeerID, instances []*service.Instanc
 		}
 		next, ok, mode, cands := s.selectStep(current, instances[k], providers[k], dur, now, rank, s.Obs != nil)
 		if s.Obs != nil {
-			// lint:allow hotalloc step-report callback; nil (and skipped) in the steady-state bench
 			s.Obs(StepReport{
 				Hop:    k + 1,
 				At:     current,
@@ -344,7 +340,6 @@ func (r *Random) SelectPath(user topology.PeerID, instances []*service.Instance,
 	if len(instances) == 0 || len(providers) != len(instances) {
 		return nil, false
 	}
-	// lint:allow hotalloc baseline selector allocates its result by design; only Phi selection is the tuned path
 	chosen := make([]topology.PeerID, len(instances))
 	for k := range instances {
 		if len(providers[k]) == 0 {
@@ -371,7 +366,6 @@ func (f *Fixed) SelectPath(user topology.PeerID, instances []*service.Instance,
 	if len(instances) == 0 || len(providers) != len(instances) {
 		return nil, false
 	}
-	// lint:allow hotalloc baseline selector allocates its result by design; only Phi selection is the tuned path
 	chosen := make([]topology.PeerID, len(instances))
 	for k := range instances {
 		if len(providers[k]) == 0 {

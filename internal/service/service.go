@@ -91,7 +91,6 @@ func (a *Application) Validate() error {
 	if len(a.Path) == 0 {
 		return fmt.Errorf("service: application %s with empty path", a.ID)
 	}
-	// lint:allow hotalloc application validation runs once per registered app, not per request
 	seen := make(map[Name]bool, len(a.Path))
 	for _, n := range a.Path {
 		if n == "" {

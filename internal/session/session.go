@@ -239,22 +239,17 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 		m.Obs.Rejected.Inc()
 		return nil, fmt.Errorf("session: user peer %d not alive", user)
 	}
-	// lint:allow hotalloc session admission allocates the session record; counted in the 21 allocs/op budget
 	s := &Session{
 		ID:        m.nextID,
 		User:      user,
 		Instances: instances,
-		// lint:allow hotalloc admission copies the peer path it retains; counted in the budget
-		Peers:    append([]topology.PeerID(nil), peers...),
-		Start:    m.engine.Now(),
-		Duration: dur,
-		// lint:allow hotalloc per-session hold flags; counted in the budget
-		resHeld: make([]bool, len(peers)),
-		// lint:allow hotalloc per-session hold flags; counted in the budget
-		edgeHeld: make([]bool, len(peers)),
+		Peers:     append([]topology.PeerID(nil), peers...),
+		Start:     m.engine.Now(),
+		Duration:  dur,
+		resHeld:   make([]bool, len(peers)),
+		edgeHeld:  make([]bool, len(peers)),
 	}
 
-	// lint:allow hotalloc rejection-path closure shared by the admission guards; non-escaping on success
 	fail := func(reason string) (*Session, error) {
 		m.releaseAll(s)
 		m.counters.Rejected++
@@ -279,7 +274,6 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 	for _, p := range peers {
 		m.indexPeer(p, s)
 	}
-	// lint:allow hotalloc session-expiry timer closure, one per admitted session; counted in the budget
 	s.done = m.engine.ScheduleAfter(dur, func() { m.complete(s) })
 	m.counters.Admitted++
 	m.Obs.Admitted.Inc()
@@ -290,7 +284,6 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 func (m *Manager) indexPeer(p topology.PeerID, s *Session) {
 	set, ok := m.byPeer[p]
 	if !ok {
-		// lint:allow hotalloc per-peer index created on first session; reused for the peer lifetime
 		set = make(map[uint64]*Session)
 		m.byPeer[p] = set
 	}

@@ -133,7 +133,7 @@ func FormatQoS(v qos.Vector) string {
 	for _, p := range v {
 		if p.Symbolic() {
 			parts = append(parts, fmt.Sprintf("%s=%s", p.Name, p.Sym))
-			// lint:allow float-eq a degenerate range stores Lo and Hi as the same bits by construction (see qos.Point)
+			// A degenerate range stores Lo and Hi as the same bits (see qos.Point).
 		} else if p.Lo == p.Hi {
 			parts = append(parts, fmt.Sprintf("%s=%g", p.Name, p.Lo))
 		} else {

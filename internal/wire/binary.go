@@ -155,7 +155,6 @@ func (c *Binary) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	// lint:allow hotalloc map lookup keyed by string(b) is the compiler-optimized non-allocating form
 	if s, ok := c.tab[string(b)]; ok {
 		return s
 	}
@@ -166,8 +165,6 @@ func (c *Binary) intern(b []byte) string {
 // when it looks like a repeating identity. A full table is reset
 // wholesale: cheap, amortized, and it re-adapts to the current
 // working set instead of growing without bound.
-//
-// lint:coldpath first-sight string materialization; the steady state hits the intern table
 func (c *Binary) internMiss(b []byte) string {
 	s := string(b)
 	if len(s) <= maxInternLen {
@@ -181,7 +178,6 @@ func (c *Binary) internMiss(b []byte) string {
 
 // --- primitive appenders ---------------------------------------------------
 
-// lint:hotpath varint append is the innermost encode primitive
 func appendUvarint(b []byte, x uint64) []byte {
 	for x >= 0x80 {
 		b = append(b, byte(x)|0x80)
@@ -191,7 +187,6 @@ func appendUvarint(b []byte, x uint64) []byte {
 	return b
 }
 
-// lint:hotpath zigzag append sits under every integer field encode
 func appendZigzag(b []byte, x int) []byte {
 	ux := uint64(x) << 1
 	if x < 0 {
@@ -200,7 +195,6 @@ func appendZigzag(b []byte, x int) []byte {
 	return appendUvarint(b, ux)
 }
 
-// lint:hotpath string append sits under every identity field encode
 func appendString(b []byte, s string) []byte {
 	b = appendUvarint(b, uint64(len(s)))
 	b = append(b, s...)
@@ -212,8 +206,6 @@ func appendString(b []byte, s string) []byte {
 // zero mantissa tails, which byte reversal turns into leading zeros
 // the varint drops — 512.0 costs 3 bytes instead of 8. Lossless for
 // every bit pattern (reversal is a bijection), worst case 10 bytes.
-//
-// lint:hotpath float append sits under every float field encode
 func appendF64(b []byte, f float64) []byte {
 	return appendUvarint(b, bits.ReverseBytes64(math.Float64bits(f)))
 }
@@ -240,7 +232,6 @@ type reader struct {
 
 func (r *reader) remaining() int { return len(r.data) - r.pos }
 
-// lint:hotpath single-byte read sits under every flag-byte field decode
 func (r *reader) byte() byte {
 	if r.pos >= len(r.data) {
 		r.fail = true
@@ -251,7 +242,6 @@ func (r *reader) byte() byte {
 	return b
 }
 
-// lint:hotpath varint read is the innermost decode primitive
 func (r *reader) uvarint() uint64 {
 	var x uint64
 	var shift uint
@@ -272,7 +262,6 @@ func (r *reader) uvarint() uint64 {
 	return 0
 }
 
-// lint:hotpath zigzag read sits under every integer field decode
 func (r *reader) zigzag() int {
 	ux := r.uvarint()
 	x := int64(ux >> 1)
@@ -282,15 +271,12 @@ func (r *reader) zigzag() int {
 	return int(x)
 }
 
-// lint:hotpath float read sits under every float field decode
 func (r *reader) f64() float64 {
 	return math.Float64frombits(bits.ReverseBytes64(r.uvarint()))
 }
 
 // bytes returns the next length-prefixed byte run, aliasing the frame
 // buffer — callers must copy (intern does) before the buffer recycles.
-//
-// lint:hotpath length-prefixed read sits under every string field decode
 func (r *reader) bytes() []byte {
 	n := r.uvarint()
 	if r.fail || n > uint64(r.remaining()) {
@@ -463,10 +449,8 @@ func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 
 // AppendRequest implements Codec: appends one framed binary request
 // to dst, reusing its capacity. The steady-state path is
-// allocation-free (hotalloc-gated); dst growth amortizes away once
+// allocation-free (TestBinarySteadyStateAllocs); dst growth amortizes away once
 // the buffer has seen the working set's largest message.
-//
-// lint:hotpath per-RPC request encode; pooled buffers keep the steady state allocation-free
 func (c *Binary) AppendRequest(dst []byte, reqID uint64, req *Request) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -567,8 +551,6 @@ func boolByte(b bool) byte {
 }
 
 // AppendResponse implements Codec.
-//
-// lint:hotpath per-RPC response encode; pooled buffers keep the steady state allocation-free
 func (c *Binary) AppendResponse(dst []byte, reqID uint64, resp *Response) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -626,7 +608,6 @@ func (c *Binary) AppendResponse(dst []byte, reqID uint64, resp *Response) ([]byt
 	return finishFrame(dst, start, bodyStart)
 }
 
-// lint:hotpath instance encode runs per offer in every discovery reply
 func appendInstance(dst []byte, in *Instance) []byte {
 	dst = appendString(dst, in.ID)
 	dst = appendString(dst, in.Service)
@@ -637,7 +618,6 @@ func appendInstance(dst []byte, in *Instance) []byte {
 	return appendF64(dst, in.Kbps)
 }
 
-// lint:hotpath parameter-vector encode runs per instance field
 func appendParams(dst []byte, ps []Param) []byte {
 	dst = appendSeqLen(dst, len(ps), ps == nil)
 	for i := range ps {
@@ -666,8 +646,6 @@ const (
 // reusing its slice and map capacity, so decoding the same message
 // shapes over and over settles at zero allocations per call. Strings
 // are interned; nothing in req aliases data after the call returns.
-//
-// lint:hotpath per-RPC request decode; interning + capacity reuse keep the steady state allocation-free
 func (c *Binary) DecodeRequest(data []byte, req *Request) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -730,8 +708,6 @@ func (c *Binary) DecodeRequest(data []byte, req *Request) (uint64, error) {
 }
 
 // DecodeResponse implements Codec.
-//
-// lint:hotpath per-RPC response decode; interning + capacity reuse keep the steady state allocation-free
 func (c *Binary) DecodeResponse(data []byte, resp *Response) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -756,7 +732,6 @@ func (c *Binary) DecodeResponse(data []byte, resp *Response) (uint64, error) {
 	} else {
 		s := resp.Offers
 		if cap(s) < n {
-			// lint:allow hotalloc grows once per working-set-larger message shape, then reuses
 			s = make([]Offer, n)
 		}
 		s = s[:n]
@@ -783,7 +758,6 @@ func (c *Binary) DecodeResponse(data []byte, resp *Response) (uint64, error) {
 	} else {
 		s := resp.Hops
 		if cap(s) < n {
-			// lint:allow hotalloc grows once per working-set-larger message shape, then reuses
 			s = make([]Hop, n)
 		}
 		s = s[:n]
@@ -801,7 +775,6 @@ func (c *Binary) DecodeResponse(data []byte, resp *Response) (uint64, error) {
 			}
 			cs := h.Cands
 			if cap(cs) < m {
-				// lint:allow hotalloc grows once per working-set-larger message shape, then reuses
 				cs = make([]Cand, m)
 			}
 			cs = cs[:m]
@@ -835,8 +808,6 @@ func (c *Binary) DecodeResponse(data []byte, resp *Response) (uint64, error) {
 
 // decodeStrings reads a plain-count string sequence into dst's
 // capacity (nil when empty, matching JSON omitempty round-trips).
-//
-// lint:hotpath string-sequence decode sits under members/chain fields
 func (c *Binary) decodeStrings(r *reader, dst []string) []string {
 	n := r.count(minStr)
 	if n == 0 {
@@ -850,8 +821,6 @@ func (c *Binary) decodeStrings(r *reader, dst []string) []string {
 }
 
 // decodeParams reads a nil-preserving Param sequence.
-//
-// lint:hotpath parameter-vector decode runs per instance field
 func (c *Binary) decodeParams(r *reader, dst []Param) []Param {
 	n, isNil := r.seqLen(minParam)
 	if isNil {
@@ -861,7 +830,6 @@ func (c *Binary) decodeParams(r *reader, dst []Param) []Param {
 		return emptyParams
 	}
 	if cap(dst) < n {
-		// lint:allow hotalloc grows once per working-set-larger message shape, then reuses
 		dst = make([]Param, n)
 	}
 	dst = dst[:n]
@@ -874,7 +842,6 @@ func (c *Binary) decodeParams(r *reader, dst []Param) []Param {
 	return dst
 }
 
-// lint:hotpath instance decode runs per offer in every discovery reply
 func (c *Binary) decodeInstance(r *reader, in *Instance) {
 	in.ID = c.intern(r.bytes())
 	in.Service = c.intern(r.bytes())
@@ -885,14 +852,12 @@ func (c *Binary) decodeInstance(r *reader, in *Instance) {
 	in.Kbps = r.f64()
 }
 
-// lint:hotpath instance-sequence decode sits under every select request
 func (c *Binary) decodeInstances(r *reader, dst []Instance) []Instance {
 	n := r.count(minInst)
 	if n == 0 {
 		return nil
 	}
 	if cap(dst) < n {
-		// lint:allow hotalloc grows once per working-set-larger message shape, then reuses
 		dst = make([]Instance, n)
 	}
 	dst = dst[:n]
@@ -905,8 +870,6 @@ func (c *Binary) decodeInstances(r *reader, dst []Instance) []Instance {
 // decodeCandidates reads the candidate map, recycling the previous
 // decode's provider slices through candFree so a stable request shape
 // settles at zero allocations.
-//
-// lint:hotpath candidate-map decode sits under every select request
 func (c *Binary) decodeCandidates(r *reader, m map[string][]string) map[string][]string {
 	for k, v := range m {
 		if len(c.candFree) < 64 {
@@ -919,7 +882,6 @@ func (c *Binary) decodeCandidates(r *reader, m map[string][]string) map[string][
 		return nil
 	}
 	if m == nil {
-		// lint:allow hotalloc allocated once per reused Request struct, then recycled across decodes
 		m = make(map[string][]string, n)
 	}
 	for i := 0; i < n; i++ {
@@ -956,8 +918,6 @@ var (
 // sortStrings is a small insertion sort: candidate maps hold a
 // handful of keys, and the hand-rolled loop keeps sort.Slice's
 // closure allocation off the encode path.
-//
-// lint:hotpath key ordering runs inside every candidate-map encode
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

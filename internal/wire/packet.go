@@ -82,8 +82,6 @@ var (
 )
 
 // AppendPacket appends one framed datagram to dst, reusing capacity.
-//
-// lint:hotpath per-datagram packet framing on the UDP send path
 func AppendPacket(dst []byte, p *Packet) []byte {
 	start := len(dst)
 	dst = append(dst, pktMagic0, pktMagic1, pktVersion, p.Type, p.Flags,
@@ -99,8 +97,6 @@ func AppendPacket(dst []byte, p *Packet) []byte {
 
 // ParsePacket validates one received datagram and fills p. Payload
 // aliases data.
-//
-// lint:hotpath per-datagram packet parse on the UDP receive path
 func ParsePacket(data []byte, p *Packet) error {
 	if len(data) < PacketOverhead {
 		return ErrPacketShort

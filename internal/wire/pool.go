@@ -37,8 +37,6 @@ var bufPools = func() [len(bufClasses)]*sync.Pool {
 // GetBuf returns a pooled buffer whose capacity is at least n (n may
 // be 0 for "smallest class"). Requests beyond the largest class get a
 // plain unpooled allocation; PutBuf quietly drops those.
-//
-// lint:hotpath buffer checkout is the allocation the pool exists to avoid
 func GetBuf(n int) *Buf {
 	for i := range bufClasses {
 		if n <= bufClasses[i] {
@@ -47,7 +45,6 @@ func GetBuf(n int) *Buf {
 			return b
 		}
 	}
-	// lint:allow hotalloc oversize (>1 MiB) buffers are off-pool by design; MaxMessage bounds them
 	return &Buf{B: make([]byte, 0, n), class: -1}
 }
 

@@ -372,40 +372,61 @@ func TestBinaryWireSize(t *testing.T) {
 	}
 }
 
-// TestBinarySteadyStateAllocs is the hotalloc claim made measurable:
-// after warm-up, encode and decode of a stable message shape run at
-// zero allocations per operation. ci.sh gates on this test.
+// TestBinarySteadyStateAllocs pins the wire plane's per-message paths at
+// zero allocations after warm-up, so one added allocation fails: encode
+// and decode of a select request (instances, parameters, a two-key
+// candidate map, a chain), of an aggregate request (the serving tail's
+// flag bytes), of an offers reply and of a hops reply, the
+// UDP datagram framing both ways, and a warm pooled-buffer checkout.
 func TestBinarySteadyStateAllocs(t *testing.T) {
 	bin := NewBinary()
-	req := sampleRequests()[4]
-	resp := sampleResponses()[4]
-	var ebuf, rbuf []byte
+	reqs, resps := sampleRequests(), sampleResponses()
+	var buf []byte
 	var dreq Request
 	var dresp Response
-	var err error
-	// Warm up: grow buffers, populate intern table and reuse capacity.
-	for i := 0; i < 4; i++ {
-		if ebuf, err = bin.AppendRequest(ebuf[:0], 1, &req); err != nil {
-			t.Fatal(err)
-		}
-		if _, err = bin.DecodeRequest(ebuf, &dreq); err != nil {
-			t.Fatal(err)
-		}
-		if rbuf, err = bin.AppendResponse(rbuf[:0], 1, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if _, err = bin.DecodeResponse(rbuf, &dresp); err != nil {
-			t.Fatal(err)
+	roundTrip := func(req *Request, resp *Response) func() {
+		return func() {
+			var err error
+			if req != nil {
+				if buf, err = bin.AppendRequest(buf[:0], 1, req); err == nil {
+					_, err = bin.DecodeRequest(buf, &dreq)
+				}
+			} else if buf, err = bin.AppendResponse(buf[:0], 1, resp); err == nil {
+				_, err = bin.DecodeResponse(buf, &dresp)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		ebuf, _ = bin.AppendRequest(ebuf[:0], 1, &req)
-		_, _ = bin.DecodeRequest(ebuf, &dreq)
-		rbuf, _ = bin.AppendResponse(rbuf[:0], 1, &resp)
-		_, _ = bin.DecodeResponse(rbuf, &dresp)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state encode+decode allocates %.1f/op, want 0", allocs)
+	pkt := Packet{Type: PktData, MsgID: 42, FragIdx: 1, FragCount: 3, Payload: bytes.Repeat([]byte{7}, 900)}
+	var parsed Packet
+	for _, c := range []struct {
+		name string
+		run  func()
+		pool bool // a sync.Pool drops items at random under -race
+	}{
+		{name: "select request", run: roundTrip(&reqs[4], nil)},
+		{name: "aggregate request", run: roundTrip(&reqs[11], nil)},
+		{name: "offers response", run: roundTrip(nil, &resps[2])},
+		{name: "hops response", run: roundTrip(nil, &resps[4])},
+		{name: "packet", run: func() {
+			buf = AppendPacket(buf[:0], &pkt)
+			if err := ParsePacket(buf, &parsed); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "GetBuf", pool: true, run: func() { PutBuf(GetBuf(4096)) }},
+	} {
+		if c.pool && raceEnabled {
+			continue
+		}
+		for i := 0; i < 4; i++ {
+			c.run() // grow buffers, populate the intern table and reuse capacity
+		}
+		if allocs := testing.AllocsPerRun(200, c.run); allocs != 0 {
+			t.Errorf("steady-state %s allocates %.1f/op, want 0", c.name, allocs)
+		}
 	}
 }
 
