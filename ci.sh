@@ -12,9 +12,12 @@
 #             /tmp/qsalint.json). This is the lint gate; TestLintClean
 #             repeats it only in the full, non-short suite
 #   test      the short suite with statement coverage. It carries the
-#             determinism and SLO gates: byte-identical output across
-#             shard counts (TestShardCountInvariance) and with caches off
-#             (TestCachesAreInvisible), binary at most half of JSON on
+#             determinism and SLO gates: the per-request-stream
+#             realization (sim.Config.Shards > 0) pinned to outcomes and
+#             telemetry hashes recorded before its engine was folded into
+#             eventsim.Engine (TestPerRequestGolden), byte-identical
+#             output with caches off (TestCachesAreInvisible), binary at
+#             most half of JSON on
 #             lookup/select (TestBinaryHalvesPayloadRPCs), zero shed at
 #             low load and bounded shedding under overload
 #             (TestServingSLO), frames and JSON lines byte-identical to

@@ -42,8 +42,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each figure's data as CSV into this directory")
 		repeats  = flag.Int("repeats", 1, "replicas per curve cell (mean±sd across seeds)")
 		scal     = flag.Bool("scalability", false, "run the grid-size scalability sweep")
-		shards   = flag.Int("shards", 0, "event lanes for the sharded engine in every run (0 = classic engine; results identical)")
-		shardW   = flag.Int("shard-workers", 0, "prepare workers per sharded run (0 = min(shards, GOMAXPROCS))")
+		shards   = flag.Int("shards", 0, "> 0 draws each request of every run from its own random stream (results identical for every value > 0)")
 	)
 	flag.Parse()
 	if *fig == "" && *ablation == "" && !*scal {
@@ -64,7 +63,6 @@ func main() {
 	s.Workers = *workers
 	s.Repeats = *repeats
 	s.Shards = *shards
-	s.ShardWorkers = *shardW
 
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, err)

@@ -37,9 +37,7 @@ func main() {
 		spanFrac = flag.Float64("trace-sample", 0, "fraction of requests to trace with causal spans in the telemetry stream (deterministic per seed; qsastat -trace reads them; requires -telemetry)")
 		metrics  = flag.Bool("metrics", false, "print the runtime metrics snapshot after the run")
 		metOut   = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file (qsastat -metrics reads it)")
-		shards   = flag.Int("shards", 0, "event lanes for the sharded engine (0 = classic single-heap engine; results are identical for every value > 0)")
-		workers  = flag.Int("shard-workers", 0, "prepare worker goroutines (0 = min(shards, GOMAXPROCS), 1 = inline serial shadow)")
-		lookhd   = flag.Float64("shard-lookahead", 0, "conservative barrier window in simulated minutes (0 = default)")
+		shards   = flag.Int("shards", 0, "> 0 draws each request from its own random stream (results are identical for every value > 0); 0 draws all from one shared stream")
 	)
 	flag.Parse()
 
@@ -55,8 +53,6 @@ func main() {
 	cfg.SampleWindow = *window
 	cfg.EnableRecovery = *recovery
 	cfg.Shards = *shards
-	cfg.ShardWorkers = *workers
-	cfg.ShardLookahead = *lookhd
 
 	if *spanFrac != 0 && *teleOut == "" {
 		fmt.Fprintln(os.Stderr, "-trace-sample requires -telemetry (spans ride the decision-trace stream)")

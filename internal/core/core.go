@@ -187,14 +187,12 @@ type Aggregator struct {
 	// trace, and ReqSpan is the current request's root span context —
 	// set by the caller alongside ReqID (the zero context marks the
 	// request unsampled, making every stage span inert). Stage spans are
-	// emitted only from the serial paths — Aggregate, AggregateFinish,
-	// and the attempt loop — never from the Prepare* speculative stages,
-	// so the span-ID sequence (and with it every trace byte) replays
-	// identically across shard counts. In simulator virtual time the
-	// whole pipeline runs at one instant, so these spans are
-	// zero-duration: they carry structure (stage order, attempts,
-	// outcomes), not latency; the prototype's wall-clock spans carry
-	// both (DESIGN §13).
+	// emitted only from Aggregate, AggregateFinish and the attempt loop,
+	// never from the Prepare* stages, so both entry points mint the same
+	// span-ID sequence. In simulator virtual time the whole pipeline runs
+	// at one instant, so these spans are zero-duration: they carry
+	// structure (stage order, attempts, outcomes), not latency; the
+	// prototype's wall-clock spans carry both (DESIGN §13).
 	Spans   *obs.Spans
 	ReqSpan obs.SpanContext
 
@@ -307,53 +305,59 @@ func (d *Discovery) Providers(k int, inst *service.Instance, now float64, dst []
 func (a *Aggregator) Aggregate(user topology.PeerID, req *service.Request,
 	now float64, strat Strategy) (*session.Session, error) {
 
-	if err := req.Validate(); err != nil {
-		if a.Spans.Enabled() {
-			a.stageSpan(obs.Event{Stage: obs.StageDiscovery, Err: err.Error()})
-		}
-		return nil, &ErrAggregation{StageDiscovery, err}
-	}
 	disc := &a.sc.disc
-	if err := a.discoverInto(disc, user, req.App.Path, now); err != nil {
-		if a.Spans.Enabled() {
-			a.stageSpan(obs.Event{Stage: obs.StageDiscovery, Err: err.Error()})
-		}
+	if err := a.discoverRequest(disc, user, req, now); err != nil {
+		a.discoverySpan(err)
 		return nil, err
 	}
-	if a.Spans.Enabled() {
-		a.stageSpan(obs.Event{Stage: obs.StageDiscovery, OK: true})
+	a.discoverySpan(nil)
+	path, err := a.composePath(disc.Layers, req, strat, a.RNG)
+	return a.runAttempts(user, req, now, strat, disc, a.RNG, path, err)
+}
+
+// discoverRequest validates req and runs its lookups into d. Every
+// failure it returns is a discovery-stage *ErrAggregation.
+func (a *Aggregator) discoverRequest(d *Discovery, user topology.PeerID, req *service.Request, now float64) error {
+	if err := req.Validate(); err != nil {
+		return &ErrAggregation{StageDiscovery, err}
 	}
-	return a.runAttempts(user, req, now, strat, disc, a.RNG, nil, nil, false)
+	return a.discoverInto(d, user, req.App.Path, now)
+}
+
+// discoverySpan closes the discovery stage span with err's outcome.
+func (a *Aggregator) discoverySpan(err error) {
+	if !a.Spans.Enabled() {
+		return
+	}
+	if err != nil {
+		a.stageSpan(obs.Event{Stage: obs.StageDiscovery, Err: err.Error()})
+		return
+	}
+	a.stageSpan(obs.Event{Stage: obs.StageDiscovery, OK: true})
 }
 
 // runAttempts is the compose→select→admit retry loop shared by Aggregate
-// and AggregateFinish. When preComposed is true, attempt 0 consumes the
-// already-computed (prepPath, prepErr) pair instead of composing; every
-// later attempt composes over the exclusion-filtered layers with rng.
+// and AggregateFinish. Attempt 0 finishes the composition outcome (path,
+// err) the caller already computed; every later attempt composes over
+// the exclusion-filtered layers with rng.
 func (a *Aggregator) runAttempts(user topology.PeerID, req *service.Request, now float64,
 	strat Strategy, disc *Discovery, rng *xrand.Source,
-	prepPath *compose.Path, prepErr error, preComposed bool) (*session.Session, error) {
+	path *compose.Path, err error) (*session.Session, error) {
 
 	layers := disc.Layers
-	var lastErr error
-	for attempt := 0; attempt <= strat.Retries; attempt++ {
-		if attempt > 0 && a.Tracer != nil {
-			a.Tracer.Emit(obs.Event{Kind: obs.KindRetry, Req: a.ReqID, Attempt: attempt})
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			if a.Tracer != nil {
+				a.Tracer.Emit(obs.Event{Kind: obs.KindRetry, Req: a.ReqID, Attempt: attempt})
+			}
+			path, err = a.composePath(layers, req, strat, rng)
 		}
 		var sess *session.Session
-		var path *compose.Path
-		var err error
-		if attempt == 0 && preComposed {
-			sess, path, err = a.attemptWith(user, req, now, strat, disc, prepPath, prepErr, attempt)
-		} else {
-			sess, path, err = a.attempt(user, req, now, strat, disc, layers, attempt, rng)
-		}
-		if err == nil {
+		if sess, err = a.attempt(user, req, now, strat, disc, path, err, attempt); err == nil {
 			return sess, nil
 		}
-		lastErr = err
 		stage := StageOf(err)
-		if stage != StageSelection && stage != StageAdmission || path == nil {
+		if stage != StageSelection && stage != StageAdmission || attempt >= strat.Retries {
 			return nil, err // compose failures cannot improve by retrying
 		}
 		// Exclude the failed path's instances and recompose over the rest.
@@ -378,7 +382,6 @@ func (a *Aggregator) runAttempts(user topology.PeerID, req *service.Request, now
 		a.sc.retry[attempt%2] = next
 		layers = next
 	}
-	return nil, lastErr
 }
 
 // composePath runs the strategy's composition algorithm over layers.
@@ -395,20 +398,11 @@ func (a *Aggregator) composePath(layers [][]*service.Instance, req *service.Requ
 	return nil, fmt.Errorf("unknown composer %d", strat.Compose)
 }
 
-// attempt runs one compose→select→admit pass over the given layers.
+// attempt finishes one attempt from its composition outcome: it emits
+// the compose trace event and runs the provider-resolution → selection
+// → admission tail.
 func (a *Aggregator) attempt(user topology.PeerID, req *service.Request, now float64,
-	strat Strategy, disc *Discovery, layers [][]*service.Instance, attempt int,
-	rng *xrand.Source) (*session.Session, *compose.Path, error) {
-
-	path, err := a.composePath(layers, req, strat, rng)
-	return a.attemptWith(user, req, now, strat, disc, path, err, attempt)
-}
-
-// attemptWith finishes one attempt from an already-computed composition
-// outcome: it emits the compose trace event and runs the
-// provider-resolution → selection → admission tail.
-func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now float64,
-	strat Strategy, disc *Discovery, path *compose.Path, err error, attempt int) (*session.Session, *compose.Path, error) {
+	strat Strategy, disc *Discovery, path *compose.Path, err error, attempt int) (*session.Session, error) {
 
 	if err != nil {
 		if a.Tracer != nil {
@@ -417,7 +411,7 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 		if a.Spans.Enabled() {
 			a.stageSpan(obs.Event{Stage: obs.StageCompose, Attempt: attempt, Err: err.Error()})
 		}
-		return nil, nil, &ErrAggregation{StageCompose, err}
+		return nil, &ErrAggregation{StageCompose, err}
 	}
 	if a.Tracer != nil {
 		ids := make([]string, len(path.Instances))
@@ -442,7 +436,7 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 				a.stageSpan(obs.Event{Stage: obs.StageSelection, Attempt: attempt,
 					Err: "no live providers for " + inst.ID})
 			}
-			return nil, path, &ErrAggregation{StageSelection, fmt.Errorf("no live providers for %s", inst.ID)}
+			return nil, &ErrAggregation{StageSelection, fmt.Errorf("no live providers for %s", inst.ID)}
 		}
 	}
 	var peers []topology.PeerID
@@ -459,7 +453,7 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 		if a.Spans.Enabled() {
 			a.stageSpan(obs.Event{Stage: obs.StageSelection, Attempt: attempt, Err: "no selectable peer"})
 		}
-		return nil, path, &ErrAggregation{StageSelection, fmt.Errorf("no selectable peer")}
+		return nil, &ErrAggregation{StageSelection, fmt.Errorf("no selectable peer")}
 	}
 	if a.Spans.Enabled() {
 		a.stageSpan(obs.Event{Stage: obs.StageSelection, Attempt: attempt, OK: true})
@@ -473,7 +467,7 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 		if a.Spans.Enabled() {
 			a.stageSpan(obs.Event{Stage: obs.StageAdmission, Attempt: attempt, Err: err.Error()})
 		}
-		return nil, path, &ErrAggregation{StageAdmission, err}
+		return nil, &ErrAggregation{StageAdmission, err}
 	}
 	if a.Tracer != nil {
 		hosts := make([]string, len(peers))
@@ -487,46 +481,36 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 		a.stageSpan(obs.Event{Stage: obs.StageAdmission, Attempt: attempt, OK: true,
 			Session: strconv.FormatUint(sess.ID, 10)})
 	}
-	return sess, path, nil
+	return sess, nil
 }
 
-// PreparedAggregation carries the pre-stages of one request through the
-// sharded engine: discovery (serial pre-pass) and the first composition
-// attempt (speculative parallel stage). The commit validates it against
-// the registry epoch and topology version captured by the caller and
-// either finishes via AggregateFinish or discards it and redoes the
-// request with plain Aggregate.
+// PreparedAggregation carries one request through the pipeline in
+// three separately callable stages: PrepareDiscovery, PrepareCompose and
+// AggregateFinish, which together do exactly what Aggregate does. The
+// benchmark ledger (benchmark/) times each layer through them.
 type PreparedAggregation struct {
 	// Disc is the discovery result, owned by this request (not the
-	// aggregator's scratch) so prepared requests can coexist within an
-	// epoch.
+	// aggregator's scratch).
 	Disc *Discovery
 	// Err is a validation or discovery failure; when set the other
 	// fields are empty and AggregateFinish returns it unchanged.
 	Err error
-	// Path and ComposeErr are the speculative first composition outcome;
-	// meaningful only when Composed is true.
+	// Path and ComposeErr are the first composition outcome; meaningful
+	// only when Composed is true.
 	Path       *compose.Path
 	ComposeErr error
 	Composed   bool
 }
 
 // PrepareDiscovery runs the validation and discovery head of the
-// pipeline for one request. It is the serial pre-stage of the sharded
-// engine: it charges registry lookups (and their statistics) at claim
-// time, in merged event order, so the charge sequence is identical for
-// every shard count. The result is self-contained — it does not alias
-// the aggregator's scratch buffers.
+// pipeline for one request, charging the registry lookups. The result is
+// self-contained — it does not alias the aggregator's scratch buffers.
 func (a *Aggregator) PrepareDiscovery(user topology.PeerID, req *service.Request,
 	now float64) *PreparedAggregation {
 
 	p := &PreparedAggregation{}
-	if err := req.Validate(); err != nil {
-		p.Err = &ErrAggregation{StageDiscovery, err}
-		return p
-	}
 	d := &Discovery{}
-	if err := a.discoverInto(d, user, req.App.Path, now); err != nil {
+	if err := a.discoverRequest(d, user, req, now); err != nil {
 		p.Err = err
 		return p
 	}
@@ -534,11 +518,9 @@ func (a *Aggregator) PrepareDiscovery(user topology.PeerID, req *service.Request
 	return p
 }
 
-// PrepareCompose runs the speculative first composition attempt over a
-// prepared discovery. It touches only the aggregator's compose scratch
-// and memo (lane-local in the sharded simulator) plus rng, so it is safe
-// on a prepare worker as long as each aggregator stays on one goroutine.
-// A prepared request that failed discovery is left untouched.
+// PrepareCompose runs the first composition attempt over a prepared
+// discovery with rng. A prepared request that failed discovery is left
+// untouched.
 func (a *Aggregator) PrepareCompose(p *PreparedAggregation, req *service.Request,
 	strat Strategy, rng *xrand.Source) {
 
@@ -549,31 +531,23 @@ func (a *Aggregator) PrepareCompose(p *PreparedAggregation, req *service.Request
 	p.Composed = true
 }
 
-// AggregateFinish commits a prepared request: it consumes the prepared
-// discovery and first composition (composing inline if the speculative
-// stage never ran) and continues through selection, admission, and the
-// retry loop with rng. The caller must have validated that the registry
-// and topology are unchanged since PrepareDiscovery; otherwise it must
-// discard the preparation and call Aggregate instead.
+// AggregateFinish finishes a prepared request: it consumes the prepared
+// discovery and first composition (composing now if PrepareCompose was
+// skipped) and continues through selection, admission, and the retry
+// loop with rng. It emits the discovery span and every later trace event
+// Aggregate would, in the same order, so the prepared path is
+// indistinguishable in telemetry.
 func (a *Aggregator) AggregateFinish(p *PreparedAggregation, user topology.PeerID,
 	req *service.Request, now float64, strat Strategy, rng *xrand.Source) (*session.Session, error) {
 
+	a.discoverySpan(p.Err)
 	if p.Err != nil {
-		if a.Spans.Enabled() {
-			a.stageSpan(obs.Event{Stage: EventStage(p.Err), Err: p.Err.Error()})
-		}
 		return nil, p.Err
-	}
-	// The discovery span is closed here — at the commit, not in
-	// PrepareDiscovery — so the span-ID stream advances in commit order
-	// exactly as the unsharded execution would.
-	if a.Spans.Enabled() {
-		a.stageSpan(obs.Event{Stage: obs.StageDiscovery, OK: true})
 	}
 	if !p.Composed {
 		a.PrepareCompose(p, req, strat, rng)
 	}
-	return a.runAttempts(user, req, now, strat, p.Disc, rng, p.Path, p.ComposeErr, true)
+	return a.runAttempts(user, req, now, strat, p.Disc, rng, p.Path, p.ComposeErr)
 }
 
 // PathCost exposes the aggregated Definition 3.1 cost of an instance

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/eventsim"
+	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/qos"
 	"repro/internal/registry"
@@ -373,5 +376,49 @@ func TestProvidersTTLConsistentAcrossRetries(t *testing.T) {
 	ghost := &service.Instance{ID: "ghost", Service: "src"}
 	if got := disc.Providers(0, ghost, 6, nil); len(got) != 0 {
 		t.Fatalf("unknown instance returned %v", got)
+	}
+}
+
+// TestInvalidRequestSpansAgree: for a request that fails validation,
+// Aggregate and the PrepareDiscovery → PrepareCompose → AggregateFinish
+// path return the same error and emit the same span events — the
+// discovery span carries the wrapped "core: discovery failed: …" text on
+// both.
+func TestInvalidRequestSpansAgree(t *testing.T) {
+	run := func(finish func(f *fixture, req *service.Request) error) ([]obs.Event, error) {
+		f := newFixture(t)
+		var buf bytes.Buffer
+		tr := obs.NewTracer(&buf, f.engine.Now)
+		f.agg.Spans = obs.NewSpans(tr, 7)
+		f.agg.ReqID = 1
+		f.agg.ReqSpan = f.agg.Spans.Root(1).Context()
+		err := finish(f, f.request(0)) // zero duration fails Validate
+		if ferr := tr.Flush(); ferr != nil {
+			t.Fatal(ferr)
+		}
+		evs, rerr := obs.ReadEvents(&buf)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		return evs, err
+	}
+	direct, errA := run(func(f *fixture, req *service.Request) error {
+		_, err := f.agg.Aggregate(0, req, 0, StrategyQSA)
+		return err
+	})
+	staged, errF := run(func(f *fixture, req *service.Request) error {
+		p := f.agg.PrepareDiscovery(0, req, 0)
+		f.agg.PrepareCompose(p, req, StrategyQSA, f.agg.RNG)
+		_, err := f.agg.AggregateFinish(p, 0, req, 0, StrategyQSA, f.agg.RNG)
+		return err
+	})
+	if StageOf(errA) != StageDiscovery || errF == nil || errA.Error() != errF.Error() {
+		t.Fatalf("errors differ: Aggregate %v, AggregateFinish %v", errA, errF)
+	}
+	if len(direct) != 1 || direct[0].Stage != obs.StageDiscovery || direct[0].Err != errA.Error() {
+		t.Fatalf("Aggregate span events %+v, want one discovery span carrying %q", direct, errA)
+	}
+	if !reflect.DeepEqual(direct, staged) {
+		t.Fatalf("span events differ:\nAggregate       %+v\nAggregateFinish %+v", direct, staged)
 	}
 }

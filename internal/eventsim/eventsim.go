@@ -7,6 +7,11 @@
 // determinism matters more than parallelism inside one run; the experiment
 // harness parallelizes across independent runs instead.
 //
+// Events run in (time, lane, seq) order: equal timestamps break first by
+// a caller-chosen lane, then by scheduling order. At, After and Every use
+// lane 0, so a caller that never names a lane sees plain (time, seq) FIFO
+// order.
+//
 // Time is a float64 in simulated minutes, matching the paper's units
 // (request rates in req/min, churn in peers/min, durations in minutes).
 package eventsim
@@ -16,37 +21,11 @@ import "container/heap"
 // Time is a point in simulated time, in minutes.
 type Time = float64
 
-// Handle is the cancellation surface of a scheduled event. Both the
-// single-threaded Engine's *Event and the sharded engine's *ShardEvent
-// (and both tickers) implement it, so callers that only need to cancel —
-// the session manager's expiry timers, the simulator's workload tickers —
-// work against either engine.
-type Handle interface {
-	// Cancel prevents a still-pending handler from running. Cancelling an
-	// already executed or already cancelled event is provably inert: it
-	// does not change the event's state, and it cannot touch whatever
-	// event now occupies the recycled queue slot.
-	Cancel()
-	// Cancelled reports whether Cancel arrived in time to suppress the
-	// handler. An event that already ran reports false forever.
-	Cancelled() bool
-}
-
-// Scheduler is the scheduling surface shared by the Engine and the
-// ShardedEngine. The method names are distinct from the engines' concrete
-// helpers (At, After, Every) so both can keep their richer concrete
-// signatures while satisfying one interface.
-type Scheduler interface {
-	Now() Time
-	Schedule(t Time, fn func()) Handle
-	ScheduleAfter(d float64, fn func()) Handle
-	ScheduleEvery(first, period float64, fn func()) Handle
-}
-
-// Runner extends Scheduler with the execution loop — what a closed-loop
-// simulation needs to drive either engine.
+// Runner is the execution surface of an Engine. The simulator hands its
+// engine out behind it (sim.Simulator.Runner), so a harness can drive and
+// inspect a run without scheduling into it.
 type Runner interface {
-	Scheduler
+	Now() Time
 	RunUntil(deadline Time)
 	Run()
 	Step() bool
@@ -68,7 +47,8 @@ const (
 // event's time and may schedule further events.
 type Event struct {
 	at    Time
-	seq   uint64 // tie-breaker: FIFO among equal timestamps
+	lane  int    // first tie-breaker among equal timestamps
+	seq   uint64 // second tie-breaker: FIFO within a lane
 	fn    func()
 	state int8
 	idx   int // heap index, -1 when popped
@@ -87,16 +67,20 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel arrived before the handler ran.
 func (e *Event) Cancelled() bool { return e != nil && e.state == stateCancelled }
 
-// eventHeap orders events by (time, seq).
+// eventHeap orders events by (time, lane, seq).
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
 	// Exact timestamps: a tolerance would break the ordering's transitivity.
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	if a.lane != b.lane {
+		return a.lane < b.lane
+	}
+	return a.seq < b.seq
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -139,14 +123,20 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns how many scheduled (possibly cancelled) events remain.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t <
-// Now) panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) *Event {
+// At schedules fn to run at absolute time t on lane 0. Scheduling in the
+// past (t < Now) panics: it would silently reorder causality.
+func (e *Engine) At(t Time, fn func()) *Event { return e.AtLane(0, t, fn) }
+
+// AtLane schedules fn to run at absolute time t on the given lane. Among
+// events at the same time, lower lanes run first (negative lanes before
+// lane 0) and each lane keeps scheduling order. Scheduling in the past
+// panics, as with At.
+func (e *Engine) AtLane(lane int, t Time, fn func()) *Event {
 	if t < e.now {
 		// lint:allow panic-in-library scheduling into the past would silently reorder causality; no caller can recover meaningfully
 		panic("eventsim: scheduling event in the past")
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	ev := &Event{at: t, lane: lane, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev
@@ -196,14 +186,11 @@ func (t *Ticker) Cancel() {
 // Cancelled reports whether the ticker has been stopped.
 func (t *Ticker) Cancelled() bool { return t.dead }
 
-// Schedule adapts At to the Scheduler interface.
-func (e *Engine) Schedule(t Time, fn func()) Handle { return e.At(t, fn) }
+// Schedule is At under the name the benchmark ledger (benchmark/) calls.
+func (e *Engine) Schedule(t Time, fn func()) *Event { return e.At(t, fn) }
 
-// ScheduleAfter adapts After to the Scheduler interface.
-func (e *Engine) ScheduleAfter(d float64, fn func()) Handle { return e.After(d, fn) }
-
-// ScheduleEvery adapts Every to the Scheduler interface.
-func (e *Engine) ScheduleEvery(first, period float64, fn func()) Handle {
+// ScheduleEvery is Every under the name the benchmark ledger calls.
+func (e *Engine) ScheduleEvery(first, period float64, fn func()) *Ticker {
 	return e.Every(first, period, fn)
 }
 

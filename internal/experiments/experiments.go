@@ -51,12 +51,10 @@ type Scale struct {
 	// each cell once, like the paper.
 	Repeats int
 
-	// Shards runs every simulation on the sharded event engine with this
-	// many lanes (0 = classic single-heap engine). Results are identical
-	// for every positive value; see sim.Config.Shards.
+	// Shards is passed through to sim.Config.Shards: > 0 runs every
+	// simulation on per-request random streams, with identical results
+	// for every positive value.
 	Shards int
-	// ShardWorkers is passed through to sim.Config.ShardWorkers.
-	ShardWorkers int
 }
 
 // PaperScale reproduces the paper's full evaluation parameters.
@@ -117,7 +115,6 @@ func (s Scale) baseConfig(alg sim.Algorithm, rate, churn, duration float64) sim.
 		cfg.SampleWindow = 2
 	}
 	cfg.Shards = s.Shards
-	cfg.ShardWorkers = s.ShardWorkers
 	return cfg
 }
 

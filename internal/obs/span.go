@@ -14,10 +14,9 @@ import (
 // request.
 //
 // Determinism: trace IDs are pure functions of (salt, request ID) and
-// span IDs are minted from a counter that — in simulator mode — is only
-// advanced on the serial commit path, the same discipline that makes
-// Tracer emission order byte-identical across shard counts (DESIGN
-// §13). Timestamps come from the tracer's injected clock, never the
+// span IDs are minted from a counter that — in simulator mode — advances
+// in event order, the same discipline that makes Tracer emission order
+// byte-identical across shard counts (DESIGN §13). Timestamps come from the tracer's injected clock, never the
 // wall clock.
 
 // SpanContext is the causal coordinate a request carries across the

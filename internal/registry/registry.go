@@ -22,7 +22,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/chord"
 	"repro/internal/obs"
@@ -167,13 +166,6 @@ type Registry struct {
 	cache map[service.Name]*cachedLookup
 
 	cacheHits, cacheMisses uint64
-
-	// lookupMu serializes Lookup. Chord lookups mutate routing state (the
-	// traffic-proportional auto-refresh), so when the sharded simulator
-	// speculatively prepares discovery on lane workers, concurrent Lookups
-	// must not interleave. Everything else on the registry stays
-	// single-goroutine (commit-phase only) and unguarded.
-	lookupMu sync.Mutex
 
 	// Obs mirrors cache activity into a metrics registry when wired; the
 	// zero value no-ops.
@@ -403,8 +395,6 @@ func (r *Registry) Unregister(from topology.PeerID, inst *service.Instance, prov
 // LookupStats.CacheHits, never in Lookups. The returned slice is shared
 // with the cache and other callers: treat it as immutable.
 func (r *Registry) Lookup(from topology.PeerID, name service.Name, now float64) ([]*InstanceEntry, int, error) {
-	r.lookupMu.Lock()
-	defer r.lookupMu.Unlock()
 	n, err := r.node(from)
 	if err != nil {
 		return nil, 0, err

@@ -64,7 +64,7 @@ type Session struct {
 	resHeld  []bool
 	edgeHeld []bool
 
-	done eventsim.Handle
+	done *eventsim.Event
 }
 
 // hosts reports whether the session has a component on peer p (or p is
@@ -111,7 +111,7 @@ type Counters struct {
 // Manager owns all sessions of a run.
 type Manager struct {
 	net    *topology.Network
-	engine eventsim.Scheduler
+	engine *eventsim.Engine
 
 	nextID   uint64
 	sessions map[uint64]*Session
@@ -139,7 +139,7 @@ type Manager struct {
 }
 
 // NewManager returns a session manager bound to the network and engine.
-func NewManager(net *topology.Network, engine eventsim.Scheduler) *Manager {
+func NewManager(net *topology.Network, engine *eventsim.Engine) *Manager {
 	return &Manager{
 		net:      net,
 		engine:   engine,
@@ -274,7 +274,7 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 	for _, p := range peers {
 		m.indexPeer(p, s)
 	}
-	s.done = m.engine.ScheduleAfter(dur, func() { m.complete(s) })
+	s.done = m.engine.After(dur, func() { m.complete(s) })
 	m.counters.Admitted++
 	m.Obs.Admitted.Inc()
 	m.ActiveGauge.Set(int64(len(m.sessions)))

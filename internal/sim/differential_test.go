@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // diffConfig is the differential suite's workload: small enough to run in
@@ -136,26 +138,24 @@ func BenchmarkSimMinute(b *testing.B) {
 	}
 }
 
-// shardDiffConfig is the sharded differential workload: small enough for
-// the -race suite, with churn high enough that topology versions and
-// registry epochs move mid-epoch, exercising the stale-preparation redo
-// path, and workers forced to the shard count so the prepare barrier is
-// real even on one CPU.
+// shardDiffConfig is the per-request-stream differential workload: small
+// enough for the -race suite, with churn so registry epochs move while
+// requests are in flight.
 func shardDiffConfig(alg Algorithm, shards int) Config {
 	cfg := DefaultConfig(7, alg, 300)
 	cfg.RequestRate = 30
 	cfg.ChurnRate = 8
 	cfg.Duration = 3
 	cfg.Shards = shards
-	cfg.ShardWorkers = shards
 	return cfg
 }
 
-// TestShardCountInvariance is the sharded engine's determinism contract
-// — the tentpole's acceptance bar: for each of the paper's three
-// algorithms, runs at 1, 2, 4, and 8 shards replay byte-identically —
-// request outcomes, ψ and its time series, session counters, routing
-// statistics, and the full telemetry stream.
+// TestShardCountInvariance is the per-request-stream realization's
+// determinism contract: the shard count selects the realization and names
+// nothing else, so for each of the paper's three algorithms runs at 1, 2,
+// 4, and 8 shards replay byte-identically — request outcomes, ψ and its
+// time series, session counters, routing statistics, and the full
+// telemetry stream.
 func TestShardCountInvariance(t *testing.T) {
 	for _, alg := range Algorithms {
 		alg := alg
@@ -203,71 +203,40 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardWorkerInvariance: the worker pool size is pure mechanism —
-// the inline serial shadow (1 worker) and the full pool must replay
-// byte-identically at a fixed shard count.
-func TestShardWorkerInvariance(t *testing.T) {
-	var ref []byte
-	var refRes *Result
-	for _, workers := range []int{1, 2, 4} {
-		var tel bytes.Buffer
-		cfg := shardDiffConfig(QSA, 4)
-		cfg.ShardWorkers = workers
-		cfg.TelemetryOut = &tel
+// TestShardMetricsCollected: with per-request streams the compose and
+// memo counters reach Config.Metrics like every other subsystem's —
+// composition runs at least once per request that got past discovery —
+// and the whole snapshot is identical at 1, 4 and 8 shards.
+func TestShardMetricsCollected(t *testing.T) {
+	var ref obs.Snapshot
+	for _, shards := range []int{1, 4, 8} {
+		cfg := shardDiffConfig(QSA, shards)
+		cfg.Metrics = obs.NewRegistry()
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref, refRes = tel.Bytes(), res
-			continue
+		snap := cfg.Metrics.Snapshot()
+		counts := make(map[string]uint64)
+		for _, c := range snap.Counters {
+			counts[c.Name] = c.Value
 		}
-		if res.Requests != refRes.Requests || res.Psi != refRes.Psi || res.Lookup != refRes.Lookup {
-			t.Fatalf("workers=%d results diverged", workers)
+		if reached := res.Requests.Issued - res.Requests.DiscoveryFailed; reached == 0 || counts["compose.runs"] < reached {
+			t.Fatalf("shards=%d: compose.runs %d for %d requests past discovery", shards, counts["compose.runs"], reached)
 		}
-		if !bytes.Equal(tel.Bytes(), ref) {
-			t.Fatalf("workers=%d telemetry diverged", workers)
+		if counts["compose.memo_feed_hits"]+counts["compose.memo_feed_misses"] == 0 {
+			t.Fatalf("shards=%d: memo counters not collected: %v", shards, counts)
 		}
-	}
-}
-
-// TestShardLookaheadInvariance: the barrier window only batches work; it
-// must never change request outcomes, ψ, or the telemetry stream. DHT
-// routing statistics are the one deliberate exception — the window
-// decides when speculative lookups are charged and how many preparations
-// go stale and redo theirs — so they are excluded here (they are pinned
-// across shard counts by TestShardCountInvariance, where the window is
-// held fixed).
-func TestShardLookaheadInvariance(t *testing.T) {
-	var ref *Result
-	var refTel []byte
-	for _, la := range []float64{0.05, 0.25, 2} {
-		var tel bytes.Buffer
-		cfg := shardDiffConfig(QSA, 4)
-		cfg.ShardLookahead = la
-		cfg.TelemetryOut = &tel
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refTel = res, tel.Bytes()
-			continue
-		}
-		if res.Requests != ref.Requests || res.Psi != ref.Psi || res.Sessions != ref.Sessions {
-			t.Fatalf("lookahead=%g results diverged:\nref %+v\ngot %+v", la, ref.Requests, res.Requests)
-		}
-		if !reflect.DeepEqual(res.Series, ref.Series) {
-			t.Fatalf("lookahead=%g ψ series diverged", la)
-		}
-		if !bytes.Equal(tel.Bytes(), refTel) {
-			t.Fatalf("lookahead=%g telemetry diverged", la)
+		if shards == 1 {
+			ref = snap
+		} else if !reflect.DeepEqual(snap, ref) {
+			t.Fatalf("shards=%d metrics snapshot differs from shards=1:\n%+v\n%+v", shards, snap, ref)
 		}
 	}
 }
 
 // TestMillionPeerSharded exercises the 10⁶-peer scale target: the flat
-// slab topology, bulk DHT join, and the sharded engine must complete a
+// slab topology, bulk DHT join, and per-request streams must complete a
 // short workload without blowing memory or time budgets. Skipped in
 // -short mode; the full (race-free) suite runs it.
 func TestMillionPeerSharded(t *testing.T) {
@@ -279,7 +248,6 @@ func TestMillionPeerSharded(t *testing.T) {
 	cfg.ChurnRate = 4
 	cfg.Duration = 1
 	cfg.Shards = 4
-	cfg.ShardWorkers = 4
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

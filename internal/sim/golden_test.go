@@ -1,20 +1,96 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/probe"
 	"repro/internal/registry"
+	"repro/internal/session"
 )
 
-// TestChurnGolden pins one small churned run, on both engines, to recorded
-// counts. The shard/worker/cache invariance suites compare a build with
-// itself; this one fails if a change to the DHT bookkeeping moves a
+// TestPerRequestGolden pins the per-request-stream realization (Shards >
+// 0) to outcomes recorded before its event engine was folded into the
+// one eventsim.Engine: request and session outcomes, probing, the ψ
+// series, and the sha256 of the telemetry stream with half the requests
+// carrying causal spans, for each of the paper's three algorithms.
+// Routing statistics are deliberately left out: they count how often
+// discovery ran, not what it returned.
+func TestPerRequestGolden(t *testing.T) {
+	type golden struct {
+		requests  RequestStats
+		sessions  session.Counters
+		probes    probe.Stats
+		series    string
+		telemetry string
+	}
+	for _, c := range []struct {
+		alg  Algorithm
+		want golden
+	}{
+		{QSA, golden{
+			requests:  RequestStats{Issued: 947, DepartureFailed: 644, Succeeded: 303},
+			sessions:  session.Counters{Admitted: 947, Rejected: 12, Completed: 303, Failed: 644},
+			probes:    probe.Stats{Probes: 211959, CacheHits: 40910, Evictions: 80053, Rejected: 60126},
+			series:    "2:0.33507853403141363/382 4:0.3081081081081081/370 6:0.3128205128205128/195",
+			telemetry: "347f62fdc886ae0d39aae316f32e9fadfa464ea41fdc0d103680dafe8abc464d",
+		}},
+		{Random, golden{
+			requests:  RequestStats{Issued: 947, AdmissionFailed: 276, DepartureFailed: 481, Succeeded: 190},
+			sessions:  session.Counters{Admitted: 671, Rejected: 276, Completed: 190, Failed: 481},
+			series:    "2:0.2356020942408377/382 4:0.16756756756756758/370 6:0.19487179487179487/195",
+			telemetry: "5060c75598481d17c962dc2a0441d3b6cb35db950311065c3c74f7c805eadd50",
+		}},
+		{Fixed, golden{
+			requests:  RequestStats{Issued: 947, AdmissionFailed: 925, DepartureFailed: 17, Succeeded: 5},
+			sessions:  session.Counters{Admitted: 22, Rejected: 925, Completed: 5, Failed: 17},
+			series:    "2:0.013089005235602094/382 4:0/370 6:0/195",
+			telemetry: "519b7c715b4d82bf580480e43b101d76f10584b01dd656461aeb02f160333721",
+		}},
+	} {
+		cfg := DefaultConfig(1, c.alg, 2000)
+		cfg.RequestRate = 200
+		cfg.ChurnRate = 100
+		cfg.Duration = 5
+		cfg.Shards = 4
+		cfg.SpanSample = 0.5
+		tel := sha256.New()
+		cfg.TelemetryOut = tel
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var series []string
+		for _, p := range res.Series {
+			series = append(series, fmt.Sprintf("%g:%g/%d", p.Time, p.Value, p.N))
+		}
+		got := golden{
+			requests:  res.Requests,
+			sessions:  res.Sessions,
+			probes:    res.Probes,
+			series:    strings.Join(series, " "),
+			telemetry: hex.EncodeToString(tel.Sum(nil)),
+		}
+		if got != c.want {
+			t.Errorf("%v drifted from the recorded run:\n got  %#v\n want %#v", c.alg, got, c.want)
+		}
+	}
+}
+
+// TestChurnGolden pins one small churned run, in both realizations, to
+// recorded counts. The shard and cache invariance suites compare a build
+// with itself; this one fails if a change to the DHT bookkeeping moves a
 // routing decision, a hop, an epoch bump or an RNG draw. The routing
 // counts were last re-recorded when joins began notifying their
 // predecessors and registry writes began going straight to a remembered
 // owner: Lookups + DirectWrites equals the Lookups of the run before
-// (439 446 and 439 610), and every other count stayed as it was.
+// (439 446 and 439 610), and every other count stayed as it was. The
+// shards=4 row's lookup and cache counts moved once more when requests
+// stopped being discovered twice (once ahead of their commit, once again
+// when that preparation went stale); every other count stayed.
 func TestChurnGolden(t *testing.T) {
 	type golden struct {
 		lookup   registry.LookupStats
@@ -31,7 +107,7 @@ func TestChurnGolden(t *testing.T) {
 			probes:   probe.Stats{Probes: 234599, CacheHits: 49409, Evictions: 91142, Rejected: 80249},
 		}},
 		{4, golden{
-			lookup:   registry.LookupStats{Lookups: 107212, TotalHops: 699428, DirectWrites: 332398, CacheHits: 2659, CacheMisses: 2892, Epoch: 445279},
+			lookup:   registry.LookupStats{Lookups: 106819, TotalHops: 696561, DirectWrites: 332398, CacheHits: 429, CacheMisses: 2499, Epoch: 445279},
 			requests: RequestStats{Issued: 947, DepartureFailed: 644, Succeeded: 303},
 			probes:   probe.Stats{Probes: 211959, CacheHits: 40910, Evictions: 80053, Rejected: 60126},
 		}},

@@ -17,6 +17,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -182,36 +183,14 @@ type Config struct {
 	// comparison and for perf analysis.
 	DisableCaches bool
 
-	// Shards, when > 0, runs the simulation on the sharded discrete-event
-	// engine with this many physical event lanes (internal/eventsim,
-	// ShardedEngine). Results are byte-identical across every shard count
-	// — RequestStats, telemetry, ψ series all replay exactly for the same
-	// seed whether Shards is 1 or 8 (the differential suite asserts it).
-	// They intentionally differ from the Shards == 0 classic engine: the
-	// sharded workload draws each request from a private per-request
-	// random stream (seeded by request index) so speculative preparation
-	// never contends on the shared workload source. 0 keeps the classic
-	// single-heap engine and the exact pre-sharding realization.
-	//
-	// Compose and memo work counters (Config.Metrics) are not collected
-	// in sharded mode: speculative composition runs against per-lane
-	// scratch and memos, so those counters would depend on the physical
-	// lane count — exactly what the sharded results must not do.
+	// Shards, when > 0, selects the per-request-stream realization of the
+	// workload: request i draws its user, its request and its composition
+	// randomness from a private stream seeded by (seed, i), and runs on
+	// event lane i % 64 (DESIGN §11). Every positive value gives the same
+	// results byte for byte — the count names no physical resource. 0
+	// draws every request from the one shared workload stream, the
+	// realization the paper's figures were generated with.
 	Shards int
-
-	// ShardWorkers is the number of prepare worker goroutines for the
-	// sharded engine: 0 picks min(Shards, GOMAXPROCS), 1 forces the
-	// inline serial shadow. The differential and race suites force
-	// ShardWorkers = Shards so the barrier is exercised even on one CPU.
-	ShardWorkers int
-
-	// ShardLookahead is the conservative barrier's virtual-time window in
-	// simulated minutes (0 = eventsim.DefaultLookahead). It bounds how
-	// far speculation runs ahead of the commit frontier. Request
-	// outcomes, ψ, and telemetry are identical for any value; only DHT
-	// routing statistics shift, because the window decides when
-	// speculative lookups are charged and which preparations go stale.
-	ShardLookahead float64
 
 	Catalog   catalog.Config
 	Topology  topology.Config
@@ -254,8 +233,11 @@ func (c *Config) fillDefaults() error {
 	if c.SampleWindow == 0 {
 		c.SampleWindow = 2
 	}
-	if c.Shards < 0 || c.ShardWorkers < 0 || c.ShardLookahead < 0 {
-		return fmt.Errorf("sim: negative sharding parameters")
+	if c.Shards < 0 {
+		return fmt.Errorf("sim: negative shard count %d", c.Shards)
+	}
+	if c.RegistryRefresh < 0 || c.Registry.TTL < 0 {
+		return fmt.Errorf("sim: negative registry refresh %g or TTL %g", c.RegistryRefresh, c.Registry.TTL)
 	}
 	if c.SpanSample < 0 || c.SpanSample > 1 {
 		return fmt.Errorf("sim: span sample fraction %g outside [0, 1]", c.SpanSample)
@@ -312,24 +294,22 @@ type Result struct {
 	TelemetryErr    error
 }
 
-// logicalLanes is the fixed number of logical event lanes requests are
-// striped over in sharded mode. It is deliberately a constant — not the
-// physical shard count — so the (time, lane, seq) total order, and with
-// it every result byte, is identical whatever Config.Shards is. Physical
-// lane = logical % Shards.
+// logicalLanes is the number of event lanes per-request streams are
+// striped over (Config.Shards > 0). It is a constant, not the shard
+// count, so the (time, lane, seq) order, and with it every result byte,
+// is the same whatever Config.Shards is.
 const logicalLanes = 64
 
 // Simulator is one configured run.
 type Simulator struct {
-	cfg        Config
-	engine     eventsim.Runner         // the active engine (heap or sharded)
-	heapEngine *eventsim.Engine        // classic engine; nil in sharded mode
-	shEngine   *eventsim.ShardedEngine // sharded engine; nil in classic mode
-	net        *topology.Network
-	cat        *catalog.Catalog
-	reg        *registry.Registry
-	probes     *probe.Manager
-	sess       *session.Manager
+	cfg    Config
+	engine *eventsim.Engine
+	strat  core.Strategy
+	net    *topology.Network
+	cat    *catalog.Catalog
+	reg    *registry.Registry
+	probes *probe.Manager
+	sess   *session.Manager
 
 	qsaSel *selection.Selector
 	agg    *core.Aggregator
@@ -343,13 +323,10 @@ type Simulator struct {
 	spanSalt  uint64
 	openRoots map[uint64]obs.Span
 
-	// Sharded-mode state: one aggregator per physical lane (so prepare
-	// workers never share compose scratch), the strategy resolved once,
-	// the per-request stream salt, and the schedule-order request index.
-	laneAggs  []*core.Aggregator
-	strat     core.Strategy
-	shardSalt uint64
-	reqIndex  uint64
+	// Per-request streams (Config.Shards > 0): the stream salt and the
+	// schedule-order index of the next request.
+	streamSalt uint64
+	reqIndex   uint64
 
 	sampler *metrics.Sampler
 	stats   RequestStats
@@ -378,27 +355,19 @@ func New(cfg Config) (*Simulator, error) {
 	root := xrand.New(cfg.Seed)
 	s := &Simulator{
 		cfg:         cfg,
+		engine:      eventsim.New(),
+		strat:       cfg.Algorithm.Strategy(),
 		sampler:     sampler,
 		rngWorkload: root.SplitLabeled("workload"),
 		rngChurn:    root.SplitLabeled("churn"),
 		rngProvider: root.SplitLabeled("providers"),
 		provides:    make(map[topology.PeerID][]*service.Instance),
 	}
+	if cfg.DisableRetry {
+		s.strat.Retries = 0
+	}
 	if cfg.Shards > 0 {
-		s.shEngine = eventsim.NewSharded(eventsim.ShardedConfig{
-			Shards:    cfg.Shards,
-			Lookahead: cfg.ShardLookahead,
-			Parallel:  cfg.ShardWorkers,
-		})
-		s.engine = s.shEngine
-		s.strat = cfg.Algorithm.Strategy()
-		if cfg.DisableRetry {
-			s.strat.Retries = 0
-		}
-		s.shardSalt = xrand.MixString(cfg.Seed, "shardreq")
-	} else {
-		s.heapEngine = eventsim.New()
-		s.engine = s.heapEngine
+		s.streamSalt = xrand.MixString(cfg.Seed, "shardreq")
 	}
 	if s.net, err = topology.New(cfg.Topology); err != nil {
 		return nil, err
@@ -444,56 +413,19 @@ func New(cfg Config) (*Simulator, error) {
 		ComposeConfig:  cfg.Compose,
 		RNG:            root.SplitLabeled("composerand"),
 	}
-	if cfg.Shards > 0 {
-		// One aggregator per physical lane. They share every serial
-		// subsystem (registry, sessions, selectors) — those are only
-		// touched from the coordinator — but each gets a private compose
-		// scratch and memo, because speculative composition for a lane
-		// runs on that lane's prepare worker. Work counters stay off the
-		// lane configs: per-lane memo hit rates depend on the physical
-		// lane count, which results must not.
-		s.laneAggs = make([]*core.Aggregator, cfg.Shards)
-		for i := range s.laneAggs {
-			cc := cfg.Compose
-			cc.Obs = obs.ComposeCounters{}
-			cc.Scratch = compose.NewScratch()
-			cc.Memo = nil
-			if !cfg.DisableCaches {
-				cc.Memo = compose.NewMemo()
-			}
-			s.laneAggs[i] = &core.Aggregator{
-				Registry:       s.reg,
-				Sessions:       s.sess,
-				PhiSelector:    s.qsaSel,
-				RandomSelector: s.agg.RandomSelector,
-				FixedSelector:  s.agg.FixedSelector,
-				ComposeConfig:  cc,
-			}
-		}
-	}
 	if cfg.TelemetryOut != nil {
 		// eventsim.Time is an alias for float64, so the engine clock is
 		// the tracer clock — events carry simulated minutes.
 		s.tracer = obs.NewTracer(cfg.TelemetryOut, s.engine.Now)
 		s.agg.Tracer = s.tracer
-		// Lane aggregators emit only from the serial commit phase, so they
-		// can share the tracer.
-		for _, la := range s.laneAggs {
-			la.Tracer = s.tracer
-		}
 		if cfg.SpanSample > 0 {
 			// Span IDs and the sampling decision both derive from the run
 			// seed alone, so same-seed runs mint identical causal trees
-			// whatever the shard count. The lane aggregators share the one
-			// span source: like the tracer, they mint spans only from the
-			// serial commit phase.
+			// whatever the shard count.
 			s.spans = obs.NewSpans(s.tracer, xrand.MixString(cfg.Seed, "spans"))
 			s.spanSalt = xrand.MixString(cfg.Seed, "spansample")
 			s.openRoots = make(map[uint64]obs.Span)
 			s.agg.Spans = s.spans
-			for _, la := range s.laneAggs {
-				la.Spans = s.spans
-			}
 		}
 		// Hop reports join the request span via the aggregator's current
 		// request ID (single simulation goroutine, so never stale here).
@@ -560,11 +492,10 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Engine exposes the classic single-heap engine (for embedding in larger
-// harnesses). It is nil when the run is sharded; use Runner then.
-func (s *Simulator) Engine() *eventsim.Engine { return s.heapEngine }
+// Engine exposes the event engine (for embedding in larger harnesses).
+func (s *Simulator) Engine() *eventsim.Engine { return s.engine }
 
-// Runner exposes the active event engine regardless of sharding mode.
+// Runner exposes the event engine's execution surface.
 func (s *Simulator) Runner() eventsim.Runner { return s.engine }
 
 // Network exposes the peer population.
@@ -624,14 +555,38 @@ func (s *Simulator) rootSpan() obs.Span {
 // paper counts these against ψ like any other discovery failure.
 func (s *Simulator) failEarly(now float64, app, reason string) {
 	s.stats.Issued++
-	s.stats.DiscoveryFailed++
 	s.agg.ReqID++
 	if s.tracer != nil {
 		s.tracer.Emit(obs.Event{Kind: obs.KindRequest, Req: s.agg.ReqID, App: app})
-		s.tracer.Emit(obs.Event{Kind: obs.KindFail, Req: s.agg.ReqID,
-			Stage: obs.StageDiscovery, Err: reason})
 	}
-	s.rootSpan().End(obs.Event{Stage: obs.StageDiscovery, Err: reason})
+	s.fail(now, s.rootSpan(), core.StageDiscovery, errors.New(reason))
+}
+
+// fail accounts a request that ended without a session: its stage
+// counter, the fail event, its root span and the ψ sample. Counter and
+// event take the stage from one switch, so qsastat's per-stage counts
+// reconcile with RequestStats exactly.
+func (s *Simulator) fail(now float64, root obs.Span, stage core.Stage, err error) {
+	name := obs.StageAdmission
+	switch stage {
+	case core.StageDiscovery:
+		s.stats.DiscoveryFailed++
+		name = obs.StageDiscovery
+	case core.StageCompose:
+		s.stats.ComposeFailed++
+		name = obs.StageCompose
+	case core.StageSelection:
+		s.stats.SelectionFailed++
+		name = obs.StageSelection
+	default:
+		s.stats.AdmissionFailed++
+	}
+	if s.tracer != nil {
+		s.tracer.Emit(obs.Event{Kind: obs.KindFail, Req: s.agg.ReqID, Stage: name, Err: err.Error()})
+	}
+	if root.Active() {
+		root.End(obs.Event{Stage: name, Err: err.Error()})
+	}
 	// Engine time is never negative, so the record cannot fail.
 	_ = s.sampler.Record(now, false)
 }
@@ -652,10 +607,11 @@ func (s *Simulator) recover(sess *session.Session, k int, now float64) (topology
 	return peer, ok
 }
 
-// issueRequest runs the full aggregation pipeline for one user request.
-func (s *Simulator) issueRequest(now float64) {
-	user := s.net.RandomAliveFrom(s.rngWorkload)
-	req := s.cat.SampleRequest(s.rngWorkload)
+// issueRequest draws one request from draw — its user peer, then its
+// shape — and runs the aggregation pipeline for it.
+func (s *Simulator) issueRequest(now float64, draw *xrand.Source) {
+	user := s.net.RandomAliveFrom(draw)
+	req := s.cat.SampleRequest(draw)
 	if user == nil {
 		s.failEarly(now, req.App.ID, "no alive user peer")
 		return
@@ -718,186 +674,17 @@ func (s *Simulator) issueWith(now float64, user *topology.Peer, req *service.Req
 			User: strconv.Itoa(int(user.ID)), App: req.App.ID,
 			Level: req.Level.String(), Duration: req.Duration})
 	}
-	strat := s.cfg.Algorithm.Strategy()
-	if s.cfg.DisableRetry {
-		strat.Retries = 0
-	}
-	sess, err := s.agg.Aggregate(user.ID, req, now, strat)
-	if err == nil {
-		if root.Active() {
-			// The request root stays open for the session's lifetime; it
-			// closes from onSessionEnd with the final outcome.
-			s.openRoots[sess.ID] = root
-		}
-		return // outcome recorded by onSessionEnd
-	}
-	// The stage switch and the trace event use the same mapping
-	// (core.EventStage), so qsastat's per-stage counts reconcile with
-	// RequestStats exactly.
-	switch core.StageOf(err) {
-	case core.StageDiscovery:
-		s.stats.DiscoveryFailed++
-	case core.StageCompose:
-		s.stats.ComposeFailed++
-	case core.StageSelection:
-		s.stats.SelectionFailed++
-	default:
-		s.stats.AdmissionFailed++
-	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{Kind: obs.KindFail, Req: s.agg.ReqID,
-			Stage: core.EventStage(err), Err: err.Error()})
+	sess, err := s.agg.Aggregate(user.ID, req, now, s.strat)
+	if err != nil {
+		s.fail(now, root, core.StageOf(err), err)
+		return
 	}
 	if root.Active() {
-		root.End(obs.Event{Stage: core.EventStage(err), Err: err.Error()})
+		// The request root stays open for the session's lifetime; it
+		// closes from onSessionEnd with the final outcome.
+		s.openRoots[sess.ID] = root
 	}
-	_ = s.sampler.Record(now, false)
-}
-
-// shardReq carries one sharded-mode request through the engine's three
-// stages: serial discovery pre-pass, speculative composition, commit.
-type shardReq struct {
-	idx  uint64 // schedule-order index; seeds the private stream
-	at   float64
-	lane int // physical lane: picks the aggregator used throughout
-	src  *xrand.Source
-	user *topology.Peer
-	req  *service.Request
-	prep *core.PreparedAggregation
-
-	// Validation tokens captured at the serial stage: if either moved by
-	// commit time, the preparation saw state that has since changed and
-	// the commit redoes the request serially.
-	topoV, regE uint64
-}
-
-// scheduleRequestsSharded plans one simulated minute of workload on the
-// sharded engine. Counts and arrival times still come from the shared
-// workload stream — this runs at a ticker commit, a point in the total
-// order identical for every shard count — while each request's own draws
-// (user, request shape, compose randomness) come from a private stream
-// seeded by its index, so the speculative stages never touch a shared
-// source.
-func (s *Simulator) scheduleRequestsSharded(now float64) {
-	nReq := s.rngWorkload.Poisson(s.cfg.RequestRate)
-	for i := 0; i < nReq; i++ {
-		at := now + s.rngWorkload.Float64()
-		r := &shardReq{idx: s.reqIndex, at: at}
-		s.reqIndex++
-		logical := int(r.idx % logicalLanes)
-		r.lane = logical % s.shEngine.Shards()
-		s.shEngine.AtPrepared(logical, at,
-			func() { s.prepRequestSerial(r) },
-			func() { s.prepRequestSpec(r) },
-			func() { s.commitRequest(r) })
-	}
-}
-
-// prepRequestSerial is the serial pre-stage: draw the request from its
-// private stream, capture the validation tokens, and run discovery —
-// charging DHT lookups at claim time, in merged event order, so the
-// charge sequence is a pure function of the seed.
-func (s *Simulator) prepRequestSerial(r *shardReq) {
-	r.src = xrand.New(xrand.MixIndex(s.shardSalt, r.idx))
-	r.user = s.net.RandomAliveFrom(r.src)
-	r.req = s.cat.SampleRequest(r.src)
-	if r.user == nil {
-		return
-	}
-	r.topoV = s.net.Version()
-	r.regE = s.reg.Epoch()
-	r.prep = s.laneAggs[r.lane].PrepareDiscovery(r.user.ID, r.req, r.at)
-}
-
-// prepRequestSpec is the speculative parallel stage: the first
-// composition attempt over the prepared discovery, using the lane's
-// private compose scratch and memo.
-func (s *Simulator) prepRequestSpec(r *shardReq) {
-	if r.prep == nil || r.prep.Err != nil {
-		return
-	}
-	s.laneAggs[r.lane].PrepareCompose(r.prep, r.req, s.strat, r.src)
-}
-
-// commitRequest finishes one sharded request at its committed position
-// in the total order. If the registry or topology changed since the
-// serial pre-stage, the whole preparation is discarded: the private
-// stream is rewound and the request redone serially, which is exactly
-// the unsharded execution of this commit. Either way the stream, the
-// statistics, and the trace are bit-identical for every shard count.
-func (s *Simulator) commitRequest(r *shardReq) {
-	now := r.at
-	la := s.laneAggs[r.lane]
-	valid := r.prep != nil &&
-		r.topoV == s.net.Version() && r.regE == s.reg.Epoch()
-	if !valid {
-		r.src = xrand.New(xrand.MixIndex(s.shardSalt, r.idx))
-		r.user = s.net.RandomAliveFrom(r.src)
-		r.req = s.cat.SampleRequest(r.src)
-		r.prep = nil
-	}
-	s.stats.Issued++
-	s.agg.ReqID++ // the request-span counter; hop reports read it
-	la.ReqID = s.agg.ReqID
-	root := s.rootSpan()
-	la.ReqSpan = root.Context()
-	if r.user == nil {
-		s.stats.DiscoveryFailed++
-		if s.tracer != nil {
-			s.tracer.Emit(obs.Event{Kind: obs.KindRequest, Req: la.ReqID, App: r.req.App.ID})
-			s.tracer.Emit(obs.Event{Kind: obs.KindFail, Req: la.ReqID,
-				Stage: obs.StageDiscovery, Err: "no alive user peer"})
-		}
-		root.End(obs.Event{Stage: obs.StageDiscovery, Err: "no alive user peer"})
-		_ = s.sampler.Record(now, false)
-		return
-	}
-	if s.cfg.TraceSink != nil {
-		s.cfg.TraceSink(trace.Entry{
-			T:        now,
-			User:     int(r.user.ID),
-			App:      r.req.App.ID,
-			Level:    r.req.Level.String(),
-			Duration: r.req.Duration,
-		})
-	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{Kind: obs.KindRequest, Req: la.ReqID,
-			User: strconv.Itoa(int(r.user.ID)), App: r.req.App.ID,
-			Level: r.req.Level.String(), Duration: r.req.Duration})
-	}
-	var sess *session.Session
-	var err error
-	if r.prep != nil {
-		sess, err = la.AggregateFinish(r.prep, r.user.ID, r.req, now, s.strat, r.src)
-	} else {
-		la.RNG = r.src
-		sess, err = la.Aggregate(r.user.ID, r.req, now, s.strat)
-	}
-	if err == nil {
-		if root.Active() {
-			s.openRoots[sess.ID] = root
-		}
-		return // outcome recorded by onSessionEnd
-	}
-	switch core.StageOf(err) {
-	case core.StageDiscovery:
-		s.stats.DiscoveryFailed++
-	case core.StageCompose:
-		s.stats.ComposeFailed++
-	case core.StageSelection:
-		s.stats.SelectionFailed++
-	default:
-		s.stats.AdmissionFailed++
-	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{Kind: obs.KindFail, Req: la.ReqID,
-			Stage: core.EventStage(err), Err: err.Error()})
-	}
-	if root.Active() {
-		root.End(obs.Event{Stage: core.EventStage(err), Err: err.Error()})
-	}
-	_ = s.sampler.Record(now, false)
+	// The outcome is recorded by onSessionEnd.
 }
 
 // churnDepart removes one random peer and propagates the departure.
@@ -950,12 +737,26 @@ func (s *Simulator) refreshRegistrations(now float64) {
 	}
 }
 
-// scheduleRequests plans one minute of workload starting at now.
+// scheduleRequests plans one minute of workload starting at now. Counts
+// and arrival times come from the shared workload stream. With
+// Config.Shards > 0 each request then draws everything else — user,
+// request, composition randomness — from its own stream, seeded by its
+// schedule-order index, and runs on lane index % logicalLanes.
 func (s *Simulator) scheduleRequests(now float64) {
 	nReq := s.rngWorkload.Poisson(s.cfg.RequestRate)
 	for i := 0; i < nReq; i++ {
 		at := now + s.rngWorkload.Float64()
-		s.engine.Schedule(at, func() { s.issueRequest(at) })
+		if s.cfg.Shards == 0 {
+			s.engine.At(at, func() { s.issueRequest(at, s.rngWorkload) })
+			continue
+		}
+		idx := s.reqIndex
+		s.reqIndex++
+		s.engine.AtLane(int(idx%logicalLanes), at, func() {
+			src := xrand.New(xrand.MixIndex(s.streamSalt, idx))
+			s.agg.RNG = src
+			s.issueRequest(at, src)
+		})
 	}
 }
 
@@ -980,11 +781,11 @@ func (s *Simulator) scheduleChurn(now float64) {
 	}
 	for i := 0; i < dep; i++ {
 		at := now + s.rngChurn.Float64()
-		s.engine.Schedule(at, func() { s.churnDepart(at) })
+		s.engine.At(at, func() { s.churnDepart(at) })
 	}
 	for i := 0; i < arr; i++ {
 		at := now + s.rngChurn.Float64()
-		s.engine.Schedule(at, func() { s.churnArrive(at) })
+		s.engine.At(at, func() { s.churnArrive(at) })
 	}
 }
 
@@ -1001,32 +802,28 @@ func (s *Simulator) Run() *Result {
 		maxDur = 60
 	}
 	drainHorizon := s.cfg.Duration + maxDur
-	var requests eventsim.Handle
+	var requests *eventsim.Ticker
 	if len(s.cfg.Replay) > 0 {
 		for _, e := range s.cfg.Replay {
 			if e.T >= s.cfg.Duration {
 				continue
 			}
 			e := e
-			s.engine.Schedule(e.T, func() { s.issueReplayed(e.T, e) })
+			s.engine.At(e.T, func() { s.issueReplayed(e.T, e) })
 		}
 	} else {
-		schedule := s.scheduleRequests
-		if s.shEngine != nil {
-			schedule = s.scheduleRequestsSharded
-		}
-		requests = s.engine.ScheduleEvery(0, 1, func() {
+		requests = s.engine.Every(0, 1, func() {
 			if s.engine.Now() < s.cfg.Duration {
-				schedule(s.engine.Now())
+				s.scheduleRequests(s.engine.Now())
 			}
 		})
 	}
-	churn := s.engine.ScheduleEvery(0, 1, func() {
+	churn := s.engine.Every(0, 1, func() {
 		if s.engine.Now() < drainHorizon {
 			s.scheduleChurn(s.engine.Now())
 		}
 	})
-	refresh := s.engine.ScheduleEvery(s.cfg.RegistryRefresh, s.cfg.RegistryRefresh, func() {
+	refresh := s.engine.Every(s.cfg.RegistryRefresh, s.cfg.RegistryRefresh, func() {
 		s.refreshRegistrations(s.engine.Now())
 	})
 	s.engine.RunUntil(s.cfg.Duration)
@@ -1037,9 +834,6 @@ func (s *Simulator) Run() *Result {
 	churn.Cancel()
 	refresh.Cancel()
 	s.engine.Run() // drain any remaining completions
-	if s.shEngine != nil {
-		s.shEngine.Close() // terminate the prepare workers
-	}
 
 	res := &Result{
 		Config:     s.cfg,

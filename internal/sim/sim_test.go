@@ -48,6 +48,18 @@ func TestConfigValidation(t *testing.T) {
 		{Seed: 1, Peers: 10, Duration: 0, RequestRate: 1},
 		{Seed: 1, Peers: 10, Duration: 10, RequestRate: -1},
 		{Seed: 1, Peers: 10, Duration: 10, ChurnRate: -1},
+		func() Config {
+			c := DefaultConfig(1, QSA, 50)
+			c.RequestRate, c.Duration = 5, 2
+			c.RegistryRefresh = -1
+			return c
+		}(),
+		func() Config {
+			c := DefaultConfig(1, QSA, 50)
+			c.RequestRate, c.Duration = 5, 2
+			c.Registry.TTL = -4
+			return c
+		}(),
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

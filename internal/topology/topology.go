@@ -141,8 +141,7 @@ type Network struct {
 
 	bw *resource.BandwidthLedger
 
-	departures, arrivals int    // cumulative churn counters
-	version              uint64 // bumped on every Join/Depart
+	departures, arrivals int // cumulative churn counters
 }
 
 // New builds a network with cfg.N peers joined at time 0.
@@ -238,7 +237,6 @@ func (n *Network) Join(now float64) (*Peer, error) {
 	n.aliveIdx = append(n.aliveIdx, int32(len(n.alive)))
 	n.alive = append(n.alive, p.ID)
 	n.arrivals++
-	n.version++
 	return p, nil
 }
 
@@ -263,7 +261,6 @@ func (n *Network) Depart(id PeerID, now float64) error {
 	n.alive = n.alive[:len(n.alive)-1]
 	n.aliveIdx[id] = -1
 	n.departures++
-	n.version++
 	return nil
 }
 
@@ -309,12 +306,6 @@ func (n *Network) MustPeer(id PeerID) *Peer {
 	}
 	return p
 }
-
-// Version returns the membership mutation counter: it advances on every
-// Join and Depart. The sharded simulator uses it as a validation token —
-// a speculative computation that read the alive set is safe to reuse
-// only if the version is unchanged at commit time.
-func (n *Network) Version() uint64 { return n.version }
 
 // AliveCount returns the number of currently connected peers.
 func (n *Network) AliveCount() int { return len(n.alive) }

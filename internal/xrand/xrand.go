@@ -57,10 +57,9 @@ func MixString(h uint64, s string) uint64 {
 
 // MixIndex derives an independent value from hash state h and a counter
 // i, keyed so consecutive indices land far apart. It is the numeric
-// companion of MixString: the sharded simulator uses it to give every
-// request its own self-contained random stream seeded by
-// (run salt, request index), so speculative preparation never has to
-// consume — or contend on — a shared source.
+// companion of MixString: the simulator's per-request streams use it to
+// give every request its own self-contained random stream seeded by
+// (run salt, request index).
 func MixIndex(h, i uint64) uint64 {
 	return Mix64(h ^ Mix64((i+1)*gamma))
 }

@@ -193,6 +193,9 @@ type Grid struct {
 
 // New creates an empty grid (no peers yet) from cfg.
 func New(cfg Config) (*Grid, error) {
+	if cfg.RegistryTTL < 0 {
+		return nil, fmt.Errorf("qsa: negative registry TTL %v", cfg.RegistryTTL)
+	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}

@@ -304,6 +304,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Weights: []float64{0.9, 0.9, 0.9}}); err == nil {
 		t.Fatal("weights not summing to 1 must fail")
 	}
+	// A negative TTL would register every Provide already expired.
+	if _, err := New(Config{RegistryTTL: -1}); err == nil {
+		t.Fatal("negative registry TTL must fail")
+	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
