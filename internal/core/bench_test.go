@@ -90,13 +90,13 @@ func benchRequest(app *service.Application) *service.Request {
 // cache.
 func BenchmarkDiscover(b *testing.B) {
 	agg, _, app := benchGrid(b)
-	if _, err := agg.Discover(99, app.Path, 1); err != nil {
-		b.Fatal(err)
+	if p := agg.PrepareDiscovery(99, benchRequest(app), 1); p.Err != nil {
+		b.Fatal(p.Err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := agg.discoverInto(&agg.sc.disc, 99, app.Path, 1); err != nil {
+		if err := agg.lookupInto(&agg.sc.disc, 99, app.Path, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,22 +99,15 @@ const (
 	StageAdmission
 )
 
+// stageNames are the stages' String forms: the obs trace vocabulary.
+var stageNames = [...]string{"admitted", obs.StageDiscovery, obs.StageCompose, obs.StageSelection, obs.StageAdmission}
+
 // String implements fmt.Stringer.
 func (s Stage) String() string {
-	switch s {
-	case StageNone:
-		return "admitted"
-	case StageDiscovery:
-		return "discovery"
-	case StageCompose:
-		return "compose"
-	case StageSelection:
-		return "selection"
-	case StageAdmission:
-		return "admission"
-	default:
-		return fmt.Sprintf("Stage(%d)", int(s))
+	if s >= 0 && int(s) < len(stageNames) {
+		return stageNames[s]
 	}
+	return fmt.Sprintf("Stage(%d)", int(s))
 }
 
 // ErrAggregation wraps pipeline failures with their stage.
@@ -141,23 +134,20 @@ func StageOf(err error) Stage {
 	return StageNone
 }
 
-// aggScratch is the aggregation pipeline's reusable working memory: the
-// discovery result, per-hop provider buffers, and the retry-excluded
-// layer double buffer all live here and are recycled across Aggregate
-// calls, so the steady-state request path performs no slice or map
-// allocations of its own.
+// aggScratch is Aggregate's working memory — the discovery, per-hop
+// provider buffers, the attempt loop and the grid — recycled across
+// calls, so the steady-state path makes no allocations of its own.
 type aggScratch struct {
 	disc      Discovery
 	providers [][]topology.PeerID
-	// retry alternates between two layer buffers: attempt n+1's filtered
-	// layers are built while attempt n's (the source of the filter) are
-	// still referenced, so a single buffer would alias itself.
-	retry [2][][]*service.Instance
+	pipeline  Pipeline
+	grid      memGrid
 }
 
-// Aggregator is the integrated QSA engine over a grid's subsystems. It is
-// single-goroutine, like the simulation driving it: the scratch buffers,
-// the RNG, and the tracer are all unsynchronized.
+// Aggregator is the integrated QSA engine over a grid's subsystems — the
+// in-memory Grid the attempt loop runs over in the simulator and the
+// public façade. It is single-goroutine, like the simulation driving it:
+// the scratch buffers, the RNG, and the tracer are all unsynchronized.
 type Aggregator struct {
 	Registry *registry.Registry
 	Sessions *session.Manager
@@ -174,90 +164,45 @@ type Aggregator struct {
 	// RNG drives the random composer.
 	RNG *xrand.Source
 
-	// Tracer, when non-nil, receives decision-trace events (compose
-	// results, retries, reservations, admissions, recoveries). Like RNG
-	// it is used from the single simulation goroutine only.
-	Tracer *obs.Tracer
-	// ReqID is the request ID stamped onto trace events. The caller
-	// (the simulator) sets it before each Aggregate call so core events
-	// join the caller's request span; it is never read when Tracer is
-	// nil.
-	ReqID uint64
-	// Spans, when enabled, mints the causal stage spans of the request
-	// trace, and ReqSpan is the current request's root span context —
-	// set by the caller alongside ReqID (the zero context marks the
-	// request unsampled, making every stage span inert). Stage spans are
-	// emitted only from Aggregate, AggregateFinish and the attempt loop,
-	// never from the Prepare* stages, so both entry points mint the same
-	// span-ID sequence. In simulator virtual time the whole pipeline runs
-	// at one instant, so these spans are zero-duration: they carry
-	// structure (stage order, attempts, outcomes), not latency; the
-	// prototype's wall-clock spans carry both (DESIGN §13).
+	// Tracer, ReqID, Spans and ReqSpan are the Pipeline's Tracer, Req,
+	// Spans and Root, set by the caller before each request. Only the
+	// attempt loop mints spans, so both entry points mint the same IDs;
+	// in virtual time they carry structure, not latency (DESIGN §13).
+	Tracer  *obs.Tracer
+	ReqID   uint64
 	Spans   *obs.Spans
 	ReqSpan obs.SpanContext
 
 	sc aggScratch
 }
 
-// stageName maps a pipeline stage onto the obs trace vocabulary.
-func stageName(s Stage) string {
-	switch s {
-	case StageDiscovery:
-		return obs.StageDiscovery
-	case StageCompose:
-		return obs.StageCompose
-	case StageSelection:
-		return obs.StageSelection
-	default:
-		return obs.StageAdmission
-	}
-}
-
 // EventStage is the trace stage a pipeline error is attributed to —
 // exported so event consumers and RequestStats bookkeeping agree on the
 // mapping (every non-pipeline admission error is "admission").
 func EventStage(err error) string {
-	return stageName(StageOf(err))
-}
-
-// stageSpan closes one stage span under the current request's root.
-// The disabled path (Spans nil or the request unsampled) is a couple of
-// branches and allocates nothing; call sites that build allocating
-// event fields gate on Spans.Enabled() first.
-func (a *Aggregator) stageSpan(ev obs.Event) {
-	a.Spans.Join(a.ReqSpan, a.ReqID).End(ev)
+	if s := StageOf(err); s != StageNone {
+		return s.String()
+	}
+	return obs.StageAdmission
 }
 
 // Discovery is the result of looking up every service of an abstract path.
 type Discovery struct {
-	Layers  [][]*service.Instance
-	Entries [][]*registry.InstanceEntry
+	Layers [][]*service.Instance
 
-	// byInst indexes every discovered entry by its instance, so Providers
-	// is a map probe instead of a per-call layer scan. Instances are
-	// registry-unique, so one flat index covers all layers.
+	// byInst indexes every discovered entry by its instance. Instances
+	// are registry-unique, so one flat index covers all layers.
 	byInst map[*service.Instance]*registry.InstanceEntry
 }
 
-// Discover performs the DHT lookups for the request's abstract path from
-// the user's peer.
-func (a *Aggregator) Discover(user topology.PeerID, path []service.Name, now float64) (*Discovery, error) {
-	d := &Discovery{}
-	if err := a.discoverInto(d, user, path, now); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// discoverInto runs the lookups into d, reusing whatever buffers d
-// already holds.
-func (a *Aggregator) discoverInto(d *Discovery, user topology.PeerID, path []service.Name, now float64) error {
+// lookupInto runs the lookups into d, reusing whatever buffers d already
+// holds. It stops after the first service without candidates, leaving
+// that layer empty for the attempt loop to report.
+func (a *Aggregator) lookupInto(d *Discovery, user topology.PeerID, path []service.Name, now float64) error {
 	for len(d.Layers) < len(path) {
 		d.Layers = append(d.Layers, nil)
-		d.Entries = append(d.Entries, nil)
 	}
 	d.Layers = d.Layers[:len(path)]
-	d.Entries = d.Entries[:len(path)]
 	if d.byInst == nil {
 		d.byInst = make(map[*service.Instance]*registry.InstanceEntry)
 	} else {
@@ -266,18 +211,17 @@ func (a *Aggregator) discoverInto(d *Discovery, user topology.PeerID, path []ser
 	for k, name := range path {
 		es, _, err := a.Registry.Lookup(user, name, now)
 		if err != nil {
-			return &ErrAggregation{StageDiscovery, err}
+			return err
 		}
-		if len(es) == 0 {
-			return &ErrAggregation{StageDiscovery, fmt.Errorf("no candidates for %q", name)}
-		}
-		d.Entries[k] = es
 		layer := d.Layers[k][:0]
 		for _, e := range es {
 			layer = append(layer, e.Inst)
 			d.byInst[e.Inst] = e
 		}
 		d.Layers[k] = layer
+		if len(layer) == 0 {
+			return nil
+		}
 	}
 	return nil
 }
@@ -285,19 +229,91 @@ func (a *Aggregator) discoverInto(d *Discovery, user topology.PeerID, path []ser
 // Providers appends to dst the live provider peers of the chosen instance
 // at layer k of the discovery and returns dst.
 func (d *Discovery) Providers(k int, inst *service.Instance, now float64, dst []topology.PeerID) []topology.PeerID {
-	if d.byInst != nil {
-		if e, ok := d.byInst[inst]; ok {
-			return e.Providers(now, dst)
-		}
-		return dst
-	}
-	for _, e := range d.Entries[k] {
-		if e.Inst == inst {
-			return e.Providers(now, dst)
-		}
+	if e, ok := d.byInst[inst]; ok {
+		return e.Providers(now, dst)
 	}
 	return dst
 }
+
+// memGrid is the in-memory Grid of one request: the registry answers
+// discovery, the strategy's selector picks the peers, and the session
+// manager admits. Aggregate reuses one in the aggregator's scratch.
+type memGrid struct {
+	a     *Aggregator
+	user  topology.PeerID
+	req   *service.Request
+	now   float64
+	strat Strategy
+	disc  *Discovery
+	peers []topology.PeerID
+	sess  *session.Session
+}
+
+// Discover validates the request and looks its services up.
+func (g *memGrid) Discover() ([][]*service.Instance, error) {
+	if err := g.req.Validate(); err != nil {
+		return nil, err
+	}
+	if err := g.a.lookupInto(g.disc, g.user, g.req.App.Path, g.now); err != nil {
+		return nil, err
+	}
+	return g.disc.Layers, nil
+}
+
+// Select resolves each instance's live providers from the discovery and
+// runs the strategy's selector over them.
+func (g *memGrid) Select(path []*service.Instance, _ obs.SpanContext) error {
+	a := g.a
+	for len(a.sc.providers) < len(path) {
+		a.sc.providers = append(a.sc.providers, nil)
+	}
+	providers := a.sc.providers[:len(path)]
+	for k, inst := range path {
+		providers[k] = g.disc.Providers(k, inst, g.now, providers[k][:0])
+		if len(providers[k]) == 0 {
+			return fmt.Errorf("no live providers for %s", inst.ID)
+		}
+	}
+	var ok bool
+	dur := g.req.Duration
+	switch g.strat.Select {
+	case SelectPhi:
+		g.peers, ok = a.PhiSelector.SelectPath(g.user, path, providers, dur, g.now)
+	case SelectRandom:
+		g.peers, ok = a.RandomSelector.SelectPath(g.user, path, providers, dur, g.now)
+	case SelectFixed:
+		g.peers, ok = a.FixedSelector.SelectPath(g.user, path, providers, dur, g.now)
+	}
+	if !ok {
+		return errors.New("no selectable peer")
+	}
+	return nil
+}
+
+// Admit opens the session on the selected peers.
+func (g *memGrid) Admit(path []*service.Instance, attempt int, _ obs.SpanContext) error {
+	sess, err := g.a.Sessions.Admit(g.user, path, g.peers, g.req.Duration)
+	if err != nil {
+		if tr := g.a.Tracer; tr != nil {
+			tr.Emit(obs.Event{Kind: obs.KindReserve, Req: g.a.ReqID, Attempt: attempt, Err: err.Error()})
+		}
+		return err
+	}
+	g.sess = sess
+	return nil
+}
+
+// Names renders the admitted session's ID and peers.
+func (g *memGrid) Names() (string, []string) {
+	hosts := make([]string, len(g.peers))
+	for i, p := range g.peers {
+		hosts[i] = strconv.Itoa(int(p))
+	}
+	return strconv.FormatUint(g.sess.ID, 10), hosts
+}
+
+// Stage does nothing: simulated stages take no time.
+func (g *memGrid) Stage(Stage, bool) {}
 
 // Aggregate runs the full pipeline for one request. On success it returns
 // the admitted session; on failure, an *ErrAggregation carrying the stage
@@ -305,183 +321,22 @@ func (d *Discovery) Providers(k int, inst *service.Instance, now float64, dst []
 func (a *Aggregator) Aggregate(user topology.PeerID, req *service.Request,
 	now float64, strat Strategy) (*session.Session, error) {
 
-	disc := &a.sc.disc
-	if err := a.discoverRequest(disc, user, req, now); err != nil {
-		a.discoverySpan(err)
+	return a.run(user, req, now, strat, a.RNG, &a.sc.disc, nil)
+}
+
+// run readies the aggregator's reusable attempt loop and in-memory grid
+// for one request and runs them, from scratch or from prep.
+func (a *Aggregator) run(user topology.PeerID, req *service.Request, now float64,
+	strat Strategy, rng *xrand.Source, disc *Discovery, prep *PreparedAggregation) (*session.Session, error) {
+
+	pl, g := &a.sc.pipeline, &a.sc.grid
+	pl.Strategy, pl.Compose, pl.RNG = strat, a.ComposeConfig, rng
+	pl.Tracer, pl.Spans, pl.Req, pl.Root = a.Tracer, a.Spans, a.ReqID, a.ReqSpan
+	*g = memGrid{a: a, user: user, req: req, now: now, strat: strat, disc: disc}
+	if _, err := pl.run(g, req, prep); err != nil {
 		return nil, err
 	}
-	a.discoverySpan(nil)
-	path, err := a.composePath(disc.Layers, req, strat, a.RNG)
-	return a.runAttempts(user, req, now, strat, disc, a.RNG, path, err)
-}
-
-// discoverRequest validates req and runs its lookups into d. Every
-// failure it returns is a discovery-stage *ErrAggregation.
-func (a *Aggregator) discoverRequest(d *Discovery, user topology.PeerID, req *service.Request, now float64) error {
-	if err := req.Validate(); err != nil {
-		return &ErrAggregation{StageDiscovery, err}
-	}
-	return a.discoverInto(d, user, req.App.Path, now)
-}
-
-// discoverySpan closes the discovery stage span with err's outcome.
-func (a *Aggregator) discoverySpan(err error) {
-	if !a.Spans.Enabled() {
-		return
-	}
-	if err != nil {
-		a.stageSpan(obs.Event{Stage: obs.StageDiscovery, Err: err.Error()})
-		return
-	}
-	a.stageSpan(obs.Event{Stage: obs.StageDiscovery, OK: true})
-}
-
-// runAttempts is the compose→select→admit retry loop shared by Aggregate
-// and AggregateFinish. Attempt 0 finishes the composition outcome (path,
-// err) the caller already computed; every later attempt composes over
-// the exclusion-filtered layers with rng.
-func (a *Aggregator) runAttempts(user topology.PeerID, req *service.Request, now float64,
-	strat Strategy, disc *Discovery, rng *xrand.Source,
-	path *compose.Path, err error) (*session.Session, error) {
-
-	layers := disc.Layers
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if a.Tracer != nil {
-				a.Tracer.Emit(obs.Event{Kind: obs.KindRetry, Req: a.ReqID, Attempt: attempt})
-			}
-			path, err = a.composePath(layers, req, strat, rng)
-		}
-		var sess *session.Session
-		if sess, err = a.attempt(user, req, now, strat, disc, path, err, attempt); err == nil {
-			return sess, nil
-		}
-		stage := StageOf(err)
-		if stage != StageSelection && stage != StageAdmission || attempt >= strat.Retries {
-			return nil, err // compose failures cannot improve by retrying
-		}
-		// Exclude the failed path's instances and recompose over the rest.
-		next := a.sc.retry[attempt%2]
-		for len(next) < len(layers) {
-			next = append(next, nil)
-		}
-		next = next[:len(layers)]
-		for k := range layers {
-			nk := next[k][:0]
-			for _, in := range layers[k] {
-				if in != path.Instances[k] {
-					nk = append(nk, in)
-				}
-			}
-			next[k] = nk
-			if len(nk) == 0 {
-				a.sc.retry[attempt%2] = next
-				return nil, err // a layer ran out of candidates
-			}
-		}
-		a.sc.retry[attempt%2] = next
-		layers = next
-	}
-}
-
-// composePath runs the strategy's composition algorithm over layers.
-func (a *Aggregator) composePath(layers [][]*service.Instance, req *service.Request,
-	strat Strategy, rng *xrand.Source) (*compose.Path, error) {
-	switch strat.Compose {
-	case ComposeQCS:
-		return compose.QCS(layers, req.UserQoS, a.ComposeConfig)
-	case ComposeRandom:
-		return compose.Random(layers, req.UserQoS, rng, a.ComposeConfig)
-	case ComposeFixed:
-		return compose.Fixed(layers, req.UserQoS, a.ComposeConfig)
-	}
-	return nil, fmt.Errorf("unknown composer %d", strat.Compose)
-}
-
-// attempt finishes one attempt from its composition outcome: it emits
-// the compose trace event and runs the provider-resolution → selection
-// → admission tail.
-func (a *Aggregator) attempt(user topology.PeerID, req *service.Request, now float64,
-	strat Strategy, disc *Discovery, path *compose.Path, err error, attempt int) (*session.Session, error) {
-
-	if err != nil {
-		if a.Tracer != nil {
-			a.Tracer.Emit(obs.Event{Kind: obs.KindCompose, Req: a.ReqID, Attempt: attempt, Err: err.Error()})
-		}
-		if a.Spans.Enabled() {
-			a.stageSpan(obs.Event{Stage: obs.StageCompose, Attempt: attempt, Err: err.Error()})
-		}
-		return nil, &ErrAggregation{StageCompose, err}
-	}
-	if a.Tracer != nil {
-		ids := make([]string, len(path.Instances))
-		for i, in := range path.Instances {
-			ids[i] = in.ID
-		}
-		a.Tracer.Emit(obs.Event{Kind: obs.KindCompose, Req: a.ReqID, Attempt: attempt,
-			Path: ids, Cost: path.Cost, OK: true})
-	}
-	if a.Spans.Enabled() {
-		a.stageSpan(obs.Event{Stage: obs.StageCompose, Attempt: attempt, Cost: path.Cost, OK: true})
-	}
-
-	for len(a.sc.providers) < len(path.Instances) {
-		a.sc.providers = append(a.sc.providers, nil)
-	}
-	providers := a.sc.providers[:len(path.Instances)]
-	for k, inst := range path.Instances {
-		providers[k] = disc.Providers(k, inst, now, providers[k][:0])
-		if len(providers[k]) == 0 {
-			if a.Spans.Enabled() {
-				a.stageSpan(obs.Event{Stage: obs.StageSelection, Attempt: attempt,
-					Err: "no live providers for " + inst.ID})
-			}
-			return nil, &ErrAggregation{StageSelection, fmt.Errorf("no live providers for %s", inst.ID)}
-		}
-	}
-	var peers []topology.PeerID
-	var ok bool
-	switch strat.Select {
-	case SelectPhi:
-		peers, ok = a.PhiSelector.SelectPath(user, path.Instances, providers, req.Duration, now)
-	case SelectRandom:
-		peers, ok = a.RandomSelector.SelectPath(user, path.Instances, providers, req.Duration, now)
-	case SelectFixed:
-		peers, ok = a.FixedSelector.SelectPath(user, path.Instances, providers, req.Duration, now)
-	}
-	if !ok {
-		if a.Spans.Enabled() {
-			a.stageSpan(obs.Event{Stage: obs.StageSelection, Attempt: attempt, Err: "no selectable peer"})
-		}
-		return nil, &ErrAggregation{StageSelection, fmt.Errorf("no selectable peer")}
-	}
-	if a.Spans.Enabled() {
-		a.stageSpan(obs.Event{Stage: obs.StageSelection, Attempt: attempt, OK: true})
-	}
-
-	sess, err := a.Sessions.Admit(user, path.Instances, peers, req.Duration)
-	if err != nil {
-		if a.Tracer != nil {
-			a.Tracer.Emit(obs.Event{Kind: obs.KindReserve, Req: a.ReqID, Attempt: attempt, Err: err.Error()})
-		}
-		if a.Spans.Enabled() {
-			a.stageSpan(obs.Event{Stage: obs.StageAdmission, Attempt: attempt, Err: err.Error()})
-		}
-		return nil, &ErrAggregation{StageAdmission, err}
-	}
-	if a.Tracer != nil {
-		hosts := make([]string, len(peers))
-		for i, p := range peers {
-			hosts[i] = strconv.Itoa(int(p))
-		}
-		a.Tracer.Emit(obs.Event{Kind: obs.KindAdmit, Req: a.ReqID, Attempt: attempt,
-			Session: strconv.FormatUint(sess.ID, 10), Path: hosts, OK: true})
-	}
-	if a.Spans.Enabled() {
-		a.stageSpan(obs.Event{Stage: obs.StageAdmission, Attempt: attempt, OK: true,
-			Session: strconv.FormatUint(sess.ID, 10)})
-	}
-	return sess, nil
+	return g.sess, nil
 }
 
 // PreparedAggregation carries one request through the pipeline in
@@ -509,12 +364,12 @@ func (a *Aggregator) PrepareDiscovery(user topology.PeerID, req *service.Request
 	now float64) *PreparedAggregation {
 
 	p := &PreparedAggregation{}
-	d := &Discovery{}
-	if err := a.discoverRequest(d, user, req, now); err != nil {
+	g := &memGrid{a: a, user: user, req: req, now: now, disc: &Discovery{}}
+	if _, err := discoverLayers(g, req); err != nil {
 		p.Err = err
 		return p
 	}
-	p.Disc = d
+	p.Disc = g.disc
 	return p
 }
 
@@ -527,7 +382,8 @@ func (a *Aggregator) PrepareCompose(p *PreparedAggregation, req *service.Request
 	if p.Err != nil || p.Disc == nil {
 		return
 	}
-	p.Path, p.ComposeErr = a.composePath(p.Disc.Layers, req, strat, rng)
+	pl := Pipeline{Strategy: strat, Compose: a.ComposeConfig, RNG: rng}
+	p.Path, p.ComposeErr = pl.compose(p.Disc.Layers, req.UserQoS)
 	p.Composed = true
 }
 
@@ -540,20 +396,10 @@ func (a *Aggregator) PrepareCompose(p *PreparedAggregation, req *service.Request
 func (a *Aggregator) AggregateFinish(p *PreparedAggregation, user topology.PeerID,
 	req *service.Request, now float64, strat Strategy, rng *xrand.Source) (*session.Session, error) {
 
-	a.discoverySpan(p.Err)
-	if p.Err != nil {
-		return nil, p.Err
-	}
-	if !p.Composed {
+	if p.Err == nil && !p.Composed {
 		a.PrepareCompose(p, req, strat, rng)
 	}
-	return a.runAttempts(user, req, now, strat, p.Disc, rng, p.Path, p.ComposeErr)
-}
-
-// PathCost exposes the aggregated Definition 3.1 cost of an instance
-// sequence.
-func (a *Aggregator) PathCost(instances []*service.Instance) float64 {
-	return a.ComposeConfig.PathCost(instances)
+	return a.run(user, req, now, strat, rng, p.Disc, p)
 }
 
 // Recover re-selects a replacement peer for component k of a session whose

@@ -127,7 +127,7 @@ func TestQCSPicksCheapestInstances(t *testing.T) {
 	if sess.Instances[0].ID != "src#0" || sess.Instances[1].ID != "snk#0" {
 		t.Fatalf("QCS chose %v, %v", sess.Instances[0].ID, sess.Instances[1].ID)
 	}
-	if c := f.agg.PathCost(sess.Instances); c <= 0 {
+	if c := f.agg.ComposeConfig.PathCost(sess.Instances); c <= 0 {
 		t.Fatalf("PathCost = %v", c)
 	}
 }
@@ -317,26 +317,26 @@ func pidSet(ps []topology.PeerID) map[topology.PeerID]bool {
 // TestProvidersTTLConsistentAcrossRetries pins the retry contract of the
 // discovery snapshot: every attempt of one Aggregate call evaluates
 // provider liveness against the same clock, so repeated Providers queries
-// on a Discovery return identical, TTL-filtered sets — through the
-// instance index and through the linear fallback alike — and a later
-// clock sees expirations without a fresh lookup.
+// on a Discovery return identical, TTL-filtered sets, and a later clock
+// sees expirations without a fresh lookup.
 func TestProvidersTTLConsistentAcrossRetries(t *testing.T) {
 	f := newFixture(t)
 	// One late registration: peer 20 joins src#0's provider set at t=5,
 	// so it expires at 15 while the t=0 registrations expire at 10.
-	disc0, err := f.agg.Discover(0, f.app.Path, 0)
-	if err != nil {
-		t.Fatal(err)
+	disc0 := f.agg.PrepareDiscovery(0, f.request(5), 0)
+	if disc0.Err != nil {
+		t.Fatal(disc0.Err)
 	}
-	src0 := disc0.Layers[0][0]
+	src0 := disc0.Disc.Layers[0][0]
 	if err := f.reg.Register(0, src0, 20, 5); err != nil {
 		t.Fatal(err)
 	}
 
-	disc, err := f.agg.Discover(0, f.app.Path, 6)
-	if err != nil {
-		t.Fatal(err)
+	prep := f.agg.PrepareDiscovery(0, f.request(5), 6)
+	if prep.Err != nil {
+		t.Fatal(prep.Err)
 	}
+	disc := prep.Disc
 	inst := disc.Layers[0][0]
 	first := disc.Providers(0, inst, 6, nil)
 	if !pidSet(first)[20] || len(first) != 5 {
@@ -353,17 +353,6 @@ func TestProvidersTTLConsistentAcrossRetries(t *testing.T) {
 			if buf[i] != first[i] {
 				t.Fatalf("attempt %d saw %v, first attempt saw %v", attempt, buf, first)
 			}
-		}
-	}
-	// The index path and the linear-scan fallback must agree exactly.
-	linear := Discovery{Layers: disc.Layers, Entries: disc.Entries}
-	lin := linear.Providers(0, inst, 6, nil)
-	if len(lin) != len(first) {
-		t.Fatalf("index %v vs linear fallback %v", first, lin)
-	}
-	for i := range lin {
-		if lin[i] != first[i] {
-			t.Fatalf("index %v vs linear fallback %v", first, lin)
 		}
 	}
 	// Past the original TTL horizon only the late registration survives,

@@ -63,7 +63,7 @@ type peerTele struct {
 
 	probeHits, probeMisses *obs.Counter // probe.cache_hits / probe.cache_misses
 	admitOK, admitRejected *obs.Counter // reserve.admitted / reserve.rejected
-	selectSteps            *obs.Counter // select.steps
+	selection              obs.SelectionCounters
 
 	compose obs.ComposeCounters
 
@@ -95,7 +95,7 @@ func newPeerTele(reg *obs.Registry) *peerTele {
 		probeMisses:   reg.Counter("probe.cache_misses"),
 		admitOK:       reg.Counter("reserve.admitted"),
 		admitRejected: reg.Counter("reserve.rejected"),
-		selectSteps:   reg.Counter("select.steps"),
+		selection:     obs.NewSelectionCounters(reg),
 		compose:       obs.NewComposeCounters(reg),
 		serveAdmit:    reg.Counter("serve.admitted"),
 		serveSheds:    make(map[string]*obs.Counter, len(shedReasons)),
@@ -114,11 +114,9 @@ func newPeerTele(reg *obs.Registry) *peerTele {
 		t.rpcFailed[m] = reg.Counter("rpc." + m + ".failed")
 		t.rpcRetried[m] = reg.Counter("rpc." + m + ".retried")
 	}
-	t.stageLat = map[string]*obs.LatencyHist{
-		obs.StageDiscovery: reg.Latency("agg.stage_seconds." + obs.StageDiscovery),
-		obs.StageCompose:   reg.Latency("agg.stage_seconds." + obs.StageCompose),
-		obs.StageSelection: reg.Latency("agg.stage_seconds." + obs.StageSelection),
-		obs.StageAdmission: reg.Latency("agg.stage_seconds." + obs.StageAdmission),
+	t.stageLat = make(map[string]*obs.LatencyHist)
+	for _, s := range []string{obs.StageDiscovery, obs.StageCompose, obs.StageSelection, obs.StageAdmission} {
+		t.stageLat[s] = reg.Latency("agg.stage_seconds." + s)
 	}
 	return t
 }
@@ -320,18 +318,13 @@ func (t *peerTele) reserve(ok bool) {
 	}
 }
 
-func (t *peerTele) selectStep() {
+// counters returns the compose.* and select.* bundles (no-ops when
+// disabled).
+func (t *peerTele) counters() (obs.ComposeCounters, obs.SelectionCounters) {
 	if t == nil {
-		return
+		return obs.ComposeCounters{}, obs.SelectionCounters{}
 	}
-	t.selectSteps.Inc()
-}
-
-func (t *peerTele) composeObs() obs.ComposeCounters {
-	if t == nil {
-		return obs.ComposeCounters{}
-	}
-	return t.compose
+	return t.compose, t.selection
 }
 
 // serveAdmitted counts one request the admission gate let run.
@@ -387,24 +380,4 @@ func (t *peerTele) serveQueueDepth(n int) {
 		return
 	}
 	t.serveDepth.Set(int64(n))
-}
-
-// emitHops replays the wire-level selection report (one WireHop per hop,
-// in selection order: user side first) into the initiator's tracer.
-func emitHops(tr *obs.Tracer, rid uint64, hops []WireHop) {
-	for _, wh := range hops {
-		ev := obs.Event{
-			Kind:   obs.KindHop,
-			Req:    rid,
-			Hop:    wh.Idx + 1, // 1-based instance index, aggregation-flow order
-			Inst:   wh.Inst,
-			At:     wh.At,
-			Chosen: wh.Chosen,
-			Mode:   wh.Mode,
-		}
-		for _, c := range wh.Cands {
-			ev.Cands = append(ev.Cands, obs.Candidate{Peer: c.Addr, Phi: c.Phi, Reason: c.Reason})
-		}
-		tr.Emit(ev)
-	}
 }

@@ -18,7 +18,7 @@ func BenchmarkTelemetryDisabledRPCPath(b *testing.B) {
 		tele.retried(msgProbe)
 		tele.probeCache(true)
 		tele.reserve(true)
-		tele.selectStep()
+		tele.counters()
 	}); allocs != 0 {
 		b.Fatalf("disabled telemetry allocated %v per RPC, want 0", allocs)
 	}

@@ -78,7 +78,7 @@ type Candidate struct {
 	// candidate was filtered before scoring.
 	Phi float64 `json:"phi,omitempty"`
 	// Reason explains the candidate's fate: "chosen", "lower-phi",
-	// "short-uptime", "infeasible", "no-fit", "no-info", "dead", "self".
+	// "short-uptime", "infeasible", "no-info", "dead", "self".
 	Reason string `json:"reason"`
 }
 

@@ -391,7 +391,7 @@ func (g *Grid) Aggregate(user PeerID, req Request) (*Plan, error) {
 	}
 	g.sessions[sess.ID] = sess
 
-	plan := &Plan{SessionID: sess.ID, Cost: g.agg.PathCost(sess.Instances)}
+	plan := &Plan{SessionID: sess.ID, Cost: g.agg.ComposeConfig.PathCost(sess.Instances)}
 	for k, inst := range sess.Instances {
 		plan.Instances = append(plan.Instances, inst.ID)
 		plan.Peers = append(plan.Peers, int(sess.Peers[k]))
