@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -369,6 +370,43 @@ func TestMonitorFailsWhenNoReplacement(t *testing.T) {
 func TestBadCapacityRejected(t *testing.T) {
 	if _, err := Start(Config{Listen: "127.0.0.1:0", CPU: -1}); err == nil {
 		t.Fatal("negative capacity accepted")
+	}
+}
+
+// TestUnsoundQuantitiesRefused: the binary codec carries any float bits,
+// so a reserve with CPU NaN reached the ledger, was admitted, and turned
+// the host's Available into NaN, after which any demand fitted. Every
+// unsound reserve — and an unsound select or aggregate — must be refused
+// with the ledger untouched.
+func TestUnsoundQuantitiesRefused(t *testing.T) {
+	peers := make([]*Peer, 2)
+	for i := range peers {
+		p, err := Start(Config{Listen: "127.0.0.1:0", Codec: "binary", CPU: 100, Memory: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers[i] = p
+	}
+	client, host := peers[0], peers[1]
+	nan := math.NaN()
+	for i, req := range []request{
+		{Type: msgReserve, SessionID: "s/1", InstanceID: "a#0", CPU: nan, Memory: 1, DurationSec: 60},
+		{Type: msgReserve, SessionID: "s/2", InstanceID: "a#0", CPU: 1e9, Memory: 1, DurationSec: 60},
+		{Type: msgReserve, SessionID: "s/3", InstanceID: "a#0", CPU: 1, Memory: 1, DurationSec: nan},
+		{Type: msgReserve, SessionID: "s/4", InstanceID: "a#0", CPU: 1, Memory: math.Inf(1), DurationSec: 60},
+		{Type: msgReserve, SessionID: "s/5", InstanceID: "a#0", CPU: -1, Memory: 1, DurationSec: 60},
+		{Type: msgSelect, Instances: []WireInstance{ToWire(loopInst("a#0", "a", 1))}, DurationSec: nan},
+		{Type: msgAggregate, Services: []string{"a"}, MinRate: nan, DurationSec: 60},
+		{Type: msgAggregate, Services: []string{"a"}, MinRate: 1, DurationSec: math.Inf(1)},
+	} {
+		resp, err := client.rpc(host.Addr(), req, 2*time.Second)
+		if err == nil || resp == nil || resp.OK {
+			t.Errorf("case %d (%s): unsound request answered %+v, %v", i, req.Type, resp, err)
+		}
+		if av := host.Available(); av[0] != 100 || av[1] != 100 || host.ActiveSessions() != 0 {
+			t.Fatalf("case %d (%s): host ledger now %v with %d sessions", i, req.Type, av, host.ActiveSessions())
+		}
 	}
 }
 

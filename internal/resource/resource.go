@@ -12,6 +12,7 @@ package resource
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -90,10 +91,10 @@ func (v Vector) Fits(req Vector) bool {
 	return true
 }
 
-// NonNegative reports whether every component is >= 0.
+// NonNegative reports whether every component is >= 0 (NaN is not).
 func (v Vector) NonNegative() bool {
 	for _, x := range v {
-		if x < 0 {
+		if !(x >= 0) {
 			return false
 		}
 	}
@@ -158,10 +159,22 @@ func (l *Ledger) AvailableInto(dst Vector) Vector { return l.capacity.SubInto(ds
 // Active returns the number of live reservations.
 func (l *Ledger) Active() int { return l.active }
 
-// Reserve atomically reserves req if it fits; it reports whether the
-// reservation was admitted.
+// Sound reports whether every quantity is finite and non-negative. A NaN
+// passes every comparison, so whatever books or waits on a quantity that
+// arrived from outside checks it first.
+func Sound(xs ...float64) bool {
+	for _, x := range xs {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// Reserve atomically reserves req if it is Sound and fits; it reports
+// whether the reservation was admitted.
 func (l *Ledger) Reserve(req Vector) bool {
-	if !req.NonNegative() {
+	if !Sound(req...) {
 		return false
 	}
 	if !l.Available().Fits(req) {

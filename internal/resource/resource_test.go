@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -94,13 +95,36 @@ func TestLedgerReserveRelease(t *testing.T) {
 	}
 }
 
+// TestLedgerRejectsNegative: a reservation with a negative or
+// non-finite component is refused and leaves the ledger as it was. A
+// NaN passes every comparison, so without the check it was admitted and
+// turned Available into NaN, after which any demand fitted.
 func TestLedgerRejectsNegative(t *testing.T) {
-	l, _ := NewLedger(Vec2(10, 10))
-	if l.Reserve(Vec2(-1, 0)) {
-		t.Fatal("negative reservation admitted")
+	for _, c := range []struct {
+		name string
+		req  Vector
+	}{
+		{"negative", Vec2(-1, 0)},
+		{"NaN CPU", Vec2(math.NaN(), 1)},
+		{"NaN memory", Vec2(1, math.NaN())},
+		{"+Inf", Vec2(math.Inf(1), 1)},
+		{"-Inf", Vec2(math.Inf(-1), 1)},
+	} {
+		l, _ := NewLedger(Vec2(10, 10))
+		if l.Reserve(c.req) {
+			t.Errorf("%s: reservation %v admitted", c.name, c.req)
+		}
+		if av := l.Available(); av[0] != 10 || av[1] != 10 || l.Active() != 0 {
+			t.Errorf("%s: refused reservation left Available %v, Active %d", c.name, av, l.Active())
+		}
+		if l.Reserve(Vec2(11, 1)) {
+			t.Errorf("%s: over-capacity reservation admitted afterwards", c.name)
+		}
 	}
-	if _, err := NewLedger(Vec2(-1, 0)); err == nil {
-		t.Fatal("negative capacity accepted")
+	for _, capacity := range []Vector{Vec2(-1, 0), Vec2(math.NaN(), 1)} {
+		if _, err := NewLedger(capacity); err == nil {
+			t.Errorf("capacity %v accepted", capacity)
+		}
 	}
 }
 
