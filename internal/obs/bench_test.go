@@ -8,40 +8,34 @@ import "testing"
 
 func BenchmarkTelemetryDisabledCounter(b *testing.B) {
 	var c *Counter
-	var h *Histogram
+	var l *LatencyHist
 	var g *Gauge
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		g.Add(1)
-		h.Observe(0.001)
+		l.Observe(0.001)
 	}); allocs != 0 {
 		b.Fatalf("disabled instruments allocated %v per event, want 0", allocs)
 	}
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-		h.Observe(0.001)
+		l.Observe(0.001)
 	}
 }
 
 func BenchmarkTelemetryEnabledCounter(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("bench.counter")
-	h, err := r.Histogram("bench.hist", DefLatencyBuckets)
-	if err != nil {
-		b.Fatal(err)
-	}
 	l := r.Latency("bench.lat")
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		h.Observe(0.003)
 		l.Observe(0.003)
 	}); allocs != 0 {
 		b.Fatalf("enabled counter/histogram allocated %v per event, want 0", allocs)
 	}
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-		h.Observe(0.003)
 		l.Observe(0.003)
 	}
 }

@@ -72,13 +72,11 @@ func TestSnapshotObserveHammer(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("hammer.count")
 			l := r.Latency("hammer.lat")
-			h, _ := r.Histogram("hammer.hist", DefLatencyBuckets)
 			g := r.Gauge("hammer.gauge")
 			for j := 0; j < perWriter; j++ {
 				c.Inc()
 				g.Add(1)
 				l.Observe(float64(j%100) / 1000)
-				h.Observe(float64(j%100) / 1000)
 			}
 		}()
 	}

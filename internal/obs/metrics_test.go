@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -20,22 +19,13 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge must read 0")
 	}
-	var h *Histogram
-	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram must read 0")
-	}
 	var lh *LatencyHist
 	lh.Observe(1)
 	if lh.Count() != 0 || lh.Sum() != 0 {
 		t.Fatal("nil latency histogram must read 0")
 	}
 	var r *Registry
-	nh, err := r.Histogram("x", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Counter("x") != nil || r.Gauge("x") != nil || nh != nil || r.Latency("x") != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Latency("x") != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	if s := r.Snapshot(); len(s.Counters) != 0 {
@@ -51,7 +41,6 @@ func TestRegistryReuseAndSnapshotOrder(t *testing.T) {
 	r.Counter("b").Add(2)
 	r.Counter("a").Inc()
 	r.Gauge("z").Set(-5)
-	mustHist(t, r, "h", []float64{1, 2}).Observe(1.5)
 	r.Latency("lat.b").Observe(0.25)
 	r.Latency("lat.a").Observe(0.5)
 
@@ -65,73 +54,11 @@ func TestRegistryReuseAndSnapshotOrder(t *testing.T) {
 	if len(s.Gauges) != 1 || s.Gauges[0].Value != -5 {
 		t.Fatalf("wrong gauges: %+v", s.Gauges)
 	}
-	if len(s.Histograms) != 1 || s.Histograms[0].Count != 1 {
-		t.Fatalf("wrong histograms: %+v", s.Histograms)
-	}
 	if len(s.Latencies) != 2 || s.Latencies[0].Name != "lat.a" || s.Latencies[1].Name != "lat.b" {
 		t.Fatalf("latency section not sorted: %+v", s.Latencies)
 	}
 	if r.Latency("lat.a") != r.Latency("lat.a") {
 		t.Fatal("same name must return the same latency histogram")
-	}
-}
-
-func mustHist(t *testing.T, r *Registry, name string, bounds []float64) *Histogram {
-	t.Helper()
-	h, err := r.Histogram(name, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
-func TestHistogramBadBounds(t *testing.T) {
-	for _, bounds := range [][]float64{
-		{1, 2, 2},          // duplicate
-		{1, 2, 1.5, 4},     // descent
-		{math.NaN()},       // NaN alone
-		{1, math.NaN(), 3}, // NaN inside
-		{math.Inf(1), 1},   // descent from +inf
-	} {
-		if _, err := newHistogram(bounds); err == nil {
-			t.Errorf("newHistogram(%v): want error, got nil", bounds)
-		}
-		r := NewRegistry()
-		if _, err := r.Histogram("h", bounds); err == nil {
-			t.Errorf("Registry.Histogram(%v): want error, got nil", bounds)
-		}
-	}
-	// A later call with bad bounds still reuses an existing valid instrument.
-	r := NewRegistry()
-	h := mustHist(t, r, "h", []float64{1, 2})
-	again, err := r.Histogram("h", []float64{2, 1})
-	if err != nil || again != h {
-		t.Fatalf("existing instrument must be reused: %v %v", again, err)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h, err := newHistogram([]float64{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 4, 9} {
-		h.Observe(v)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
-	}
-	want := []uint64{2, 2, 2} // ≤1: {0.5, 1}; ≤2: {1.5, 2}; ≤4: {3, 4}; over: {9}
-	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
-			t.Fatalf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	if h.over.Load() != 1 {
-		t.Fatalf("overflow = %d, want 1", h.over.Load())
-	}
-	if h.Sum() < 20.99 || h.Sum() > 21.01 {
-		t.Fatalf("sum = %v, want 21", h.Sum())
 	}
 }
 
@@ -145,8 +72,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
-				h, _ := r.Histogram("h", DefLatencyBuckets)
-				h.Observe(0.003)
 				r.Latency("l").Observe(0.003)
 			}
 		}()
@@ -158,13 +83,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != 8000 {
 		t.Fatalf("gauge = %d, want 8000", got)
 	}
-	h := mustHist(t, r, "h", nil)
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
-	}
-	if h.Sum() < 23.9 || h.Sum() > 24.1 {
-		t.Fatalf("histogram sum = %v, want ~24", h.Sum())
-	}
 	if l := r.Latency("l"); l.Count() != 8000 {
 		t.Fatalf("latency count = %d, want 8000", l.Count())
 	}
@@ -174,9 +92,6 @@ func TestSnapshotWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rpc.sent.probe").Add(3)
 	r.Gauge("sessions.active").Set(2)
-	h := mustHist(t, r, "lat", []float64{0.01, 0.1})
-	h.Observe(0.005)
-	h.Observe(5)
 	l := r.Latency("rpc.lat")
 	l.Observe(0.001)
 	l.Observe(0.002)
@@ -189,9 +104,6 @@ func TestSnapshotWriteText(t *testing.T) {
 	for _, want := range []string{
 		"counter rpc.sent.probe 3\n",
 		"gauge sessions.active 2\n",
-		"histogram lat count=2",
-		"  le 0.01 1\n",
-		"  le +inf 1\n",
 		"latency rpc.lat count=2",
 		"p50=",
 		"p999=",

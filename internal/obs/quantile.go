@@ -9,7 +9,7 @@ import (
 // (HDR-histogram style): each power of two is split into 2^latSubBits
 // linear sub-buckets, so the relative quantile-estimation error is
 // bounded by 1/2^(latSubBits+1) ≈ 1.6% across the whole range — no
-// a-priori bucket bounds needed, unlike the fixed-bounds Histogram.
+// a-priori bucket bounds needed.
 //
 // The covered range is [2^-30, 2^30) (≈ 1 ns to ≈ 34 years when the
 // unit is seconds); values outside it clamp to the edge buckets, and

@@ -155,41 +155,3 @@ func TestLatencyValueMerge(t *testing.T) {
 		t.Errorf("identity merge changed the snapshot: %+v", id)
 	}
 }
-
-// Satellite: HistogramValue.Quantile edge-case table.
-func TestHistogramValueQuantile(t *testing.T) {
-	mk := func(counts []uint64, bounds []float64, over uint64) HistogramValue {
-		h := HistogramValue{Over: over}
-		for i, b := range bounds {
-			h.Buckets = append(h.Buckets, Bucket{Le: b, Count: counts[i]})
-			h.Count += counts[i]
-		}
-		h.Count += over
-		return h
-	}
-	tests := []struct {
-		name string
-		h    HistogramValue
-		q    float64
-		want float64
-	}{
-		{"empty", HistogramValue{}, 0.5, 0},
-		{"empty q0", HistogramValue{}, 0, 0},
-		{"empty q1", HistogramValue{}, 1, 0},
-		{"single bucket q0", mk([]uint64{4}, []float64{1}, 0), 0, 0},
-		{"single bucket q0.5", mk([]uint64{4}, []float64{1}, 0), 0.5, 0.5},
-		{"single bucket q1", mk([]uint64{4}, []float64{1}, 0), 1, 1},
-		{"two buckets median", mk([]uint64{1, 1}, []float64{1, 3}, 0), 0.5, 1},
-		{"two buckets upper", mk([]uint64{1, 3}, []float64{1, 3}, 0), 1, 3},
-		{"interpolated", mk([]uint64{0, 10}, []float64{1, 2}, 0), 0.5, 1.5},
-		{"skip empty first", mk([]uint64{0, 2}, []float64{1, 2}, 0), 0, 1},
-		{"over region", mk([]uint64{1}, []float64{1}, 9), 0.9, 1},
-		{"over q1", mk([]uint64{1}, []float64{1}, 1), 1, 1},
-		{"nan q", mk([]uint64{4}, []float64{1}, 0), math.NaN(), 0},
-	}
-	for _, tc := range tests {
-		if got := tc.h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
-		}
-	}
-}
