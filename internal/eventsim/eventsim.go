@@ -7,9 +7,7 @@
 // determinism matters more than parallelism inside one run; the experiment
 // harness parallelizes across independent runs instead.
 //
-// Events run in (time, lane, seq) order: equal timestamps break first by
-// a caller-chosen lane, then by scheduling order. At, After and Every use
-// lane 0, so a caller that never names a lane sees plain (time, seq) FIFO
+// Events run in (time, seq) order: equal timestamps run in scheduling
 // order.
 //
 // Time is a float64 in simulated minutes, matching the paper's units
@@ -47,8 +45,7 @@ const (
 // event's time and may schedule further events.
 type Event struct {
 	at    Time
-	lane  int    // first tie-breaker among equal timestamps
-	seq   uint64 // second tie-breaker: FIFO within a lane
+	seq   uint64 // tie-breaker among equal timestamps: FIFO
 	fn    func()
 	state int8
 	idx   int // heap index, -1 when popped
@@ -67,7 +64,7 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel arrived before the handler ran.
 func (e *Event) Cancelled() bool { return e != nil && e.state == stateCancelled }
 
-// eventHeap orders events by (time, lane, seq).
+// eventHeap orders events by (time, seq).
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -76,9 +73,6 @@ func (h eventHeap) Less(i, j int) bool {
 	// Exact timestamps: a tolerance would break the ordering's transitivity.
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.lane != b.lane {
-		return a.lane < b.lane
 	}
 	return a.seq < b.seq
 }
@@ -123,20 +117,14 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns how many scheduled (possibly cancelled) events remain.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// At schedules fn to run at absolute time t on lane 0. Scheduling in the
-// past (t < Now) panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) *Event { return e.AtLane(0, t, fn) }
-
-// AtLane schedules fn to run at absolute time t on the given lane. Among
-// events at the same time, lower lanes run first (negative lanes before
-// lane 0) and each lane keeps scheduling order. Scheduling in the past
-// panics, as with At.
-func (e *Engine) AtLane(lane int, t Time, fn func()) *Event {
+// At schedules fn to run at absolute time t. Scheduling in the past
+// (t < Now) panics: it would silently reorder causality.
+func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		// lint:allow panic-in-library scheduling into the past would silently reorder causality; no caller can recover meaningfully
 		panic("eventsim: scheduling event in the past")
 	}
-	ev := &Event{at: t, lane: lane, seq: e.seq, fn: fn}
+	ev := &Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev
