@@ -16,7 +16,12 @@
 #             realization (sim.Config.Shards > 0) pinned to outcomes and
 #             telemetry hashes recorded before its engine was folded into
 #             eventsim.Engine (TestPerRequestGolden), byte-identical
-#             output with caches off (TestCachesAreInvisible), binary at
+#             output with caches off (TestCachesAreInvisible), the
+#             prototype's pipeline decisions per scenario recorded before
+#             it became core's attempt loop (TestPipelineGolden), the
+#             simulator and the prototype composing the same path or
+#             failing at the same stage on one catalog over 12 seeds
+#             (TestSimPrototypeDifferential), binary at
 #             most half of JSON on
 #             lookup/select (TestBinaryHalvesPayloadRPCs), zero shed at
 #             low load and bounded shedding under overload
@@ -91,6 +96,7 @@ while read -r pkg floor; do
 			print pkg " coverage " c "% (floor " floor "%)"
 		}' "$short_out"
 done <<EOF
+core 86.0
 netproto 91.0
 obs 94.0
 analysis 90.0
