@@ -13,12 +13,16 @@
 #             repeats it only in the full, non-short suite
 #   test      the short suite with statement coverage. It carries the
 #             determinism and SLO gates: the per-request-stream
-#             realization (sim.Config.Shards > 0) pinned to outcomes and
-#             telemetry hashes recorded before its engine was folded into
-#             eventsim.Engine (TestPerRequestGolden), byte-identical
-#             output with caches off (TestCachesAreInvisible), the
-#             prototype's pipeline decisions per scenario recorded before
-#             it became core's attempt loop (TestPipelineGolden), the
+#             realization (sim.Config.Shards > 0) pinned to outcomes
+#             recorded before its engine was folded into eventsim.Engine,
+#             to each algorithm's per-request outcome table (request,
+#             outcome, error, session, recompositions, recoveries) as
+#             the telemetry analyzes it, recorded while every outcome was
+#             still written twice, and to the hash of the telemetry
+#             stream, one span tree per request (TestPerRequestGolden),
+#             byte-identical output with caches off
+#             (TestCachesAreInvisible), the prototype's pipeline decisions
+#             and spans per scenario (TestPipelineGolden), the
 #             simulator and the prototype composing the same path or
 #             failing at the same stage on one catalog over 12 seeds
 #             (TestSimPrototypeDifferential), binary at

@@ -102,23 +102,13 @@ func main() {
 		minRate   = flag.Float64("minrate", 0, "minimum end-to-end rate required")
 		duration  = flag.Duration("duration", time.Minute, "session duration")
 		debugAddr = flag.String("debug-addr", "", "serve runtime metrics over HTTP at this address (/metrics text, /vars JSON)")
-		teleOut   = flag.String("telemetry", "", "write the JSONL decision-trace stream for aggregations to this file")
-		traceOut  = flag.String("trace-out", "", "synonym for -telemetry: the causal spans ride the same stream (qsastat -trace reads it)")
-		traceFrac = flag.Float64("trace-sample", 1, "fraction of aggregations to trace with causal spans (deterministic per request ID)")
+		teleOut   = flag.String("telemetry", "", "write the JSONL telemetry stream (a span tree per aggregation, a span per remote leg served) to this file (qsastat reads it)")
 		admitWork = flag.Int("admit-workers", 0, "concurrent aggregations served before queueing (0 = admission control off, DESIGN.md §14)")
 		admitQ    = flag.Int("admit-queue", 0, "bounded wait queue behind the admission workers; beyond it the least important request is shed (default 4x workers)")
 	)
 	flag.Parse()
 
-	if *traceOut != "" {
-		if *teleOut != "" && *teleOut != *traceOut {
-			fmt.Fprintln(os.Stderr, "-telemetry and -trace-out name different files; spans and decisions share one stream")
-			os.Exit(2)
-		}
-		*teleOut = *traceOut
-	}
-	pcfg := netproto.Config{Listen: *listen, CPU: *cpu, Memory: *mem, Network: *transport, Codec: *codec,
-		TraceSample: *traceFrac}
+	pcfg := netproto.Config{Listen: *listen, CPU: *cpu, Memory: *mem, Network: *transport, Codec: *codec}
 	pcfg.Wire.MTU = *mtu
 	pcfg.Admit = netproto.AdmitConfig{Workers: *admitWork, MaxQueue: *admitQ}
 	if *debugAddr != "" {

@@ -33,8 +33,7 @@ func main() {
 		series   = flag.Bool("series", true, "print the ψ-over-time series")
 		traceOut = flag.String("trace-out", "", "record the workload to this JSONL trace file")
 		traceIn  = flag.String("trace-in", "", "replay the workload from this JSONL trace file")
-		teleOut  = flag.String("telemetry", "", "write the JSONL decision-trace stream to this file (qsastat reads it)")
-		spanFrac = flag.Float64("trace-sample", 0, "fraction of requests to trace with causal spans in the telemetry stream (deterministic per seed; qsastat -trace reads them; requires -telemetry)")
+		teleOut  = flag.String("telemetry", "", "write the JSONL telemetry stream, one span tree per request, to this file (qsastat reads it)")
 		metrics  = flag.Bool("metrics", false, "print the runtime metrics snapshot after the run")
 		metOut   = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file (qsastat -metrics reads it)")
 		shards   = flag.Int("shards", 0, "> 0 draws each request from its own random stream (results are identical for every value > 0); 0 draws all from one shared stream")
@@ -54,11 +53,6 @@ func main() {
 	cfg.EnableRecovery = *recovery
 	cfg.Shards = *shards
 
-	if *spanFrac != 0 && *teleOut == "" {
-		fmt.Fprintln(os.Stderr, "-trace-sample requires -telemetry (spans ride the decision-trace stream)")
-		os.Exit(2)
-	}
-	cfg.SpanSample = *spanFrac
 	var teleFile *os.File
 	if *teleOut != "" {
 		f, err := os.Create(*teleOut)

@@ -1,17 +1,16 @@
-// Command qsastat explains a telemetry decision trace (the JSON-lines
-// stream written by `qsasim -telemetry` or `qsapeer -telemetry`): why
-// each aggregation request succeeded or failed, and why each peer was
+// Command qsastat explains a telemetry stream (the JSON-lines stream
+// written by `qsasim -telemetry` or `qsapeer -telemetry`): one span tree
+// per request, from which it reads why each aggregation request
+// succeeded or failed, where its time went, and why each peer was
 // chosen — or filtered — at each selection hop.
 //
 // Examples:
 //
-//	qsastat run.tel.jsonl                 # per-stage outcome summary
-//	qsastat -req 17 run.tel.jsonl         # full storyline of request 17
+//	qsastat run.tel.jsonl                 # outcomes, failure reasons, latency by stage
+//	qsastat -req 17 run.tel.jsonl         # request 17's span tree and critical path
 //	qsastat -req 17 -hop 2 run.tel.jsonl  # candidate set of hop 2 only
 //	qsastat -metrics run.metrics.json run.tel.jsonl
 //	                                      # + hot-path cache effectiveness
-//	qsastat -trace run.tel.jsonl          # SLO latency table + span reconciliation
-//	qsastat -trace -req 17 run.tel.jsonl  # span timeline + critical path of request 17
 //	qsastat -load a.load.json b.load.json # merge qsaload reports: fleet SLO table
 //	qsastat -load -metrics p1.json,p2.json run.load.json
 //	                                      # + server-side admission/shed breakdown
@@ -42,10 +41,9 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("qsastat", flag.ContinueOnError)
-	req := fs.Uint64("req", 0, "explain this request ID (trace IDs start at 1)")
+	req := fs.Uint64("req", 0, "print this request's span tree and critical path (request IDs start at 1)")
 	hop := fs.Int("hop", 0, "with -req: show only this 1-based hop's candidate decisions")
 	met := fs.String("metrics", "", "metrics snapshot JSON (qsasim -metrics-out); adds a cache-effectiveness section")
-	trc := fs.Bool("trace", false, "causal-span mode: SLO latency table and span/decision reconciliation; with -req, one request's span timeline and critical path")
 	ld := fs.Bool("load", false, "serving-load mode: args are qsaload JSON reports (merged); -metrics takes comma-separated peer snapshots for the server-side view")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
@@ -72,9 +70,6 @@ func run(args []string, out io.Writer) error {
 	rep, err := obs.Analyze(events)
 	if err != nil {
 		return err
-	}
-	if *trc {
-		return traceReport(out, events, rep, *req)
 	}
 	if *req != 0 {
 		return explain(out, rep, *req, *hop)
@@ -171,35 +166,33 @@ func wireReport(out io.Writer, c map[string]uint64) {
 	fmt.Fprintf(out, "  packet rejects:   %d\n", c["wire.packet_rejects"])
 }
 
-// summarize prints the per-stage outcome aggregation of the whole trace.
+// summarize prints the outcome of every request, the failure reasons
+// and the latency of each span stage.
 func summarize(out io.Writer, rep *obs.Report, events []obs.Event) error {
-	fmt.Fprintf(out, "%d events, %d requests\n", len(events), rep.Total)
-	fmt.Fprintf(out, "\noutcomes:\n")
+	fmt.Fprintf(out, "%d events, %d requests, %d spans", len(events), len(rep.Requests), rep.Spans)
+	if rep.Orphans > 0 {
+		fmt.Fprintf(out, " (%d orphaned: parent missing from stream)", rep.Orphans)
+	}
+	fmt.Fprintf(out, "\n\noutcomes:\n")
 	for _, sc := range rep.ByStage {
-		if sc.N == 0 {
-			continue
-		}
 		label := sc.Stage
-		if isFailureStage(sc.Stage) {
+		if obs.IsFailure(sc.Stage) {
 			label = "failed: " + sc.Stage
 		}
 		fmt.Fprintf(out, "  %-20s %6d\n", label, sc.N)
 	}
 	var retries, rpcRetries, recoverOK, recoverFail int
+	for _, r := range rep.Requests {
+		retries += r.Retries
+	}
 	for _, ev := range events {
-		switch ev.Kind {
-		case obs.KindRetry:
-			if ev.RPC == "" {
-				retries++
-			} else {
-				rpcRetries++
-			}
-		case obs.KindRecover:
-			if ev.OK {
-				recoverOK++
-			} else {
-				recoverFail++
-			}
+		switch {
+		case ev.Kind == obs.KindRetry:
+			rpcRetries++
+		case ev.Kind == obs.KindSpan && ev.Stage == obs.StageRecovery && ev.OK:
+			recoverOK++
+		case ev.Kind == obs.KindSpan && ev.Stage == obs.StageRecovery:
+			recoverFail++
 		}
 	}
 	fmt.Fprintf(out, "\nrecomposition retries: %d; rpc retransmits: %d\n", retries, rpcRetries)
@@ -210,10 +203,10 @@ func summarize(out io.Writer, rep *obs.Report, events []obs.Event) error {
 	errCounts := map[string]int{}
 	var errOrder []string
 	for _, r := range rep.Requests {
-		if !r.Failed() || r.Err == "" {
+		if !obs.IsFailure(r.Outcome) || r.Err == "" {
 			continue
 		}
-		key := fmt.Sprintf("[%s] %s", r.Stage, r.Err)
+		key := fmt.Sprintf("[%s] %s", r.Outcome, r.Err)
 		if errCounts[key] == 0 {
 			errOrder = append(errOrder, key)
 		}
@@ -225,43 +218,61 @@ func summarize(out io.Writer, rep *obs.Report, events []obs.Event) error {
 			fmt.Fprintf(out, "  %4d× %s\n", errCounts[k], k)
 		}
 	}
+	if len(rep.Latency) == 0 {
+		return nil
+	}
+	fmt.Fprintf(out, "\nlatency by stage:\n")
+	fmt.Fprintf(out, "  %-12s %8s %10s %10s %10s %10s\n", "stage", "count", "p50", "p99", "p999", "mean")
+	for _, sl := range rep.Latency {
+		v := sl.Value
+		fmt.Fprintf(out, "  %-12s %8d %10.4g %10.4g %10.4g %10.4g\n",
+			sl.Stage, v.Count, v.Quantile(0.5), v.Quantile(0.99), v.Quantile(0.999), v.Sum/float64(v.Count))
+	}
+	if v := rep.Latency[0].Value; rep.Latency[0].Stage == obs.SpanStageRequest && v.Sum == 0 {
+		fmt.Fprintln(out, "  (request and stage rows are zero: simulated stages take no virtual time)")
+	}
 	return nil
 }
 
-func isFailureStage(stage string) bool {
-	switch stage {
-	case obs.StageDiscovery, obs.StageCompose, obs.StageSelection,
-		obs.StageAdmission, obs.StageDeparture:
-		return true
-	}
-	return false
-}
-
-// explain prints the decision storyline of one request.
+// explain prints one request's span tree, with each span's hop and
+// retry events beneath it, its outcome and its critical path; with hop
+// set, only that hop's candidate decisions.
 func explain(out io.Writer, rep *obs.Report, id uint64, hop int) error {
 	r := rep.Request(id)
 	if r == nil {
-		return fmt.Errorf("request %d not in trace (%d requests recorded)", id, rep.Total)
+		return fmt.Errorf("request %d not in trace (%d requests recorded)", id, len(rep.Requests))
 	}
 	fmt.Fprintf(out, "request %d", r.Req)
-	var meta []string
-	if r.User != "" {
-		meta = append(meta, "user "+r.User)
-	}
-	if r.App != "" {
-		meta = append(meta, "app "+r.App)
-	}
-	if len(meta) > 0 {
-		fmt.Fprintf(out, " (%s)", strings.Join(meta, ", "))
-	}
-	fmt.Fprintln(out)
-	for _, ev := range r.Events {
-		if hop != 0 && !(ev.Kind == obs.KindHop && ev.Hop == hop) {
-			continue
+	if r.Root != nil {
+		var meta []string
+		for _, kv := range [][2]string{{"user", r.Root.Event.User}, {"app", r.Root.Event.App}, {"level", r.Root.Event.Level}} {
+			if kv[1] != "" {
+				meta = append(meta, kv[0]+" "+kv[1])
+			}
 		}
-		printEvent(out, ev)
+		if len(meta) > 0 {
+			fmt.Fprintf(out, " (%s)", strings.Join(meta, ", "))
+		}
 	}
-	fmt.Fprintf(out, "outcome: %s", r.Stage)
+	fmt.Fprintf(out, "  trace %016x  %d spans\n", r.Trace, r.Spans)
+	if hop != 0 {
+		for _, ev := range r.Events {
+			if ev.Kind == obs.KindHop && ev.Hop == hop {
+				printEvent(out, ev, "  ")
+			}
+		}
+	} else if r.Root != nil {
+		onPath := make(map[*obs.SpanNode]bool)
+		for _, n := range r.CriticalPath() {
+			onPath[n] = true
+		}
+		printSpan(out, r.Root, 0, onPath)
+		for _, n := range r.Orphans {
+			fmt.Fprintf(out, "  (orphan)\n")
+			printSpan(out, n, 1, nil)
+		}
+	}
+	fmt.Fprintf(out, "outcome: %s", r.Outcome)
 	if r.Err != "" {
 		fmt.Fprintf(out, " — %s", r.Err)
 	}
@@ -273,25 +284,84 @@ func explain(out io.Writer, rep *obs.Report, id uint64, hop int) error {
 		fmt.Fprint(out, ")")
 	}
 	fmt.Fprintln(out)
+	if hop != 0 || r.Root == nil {
+		return nil
+	}
+	var cp []string
+	var cpTotal float64
+	for _, n := range r.CriticalPath() {
+		cp = append(cp, spanLabel(n.Event))
+		cpTotal += n.SelfTime()
+	}
+	fmt.Fprintf(out, "critical path: %s (self-time total %.4g, root duration %.4g)\n",
+		strings.Join(cp, " -> "), cpTotal, r.Root.Event.Duration)
 	return nil
 }
 
-func printEvent(out io.Writer, ev obs.Event) {
+// spanLabel names a span for display: its stage (with hop and host
+// when present), or "request" for the root.
+func spanLabel(ev obs.Event) string {
+	label := ev.Stage
+	if ev.Parent == 0 {
+		label = obs.SpanStageRequest
+	}
+	if ev.Hop > 0 {
+		label += fmt.Sprintf("[hop %d]", ev.Hop)
+	}
+	if ev.At != "" {
+		label += "@" + ev.At
+	}
+	return label
+}
+
+// printSpan prints n and its subtree, marking critical-path spans.
+func printSpan(out io.Writer, n *obs.SpanNode, depth int, onPath map[*obs.SpanNode]bool) {
+	mark := " "
+	if onPath[n] {
+		mark = "*"
+	}
+	ev := n.Event
+	fmt.Fprintf(out, "  %s %s%-*s start=%-10.4g dur=%-10.4g", mark,
+		strings.Repeat("  ", depth), 24-2*depth, spanLabel(ev), n.Start(), ev.Duration)
+	switch {
+	case ev.Err != "":
+		fmt.Fprintf(out, " err=%s", ev.Err)
+	case ev.OK:
+		fmt.Fprint(out, " ok")
+	}
+	if ev.Attempt > 0 {
+		fmt.Fprintf(out, " attempt=%d", ev.Attempt)
+	}
+	if len(ev.Path) > 0 {
+		fmt.Fprintf(out, " path=[%s]", strings.Join(ev.Path, " "))
+	}
+	if ev.Cost != 0 {
+		fmt.Fprintf(out, " cost=%.4f", ev.Cost)
+	}
+	if ev.Session != "" {
+		fmt.Fprintf(out, " session=%s", ev.Session)
+	}
+	if ev.Chosen != "" {
+		fmt.Fprintf(out, " chose=%s", ev.Chosen)
+	}
+	if ev.Peer != "" {
+		fmt.Fprintf(out, " peer=%s", ev.Peer)
+	}
+	fmt.Fprintln(out)
+	indent := strings.Repeat("  ", depth+3)
+	for _, e := range n.Events {
+		printEvent(out, e, indent)
+	}
+	for _, c := range n.Children {
+		printSpan(out, c, depth+1, onPath)
+	}
+}
+
+// printEvent prints a hop (with its candidates) or a retransmission.
+func printEvent(out io.Writer, ev obs.Event, indent string) {
 	switch ev.Kind {
-	case obs.KindRequest:
-		if ev.Level != "" || ev.Duration != 0 {
-			fmt.Fprintf(out, "  t=%-8.3f issued: level=%s duration=%.4g\n", ev.T, ev.Level, ev.Duration)
-		} else {
-			fmt.Fprintf(out, "  t=%-8.3f issued\n", ev.T)
-		}
-	case obs.KindCompose:
-		if ev.OK {
-			fmt.Fprintf(out, "  t=%-8.3f compose ok: %s (cost %.4f)\n", ev.T, strings.Join(ev.Path, " -> "), ev.Cost)
-		} else {
-			fmt.Fprintf(out, "  t=%-8.3f compose failed: %s\n", ev.T, ev.Err)
-		}
 	case obs.KindHop:
-		fmt.Fprintf(out, "  t=%-8.3f hop %d at %s for %s: ", ev.T, ev.Hop, ev.At, ev.Inst)
+		fmt.Fprintf(out, "%shop %d at %s for %s: ", indent, ev.Hop, ev.At, ev.Inst)
 		if ev.Chosen != "" {
 			fmt.Fprintf(out, "chose %s (%s)\n", ev.Chosen, ev.Mode)
 		} else {
@@ -299,40 +369,14 @@ func printEvent(out io.Writer, ev obs.Event) {
 		}
 		for _, c := range ev.Cands {
 			if c.Phi != 0 {
-				fmt.Fprintf(out, "      cand %-22s Φ=%-8.4f %s\n", c.Peer, c.Phi, c.Reason)
+				fmt.Fprintf(out, "%s    cand %-22s Φ=%-8.4f %s\n", indent, c.Peer, c.Phi, c.Reason)
 			} else {
-				fmt.Fprintf(out, "      cand %-22s %s\n", c.Peer, c.Reason)
+				fmt.Fprintf(out, "%s    cand %-22s %s\n", indent, c.Peer, c.Reason)
 			}
 		}
-	case obs.KindReserve:
-		if ev.OK {
-			fmt.Fprintf(out, "  t=%-8.3f reserve on %s ok\n", ev.T, ev.Peer)
-		} else {
-			fmt.Fprintf(out, "  t=%-8.3f reserve on %s failed: %s\n", ev.T, ev.Peer, ev.Err)
-		}
 	case obs.KindRetry:
-		if ev.RPC != "" {
-			fmt.Fprintf(out, "  t=%-8.3f rpc %s to %s retransmitted (attempt %d)\n", ev.T, ev.RPC, ev.Peer, ev.Attempt)
-		} else {
-			fmt.Fprintf(out, "  t=%-8.3f recomposing (attempt %d)\n", ev.T, ev.Attempt)
-		}
-	case obs.KindAdmit:
-		fmt.Fprintf(out, "  t=%-8.3f admitted session %s on hosts [%s]\n", ev.T, ev.Session, strings.Join(ev.Path, " "))
-	case obs.KindRecover:
-		if ev.OK {
-			fmt.Fprintf(out, "  t=%-8.3f recovered hop %d (%s) onto %s\n", ev.T, ev.Hop, ev.Inst, ev.Peer)
-		} else {
-			fmt.Fprintf(out, "  t=%-8.3f recovery of hop %d (%s) failed\n", ev.T, ev.Hop, ev.Inst)
-		}
-	case obs.KindEnd:
-		if ev.OK {
-			fmt.Fprintf(out, "  t=%-8.3f session completed\n", ev.T)
-		} else {
-			fmt.Fprintf(out, "  t=%-8.3f session failed: %s\n", ev.T, ev.Err)
-		}
-	case obs.KindFail:
-		fmt.Fprintf(out, "  t=%-8.3f FAILED at %s: %s\n", ev.T, ev.Stage, ev.Err)
+		fmt.Fprintf(out, "%st=%-8.3f rpc %s to %s retransmitted (attempt %d)\n", indent, ev.T, ev.RPC, ev.Peer, ev.Attempt)
 	default:
-		fmt.Fprintf(out, "  t=%-8.3f %s\n", ev.T, ev.Kind)
+		fmt.Fprintf(out, "%st=%-8.3f %s to %s (attempt %d)\n", indent, ev.T, ev.Kind, ev.Peer, ev.Attempt)
 	}
 }

@@ -3,12 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/netproto"
 	"repro/internal/obs"
+	"repro/internal/qos"
+	"repro/internal/resource"
+	"repro/internal/service"
 	"repro/internal/sim"
 )
 
@@ -47,32 +53,41 @@ func TestSummaryMatchesSimulatorStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	// The summary must name every non-zero failure stage with the exact
-	// count the simulator recorded.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
+	// The summary must print every outcome with the exact count the
+	// simulator recorded, and no row for an outcome it never saw.
+	r := res.Requests
+	if want := fmt.Sprintf(" %d requests,", r.Issued); !strings.Contains(text, want) {
+		t.Fatalf("summary header lacks %q:\n%s", want, text)
 	}
-	events, err := obs.ReadEvents(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		label string
+		n     uint64
+	}{
+		{"failed: " + obs.StageDiscovery, r.DiscoveryFailed},
+		{"failed: " + obs.StageCompose, r.ComposeFailed},
+		{"failed: " + obs.StageSelection, r.SelectionFailed},
+		{"failed: " + obs.StageAdmission, r.AdmissionFailed},
+		{"failed: " + obs.StageDeparture, r.DepartureFailed},
+		{obs.OutcomeSuccess, r.Succeeded},
+		{obs.OutcomeAdmitted, 0}, // Run drains all sessions before returning
+		{obs.OutcomePending, 0},
+	} {
+		line := fmt.Sprintf("  %-20s %6d\n", row.label, row.n)
+		if row.n == 0 {
+			if strings.Contains(text, "  "+row.label+" ") {
+				t.Errorf("summary prints a row for %q, which the simulator never counted:\n%s", row.label, text)
+			}
+		} else if !strings.Contains(text, line) {
+			t.Errorf("summary lacks %q:\n%s", line, text)
+		}
 	}
-	rep, err := obs.Analyze(events)
-	if err != nil {
-		t.Fatal(err)
+	if r.DepartureFailed == 0 {
+		t.Error("churn run produced no departure failures; the departure row is untested")
 	}
-	if uint64(rep.Total) != res.Requests.Issued {
-		t.Fatalf("report total %d != issued %d", rep.Total, res.Requests.Issued)
-	}
-	if uint64(rep.Count(obs.OutcomeSuccess)) != res.Requests.Succeeded {
-		t.Fatalf("success count mismatch")
-	}
-	if !strings.Contains(text, "requests") || !strings.Contains(text, "outcomes:") {
-		t.Fatalf("summary output malformed:\n%s", text)
-	}
-	if res.Requests.DepartureFailed > 0 && !strings.Contains(text, "failed: departure") {
-		t.Fatalf("departure failures not surfaced:\n%s", text)
+	for _, row := range []string{"latency by stage:", "request", "discovery", "selection", "session"} {
+		if !strings.Contains(text, row) {
+			t.Fatalf("latency table missing %q in:\n%s", row, text)
+		}
 	}
 }
 
@@ -86,17 +101,117 @@ func TestExplainRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	if !strings.Contains(text, "request 1") || !strings.Contains(text, "outcome: ") {
-		t.Fatalf("explain output malformed:\n%s", text)
+	for _, want := range []string{"request 1", "outcome: ", "compose", "hop 1 at ", "cand "} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("explain output lacks %q:\n%s", want, text)
+		}
 	}
-	// Hop filtering: output restricted to the hop storyline (plus the
-	// outcome line), never the compose/admit events.
+	// Hop filtering: output restricted to the hop's candidate lines
+	// (plus the outcome line), never the span tree.
 	out.Reset()
 	if err := run([]string{"-req", "1", "-hop", "1", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(out.String(), "admitted session") {
+	if !strings.Contains(out.String(), "hop 1 at ") || strings.Contains(out.String(), "admission") {
 		t.Fatalf("-hop did not filter events:\n%s", out.String())
+	}
+}
+
+func TestTraceExplainRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full simulation; skipped under -short")
+	}
+	path, _ := writeTrace(t)
+	var out bytes.Buffer
+	if err := run([]string{"-req", "1", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	if !strings.Contains(text, "request 1") || !strings.Contains(text, "trace ") {
+		t.Fatalf("trace header missing:\n%s", text)
+	}
+	if !strings.Contains(text, "critical path: request") {
+		t.Fatalf("critical path line missing:\n%s", text)
+	}
+	if err := run([]string{"-req", "99999999", path}, &out); err == nil {
+		t.Fatal("unknown request accepted")
+	}
+}
+
+// TestPrototypeStream runs the tool over an initiator's stream from a
+// loopback overlay: three sessions admitted without monitoring read as
+// admitted, three monitored ones whose only provider closed read as
+// departures.
+func TestPrototypeStream(t *testing.T) {
+	for _, c := range []struct {
+		monitor time.Duration
+		row     string
+	}{
+		{0, "  admitted                  3\n"},
+		{20 * time.Millisecond, "  failed: departure         3\n"},
+	} {
+		var buf bytes.Buffer
+		begin := time.Now()
+		tr := obs.NewTracer(&buf, func() float64 { return time.Since(begin).Seconds() })
+		peers := make([]*netproto.Peer, 4)
+		for i := range peers {
+			cfg := netproto.Config{Listen: "127.0.0.1:0", CPU: 100, Memory: 100, RPCTimeout: 500 * time.Millisecond}
+			if i == 3 {
+				cfg.Tracer, cfg.MonitorInterval = tr, c.monitor
+			}
+			p, err := netproto.Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			peers[i] = p
+			if i > 0 {
+				if err := p.Join(peers[0].Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		src := &service.Instance{ID: "source#0", Service: "source",
+			Qin:  qos.MustVector(qos.Sym("format", "RAW"), qos.Range("rate", 0, 40)),
+			Qout: qos.MustVector(qos.Sym("format", "MPEG"), qos.Range("rate", 20, 25)),
+			R:    resource.Vec2(10, 10), OutKbps: 40}
+		if err := peers[1].Provide(src); err != nil {
+			t.Fatal(err)
+		}
+		var sids []string
+		for i := 0; i < 3; i++ {
+			plan, err := peers[3].Aggregate([]service.Name{"source"}, qos.MustVector(qos.Range("rate", 10, 1e9)), time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sids = append(sids, plan.SessionID)
+		}
+		if c.monitor > 0 {
+			peers[1].Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for _, sid := range sids {
+				for st, _ := peers[3].SessionStatus(sid); st != netproto.StatusFailed; st, _ = peers[3].SessionStatus(sid) {
+					if time.Now().After(deadline) {
+						t.Fatalf("session %s still %s after its only provider closed", sid, st)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "peer.tel.jsonl")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{path}, &out); err != nil {
+			t.Fatalf("monitor %v: %v\n%s", c.monitor, err, out.String())
+		}
+		if !strings.Contains(out.String(), c.row) {
+			t.Errorf("monitor %v: summary lacks %q:\n%s", c.monitor, c.row, out.String())
+		}
 	}
 }
 

@@ -164,14 +164,16 @@ type Aggregator struct {
 	// RNG drives the random composer.
 	RNG *xrand.Source
 
-	// Tracer, ReqID, Spans and ReqSpan are the Pipeline's Tracer, Req,
-	// Spans and Root, set by the caller before each request. Only the
-	// attempt loop mints spans, so both entry points mint the same IDs;
-	// in virtual time they carry structure, not latency (DESIGN §13).
-	Tracer  *obs.Tracer
-	ReqID   uint64
-	Spans   *obs.Spans
-	ReqSpan obs.SpanContext
+	// ReqID, Spans and ReqSpan are the Pipeline's Req, Spans and Root,
+	// set by the caller before each request. Only the attempt loop mints
+	// spans, so both entry points mint the same IDs; in virtual time
+	// they carry structure, not latency (DESIGN §8). SelectSpan is the
+	// current attempt's selection stage span while the selector runs,
+	// for the caller's hop reports to be stamped with.
+	ReqID      uint64
+	Spans      *obs.Spans
+	ReqSpan    obs.SpanContext
+	SelectSpan obs.SpanContext
 
 	sc aggScratch
 }
@@ -262,8 +264,9 @@ func (g *memGrid) Discover() ([][]*service.Instance, error) {
 
 // Select resolves each instance's live providers from the discovery and
 // runs the strategy's selector over them.
-func (g *memGrid) Select(path []*service.Instance, _ obs.SpanContext) error {
+func (g *memGrid) Select(path []*service.Instance, sel obs.SpanContext) error {
 	a := g.a
+	a.SelectSpan = sel
 	for len(a.sc.providers) < len(path) {
 		a.sc.providers = append(a.sc.providers, nil)
 	}
@@ -291,12 +294,9 @@ func (g *memGrid) Select(path []*service.Instance, _ obs.SpanContext) error {
 }
 
 // Admit opens the session on the selected peers.
-func (g *memGrid) Admit(path []*service.Instance, attempt int, _ obs.SpanContext) error {
+func (g *memGrid) Admit(path []*service.Instance, _ obs.SpanContext) error {
 	sess, err := g.a.Sessions.Admit(g.user, path, g.peers, g.req.Duration)
 	if err != nil {
-		if tr := g.a.Tracer; tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindReserve, Req: g.a.ReqID, Attempt: attempt, Err: err.Error()})
-		}
 		return err
 	}
 	g.sess = sess
@@ -331,7 +331,7 @@ func (a *Aggregator) run(user topology.PeerID, req *service.Request, now float64
 
 	pl, g := &a.sc.pipeline, &a.sc.grid
 	pl.Strategy, pl.Compose, pl.RNG = strat, a.ComposeConfig, rng
-	pl.Tracer, pl.Spans, pl.Req, pl.Root = a.Tracer, a.Spans, a.ReqID, a.ReqSpan
+	pl.Spans, pl.Req, pl.Root = a.Spans, a.ReqID, a.ReqSpan
 	*g = memGrid{a: a, user: user, req: req, now: now, strat: strat, disc: disc}
 	if _, err := pl.run(g, req, prep); err != nil {
 		return nil, err
@@ -407,24 +407,6 @@ func (a *Aggregator) AggregateFinish(p *PreparedAggregation, user topology.PeerI
 // is chosen from the component's current live providers by the downstream
 // neighbor, using the Φ selector.
 func (a *Aggregator) Recover(s *session.Session, k int, now float64) (topology.PeerID, bool) {
-	// Recovery runs from churn handling, outside any Aggregate call, so
-	// the trace event is attributed via the session (ReqID is stale
-	// here); Analyze joins it back to the request through the admit
-	// event's session binding.
-	replacement, ok := a.recoverStep(s, k, now)
-	if a.Tracer != nil {
-		ev := obs.Event{Kind: obs.KindRecover, Session: strconv.FormatUint(s.ID, 10),
-			Hop: k + 1, Inst: s.Instances[k].ID, OK: ok}
-		if ok {
-			ev.Peer = strconv.Itoa(int(replacement))
-		}
-		a.Tracer.Emit(ev)
-	}
-	return replacement, ok
-}
-
-// recoverStep is the recovery decision proper.
-func (a *Aggregator) recoverStep(s *session.Session, k int, now float64) (topology.PeerID, bool) {
 	downstream := s.User
 	if k < len(s.Peers)-1 {
 		downstream = s.Peers[k+1]

@@ -22,9 +22,9 @@ type Grid interface {
 	Select(path []*service.Instance, sel obs.SpanContext) error
 	// Admit reserves path on the selected hosts; adm is the admission
 	// stage span's context.
-	Admit(path []*service.Instance, attempt int, adm obs.SpanContext) error
-	// Names renders the admitted session's ID and hosts for the trace;
-	// called only when tracing.
+	Admit(path []*service.Instance, adm obs.SpanContext) error
+	// Names renders the admitted session's ID and hosts for the
+	// admission span; called only when tracing.
 	Names() (session string, hosts []string)
 	// Stage marks stage s beginning or ending. The loop reads no clock;
 	// a grid that times its stages does it here.
@@ -35,19 +35,19 @@ type Grid interface {
 // select hop by hop, admit, and on a selection or admission failure
 // exclude the failed path's instances and recompose — together with
 // what one request needs besides its Grid. The loop owns the stage
-// errors (*ErrAggregation), the compose, admit and retry decision
-// events, and the four stage spans; grids emit only their own legs. A
-// Pipeline runs one request at a time (the prototype builds one per call).
+// errors (*ErrAggregation) and the four stage spans, which carry the
+// composed path, the attempt and the admitted session; grids emit only
+// their own legs. A Pipeline runs one request at a time (the prototype
+// builds one per call).
 type Pipeline struct {
 	Strategy Strategy
 	Compose  compose.Config // Definition 3.1 weights, caches, counters
 	RNG      *xrand.Source  // drives ComposeRandom
-	// Tracer receives the decision events stamped with Req, and Spans
-	// mints the stage spans under Root (the zero Root: inert spans).
-	Tracer *obs.Tracer
-	Req    uint64
-	Spans  *obs.Spans
-	Root   obs.SpanContext
+	// Spans mints request Req's stage spans under Root (the zero Root:
+	// inert spans).
+	Req   uint64
+	Spans *obs.Spans
+	Root  obs.SpanContext
 
 	// retry alternates two layer buffers: attempt n+1's layers are
 	// filtered from attempt n's, so one buffer would alias itself.
@@ -78,9 +78,6 @@ func (pl *Pipeline) run(g Grid, req *service.Request, prep *PreparedAggregation)
 	}
 	sp.End(obs.Event{Stage: obs.StageDiscovery, OK: true})
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 && pl.Tracer != nil {
-			pl.Tracer.Emit(obs.Event{Kind: obs.KindRetry, Req: pl.Req, Attempt: attempt})
-		}
 		var path *compose.Path
 		sp, err := pl.step(g, StageCompose, attempt, func(obs.SpanContext) (err error) {
 			if attempt == 0 && prep != nil {
@@ -88,20 +85,16 @@ func (pl *Pipeline) run(g Grid, req *service.Request, prep *PreparedAggregation)
 			} else {
 				path, err = pl.compose(layers, req.UserQoS)
 			}
-			if pl.Tracer != nil && err != nil {
-				pl.Tracer.Emit(obs.Event{Kind: obs.KindCompose, Req: pl.Req, Attempt: attempt, Err: err.Error()})
-			} else if pl.Tracer != nil {
+			return err
+		})
+		if err == nil {
+			if sp.Active() {
 				ids := make([]string, len(path.Instances))
 				for i, in := range path.Instances {
 					ids[i] = in.ID
 				}
-				pl.Tracer.Emit(obs.Event{Kind: obs.KindCompose, Req: pl.Req, Attempt: attempt,
-					Path: ids, Cost: path.Cost, OK: true})
+				sp.End(obs.Event{Stage: obs.StageCompose, Attempt: attempt, Path: ids, Cost: path.Cost, OK: true})
 			}
-			return err
-		})
-		if err == nil {
-			sp.End(obs.Event{Stage: obs.StageCompose, Attempt: attempt, Cost: path.Cost, OK: true})
 			if err = pl.place(g, path, attempt); err == nil {
 				return path, nil
 			}
@@ -169,17 +162,13 @@ func (pl *Pipeline) place(g Grid, path *compose.Path, attempt int) error {
 		return err
 	}
 	sp.End(obs.Event{Stage: obs.StageSelection, Attempt: attempt, OK: true})
-	sp, err = pl.step(g, StageAdmission, attempt, func(c obs.SpanContext) error { return g.Admit(path.Instances, attempt, c) })
+	sp, err = pl.step(g, StageAdmission, attempt, func(c obs.SpanContext) error { return g.Admit(path.Instances, c) })
 	if err != nil {
 		return err
 	}
-	if pl.Tracer != nil || sp.Active() {
+	if sp.Active() {
 		session, hosts := g.Names()
-		if pl.Tracer != nil {
-			pl.Tracer.Emit(obs.Event{Kind: obs.KindAdmit, Req: pl.Req, Attempt: attempt,
-				Session: session, Path: hosts, OK: true})
-		}
-		sp.End(obs.Event{Stage: obs.StageAdmission, Attempt: attempt, OK: true, Session: session})
+		sp.End(obs.Event{Stage: obs.StageAdmission, Attempt: attempt, OK: true, Session: session, Path: hosts})
 	}
 	return nil
 }

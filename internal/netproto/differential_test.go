@@ -80,16 +80,18 @@ func simAggregate(t *testing.T, insts []*service.Instance, provs map[*service.In
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf, engine.Now)
 	agg := &core.Aggregator{
 		Registry: reg, Sessions: session.NewManager(net, engine), PhiSelector: sel,
 		RandomSelector: selection.NewRandom(xrand.New(seed)), FixedSelector: selection.NewFixed(),
-		RNG: xrand.New(seed), Tracer: obs.NewTracer(&buf, engine.Now), ReqID: 1,
+		RNG: xrand.New(seed), Spans: obs.NewSpans(tr, seed), ReqID: 1,
 	}
+	agg.ReqSpan = agg.Spans.Root(1).Context()
 	_, err = agg.Aggregate(0, req, 0, core.Strategy{Compose: core.ComposeQCS, Select: core.SelectPhi})
-	return err, composedPath(t, agg.Tracer, &buf)
+	return err, composedPath(t, tr, &buf)
 }
 
-// composedPath reads the last compose event a tracer wrote into buf.
+// composedPath reads the last compose span a tracer wrote into buf.
 func composedPath(t *testing.T, tr *obs.Tracer, buf *bytes.Buffer) string {
 	t.Helper()
 	if err := tr.Flush(); err != nil {
@@ -101,7 +103,7 @@ func composedPath(t *testing.T, tr *obs.Tracer, buf *bytes.Buffer) string {
 	}
 	path := ""
 	for _, ev := range evs {
-		if ev.Kind == obs.KindCompose {
+		if ev.Kind == obs.KindSpan && ev.Stage == obs.StageCompose {
 			path = fmt.Sprint(ev.Path)
 		}
 	}

@@ -68,18 +68,12 @@ type Config struct {
 	// wrapped in a MeteredTransport. Nil disables the accounting at
 	// near-zero cost.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives the structured decision-trace
-	// stream for aggregations this peer initiates (request, compose,
-	// per-hop selection, reserve, admit, retry, recover, end). The
+	// Tracer, when non-nil, receives the telemetry stream: a span tree
+	// for every aggregation this peer initiates (its hop and RPC retry
+	// events beside it) and a span for every remote leg it serves. The
 	// tracer's clock decides timestamping: cmd/qsapeer uses wall time,
 	// tests inject deterministic clocks.
 	Tracer *obs.Tracer
-	// TraceSample, in [0, 1], is the fraction of this peer's
-	// aggregations that mint causal spans (KindSpan) into the Tracer
-	// stream. The decision is a pure hash of the request ID, so a given
-	// request samples identically on every run. 0 means the default of
-	// 1 (trace everything the Tracer sees); ignored when Tracer is nil.
-	TraceSample float64
 	// Admit bounds concurrent aggregate serving (DESIGN §14). Zero
 	// Workers — the default — disables admission control entirely.
 	Admit AdmitConfig
@@ -110,9 +104,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ProbeCacheTTL == 0 {
 		c.ProbeCacheTTL = time.Second
-	}
-	if c.TraceSample == 0 {
-		c.TraceSample = 1
 	}
 	c.Wire.fillDefaults()
 	c.Admit.fillDefaults()
@@ -153,9 +144,6 @@ func (c Config) Validate() error {
 	}
 	if c.MonitorInterval < 0 {
 		return fmt.Errorf("netproto: negative MonitorInterval %v", c.MonitorInterval)
-	}
-	if c.TraceSample < 0 || c.TraceSample > 1 {
-		return fmt.Errorf("netproto: trace sample fraction %g outside [0, 1]", c.TraceSample)
 	}
 	if c.Retry.Attempts < 0 {
 		return fmt.Errorf("netproto: negative retry attempts %d", c.Retry.Attempts)
@@ -209,6 +197,7 @@ type initiated struct {
 	deadline   time.Time
 	status     SessionStatus
 	recovered  int
+	span       obs.Span // the session span, open while the session runs
 }
 
 // Peer is one QSA prototype node.
@@ -233,9 +222,8 @@ type Peer struct {
 	nextReq   uint64
 	closed    bool
 
-	tele     *peerTele  // nil when Config.Metrics is nil
-	spans    *obs.Spans // nil when Config.Tracer is nil
-	spanSalt uint64     // TraceSample decision salt
+	tele  *peerTele  // nil when Config.Metrics is nil
+	spans *obs.Spans // nil when Config.Tracer is nil
 
 	admit *admission // nil when admission control is disabled
 	pool  *connPool  // nil when connection pooling is disabled
@@ -310,9 +298,8 @@ func Start(cfg Config) (*Peer, error) {
 		// Span IDs are salted by the listen address: each peer mints IDs
 		// from its own stream, so spans joined across peers cannot
 		// collide while a fixed topology stays reproducible.
-		spans:    obs.NewSpans(cfg.Tracer, xrand.MixString(0x51534153, ln.Addr().String())),
-		spanSalt: xrand.MixString(0x53414d50, ln.Addr().String()),
-		pool:     pool,
+		spans: obs.NewSpans(cfg.Tracer, xrand.MixString(0x51534153, ln.Addr().String())),
+		pool:  pool,
 	}
 	if cfg.Admit.Workers > 0 {
 		p.admit = newAdmission(cfg.Admit, p.done, tele)
@@ -320,24 +307,6 @@ func Start(cfg Config) (*Peer, error) {
 	p.wg.Add(1)
 	go p.serve()
 	return p, nil
-}
-
-// rootSpan mints the root span for request rid, or an inert span when
-// rid falls outside the TraceSample fraction. The decision is a pure
-// hash of (listen address, rid): re-running the same workload on the
-// same topology traces the same requests, and an unsampled root hands
-// every downstream stage — local and remote, via the empty wire trace
-// context — an inert span.
-func (p *Peer) rootSpan(rid uint64) obs.Span {
-	if p.spans == nil {
-		return obs.Span{}
-	}
-	if f := p.cfg.TraceSample; f < 1 {
-		if float64(xrand.MixIndex(p.spanSalt, rid)>>11)/(1<<53) >= f {
-			return obs.Span{}
-		}
-	}
-	return p.spans.Root(rid)
 }
 
 // Addr returns the peer's listen address.
@@ -959,41 +928,40 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 	for i, svc := range path {
 		names[i] = string(svc)
 	}
-	tr := p.cfg.Tracer
 	var rid uint64
-	if tr != nil {
+	if p.spans.Enabled() {
 		p.mu.Lock()
 		p.nextReq++
 		rid = p.nextReq
 		p.mu.Unlock()
-		tr.Emit(obs.Event{Kind: obs.KindRequest, Req: rid, User: p.addr,
-			App: strings.Join(names, "+"), Duration: duration.Seconds()})
 	}
 	// The root span covers the aggregation, the loop's stage spans are its
 	// children, and remote legs parent under their stage over the wire.
-	root := p.rootSpan(rid)
+	root := p.spans.Root(rid)
 	start := time.Now()
 	counts, _ := p.tele.counters()
 	g := &rpcGrid{p: p, rid: rid, duration: duration, names: names}
 	pl := core.Pipeline{
 		Strategy: core.Strategy{Compose: core.ComposeQCS, Select: core.SelectPhi},
 		Compose:  compose.Config{Weights: p.cfg.Weights, Obs: counts},
-		Tracer:   tr,
 		Req:      rid,
 		Spans:    p.spans,
 		Root:     root.Context(),
 	}
 	composed, err := pl.Run(g, &service.Request{App: &service.Application{Path: path}, UserQoS: userQoS})
 	p.tele.aggregated(time.Since(start).Seconds())
-	if err != nil {
-		stage := core.EventStage(err)
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindFail, Req: rid, Stage: stage, Err: err.Error()})
+	if root.Active() {
+		ev := obs.Event{User: p.addr, App: strings.Join(names, "+")}
+		if err != nil {
+			ev.Stage, ev.Err = core.EventStage(err), err.Error()
+		} else {
+			ev.OK, ev.Session = true, g.sid
 		}
-		root.End(obs.Event{Stage: stage, Err: err.Error()})
+		root.End(ev)
+	}
+	if err != nil {
 		return nil, err
 	}
-	root.End(obs.Event{OK: true, Session: g.sid})
 
 	plan := &Plan{SessionID: g.sid, Peers: g.chain, Cost: composed.Cost}
 	for _, in := range composed.Instances {
@@ -1007,6 +975,7 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 			candidates: g.providers,
 			deadline:   time.Now().Add(duration),
 			status:     StatusActive,
+			span:       root.Child(),
 		}
 		p.mu.Lock()
 		p.initiated[g.sid] = sess
@@ -1057,7 +1026,7 @@ func (g *rpcGrid) Select(path []*service.Instance, sel obs.SpanContext) error {
 	for _, wh := range resp.Hops {
 		// The wire-level hop reports, user side first; Hop is 1-based.
 		ev := obs.Event{Kind: obs.KindHop, Req: g.rid, Hop: wh.Idx + 1, Inst: wh.Inst,
-			At: wh.At, Chosen: wh.Chosen, Mode: wh.Mode}
+			At: wh.At, Chosen: wh.Chosen, Mode: wh.Mode, Trace: sel.Trace, Span: sel.Span}
 		for _, c := range wh.Cands {
 			ev.Cands = append(ev.Cands, obs.Candidate{Peer: c.Addr, Phi: c.Phi, Reason: c.Reason})
 		}
@@ -1075,7 +1044,7 @@ func (g *rpcGrid) Select(path []*service.Instance, sel obs.SpanContext) error {
 
 // Admit implements core.Grid: reserve on every selected host, rolling
 // back on the first failure.
-func (g *rpcGrid) Admit(path []*service.Instance, _ int, adm obs.SpanContext) error {
+func (g *rpcGrid) Admit(path []*service.Instance, adm obs.SpanContext) error {
 	p := g.p
 	p.mu.Lock()
 	p.nextSess++
@@ -1083,15 +1052,7 @@ func (g *rpcGrid) Admit(path []*service.Instance, _ int, adm obs.SpanContext) er
 	p.mu.Unlock()
 	for i, host := range g.chain {
 		in := path[i]
-		err := p.reserve(host, g.sid, in, g.duration, adm)
-		if tr := p.cfg.Tracer; tr != nil {
-			ev := obs.Event{Kind: obs.KindReserve, Req: g.rid, Peer: host, Inst: in.ID, OK: err == nil}
-			if err != nil {
-				ev.Err = err.Error()
-			}
-			tr.Emit(ev)
-		}
-		if err != nil {
+		if err := p.reserve(host, g.sid, in, g.duration, adm); err != nil {
 			for _, h := range g.chain[:i] {
 				// Best-effort rollback (retried — release is idempotent):
 				// an unreachable host's reservation expires with the
@@ -1173,15 +1134,13 @@ func (p *Peer) monitor(sess *initiated) {
 		hosts := append([]string(nil), sess.hosts...)
 		p.mu.Unlock()
 		if time.Now().After(deadline) {
+			// Only this goroutine moves the status, and it closes the
+			// session span first: whoever sees the session end finds
+			// the span in the stream.
+			sess.span.End(obs.Event{Stage: obs.StageSession, OK: true})
 			p.mu.Lock()
-			completed := sess.status == StatusActive
-			if completed {
-				sess.status = StatusCompleted
-			}
+			sess.status = StatusCompleted
 			p.mu.Unlock()
-			if completed && p.cfg.Tracer != nil {
-				p.cfg.Tracer.Emit(obs.Event{Kind: obs.KindEnd, Session: sess.sid, OK: true})
-			}
 			return
 		}
 		for k, host := range hosts {
@@ -1212,35 +1171,29 @@ func (p *Peer) recoverComponent(sess *initiated, k int, dead string) bool {
 	if remaining <= 0 {
 		return true // the session is about to complete anyway
 	}
+	sp := sess.span.Child()
 	chosen, ok, _, _ := p.selectNext(inst, alive, remaining, false)
-	ok = ok && p.reserve(chosen, sess.sid, inst, remaining, obs.SpanContext{}) == nil
+	ok = ok && p.reserve(chosen, sess.sid, inst, remaining, sp.Context()) == nil
+	ev := obs.Event{Stage: obs.StageRecovery, Hop: k + 1, Inst: inst.ID, OK: ok}
 	if ok {
 		p.mu.Lock()
 		sess.hosts[k] = chosen
 		sess.recovered++
 		p.mu.Unlock()
+		ev.Peer = chosen
 	}
-	if tr := p.cfg.Tracer; tr != nil {
-		ev := obs.Event{Kind: obs.KindRecover, Session: sess.sid, Hop: k + 1, Inst: inst.ID, OK: ok}
-		if ok {
-			ev.Peer = chosen
-		}
-		tr.Emit(ev)
-	}
+	sp.End(ev)
 	return ok
 }
 
-// failInitiated marks the session failed and releases surviving
-// reservations.
+// failInitiated closes the session span, marks the session failed and
+// releases surviving reservations.
 func (p *Peer) failInitiated(sess *initiated) {
+	sess.span.End(obs.Event{Stage: obs.StageSession, Err: "component host departed; recovery failed"})
 	p.mu.Lock()
 	sess.status = StatusFailed
 	hosts := append([]string(nil), sess.hosts...)
 	p.mu.Unlock()
-	if p.cfg.Tracer != nil {
-		p.cfg.Tracer.Emit(obs.Event{Kind: obs.KindEnd, Session: sess.sid, OK: false,
-			Stage: obs.StageDeparture, Err: "component host departed; recovery failed"})
-	}
 	for _, h := range hosts {
 		// Best effort (retried — release is idempotent): a host that
 		// cannot be reached is the one that failed; its reservation

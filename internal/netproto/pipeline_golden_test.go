@@ -61,8 +61,7 @@ func (g goldenOverlay) start(t *testing.T) ([]*Peer, *bytes.Buffer, *obs.Tracer,
 }
 
 // renderEvent writes one initiator event with its wall-clock and ID
-// fields left out: decision events in full, spans as stage, hop, host
-// and outcome. Candidates are sorted by peer, because the prototype
+// fields left out. Candidates are sorted by peer, because the prototype
 // lists them in address order and ports are not stable.
 func renderEvent(ev obs.Event, norm *strings.Replacer) string {
 	var b strings.Builder
@@ -84,7 +83,7 @@ func renderEvent(ev obs.Event, norm *strings.Replacer) string {
 	if len(ev.Path) > 0 {
 		field("path", strings.Join(ev.Path, ","))
 	}
-	if ev.Kind != obs.KindSpan && ev.Cost != 0 {
+	if ev.Cost != 0 {
 		field("cost", fmt.Sprintf("%.6g", ev.Cost))
 	}
 	if len(ev.Cands) > 0 {
@@ -97,7 +96,7 @@ func renderEvent(ev obs.Event, norm *strings.Replacer) string {
 	}
 	field("session", ev.Session)
 	fmt.Fprintf(&b, " ok=%v", ev.OK)
-	if ev.Kind != obs.KindSpan && ev.Err != "" {
+	if ev.Err != "" {
 		field("err", fmt.Sprintf("%q", ev.Err))
 	}
 	return norm.Replace(b.String())
@@ -107,8 +106,8 @@ func renderEvent(ev obs.Event, norm *strings.Replacer) string {
 // six scenarios: success, an unknown service, a QoS-inconsistent path,
 // no selectable peer, an admission failure that rolls back, and a
 // traced three-hop select recursion. For each it records the returned
-// plan (host indices) or error, the initiator's decision events and its
-// span outcomes, with listen ports mapped to peer indices and times
+// plan (host indices) or error, the initiator's hop events and its
+// spans, with listen ports mapped to peer indices and times
 // left out. Candidate capacities differ enough that Φ's RTT term cannot
 // reorder them.
 func TestPipelineGolden(t *testing.T) {
@@ -218,83 +217,63 @@ func TestPipelineGolden(t *testing.T) {
 // candidates, which the prototype never makes); an infeasible candidate
 // is "infeasible", not "no-fit"; errors read "core: <stage> failed: …";
 // and the admission stage span carries the session ID, as the
-// simulator's always did.
+// simulator's always did. When the span tree became the one record of a
+// request, the decision-event lines (request, compose, reserve, admit,
+// fail) were deleted and their fields reappeared on the span lines: the
+// compose span's path and cost, the admission span's hosts, and every
+// failing span's error; the renderer stopped hiding a span's cost and
+// error. Remote reservations are spans in the hosts' own streams.
 const pipelineGolden = `== success
 plan a#0,b#0 on p1,p3 cost=0.02
-request ok=false
-compose path=a#0,b#0 cost=0.02 ok=true
 hop hop=2 inst=b#0 at=p0 chosen=p3 mode=informed cands=p3:chosen,p4:short-uptime ok=false
 hop hop=1 inst=a#0 at=p3 chosen=p1 mode=informed cands=p1:chosen,p2:short-uptime ok=false
-reserve inst=a#0 peer=p1 ok=true
-reserve inst=b#0 peer=p3 ok=true
-admit path=p1,p3 session=p0/1 ok=true
 span stage=discovery ok=true
-span stage=compose ok=true
+span stage=compose path=a#0,b#0 cost=0.02 ok=true
 span stage=selection hop=2 inst=b#0 at=p0 chosen=p3 mode=informed ok=true
 span stage=selection ok=true
-span stage=admission session=p0/1 ok=true
+span stage=admission path=p1,p3 session=p0/1 ok=true
 span session=p0/1 ok=true
 == unknown-service
 error "core: discovery failed: no candidates for \"zzz\""
-request ok=false
-fail stage=discovery ok=false err="core: discovery failed: no candidates for \"zzz\""
-span stage=discovery ok=false
-span stage=discovery ok=false
+span stage=discovery ok=false err="core: discovery failed: no candidates for \"zzz\""
+span stage=discovery ok=false err="core: discovery failed: no candidates for \"zzz\""
 == qos-inconsistent
 error "core: compose failed: compose: no QoS-consistent service path"
-request ok=false
-compose ok=false err="compose: no QoS-consistent service path"
-fail stage=compose ok=false err="core: compose failed: compose: no QoS-consistent service path"
 span stage=discovery ok=true
-span stage=compose ok=false
-span stage=compose ok=false
+span stage=compose ok=false err="compose: no QoS-consistent service path"
+span stage=compose ok=false err="core: compose failed: compose: no QoS-consistent service path"
 == no-selectable-peer
 error "core: selection failed: no selectable peer for a#0"
-request ok=false
-compose path=a#0 cost=0.336667 ok=true
 hop hop=1 inst=a#0 at=p0 mode=none cands=p0:self,p1:infeasible,p2:infeasible ok=false
-fail stage=selection ok=false err="core: selection failed: no selectable peer for a#0"
 span stage=discovery ok=true
-span stage=compose ok=true
+span stage=compose path=a#0 cost=0.336667 ok=true
 span stage=selection hop=1 inst=a#0 at=p0 mode=none ok=false
-span stage=selection ok=false
-span stage=selection ok=false
+span stage=selection ok=false err="no selectable peer for a#0"
+span stage=selection ok=false err="core: selection failed: no selectable peer for a#0"
 == admission-rollback
 error "core: admission failed: netproto: reserve failed at p1: insufficient resources"
-request ok=false
-compose path=a#0,b#0,c#0 cost=0.0966667 ok=true
 hop hop=3 inst=c#0 at=p0 chosen=p1 mode=informed cands=p1:chosen ok=false
 hop hop=2 inst=b#0 at=p1 chosen=p2 mode=informed cands=p2:chosen ok=false
 hop hop=1 inst=a#0 at=p2 chosen=p1 mode=informed cands=p1:chosen ok=false
-reserve inst=a#0 peer=p1 ok=true
-reserve inst=b#0 peer=p2 ok=true
-reserve inst=c#0 peer=p1 ok=false err="netproto: reserve failed at p1: insufficient resources"
-fail stage=admission ok=false err="core: admission failed: netproto: reserve failed at p1: insufficient resources"
 span stage=discovery ok=true
-span stage=compose ok=true
+span stage=compose path=a#0,b#0,c#0 cost=0.0966667 ok=true
 span stage=selection hop=3 inst=c#0 at=p0 chosen=p1 mode=informed ok=true
 span stage=selection ok=true
-span stage=admission ok=false
-span stage=admission ok=false
+span stage=admission ok=false err="netproto: reserve failed at p1: insufficient resources"
+span stage=admission ok=false err="core: admission failed: netproto: reserve failed at p1: insufficient resources"
 p0 available 100
 p1 available 100
 p2 available 1000
 == traced-select-recursion
 plan a#0,b#0,c#0 on p1,p3,p1 cost=0.03
-request ok=false
-compose path=a#0,b#0,c#0 cost=0.03 ok=true
 hop hop=3 inst=c#0 at=p0 chosen=p1 mode=informed cands=p0:self,p1:chosen,p2:lower-phi,p5:infeasible ok=false
 hop hop=2 inst=b#0 at=p1 chosen=p3 mode=informed cands=p3:chosen,p4:lower-phi,p5:infeasible ok=false
 hop hop=1 inst=a#0 at=p3 chosen=p1 mode=informed cands=p1:chosen,p2:lower-phi,p3:self ok=false
-reserve inst=a#0 peer=p1 ok=true
-reserve inst=b#0 peer=p3 ok=true
-reserve inst=c#0 peer=p1 ok=true
-admit path=p1,p3,p1 session=p0/1 ok=true
 span stage=discovery ok=true
-span stage=compose ok=true
+span stage=compose path=a#0,b#0,c#0 cost=0.03 ok=true
 span stage=selection hop=3 inst=c#0 at=p0 chosen=p1 mode=informed ok=true
 span stage=selection ok=true
-span stage=admission session=p0/1 ok=true
+span stage=admission path=p1,p3,p1 session=p0/1 ok=true
 span session=p0/1 ok=true
 `
 

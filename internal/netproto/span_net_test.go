@@ -194,60 +194,94 @@ func TestAggregateTracingOffMatchesOn(t *testing.T) {
 	}
 }
 
-// TestTraceSampleGatesSpans: TraceSample 0 falls back to the default of
-// 1 (the Tracer itself is the opt-in), out-of-range values are rejected,
-// and an infinitesimal fraction keeps every span — local and remote —
-// out of the stream while the decision events still flow.
-func TestTraceSampleGatesSpans(t *testing.T) {
-	if err := (Config{TraceSample: 1.5}).Validate(); err == nil {
-		t.Fatal("TraceSample 1.5 accepted")
-	}
-	if err := (Config{TraceSample: -0.1}).Validate(); err == nil {
-		t.Fatal("TraceSample -0.1 accepted")
-	}
-
-	boot, err := Start(Config{Listen: "127.0.0.1:0", CPU: 100, Memory: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { boot.Close() })
-	if err := boot.Provide(inst("source#0", "source", "RAW", "MPEG", 10, 40)); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	begin := time.Now()
-	tr := obs.NewTracer(&buf, func() float64 { return time.Since(begin).Seconds() })
-	user, err := Start(Config{Listen: "127.0.0.1:0", CPU: 100, Memory: 100,
-		Tracer: tr, TraceSample: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { user.Close() })
-	if err := user.Join(boot.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := user.Aggregate([]service.Name{"source"}, userQoS, 100*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawAdmit := false
-	for _, ev := range events {
-		if ev.Kind == obs.KindSpan {
-			t.Fatalf("unsampled request emitted a span: %+v", ev)
+// TestAnalyzedOutcomeMatchesSessionStatus: on a loopback overlay whose
+// one provider serves three sessions, the initiator's stream analyzes
+// to the outcome the initiator itself reports. Without monitoring the
+// prototype never learns how a session ends, so each is "admitted";
+// with monitoring and the provider closed, each is a "departure", as
+// SessionStatus says.
+func TestAnalyzedOutcomeMatchesSessionStatus(t *testing.T) {
+	for _, monitor := range []time.Duration{0, 20 * time.Millisecond} {
+		user, provider, events := func() (*Peer, *Peer, func() []obs.Event) {
+			peers := make([]*Peer, 4)
+			var buf bytes.Buffer
+			begin := time.Now()
+			tr := obs.NewTracer(&buf, func() float64 { return time.Since(begin).Seconds() })
+			for i := range peers {
+				cfg := Config{Listen: "127.0.0.1:0", CPU: 100, Memory: 100, RPCTimeout: 500 * time.Millisecond}
+				if i == 3 {
+					cfg.Tracer, cfg.MonitorInterval = tr, monitor
+				}
+				p, err := Start(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { p.Close() })
+				peers[i] = p
+				if i > 0 {
+					if err := p.Join(peers[0].Addr()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return peers[3], peers[1], func() []obs.Event {
+				if err := tr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				evs, err := obs.ReadEvents(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return evs
+			}
+		}()
+		if err := provider.Provide(inst("source#0", "source", "RAW", "MPEG", 10, 40)); err != nil {
+			t.Fatal(err)
 		}
-		if ev.Kind == obs.KindAdmit {
-			sawAdmit = true
+		var sids []string
+		for i := 0; i < 3; i++ {
+			plan, err := user.Aggregate([]service.Name{"source"}, userQoS, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sids = append(sids, plan.SessionID)
 		}
-	}
-	if !sawAdmit {
-		t.Fatal("decision stream missing with sampling off")
+		want := map[string]string{}
+		for _, sid := range sids {
+			want[sid] = obs.OutcomeAdmitted
+		}
+		if monitor > 0 {
+			provider.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for _, sid := range sids {
+				for {
+					st, ok := user.SessionStatus(sid)
+					if !ok {
+						t.Fatalf("monitored session %s unknown", sid)
+					}
+					if st == StatusFailed {
+						want[sid] = obs.StageDeparture
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("session %s still %s after its only provider closed", sid, st)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+		}
+		rep, err := obs.Analyze(events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Requests) != len(sids) {
+			t.Fatalf("monitor %v: %d requests analyzed, %d aggregated", monitor, len(rep.Requests), len(sids))
+		}
+		for _, r := range rep.Requests {
+			if w, ok := want[r.Session]; !ok || r.Outcome != w {
+				t.Errorf("monitor %v: session %q analyzed as %q, want %q", monitor, r.Session, r.Outcome, w)
+			}
+		}
 	}
 }
 

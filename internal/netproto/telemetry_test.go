@@ -1,6 +1,6 @@
 // Telemetry-plane chaos test: run aggregations over a lossy fabric with
-// tracing and metrics enabled, then check that the decision trace
-// attributes every request to a concrete outcome that matches what the
+// tracing and metrics enabled, then check that the trace attributes
+// every request to a concrete outcome that matches what the
 // caller observed, and that the metric counters saw the same traffic.
 package netproto_test
 
@@ -90,20 +90,27 @@ func TestTelemetryChaosAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Total != requests {
-		t.Fatalf("trace holds %d requests, initiator issued %d", rep.Total, requests)
+	if len(rep.Requests) != requests {
+		t.Fatalf("trace holds %d requests, initiator issued %d", len(rep.Requests), requests)
 	}
-	// Every failed aggregation must be attributed to a concrete pipeline
-	// stage, and the split must match what Aggregate returned.
+	if rep.Orphans != 0 {
+		t.Errorf("%d spans outside every request's tree", rep.Orphans)
+	}
+	// Every request is one rooted tree; every failed aggregation is
+	// attributed to a concrete pipeline stage, and the split must match
+	// what Aggregate returned.
 	var failed, resolved int
 	for _, r := range rep.Requests {
-		switch r.Stage {
+		if r.Root == nil {
+			t.Errorf("request %d has no root span", r.Req)
+		}
+		switch r.Outcome {
 		case obs.StageDiscovery, obs.StageCompose, obs.StageSelection, obs.StageAdmission:
 			failed++
 		case obs.OutcomeSuccess, obs.StageDeparture:
 			resolved++
 		default:
-			t.Errorf("request %d left in state %q", r.Req, r.Stage)
+			t.Errorf("request %d left in state %q", r.Req, r.Outcome)
 		}
 	}
 	if failed != failCount {

@@ -43,12 +43,12 @@ func BenchmarkTelemetryEnabledCounter(b *testing.B) {
 func BenchmarkTelemetryDisabledTracer(b *testing.B) {
 	var tr *Tracer
 	if allocs := testing.AllocsPerRun(1000, func() {
-		tr.Emit(Event{Kind: KindReserve, Req: 1, Peer: "p", OK: true})
+		tr.Emit(Event{Kind: KindHop, Req: 1, Inst: "a", Chosen: "p"})
 	}); allocs != 0 {
 		b.Fatalf("disabled tracer allocated %v per event, want 0", allocs)
 	}
 	for i := 0; i < b.N; i++ {
-		tr.Emit(Event{Kind: KindReserve, Req: 1, Peer: "p", OK: true})
+		tr.Emit(Event{Kind: KindHop, Req: 1, Inst: "a", Chosen: "p"})
 	}
 }
 

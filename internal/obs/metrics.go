@@ -1,9 +1,10 @@
 // Package obs is the repo's telemetry plane: a race-safe metrics
 // registry (atomic counters, gauges, and log-bucketed latency quantile
-// histograms with deterministically ordered snapshots), a structured decision-trace stream (JSON-lines
-// events covering compose → hop-by-hop selection → reserve/retry →
-// session end), and a causal span layer (span.go) that places timed
-// segments of each request in a per-request tree.
+// histograms with deterministically ordered snapshots), and a
+// JSON-lines telemetry stream (trace.go) in which every traced request
+// is one tree of timed spans (span.go) — discovery, compose, selection,
+// admission, session — with its hop and retransmission events beside
+// them, read back by one analyzer (analyze.go).
 //
 // The package is deliberately dependency-free (standard library plus
 // the in-repo xrand mixer for span IDs) and deterministic: it never

@@ -6,18 +6,17 @@ import (
 	"repro/internal/xrand"
 )
 
-// Causal request tracing: a span is one timed segment of a request's
-// journey (a pipeline stage, an RPC leg, a session lifetime), placed in
-// a per-request tree by (Trace, Span, Parent) IDs. Spans ride the same
-// JSON-lines stream as the decision-trace events (KindSpan), so one
-// file carries both the "why" and the "where did the time go" of every
-// request.
+// Request tracing: a span is one timed segment of a request's journey
+// (a pipeline stage, an RPC leg, a session lifetime), placed in a
+// per-request tree by (Trace, Span, Parent) IDs. The tree is the one
+// record of a request: its spans carry the outcome, the hop and retry
+// events beside them carry what a span cannot.
 //
 // Determinism: trace IDs are pure functions of (salt, request ID) and
 // span IDs are minted from a counter that — in simulator mode — advances
 // in event order, the same discipline that makes Tracer emission order
-// byte-identical across shard counts (DESIGN §13). Timestamps come from the tracer's injected clock, never the
-// wall clock.
+// byte-identical across shard counts (DESIGN §8). Timestamps come from
+// the tracer's injected clock, never the wall clock.
 
 // SpanContext is the causal coordinate a request carries across the
 // wire: which trace it belongs to and which span is its current parent.
@@ -52,14 +51,6 @@ func NewSpans(tr *Tracer, salt uint64) *Spans {
 
 // Enabled reports whether spans will actually be recorded.
 func (s *Spans) Enabled() bool { return s != nil && s.tr != nil }
-
-// Now reads the underlying tracer clock (0 when disabled).
-func (s *Spans) Now() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.tr.Now()
-}
 
 // TraceID returns the deterministic trace ID of request req: a pure
 // function of (salt, req), so any component that knows the request ID
@@ -96,9 +87,9 @@ func (s *Spans) Root(req uint64) Span {
 	}
 }
 
-// Join begins a span whose parent lives on another peer: ctx arrived in
-// the RPC envelope. req is the local request ID for cross-referencing
-// with local decision events (0 when the work is purely remote).
+// Join begins a span under ctx: a stage under its request's root, or a
+// remote leg whose parent arrived in the RPC envelope. req is the
+// request ID (0 when the work is purely remote).
 func (s *Spans) Join(ctx SpanContext, req uint64) Span {
 	if !s.Enabled() || !ctx.Valid() {
 		return Span{}

@@ -134,7 +134,7 @@ func TestSpanJoinRemoteContext(t *testing.T) {
 
 func TestSpanNilSafety(t *testing.T) {
 	var s *Spans
-	if s.Enabled() || s.Now() != 0 || s.TraceID(3) != 0 {
+	if s.Enabled() || s.TraceID(3) != 0 {
 		t.Fatal("nil Spans must be fully disabled")
 	}
 	sp := s.Root(1)

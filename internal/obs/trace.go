@@ -14,42 +14,23 @@ import (
 // itself never reads wall time.
 type Clock func() float64
 
-// Event kinds, covering the aggregation lifecycle in pipeline order.
+// Event kinds. A traced request is one tree of KindSpan events; the
+// other kinds are what the spans cannot carry: a hop's candidate set,
+// and the RPC and packet layers' retransmissions. Each is stamped with
+// the span it occurred under (Trace, Span), zero when untraced.
 const (
-	// KindRequest opens a request span: one user request entered the
-	// pipeline.
-	KindRequest = "request"
-	// KindCompose reports one composition attempt (the chosen path and
-	// its Definition 3.1 cost, or the failure).
-	KindCompose = "compose"
+	// KindSpan closes one timed span of a request's tree: Stage names
+	// the pipeline stage (or RPC leg, or "session"), Duration is its
+	// length, and Trace/Span/Parent place it in the tree. The span's
+	// start time is T - Duration by construction.
+	KindSpan = "span"
 	// KindHop reports one hop-by-hop selection step: the candidate set
 	// with Φ values and filter reasons, and the chosen peer.
 	KindHop = "hop"
-	// KindReserve reports one reservation attempt during admission.
-	KindReserve = "reserve"
-	// KindRetry reports a recomposition retry (sim) or an RPC
-	// retransmission (prototype).
+	// KindRetry reports an RPC retransmission after a transport error.
 	KindRetry = "retry"
-	// KindAdmit reports a successful admission, binding the request to
-	// its session ID.
-	KindAdmit = "admit"
-	// KindRecover reports a runtime recovery attempt for one component
-	// of an admitted session.
-	KindRecover = "recover"
-	// KindEnd closes an admitted session: OK reports whether it ran to
-	// completion or was lost to a peer departure.
-	KindEnd = "end"
-	// KindFail closes a request that was never admitted, with the
-	// pipeline stage that rejected it.
-	KindFail = "fail"
-	// KindSpan closes one timed span of the causal trace: Stage names
-	// the pipeline stage (or RPC leg), Duration is its length, and
-	// Trace/Span/Parent place it in the request's causal tree. The
-	// span's start time is T - Duration by construction.
-	KindSpan = "span"
 	// KindRetransmit reports one whole-message retransmission at the
-	// reliable-UDP layer, stamped with the trace context the message
-	// carried (zero for untraced traffic).
+	// reliable-UDP layer.
 	KindRetransmit = "retransmit"
 	// KindDupReplay reports a server-side duplicate suppression: a
 	// retransmitted request hit the dedup cache and the cached response
@@ -58,16 +39,21 @@ const (
 	KindDupReplay = "dupreplay"
 )
 
-// Failure stages, mirroring core.Stage plus the post-admission
-// departure outcome.
+// Span stages: the pipeline stages, mirroring core.Stage, and the two
+// that follow admission. A request's root span fails at one of the
+// pipeline stages; StageDeparture is the outcome of a session span
+// that did not complete.
 const (
 	StageDiscovery = "discovery"
 	StageCompose   = "compose"
 	StageSelection = "selection"
 	StageAdmission = "admission"
 	StageDeparture = "departure"
+	// StageSession labels the span from admission to the session's
+	// completion or departure, a child of the request's root.
+	StageSession = "session"
 	// StageRecovery labels mid-session repair spans (the runtime
-	// recovery extension); it never appears as a failure stage.
+	// recovery extension), children of the session span.
 	StageRecovery = "recovery"
 )
 
@@ -82,23 +68,25 @@ type Candidate struct {
 	Reason string `json:"reason"`
 }
 
-// Event is one decision-trace record. The schema is flat: every kind
-// uses the subset of fields it needs and omits the rest, so a stream is
+// Event is one telemetry record. The schema is flat: every kind uses
+// the subset of fields it needs and omits the rest, so a stream is
 // greppable line by line. Request IDs start at 1 (0 means "no request
-// context", e.g. a session-scoped event joined via Session).
+// context", e.g. a remote peer's leg of another peer's request).
 type Event struct {
 	Seq  uint64  `json:"seq"`
 	T    float64 `json:"t"`
 	Kind string  `json:"kind"`
 	Req  uint64  `json:"req,omitempty"`
 
-	// request
+	// root span (Duration is every span's length)
 	User     string  `json:"user,omitempty"`
 	App      string  `json:"app,omitempty"`
 	Level    string  `json:"level,omitempty"`
 	Duration float64 `json:"duration,omitempty"`
 
-	// compose / retry
+	// compose span: the path's instance IDs, its Definition 3.1 cost and
+	// the attempt (> 0 is a recomposition); admission span: the hosts;
+	// RPC retry: the attempt
 	Attempt int      `json:"attempt,omitempty"`
 	Path    []string `json:"path,omitempty"`
 	Cost    float64  `json:"cost,omitempty"`
@@ -111,7 +99,7 @@ type Event struct {
 	Chosen string      `json:"chosen,omitempty"`
 	Mode   string      `json:"mode,omitempty"`
 
-	// reserve / recover / retry target
+	// recovery replacement / retry target
 	Peer string `json:"peer,omitempty"`
 	RPC  string `json:"rpc,omitempty"`
 
@@ -121,8 +109,8 @@ type Event struct {
 	Err     string `json:"err,omitempty"`
 	Session string `json:"session,omitempty"`
 
-	// causal-trace context (KindSpan, and any event stamped with the
-	// span it occurred under). 64-bit IDs; 0 means "absent". Encoded as
+	// trace context (KindSpan, and any event stamped with the span it
+	// occurred under). 64-bit IDs; 0 means "absent". Encoded as
 	// JSON numbers: Go's decoder reads integer digits exactly, so the
 	// full uint64 range round-trips.
 	Trace  uint64 `json:"trace,omitempty"`
@@ -170,7 +158,7 @@ func (t *Tracer) Emit(ev Event) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.emitLocked(ev)
+	t.emitLocked(ev, t.clock())
 }
 
 // EmitSpan writes a span-closing event: T is stamped from the clock and
@@ -183,22 +171,16 @@ func (t *Tracer) EmitSpan(ev Event, start float64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.seq++
-	ev.Seq = t.seq
-	ev.T = t.clock()
-	ev.Duration = ev.T - start
-	if t.err != nil {
-		return // sticky: keep sequencing, stop writing
-	}
-	if err := t.enc.Encode(ev); err != nil {
-		t.err = err
-	}
+	now := t.clock()
+	ev.Duration = now - start
+	t.emitLocked(ev, now)
 }
 
-func (t *Tracer) emitLocked(ev Event) {
+// emitLocked sequences and stamps ev at now and writes it.
+func (t *Tracer) emitLocked(ev Event, now float64) {
 	t.seq++
 	ev.Seq = t.seq
-	ev.T = t.clock()
+	ev.T = now
 	if t.err != nil {
 		return // sticky: keep sequencing, stop writing
 	}

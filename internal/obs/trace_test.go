@@ -17,9 +17,9 @@ func TestTracerStampsAndReads(t *testing.T) {
 	var buf bytes.Buffer
 	clock, set := fakeClock()
 	tr := NewTracer(&buf, clock)
-	tr.Emit(Event{Kind: KindRequest, Req: 1, App: "app3"})
+	tr.Emit(Event{Kind: KindHop, Req: 1, Hop: 1, Inst: "a"})
 	set(1.5)
-	tr.Emit(Event{Kind: KindFail, Req: 1, Stage: StageCompose, Err: "no path"})
+	tr.EmitSpan(Event{Kind: KindSpan, Req: 1, Stage: StageCompose, Err: "no path"}, 0.5)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,15 @@ func TestTracerStampsAndReads(t *testing.T) {
 	if evs[0].T != 0 || evs[1].T != 1.5 {
 		t.Fatalf("bad timestamps: %+v", evs)
 	}
-	if evs[1].Stage != StageCompose || evs[1].Err != "no path" {
+	if evs[1].Stage != StageCompose || evs[1].Err != "no path" || evs[1].Duration != 1 {
 		t.Fatalf("bad round trip: %+v", evs[1])
 	}
 }
 
 func TestNilTracerNoOp(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(Event{Kind: KindRequest})
+	tr.Emit(Event{Kind: KindHop})
+	tr.EmitSpan(Event{Kind: KindSpan}, 0)
 	if tr.Count() != 0 {
 		t.Fatal("nil tracer must count 0")
 	}
@@ -93,9 +94,9 @@ func TestReadEventsErrors(t *testing.T) {
 	cases := []struct {
 		name, in, want string
 	}{
-		{"garbage", "{\"seq\":1,\"kind\":\"request\"}\nnot json\n", "event 2"},
+		{"garbage", "{\"seq\":1,\"kind\":\"span\"}\nnot json\n", "event 2"},
 		{"missing kind", "{\"seq\":1,\"t\":0}\n", "missing kind"},
-		{"stale seq", "{\"seq\":2,\"kind\":\"request\"}\n{\"seq\":2,\"kind\":\"fail\"}\n", "not increasing"},
+		{"stale seq", "{\"seq\":2,\"kind\":\"span\"}\n{\"seq\":2,\"kind\":\"hop\"}\n", "not increasing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,7 +113,7 @@ func TestTracerDeterministicBytes(t *testing.T) {
 		var buf bytes.Buffer
 		clock, set := fakeClock()
 		tr := NewTracer(&buf, clock)
-		tr.Emit(Event{Kind: KindRequest, Req: 1, User: "42", App: "app1", Level: "high", Duration: 7})
+		tr.EmitSpan(Event{Kind: KindSpan, Req: 1, User: "42", App: "app1", Level: "high", OK: true}, 0)
 		set(0.25)
 		tr.Emit(Event{Kind: KindHop, Req: 1, Hop: 2, Inst: "i1", Cands: []Candidate{
 			{Peer: "9", Phi: 1.5, Reason: "chosen"},

@@ -110,7 +110,7 @@ type Selector struct {
 	// Obs, when non-nil, receives a StepReport for every SelectPath
 	// step (recovery re-selections are not reported — they have no hop
 	// context). Building the reports costs allocations, so leave it nil
-	// unless a decision trace is wanted.
+	// unless hop events are wanted.
 	Obs func(StepReport)
 	// Counters, when wired to a registry, counts selection work and
 	// outcomes; the zero value no-ops.

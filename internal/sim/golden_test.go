@@ -17,11 +17,13 @@ import (
 // TestPerRequestGolden pins the per-request-stream realization (Shards >
 // 0) to outcomes recorded before its event engine was folded into the
 // one eventsim.Engine: request and session outcomes, probing, the ψ
-// series, the sha256 of the telemetry stream with half the requests
-// carrying causal spans, and the sha256 of the per-request outcome table
-// the stream analyzes to, for each of the paper's three algorithms. The
-// outcome table is what the telemetry says about ψ; it was recorded
-// before the stream's format last changed and must not move with it.
+// series, the sha256 of the telemetry stream, and the sha256 of the
+// per-request outcome table the stream analyzes to, for each of the
+// paper's three algorithms. The outcome table is what the telemetry says
+// about ψ; it was recorded when every outcome was still written twice,
+// as decision events and as spans, and read off the decision events.
+// The stream's hashes were re-recorded when the span tree became the
+// one record of a request; the outcome table's were not.
 // Routing statistics are deliberately left out: they count how often
 // discovery ran, not what it returned.
 func TestPerRequestGolden(t *testing.T) {
@@ -42,21 +44,21 @@ func TestPerRequestGolden(t *testing.T) {
 			sessions:  session.Counters{Admitted: 947, Rejected: 12, Completed: 303, Failed: 644},
 			probes:    probe.Stats{Probes: 211959, CacheHits: 40910, Evictions: 80053, Rejected: 60126},
 			series:    "2:0.33507853403141363/382 4:0.3081081081081081/370 6:0.3128205128205128/195",
-			telemetry: "347f62fdc886ae0d39aae316f32e9fadfa464ea41fdc0d103680dafe8abc464d",
+			telemetry: "851465f069c3c8646476995d98a930ab2a5788f3abd1ff43fba11f959fb08f91",
 			outcomes:  "764f1ceed1eb52b4ea7d066c23cdf9820bd83c0df84dfb4c24a098c63e037a52",
 		}},
 		{Random, golden{
 			requests:  RequestStats{Issued: 947, AdmissionFailed: 276, DepartureFailed: 481, Succeeded: 190},
 			sessions:  session.Counters{Admitted: 671, Rejected: 276, Completed: 190, Failed: 481},
 			series:    "2:0.2356020942408377/382 4:0.16756756756756758/370 6:0.19487179487179487/195",
-			telemetry: "5060c75598481d17c962dc2a0441d3b6cb35db950311065c3c74f7c805eadd50",
+			telemetry: "4d1f78a3cde8c0f41644f8e5b36eaf5ad1705fff223b98d4fd2e6ab0085553a9",
 			outcomes:  "6061e3c229601ba98cd3c70cc9f1d1eb6898a595d3c9a651dc85d38bb16a9940",
 		}},
 		{Fixed, golden{
 			requests:  RequestStats{Issued: 947, AdmissionFailed: 925, DepartureFailed: 17, Succeeded: 5},
 			sessions:  session.Counters{Admitted: 22, Rejected: 925, Completed: 5, Failed: 17},
 			series:    "2:0.013089005235602094/382 4:0/370 6:0/195",
-			telemetry: "519b7c715b4d82bf580480e43b101d76f10584b01dd656461aeb02f160333721",
+			telemetry: "250f436a932d1e48db68581c9b8a5ae99dde2922139add372c12548f484eba16",
 			outcomes:  "86f98f4be887ee2c35cb37f6d1fe4bad9a62aad10060b570c44d9d62b5d286e6",
 		}},
 	} {
@@ -65,7 +67,6 @@ func TestPerRequestGolden(t *testing.T) {
 		cfg.ChurnRate = 100
 		cfg.Duration = 5
 		cfg.Shards = 4
-		cfg.SpanSample = 0.5
 		var tel bytes.Buffer
 		cfg.TelemetryOut = &tel
 		res, err := Run(cfg)
@@ -105,7 +106,7 @@ func outcomeTable(t *testing.T, stream []byte) string {
 	}
 	h := sha256.New()
 	for _, r := range rep.Requests {
-		fmt.Fprintf(h, "%d %s %q %s %d %d\n", r.Req, r.Stage, r.Err, r.Session, r.Retries, r.Recovered)
+		fmt.Fprintf(h, "%d %s %q %s %d %d\n", r.Req, r.Outcome, r.Err, r.Session, r.Retries, r.Recovered)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

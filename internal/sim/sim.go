@@ -158,18 +158,10 @@ type Config struct {
 	// has departed fall back to a random alive peer.
 	Replay []trace.Entry
 
-	// TelemetryOut, when non-nil, receives the JSON-lines decision-trace
-	// stream (package obs): one span of events per request, timestamped
-	// by the virtual clock — same-seed runs emit byte-identical streams.
+	// TelemetryOut, when non-nil, receives the JSON-lines telemetry
+	// stream (package obs): one span tree per request, timestamped by
+	// the virtual clock — same-seed runs emit byte-identical streams.
 	TelemetryOut io.Writer
-
-	// SpanSample, in [0, 1], additionally emits causal spans (KindSpan)
-	// for a deterministic fraction of requests: the sampling decision is
-	// a pure function of (seed, request ID), so the same requests are
-	// traced whatever the shard count. 0 — the default — disables spans
-	// entirely, keeping the bare TelemetryOut stream byte-identical with
-	// pre-span versions; 1 traces every request. Requires TelemetryOut.
-	SpanSample float64
 
 	// Metrics, when non-nil, receives runtime work counters from every
 	// subsystem (compose, selection, probing, sessions, discovery cache,
@@ -239,9 +231,6 @@ func (c *Config) fillDefaults() error {
 	if c.RegistryRefresh < 0 || c.Registry.TTL < 0 {
 		return fmt.Errorf("sim: negative registry refresh %g or TTL %g", c.RegistryRefresh, c.Registry.TTL)
 	}
-	if c.SpanSample < 0 || c.SpanSample > 1 {
-		return fmt.Errorf("sim: span sample fraction %g outside [0, 1]", c.SpanSample)
-	}
 	if c.Catalog.Apps == 0 {
 		c.Catalog = catalog.Default(c.Seed)
 	}
@@ -287,7 +276,7 @@ type Result struct {
 	Ring       chord.Stats          // the same routing, hops split by cause
 	AliveAtEnd int
 
-	// TelemetryEvents is the number of decision-trace events emitted
+	// TelemetryEvents is the number of telemetry events emitted
 	// (0 when Config.TelemetryOut is nil); TelemetryErr carries the
 	// first telemetry write error, if any.
 	TelemetryEvents uint64
@@ -309,13 +298,10 @@ type Simulator struct {
 	agg    *core.Aggregator
 	tracer *obs.Tracer
 
-	// Causal-span state: the span source (nil unless SpanSample > 0),
-	// the per-request sampling salt, and the root spans of admitted
-	// requests that are still open, keyed by session ID — a session's
-	// root span closes from onSessionEnd with the final outcome.
-	spans     *obs.Spans
-	spanSalt  uint64
-	openRoots map[uint64]obs.Span
+	// The span source (nil without TelemetryOut) and the session spans
+	// still open, keyed by session ID; each closes from onSessionEnd.
+	spans    *obs.Spans
+	sessions map[uint64]obs.Span
 
 	// Per-request streams (Config.Shards > 0): the stream salt and the
 	// schedule-order index of the next request.
@@ -411,26 +397,23 @@ func New(cfg Config) (*Simulator, error) {
 		// eventsim.Time is an alias for float64, so the engine clock is
 		// the tracer clock — events carry simulated minutes.
 		s.tracer = obs.NewTracer(cfg.TelemetryOut, s.engine.Now)
-		s.agg.Tracer = s.tracer
-		if cfg.SpanSample > 0 {
-			// Span IDs and the sampling decision both derive from the run
-			// seed alone, so same-seed runs mint identical causal trees
-			// whatever the shard count.
-			s.spans = obs.NewSpans(s.tracer, xrand.MixString(cfg.Seed, "spans"))
-			s.spanSalt = xrand.MixString(cfg.Seed, "spansample")
-			s.openRoots = make(map[uint64]obs.Span)
-			s.agg.Spans = s.spans
-		}
-		// Hop reports join the request span via the aggregator's current
-		// request ID (single simulation goroutine, so never stale here).
+		// Span IDs derive from the run seed alone, so same-seed runs mint
+		// identical trees whatever the shard count.
+		s.spans = obs.NewSpans(s.tracer, xrand.MixString(cfg.Seed, "spans"))
+		s.sessions = make(map[uint64]obs.Span)
+		s.agg.Spans = s.spans
+		// Hop reports join the selection span the aggregator is running
+		// (single simulation goroutine, so never stale here).
 		s.qsaSel.Obs = func(rep selection.StepReport) {
 			ev := obs.Event{
-				Kind: obs.KindHop,
-				Req:  s.agg.ReqID,
-				Hop:  rep.Hop,
-				Inst: rep.Inst,
-				At:   strconv.Itoa(int(rep.At)),
-				Mode: rep.Mode,
+				Kind:  obs.KindHop,
+				Req:   s.agg.ReqID,
+				Hop:   rep.Hop,
+				Inst:  rep.Inst,
+				At:    strconv.Itoa(int(rep.At)),
+				Mode:  rep.Mode,
+				Trace: s.agg.SelectSpan.Trace,
+				Span:  s.agg.SelectSpan.Span,
 			}
 			if rep.Chosen >= 0 {
 				ev.Chosen = strconv.Itoa(int(rep.Chosen))
@@ -502,22 +485,13 @@ func (s *Simulator) onSessionEnd(sess *session.Session) {
 	ok := sess.State == session.Completed
 	// Session start times come off the engine clock, never negative.
 	_ = s.sampler.Record(sess.Start, ok)
-	if s.tracer != nil {
-		ev := obs.Event{Kind: obs.KindEnd, Session: strconv.FormatUint(sess.ID, 10), OK: ok}
+	if sp, open := s.sessions[sess.ID]; open {
+		delete(s.sessions, sess.ID)
+		ev := obs.Event{Stage: obs.StageSession, OK: ok}
 		if !ok {
-			ev.Stage = obs.StageDeparture
 			ev.Err = "provisioning peer departed"
 		}
-		s.tracer.Emit(ev)
-	}
-	if root, open := s.openRoots[sess.ID]; open {
-		delete(s.openRoots, sess.ID)
-		ev := obs.Event{OK: ok, Session: strconv.FormatUint(sess.ID, 10)}
-		if !ok {
-			ev.Stage = obs.StageDeparture
-			ev.Err = "provisioning peer departed"
-		}
-		root.End(ev)
+		sp.End(ev)
 	}
 	if ok {
 		s.stats.Succeeded++
@@ -526,77 +500,50 @@ func (s *Simulator) onSessionEnd(sess *session.Session) {
 	}
 }
 
-// rootSpan mints the root span for the aggregator's current request ID,
-// subject to deterministic sampling: the decision is a pure function of
-// (seed, request ID), so the same requests are traced for every shard
-// count. It returns the inert zero Span when spans are disabled or the
-// request is unsampled.
-func (s *Simulator) rootSpan() obs.Span {
-	if s.spans == nil {
-		return obs.Span{}
-	}
-	if s.cfg.SpanSample < 1 {
-		h := xrand.MixIndex(s.spanSalt, s.agg.ReqID)
-		if float64(h>>11)/(1<<53) >= s.cfg.SpanSample {
-			return obs.Span{}
-		}
-	}
-	return s.spans.Root(s.agg.ReqID)
-}
-
 // failEarly accounts a request that failed before the pipeline could
 // even start (no alive user peer, or an unreplayable trace entry); the
 // paper counts these against ψ like any other discovery failure.
 func (s *Simulator) failEarly(now float64, app, reason string) {
 	s.stats.Issued++
 	s.agg.ReqID++
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{Kind: obs.KindRequest, Req: s.agg.ReqID, App: app})
-	}
-	s.fail(now, s.rootSpan(), core.StageDiscovery, errors.New(reason))
+	err := &core.ErrAggregation{Stage: core.StageDiscovery, Err: errors.New(reason)}
+	s.fail(now, s.spans.Root(s.agg.ReqID), obs.Event{App: app}, err)
 }
 
 // fail accounts a request that ended without a session: its stage
-// counter, the fail event, its root span and the ψ sample. Counter and
-// event take the stage from one switch, so qsastat's per-stage counts
-// reconcile with RequestStats exactly.
-func (s *Simulator) fail(now float64, root obs.Span, stage core.Stage, err error) {
-	name := obs.StageAdmission
-	switch stage {
+// counter, its root span (ev, closed with core's name for the stage,
+// as the prototype's is) and the ψ sample.
+func (s *Simulator) fail(now float64, root obs.Span, ev obs.Event, err error) {
+	switch core.StageOf(err) {
 	case core.StageDiscovery:
 		s.stats.DiscoveryFailed++
-		name = obs.StageDiscovery
 	case core.StageCompose:
 		s.stats.ComposeFailed++
-		name = obs.StageCompose
 	case core.StageSelection:
 		s.stats.SelectionFailed++
-		name = obs.StageSelection
 	default:
 		s.stats.AdmissionFailed++
 	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{Kind: obs.KindFail, Req: s.agg.ReqID, Stage: name, Err: err.Error()})
-	}
 	if root.Active() {
-		root.End(obs.Event{Stage: name, Err: err.Error()})
+		ev.Stage, ev.Err = core.EventStage(err), err.Error()
+		root.End(ev)
 	}
 	// Engine time is never negative, so the record cannot fail.
 	_ = s.sampler.Record(now, false)
 }
 
 // recover implements the runtime-recovery extension via the core engine.
+// The repair is a span under the session's, so the request's tree shows
+// what recovery replaced.
 func (s *Simulator) recover(sess *session.Session, k int, now float64) (topology.PeerID, bool) {
 	peer, ok := s.agg.Recover(sess, k, now)
-	if root, open := s.openRoots[sess.ID]; open {
-		// Mid-session repair: anchor it under the still-open request root
-		// so the critical-path explainer sees what recovery cost.
+	if sp, open := s.sessions[sess.ID]; open {
 		ev := obs.Event{Stage: obs.StageRecovery, Hop: k + 1,
 			Inst: sess.Instances[k].ID, OK: ok}
 		if ok {
 			ev.Peer = strconv.Itoa(int(peer))
 		}
-		root.Child().End(ev)
+		sp.Child().End(ev)
 	}
 	return peer, ok
 }
@@ -660,25 +607,25 @@ func (s *Simulator) issueReplayed(now float64, e trace.Entry) {
 // issueWith runs the aggregation pipeline for a concrete (user, request).
 func (s *Simulator) issueWith(now float64, user *topology.Peer, req *service.Request) {
 	s.stats.Issued++
-	s.agg.ReqID++ // opens the request span; core events join it
-	root := s.rootSpan()
+	s.agg.ReqID++ // the root span's request; core's stage spans join it
+	root := s.spans.Root(s.agg.ReqID)
 	s.agg.ReqSpan = root.Context()
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{Kind: obs.KindRequest, Req: s.agg.ReqID,
-			User: strconv.Itoa(int(user.ID)), App: req.App.ID,
-			Level: req.Level.String(), Duration: req.Duration})
+	var ev obs.Event
+	if root.Active() {
+		ev = obs.Event{User: strconv.Itoa(int(user.ID)), App: req.App.ID, Level: req.Level.String()}
 	}
 	sess, err := s.agg.Aggregate(user.ID, req, now, s.strat)
 	if err != nil {
-		s.fail(now, root, core.StageOf(err), err)
+		s.fail(now, root, ev, err)
 		return
 	}
 	if root.Active() {
-		// The request root stays open for the session's lifetime; it
-		// closes from onSessionEnd with the final outcome.
-		s.openRoots[sess.ID] = root
+		// The root closes at admission; the session span runs on until
+		// onSessionEnd records the outcome.
+		ev.OK, ev.Session = true, strconv.FormatUint(sess.ID, 10)
+		root.End(ev)
+		s.sessions[sess.ID] = root.Child()
 	}
-	// The outcome is recorded by onSessionEnd.
 }
 
 // churnDepart removes one random peer and propagates the departure.

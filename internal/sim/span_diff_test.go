@@ -2,22 +2,20 @@ package sim
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestSpanShardInvariance is the causal-tracing acceptance bar: with
-// every request sampled, the telemetry stream — span IDs, timestamps,
-// interleaving and all — is byte-identical across shard counts.
+// TestSpanShardInvariance is the tracing acceptance bar: the telemetry
+// stream — span IDs, timestamps, interleaving and all — is
+// byte-identical across shard counts.
 func TestSpanShardInvariance(t *testing.T) {
 	var ref []byte
 	var refRes *Result
 	for _, shards := range []int{1, 4} {
 		var tel bytes.Buffer
 		cfg := shardDiffConfig(QSA, shards)
-		cfg.SpanSample = 1
 		cfg.EnableRecovery = true
 		cfg.TelemetryOut = &tel
 		res, err := Run(cfg)
@@ -47,78 +45,19 @@ func TestSpanShardInvariance(t *testing.T) {
 		}
 	}
 	if spans == 0 {
-		t.Fatal("sampled run emitted no spans")
+		t.Fatal("traced run emitted no spans")
 	}
 }
 
-// TestSpanSamplingInvisibleToResults: turning spans on must not change
-// any figure — and the non-span events of the sampled stream must be
-// exactly the unsampled stream (spans interleave; they never reorder or
-// reword the decision trace).
-func TestSpanSamplingInvisibleToResults(t *testing.T) {
-	run := func(sample float64, tel *bytes.Buffer) *Result {
-		cfg := diffConfig(QSA, false)
-		cfg.EnableRecovery = true
-		cfg.SpanSample = sample
-		cfg.TelemetryOut = tel
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var telOff, telOn bytes.Buffer
-	off := run(0, &telOff)
-	on := run(1, &telOn)
-
-	if on.Requests != off.Requests {
-		t.Fatalf("spans changed RequestStats:\noff: %+v\non:  %+v", off.Requests, on.Requests)
-	}
-	if on.Psi != off.Psi || on.Sessions != off.Sessions || on.Lookup != off.Lookup {
-		t.Fatal("spans changed ψ, session counters, or routing stats")
-	}
-	if !reflect.DeepEqual(on.Series, off.Series) {
-		t.Fatal("spans changed the ψ time series")
-	}
-
-	offEvs, err := obs.ReadEvents(&telOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onEvs, err := obs.ReadEvents(&telOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := onEvs[:0]
-	for _, ev := range onEvs {
-		if ev.Kind != obs.KindSpan {
-			kept = append(kept, ev)
-		}
-	}
-	if len(kept) == len(onEvs) {
-		t.Fatal("sampled stream carried no spans")
-	}
-	if len(kept) != len(offEvs) {
-		t.Fatalf("decision-event counts diverged: %d sampled vs %d unsampled", len(kept), len(offEvs))
-	}
-	for i := range kept {
-		kept[i].Seq = offEvs[i].Seq // spans consume sequence numbers; all else must match
-		if !reflect.DeepEqual(kept[i], offEvs[i]) {
-			t.Fatalf("decision event %d diverged:\nsampled:   %+v\nunsampled: %+v", i, kept[i], offEvs[i])
-		}
-	}
-}
-
-// TestSpanTreeReconciles checks the structural contract qsastat's
-// critical-path explainer stands on: with full sampling, every request
-// has exactly one root span, every other span is parented inside its
-// request's trace, and the root outcomes reconcile exactly with
-// RequestStats.
+// TestSpanTreeReconciles checks the structural contract qsastat stands
+// on: every request has exactly one root span, every other span is
+// parented inside its request's trace, every hop event names a selection
+// span of its trace, and the outcomes read off the trees reconcile
+// exactly with RequestStats.
 func TestSpanTreeReconciles(t *testing.T) {
 	var tel bytes.Buffer
 	cfg := diffConfig(QSA, false)
 	cfg.EnableRecovery = true
-	cfg.SpanSample = 1
 	cfg.TelemetryOut = &tel
 	res, err := Run(cfg)
 	if err != nil {
@@ -129,9 +68,8 @@ func TestSpanTreeReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	roots := map[uint64]obs.Event{}         // request → root span
-	members := map[uint64]map[uint64]bool{} // trace → span IDs
-	var all []obs.Event
+	roots := map[uint64]bool{}                // request → root seen
+	members := map[uint64]map[uint64]string{} // trace → span ID → stage
 	for _, ev := range evs {
 		if ev.Kind != obs.KindSpan {
 			continue
@@ -140,102 +78,59 @@ func TestSpanTreeReconciles(t *testing.T) {
 			t.Fatalf("span without identity: %+v", ev)
 		}
 		if members[ev.Trace] == nil {
-			members[ev.Trace] = map[uint64]bool{}
+			members[ev.Trace] = map[uint64]string{}
 		}
-		if members[ev.Trace][ev.Span] {
+		if _, dup := members[ev.Trace][ev.Span]; dup {
 			t.Fatalf("duplicate span ID %x in trace %x", ev.Span, ev.Trace)
 		}
-		members[ev.Trace][ev.Span] = true
+		members[ev.Trace][ev.Span] = ev.Stage
 		if ev.Parent == 0 {
-			if _, dup := roots[ev.Req]; dup {
+			if roots[ev.Req] {
 				t.Fatalf("request %d has two root spans", ev.Req)
 			}
-			roots[ev.Req] = ev
-		}
-		all = append(all, ev)
-	}
-	for _, ev := range all {
-		if ev.Parent != 0 && !members[ev.Trace][ev.Parent] {
-			t.Fatalf("span %x parented under %x, which is not in trace %x", ev.Span, ev.Parent, ev.Trace)
+			roots[ev.Req] = true
 		}
 	}
-
+	for _, ev := range evs {
+		switch {
+		case ev.Kind == obs.KindSpan && ev.Parent != 0:
+			if _, ok := members[ev.Trace][ev.Parent]; !ok {
+				t.Fatalf("span %x parented under %x, which is not in trace %x", ev.Span, ev.Parent, ev.Trace)
+			}
+		case ev.Kind == obs.KindHop:
+			if members[ev.Trace][ev.Span] != obs.StageSelection {
+				t.Fatalf("hop event not under a selection span of its trace: %+v", ev)
+			}
+		}
+	}
 	if uint64(len(roots)) != res.Requests.Issued {
 		t.Fatalf("%d root spans for %d issued requests", len(roots), res.Requests.Issued)
 	}
-	var okRoots uint64
-	byStage := map[string]uint64{}
-	for _, r := range roots {
-		if r.OK {
-			okRoots++
-		} else {
-			byStage[r.Stage]++
-		}
+
+	rep, err := obs.Analyze(evs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if okRoots != res.Requests.Succeeded {
-		t.Fatalf("%d OK roots vs %d succeeded requests", okRoots, res.Requests.Succeeded)
-	}
-	want := map[string]uint64{
-		obs.StageDiscovery: res.Requests.DiscoveryFailed,
-		obs.StageCompose:   res.Requests.ComposeFailed,
-		obs.StageSelection: res.Requests.SelectionFailed,
-		obs.StageAdmission: res.Requests.AdmissionFailed,
-		obs.StageDeparture: res.Requests.DepartureFailed,
-	}
-	for stage, n := range want {
-		if byStage[stage] != n {
-			t.Errorf("%s: %d failed roots vs %d in RequestStats", stage, byStage[stage], n)
+	r := res.Requests
+	for stage, n := range map[string]uint64{
+		obs.StageDiscovery: r.DiscoveryFailed,
+		obs.StageCompose:   r.ComposeFailed,
+		obs.StageSelection: r.SelectionFailed,
+		obs.StageAdmission: r.AdmissionFailed,
+		obs.StageDeparture: r.DepartureFailed,
+		obs.OutcomeSuccess: r.Succeeded,
+	} {
+		if got := uint64(rep.Count(stage)); got != n {
+			t.Errorf("%s: %d requests in the trees vs %d in RequestStats", stage, got, n)
 		}
 	}
 	if res.Sessions.Recoveries > 0 {
-		sawRecovery := false
-		for _, ev := range all {
-			if ev.Stage == obs.StageRecovery {
-				sawRecovery = true
-				break
-			}
+		recovered := 0
+		for _, q := range rep.Requests {
+			recovered += q.Recovered
 		}
-		if !sawRecovery {
+		if recovered == 0 {
 			t.Error("sessions recovered but no recovery span was emitted")
 		}
-	}
-}
-
-// TestSpanSamplingIsDeterministicSubset: a fractional sample traces a
-// strict, seed-determined subset of requests — rerunning yields the
-// same subset, and every traced request still gets a complete tree
-// (exactly one root).
-func TestSpanSamplingIsDeterministicSubset(t *testing.T) {
-	sampled := func() (map[uint64]bool, uint64) {
-		var tel bytes.Buffer
-		cfg := diffConfig(QSA, false)
-		cfg.SpanSample = 0.5
-		cfg.TelemetryOut = &tel
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs, err := obs.ReadEvents(&tel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs := map[uint64]bool{}
-		for _, ev := range evs {
-			if ev.Kind == obs.KindSpan && ev.Parent == 0 {
-				if reqs[ev.Req] {
-					t.Fatalf("request %d has two roots", ev.Req)
-				}
-				reqs[ev.Req] = true
-			}
-		}
-		return reqs, res.Requests.Issued
-	}
-	a, issued := sampled()
-	b, _ := sampled()
-	if len(a) == 0 || uint64(len(a)) == issued {
-		t.Fatalf("half sampling traced %d of %d requests", len(a), issued)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sampled request sets diverged between same-seed runs")
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -19,7 +20,7 @@ func telemetered(seed uint64, out *bytes.Buffer, reg *obs.Registry) Config {
 }
 
 // TestTelemetryByteDeterminism is the ISSUE acceptance check: two runs
-// with the same seed must produce byte-identical decision-trace streams.
+// with the same seed must produce byte-identical telemetry streams.
 func TestTelemetryByteDeterminism(t *testing.T) {
 	skipIfShort(t)
 	var a, b bytes.Buffer
@@ -71,8 +72,8 @@ func TestTelemetryAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res.Requests
-	if uint64(rep.Total) != r.Issued {
-		t.Fatalf("trace has %d requests, simulator issued %d", rep.Total, r.Issued)
+	if uint64(len(rep.Requests)) != r.Issued {
+		t.Fatalf("trace has %d requests, simulator issued %d", len(rep.Requests), r.Issued)
 	}
 	want := map[string]uint64{
 		obs.StageDiscovery:  r.DiscoveryFailed,
@@ -110,8 +111,9 @@ func TestTelemetryAttribution(t *testing.T) {
 }
 
 // TestTelemetryDisabledIdentical checks the paper-facing invariant that
-// enabling telemetry does not perturb the simulation: the ψ results with
-// and without tracing must match exactly.
+// enabling telemetry does not perturb the simulation: the outcomes, ψ,
+// session counters, routing statistics and ψ series with and without
+// tracing must match exactly.
 func TestTelemetryDisabledIdentical(t *testing.T) {
 	skipIfShort(t)
 	var buf bytes.Buffer
@@ -128,5 +130,11 @@ func TestTelemetryDisabledIdentical(t *testing.T) {
 	}
 	if with.Requests != without.Requests {
 		t.Fatalf("telemetry changed outcomes: %+v vs %+v", with.Requests, without.Requests)
+	}
+	if with.Psi != without.Psi || with.Sessions != without.Sessions || with.Lookup != without.Lookup {
+		t.Fatal("telemetry changed ψ, session counters, or routing stats")
+	}
+	if !reflect.DeepEqual(with.Series, without.Series) {
+		t.Fatal("telemetry changed the ψ time series")
 	}
 }

@@ -178,7 +178,7 @@ type Request struct {
 
 	// Causal trace context (optional): the caller's trace and current
 	// span, so the serving peer can parent its spans under the request's
-	// tree (DESIGN §13). Zero means untraced. In JSON the fields simply
+	// tree (DESIGN §8). Zero means untraced. In JSON the fields simply
 	// omit when zero — a peer built without them ignores the extras — and
 	// the binary codec gates them behind FlagTraceCtx at the body tail.
 	TraceID uint64 `json:"trace_id,omitempty"`
