@@ -112,7 +112,8 @@ func TestExplainRequest(t *testing.T) {
 	if err := run([]string{"-req", "1", "-hop", "1", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "hop 1 at ") || strings.Contains(out.String(), "admission") {
+	if !strings.Contains(out.String(), "hop 1 at ") || strings.Contains(out.String(), "hop 2 at ") ||
+		strings.Contains(out.String(), "compose") || strings.Contains(out.String(), "critical path") {
 		t.Fatalf("-hop did not filter events:\n%s", out.String())
 	}
 }

@@ -39,10 +39,9 @@ const (
 	KindDupReplay = "dupreplay"
 )
 
-// Span stages: the pipeline stages, mirroring core.Stage, and the two
-// that follow admission. A request's root span fails at one of the
-// pipeline stages; StageDeparture is the outcome of a session span
-// that did not complete.
+// Stages: the pipeline stages, mirroring core.Stage, at one of which a
+// request's root span fails; the departure outcome of a session span
+// that did not complete; and the two spans that follow admission.
 const (
 	StageDiscovery = "discovery"
 	StageCompose   = "compose"

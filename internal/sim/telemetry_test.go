@@ -115,7 +115,6 @@ func TestTelemetryAttribution(t *testing.T) {
 // session counters, routing statistics and ψ series with and without
 // tracing must match exactly.
 func TestTelemetryDisabledIdentical(t *testing.T) {
-	skipIfShort(t)
 	var buf bytes.Buffer
 	with, err := Run(telemetered(23, &buf, obs.NewRegistry()))
 	if err != nil {
