@@ -65,11 +65,11 @@ type Request struct {
 	// the session span's success or departure, or OutcomeAdmitted
 	// while no session span closed; OutcomePending without a root.
 	Outcome   string
-	Err       string // the terminal error, when the request failed
-	Session   string // session ID once admitted
-	Retries   int    // recompositions: compose spans with Attempt > 0
-	Recovered int    // components replaced by runtime recovery
-	Events    []Event
+	Err       string  // the terminal error, when the request failed
+	Session   string  // session ID once admitted
+	Retries   int     // recompositions: compose spans with Attempt > 0
+	Recovered int     // components replaced by runtime recovery
+	Events    []Event // hops and retransmissions stamped with the trace
 }
 
 // IsFailure reports whether outcome is a terminal failure stage.
