@@ -74,9 +74,7 @@ func run(args []string, out io.Writer) error {
 	if *req != 0 {
 		return explain(out, rep, *req, *hop)
 	}
-	if err := summarize(out, rep, events); err != nil {
-		return err
-	}
+	summarize(out, rep, events)
 	if *met != "" {
 		return cacheReport(out, *met)
 	}
@@ -168,7 +166,7 @@ func wireReport(out io.Writer, c map[string]uint64) {
 
 // summarize prints the outcome of every request, the failure reasons
 // and the latency of each span stage.
-func summarize(out io.Writer, rep *obs.Report, events []obs.Event) error {
+func summarize(out io.Writer, rep *obs.Report, events []obs.Event) {
 	fmt.Fprintf(out, "%d events, %d requests, %d spans", len(events), len(rep.Requests), rep.Spans)
 	if rep.Orphans > 0 {
 		fmt.Fprintf(out, " (%d orphaned: parent missing from stream)", rep.Orphans)
@@ -219,7 +217,7 @@ func summarize(out io.Writer, rep *obs.Report, events []obs.Event) error {
 		}
 	}
 	if len(rep.Latency) == 0 {
-		return nil
+		return
 	}
 	fmt.Fprintf(out, "\nlatency by stage:\n")
 	fmt.Fprintf(out, "  %-12s %8s %10s %10s %10s %10s\n", "stage", "count", "p50", "p99", "p999", "mean")
@@ -231,7 +229,6 @@ func summarize(out io.Writer, rep *obs.Report, events []obs.Event) error {
 	if v := rep.Latency[0].Value; rep.Latency[0].Stage == obs.SpanStageRequest && v.Sum == 0 {
 		fmt.Fprintln(out, "  (request and stage rows are zero: simulated stages take no virtual time)")
 	}
-	return nil
 }
 
 // explain prints one request's span tree, with each span's hop and

@@ -192,30 +192,27 @@ func Analyze(events []Event) (*Report, error) {
 	}
 
 	for i, ev := range events {
+		if ev.Kind == KindSpan && (ev.Trace == 0 || ev.Span == 0) {
+			return nil, fmt.Errorf("obs: event %d: span without trace/span ID", i+1)
+		}
+		if ev.Trace == 0 {
+			continue // untraced: no request to attach to
+		}
+		st := state(ev.Trace)
+		if st.req.Req == 0 {
+			st.req.Req = ev.Req
+		}
 		if ev.Kind != KindSpan {
-			if ev.Trace != 0 {
-				st := state(ev.Trace)
-				st.req.Events = append(st.req.Events, ev)
-				if st.req.Req == 0 {
-					st.req.Req = ev.Req
-				}
-			}
+			st.req.Events = append(st.req.Events, ev)
 			continue
 		}
 		rep.Spans++
-		if ev.Trace == 0 || ev.Span == 0 {
-			return nil, fmt.Errorf("obs: event %d: span without trace/span ID", i+1)
-		}
-		st := state(ev.Trace)
 		if _, dup := st.nodes[ev.Span]; dup {
 			return nil, fmt.Errorf("obs: event %d: duplicate span %x in trace %x", i+1, ev.Span, ev.Trace)
 		}
 		n := &SpanNode{Event: ev}
 		st.nodes[ev.Span] = n
 		st.order = append(st.order, n)
-		if st.req.Req == 0 {
-			st.req.Req = ev.Req
-		}
 		if ev.Parent == 0 {
 			if st.req.Root != nil {
 				return nil, fmt.Errorf("obs: event %d: second root span in trace %x", i+1, ev.Trace)
