@@ -2,8 +2,16 @@ package obs
 
 // Counter bundles for the instrumented subsystems. Each bundle is a
 // value struct of *Counter handles: the zero value is all-nil, which
-// no-ops, so subsystems carry a bundle unconditionally and callers wire
-// a registry only when they want the numbers.
+// no-ops.
+//
+// A bundle is owned by the one subsystem that increments it, and it is
+// that subsystem's only count of those events: probe.Manager,
+// session.Manager, selection.Selector and registry.Registry read their
+// Stats or Counters off their bundle, whose constructors give it
+// private counters, and a caller that wants the numbers in a registry
+// swaps in a wired bundle before the first event. The compose bundles
+// and the prototype's instruments (netproto) are write-only: their zero
+// value means nobody is counting.
 
 // ComposeCounters tracks QCS composition work (graph size and Dijkstra
 // effort).
@@ -89,7 +97,7 @@ func NewMemoCounters(reg *Registry) MemoCounters {
 	}
 }
 
-// ProbeCounters mirrors probe.Stats into a registry.
+// ProbeCounters counts probing activity; probe.Manager.Stats reads it.
 type ProbeCounters struct {
 	Probes    *Counter
 	CacheHits *Counter
@@ -107,7 +115,8 @@ func NewProbeCounters(reg *Registry) ProbeCounters {
 	}
 }
 
-// SessionCounters mirrors session.Counters into a registry.
+// SessionCounters counts session outcomes; session.Manager.Counters
+// reads it.
 type SessionCounters struct {
 	Admitted   *Counter
 	Rejected   *Counter

@@ -165,10 +165,9 @@ type Registry struct {
 	epoch uint64
 	cache map[service.Name]*cachedLookup
 
-	cacheHits, cacheMisses uint64
-
-	// Obs mirrors cache activity into a metrics registry when wired; the
-	// zero value no-ops.
+	// Obs is the one count of cache activity; Stats reads its hits and
+	// misses. New gives it private counters; wire it to a registry
+	// before the first write to publish them.
 	Obs obs.DiscoveryCounters
 }
 
@@ -182,6 +181,7 @@ func New(cfg Config, seed uint64) *Registry {
 		rng:    xrand.New(seed).SplitLabeled("registry"),
 		owners: make(map[topology.PeerID][]ownerHint),
 		cache:  make(map[service.Name]*cachedLookup),
+		Obs:    obs.NewDiscoveryCounters(obs.NewRegistry()),
 	}
 }
 
@@ -219,8 +219,8 @@ func (r *Registry) Stats() LookupStats {
 		Lookups:      s.Lookups,
 		TotalHops:    s.TotalHops,
 		DirectWrites: r.directWrites,
-		CacheHits:    r.cacheHits,
-		CacheMisses:  r.cacheMisses,
+		CacheHits:    r.Obs.CacheHits.Value(),
+		CacheMisses:  r.Obs.CacheMisses.Value(),
 		Epoch:        r.epoch,
 	}
 }
@@ -401,11 +401,9 @@ func (r *Registry) Lookup(from topology.PeerID, name service.Name, now float64) 
 	}
 	if !r.cfg.DisableCache {
 		if c, ok := r.cache[name]; ok && c.epoch == r.epoch && now < c.validUntil {
-			r.cacheHits++
 			r.Obs.CacheHits.Inc()
 			return c.entries, 0, nil
 		}
-		r.cacheMisses++
 		r.Obs.CacheMisses.Inc()
 	}
 	return r.route(n, name, now)

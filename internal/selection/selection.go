@@ -105,15 +105,15 @@ type Selector struct {
 	cfg    Config
 	probes *probe.Manager
 	rng    *xrand.Source
-	stats  Stats
 
 	// Obs, when non-nil, receives a StepReport for every SelectPath
 	// step (recovery re-selections are not reported — they have no hop
 	// context). Building the reports costs allocations, so leave it nil
 	// unless hop events are wanted.
 	Obs func(StepReport)
-	// Counters, when wired to a registry, counts selection work and
-	// outcomes; the zero value no-ops.
+	// Counters is the one count of selection work and outcomes; Stats
+	// reads it. New gives it private counters; wire it to a registry
+	// before the first step to publish them.
 	Counters obs.SelectionCounters
 }
 
@@ -125,11 +125,18 @@ func New(cfg Config, probes *probe.Manager, rng *xrand.Source) (*Selector, error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Selector{cfg: cfg, probes: probes, rng: rng}, nil
+	return &Selector{cfg: cfg, probes: probes, rng: rng,
+		Counters: obs.NewSelectionCounters(obs.NewRegistry())}, nil
 }
 
 // Stats returns cumulative selection statistics.
-func (s *Selector) Stats() Stats { return s.stats }
+func (s *Selector) Stats() Stats {
+	return Stats{
+		Informed:  s.Counters.Informed.Value(),
+		Fallbacks: s.Counters.Fallbacks.Value(),
+		Failures:  s.Counters.Failures.Value(),
+	}
+}
 
 // PhiValue evaluates the integrated metric Φ (eq. 4) with explicit
 // weights: Σᵢ ωᵢ·availᵢ/rᵢ + ω_{m+1}·availNet/bNet. Requirement dimensions
@@ -201,14 +208,6 @@ func (s *Selector) selectStep(current topology.PeerID, inst *service.Instance,
 		}
 		return Candidate{Phi: s.Phi(info, inst.R, inst.OutKbps), UptimeOK: !s.cfg.UseUptime || info.Uptime >= dur}
 	}, s.rng, s.Counters, note)
-	switch mode {
-	case modeInformed:
-		s.stats.Informed++
-	case modeFallback:
-		s.stats.Fallbacks++
-	default:
-		s.stats.Failures++
-	}
 	if i < 0 {
 		return -1, false, mode, cands
 	}

@@ -117,16 +117,15 @@ type Manager struct {
 	sessions map[uint64]*Session
 	byPeer   map[topology.PeerID]map[uint64]*Session
 
-	counters Counters
-
 	// Recovery, when non-nil, is invoked for each component lost to a peer
 	// departure before the session is failed.
 	Recovery RecoveryFunc
 	// OnEnd, when non-nil, is invoked once per admitted session when it
 	// completes or fails.
 	OnEnd func(s *Session)
-	// Obs mirrors the Counters increments into a metrics registry when
-	// wired; the zero value no-ops.
+	// Obs is the one count of session outcomes; Counters reads it.
+	// NewManager gives it private counters; wire it to a registry
+	// before the first Admit to publish them.
 	Obs obs.SessionCounters
 	// Durations, when wired, receives each ended session's achieved
 	// lifetime in engine-clock units (admission to completion or
@@ -145,11 +144,20 @@ func NewManager(net *topology.Network, engine *eventsim.Engine) *Manager {
 		engine:   engine,
 		sessions: make(map[uint64]*Session),
 		byPeer:   make(map[topology.PeerID]map[uint64]*Session),
+		Obs:      obs.NewSessionCounters(obs.NewRegistry()),
 	}
 }
 
 // Counters returns cumulative outcome counts.
-func (m *Manager) Counters() Counters { return m.counters }
+func (m *Manager) Counters() Counters {
+	return Counters{
+		Admitted:   m.Obs.Admitted.Value(),
+		Rejected:   m.Obs.Rejected.Value(),
+		Completed:  m.Obs.Completed.Value(),
+		Failed:     m.Obs.Failed.Value(),
+		Recoveries: m.Obs.Recoveries.Value(),
+	}
+}
 
 // Active returns the number of live sessions.
 func (m *Manager) Active() int { return len(m.sessions) }
@@ -225,17 +233,14 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 	peers []topology.PeerID, dur float64) (*Session, error) {
 
 	if len(instances) == 0 || len(instances) != len(peers) {
-		m.counters.Rejected++
 		m.Obs.Rejected.Inc()
 		return nil, fmt.Errorf("session: %d instances vs %d peers", len(instances), len(peers))
 	}
 	if dur <= 0 {
-		m.counters.Rejected++
 		m.Obs.Rejected.Inc()
 		return nil, fmt.Errorf("session: non-positive duration %v", dur)
 	}
 	if up, err := m.net.Peer(user); err != nil || !up.Alive {
-		m.counters.Rejected++
 		m.Obs.Rejected.Inc()
 		return nil, fmt.Errorf("session: user peer %d not alive", user)
 	}
@@ -252,7 +257,6 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 
 	fail := func(reason string) (*Session, error) {
 		m.releaseAll(s)
-		m.counters.Rejected++
 		m.Obs.Rejected.Inc()
 		return nil, fmt.Errorf("session: %s", reason)
 	}
@@ -275,7 +279,6 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 		m.indexPeer(p, s)
 	}
 	s.done = m.engine.After(dur, func() { m.complete(s) })
-	m.counters.Admitted++
 	m.Obs.Admitted.Inc()
 	m.ActiveGauge.Set(int64(len(m.sessions)))
 	return s, nil
@@ -314,7 +317,6 @@ func (m *Manager) complete(s *Session) {
 	m.unindex(s)
 	delete(m.sessions, s.ID)
 	s.State = Completed
-	m.counters.Completed++
 	m.Obs.Completed.Inc()
 	m.ActiveGauge.Set(int64(len(m.sessions)))
 	m.Durations.Observe(m.engine.Now() - s.Start)
@@ -332,7 +334,6 @@ func (m *Manager) failSession(s *Session) {
 	delete(m.sessions, s.ID)
 	s.State = Failed
 	s.done.Cancel()
-	m.counters.Failed++
 	m.Obs.Failed.Inc()
 	m.ActiveGauge.Set(int64(len(m.sessions)))
 	m.Durations.Observe(m.engine.Now() - s.Start)
@@ -395,7 +396,7 @@ func (m *Manager) recoverSession(s *Session, departed topology.PeerID, now float
 			return false
 		}
 		s.Recovered++
-		m.counters.Recoveries++
+		m.Obs.Recoveries.Inc()
 	}
 	return true
 }
