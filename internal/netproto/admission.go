@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // AdmitConfig bounds the serving peer's concurrent aggregation work
@@ -67,16 +68,16 @@ type admission struct {
 	waiters map[uint64]*admitWaiter
 	base    time.Duration // retry-after base
 	done    <-chan struct{}
-	tele    *peerTele
+	depth   *obs.Gauge // serve.queue_depth; nil without telemetry
 }
 
-func newAdmission(cfg AdmitConfig, done <-chan struct{}, tele *peerTele) *admission {
+func newAdmission(cfg AdmitConfig, done <-chan struct{}, depth *obs.Gauge) *admission {
 	return &admission{
 		q:       core.NewAdmitQueue(cfg.Workers, cfg.MaxQueue),
 		waiters: make(map[uint64]*admitWaiter, cfg.MaxQueue),
 		base:    cfg.RetryAfter,
 		done:    done,
-		tele:    tele,
+		depth:   depth,
 	}
 }
 
@@ -116,7 +117,7 @@ func (a *admission) acquire(priority int, dtolerant bool, deadline time.Duration
 	w.enqueued = time.Now()
 	w.deadline = deadline
 	a.waiters[item.Seq] = w
-	a.tele.serveQueueDepth(a.q.QueueLen())
+	a.depth.Set(int64(a.q.QueueLen()))
 	a.mu.Unlock()
 
 	select {
@@ -143,7 +144,7 @@ func (a *admission) release() {
 	for {
 		next, ok := a.q.Release()
 		if !ok {
-			a.tele.serveQueueDepth(a.q.QueueLen())
+			a.depth.Set(int64(a.q.QueueLen()))
 			return
 		}
 		w := a.waiters[next.Seq]
@@ -160,7 +161,7 @@ func (a *admission) release() {
 		delete(a.waiters, next.Seq)
 		// lint:allow lockorder ready is buffered (cap 1, one completer); this never blocks
 		w.ready <- admitVerdict{run: true, waited: waited}
-		a.tele.serveQueueDepth(a.q.QueueLen())
+		a.depth.Set(int64(a.q.QueueLen()))
 		return
 	}
 }

@@ -18,7 +18,7 @@ type Client struct {
 	codec wire.Codec
 	tr    Transport
 	pool  *connPool
-	tele  *peerTele
+	tele  peerTele
 }
 
 // ClientConfig parameterizes a Client.
@@ -85,11 +85,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cl.codec = wire.JSON{}
 	}
 	if cfg.Network == "udp" {
-		cl.tr = &UDPTransport{cfg: cfg.Wire, tele: cl.tele.wireTele()}
+		cl.tr = &UDPTransport{cfg: cfg.Wire, tele: cl.tele.wire}
 	} else {
 		cl.tr = TCP{}
 		if cfg.PoolConns >= 0 {
-			cl.pool = newConnPool(cl.tr, cl.tele.wireTele(), cfg.PoolConns, cfg.Timeout)
+			cl.pool = newConnPool(cl.tr, cl.tele.wire, cfg.PoolConns, cfg.Timeout)
 			cl.tr = cl.pool
 		}
 	}
@@ -155,7 +155,7 @@ func (c *Client) Aggregate(req AggRequest) (*AggResult, error) {
 		DurationSec: req.Duration.Seconds(),
 	}
 	start := time.Now()
-	resp, rpcErr := rpcWith(c.tr, c.codec, c.tele.wireTele(), c.cfg.Target, wreq, c.cfg.Timeout)
+	resp, rpcErr := rpcWith(c.tr, c.codec, c.tele.wire, c.cfg.Target, wreq, c.cfg.Timeout)
 	c.tele.observeRPC(msgAggregate, time.Since(start), rpcErr)
 	if resp == nil {
 		return nil, rpcErr

@@ -222,7 +222,7 @@ type Peer struct {
 	nextReq   uint64
 	closed    bool
 
-	tele  *peerTele  // nil when Config.Metrics is nil
+	tele  peerTele   // zero when Config.Metrics is nil
 	spans *obs.Spans // nil when Config.Tracer is nil
 
 	admit *admission // nil when admission control is disabled
@@ -239,7 +239,7 @@ func Start(cfg Config) (*Peer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var tele *peerTele
+	var tele peerTele
 	if cfg.Metrics != nil {
 		tele = newPeerTele(cfg.Metrics)
 	}
@@ -247,7 +247,7 @@ func Start(cfg Config) (*Peer, error) {
 		// Only reachable for Network == "udp" (fillDefaults handles tcp):
 		// build the datagram transport here so it shares the peer's wire
 		// telemetry and trace sink.
-		cfg.Transport = &UDPTransport{cfg: cfg.Wire, tele: tele.wireTele(), tracer: cfg.Tracer}
+		cfg.Transport = &UDPTransport{cfg: cfg.Wire, tele: tele.wire, tracer: cfg.Tracer}
 	}
 	if cfg.Metrics != nil {
 		cfg.Transport = NewMeteredTransport(cfg.Transport, cfg.Metrics)
@@ -258,7 +258,7 @@ func Start(cfg Config) (*Peer, error) {
 	// also pools injected (e.g. fault-wrapped) transports.
 	var pool *connPool
 	if cfg.PoolConns > 0 || (cfg.PoolConns == 0 && !injectedTransport && cfg.Network == "tcp") {
-		pool = newConnPool(cfg.Transport, tele.wireTele(), cfg.PoolConns, cfg.RPCTimeout*4)
+		pool = newConnPool(cfg.Transport, tele.wire, cfg.PoolConns, cfg.RPCTimeout*4)
 		cfg.Transport = pool
 	}
 	ledger, err := resource.NewLedger(resource.Vec2(cfg.CPU, cfg.Memory))
@@ -267,7 +267,7 @@ func Start(cfg Config) (*Peer, error) {
 	}
 	var ln net.Listener
 	if cfg.Network == "udp" {
-		ln, err = listenUDP(cfg.Listen, cfg.Wire, tele.wireTele(), cfg.Tracer)
+		ln, err = listenUDP(cfg.Listen, cfg.Wire, tele.wire, cfg.Tracer)
 	} else {
 		ln, err = net.Listen("tcp", cfg.Listen)
 	}
@@ -302,7 +302,7 @@ func Start(cfg Config) (*Peer, error) {
 		pool:  pool,
 	}
 	if cfg.Admit.Workers > 0 {
-		p.admit = newAdmission(cfg.Admit, p.done, tele)
+		p.admit = newAdmission(cfg.Admit, p.done, tele.serveDepth)
 	}
 	p.wg.Add(1)
 	go p.serve()
@@ -636,12 +636,12 @@ func (p *Peer) handleReserve(req request) response {
 	defer p.mu.Unlock()
 	need := resource.Vec2(req.CPU, req.Memory)
 	if !p.ledger.Reserve(need) {
-		p.tele.reserve(false)
+		p.tele.admitRejected.Inc()
 		sp.End(obs.Event{Stage: obs.StageAdmission, At: p.addr, Inst: req.InstanceID,
 			Session: req.SessionID, Err: "insufficient resources"})
 		return response{Err: "insufficient resources"}
 	}
-	p.tele.reserve(true)
+	p.tele.admitOK.Inc()
 	sp.End(obs.Event{Stage: obs.StageAdmission, At: p.addr, Inst: req.InstanceID,
 		Session: req.SessionID, OK: true})
 	// A session may place several components on the same host; the
@@ -681,14 +681,14 @@ func (p *Peer) handleAggregate(req request) response {
 		v := p.admit.acquire(req.Priority, req.DTolerant,
 			time.Duration(req.Deadline*float64(time.Second)))
 		if !v.run {
-			p.tele.serveShed(v.reason)
+			p.tele.serveSheds[v.reason].Inc()
 			return response{Err: "shed: " + v.reason, Shed: true,
 				RetryAfterSec: v.retryAfter.Seconds()}
 		}
 		defer p.admit.release()
-		p.tele.serveAdmitted()
+		p.tele.serveAdmit.Inc()
 		if v.waited > 0 {
-			p.tele.serveWaited(v.waited.Seconds())
+			p.tele.serveWait.Observe(v.waited.Seconds())
 		}
 	}
 	path := make([]service.Name, len(req.Services))
@@ -702,7 +702,7 @@ func (p *Peer) handleAggregate(req request) response {
 		return response{Err: err.Error()}
 	}
 	plan, err := p.Aggregate(path, userQoS, time.Duration(req.DurationSec*float64(time.Second)))
-	p.tele.served(req.Priority, time.Since(start).Seconds())
+	p.tele.serveLat[serveClass(req.Priority)].Observe(time.Since(start).Seconds())
 	if err != nil {
 		return response{Err: err.Error()}
 	}
@@ -724,11 +724,11 @@ func (p *Peer) probe(addr string) probeResult {
 	p.mu.Lock()
 	if cached, ok := p.probes[addr]; ok && time.Since(cached.measured) < p.cfg.ProbeCacheTTL {
 		p.mu.Unlock()
-		p.tele.probeCache(true)
+		p.tele.probeHits.Inc()
 		return cached
 	}
 	p.mu.Unlock()
-	p.tele.probeCache(false)
+	p.tele.probeMisses.Inc()
 	// Retried (idempotent): one dropped dial must not mark a live peer
 	// dead. The measured RTT then includes any backoff, which only makes
 	// a lossy link look worse — exactly what Φ's network term wants.
@@ -768,7 +768,6 @@ func (p *Peer) selectNext(inst *service.Instance, candidates []string, duration 
 			cands[i] = WireCand{Addr: candidates[i], Phi: phi, Reason: reason}
 		}
 	}
-	_, sel := p.tele.counters()
 	i, mode := selection.Decide(len(candidates), func(i int) selection.Candidate {
 		if candidates[i] == p.addr {
 			return selection.Candidate{Self: true}
@@ -782,7 +781,7 @@ func (p *Peer) selectNext(inst *service.Instance, candidates []string, duration 
 		}
 		return selection.Candidate{Phi: selection.PhiValue(p.cfg.Weights, res.avail, netTerm(res.rtt), inst.R, 1),
 			UptimeOK: res.uptime >= duration}
-	}, nil, sel, note)
+	}, nil, p.tele.selection, note)
 	if i < 0 {
 		return "", false, mode, cands
 	}
@@ -875,7 +874,7 @@ func (p *Peer) discover(path []string) ([][]*service.Instance, map[string][]stri
 			defer wg.Done()
 			resp, err := p.rpcRetry(m, lookup, p.cfg.RPCTimeout)
 			if err != nil {
-				p.tele.lookupFailed()
+				p.tele.lookupFail.Inc()
 				return
 			}
 			// results is buffered to the fan-out: this send never blocks.
@@ -939,17 +938,16 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 	// children, and remote legs parent under their stage over the wire.
 	root := p.spans.Root(rid)
 	start := time.Now()
-	counts, _ := p.tele.counters()
 	g := &rpcGrid{p: p, rid: rid, duration: duration, names: names}
 	pl := core.Pipeline{
 		Strategy: core.Strategy{Compose: core.ComposeQCS, Select: core.SelectPhi},
-		Compose:  compose.Config{Weights: p.cfg.Weights, Obs: counts},
+		Compose:  compose.Config{Weights: p.cfg.Weights, Obs: p.tele.compose},
 		Req:      rid,
 		Spans:    p.spans,
 		Root:     root.Context(),
 	}
 	composed, err := pl.Run(g, &service.Request{App: &service.Application{Path: path}, UserQoS: userQoS})
-	p.tele.aggregated(time.Since(start).Seconds())
+	p.tele.aggLat.Observe(time.Since(start).Seconds())
 	if root.Active() {
 		ev := obs.Event{User: p.addr, App: strings.Join(names, "+")}
 		if err != nil {
@@ -1086,7 +1084,7 @@ func (g *rpcGrid) Stage(s core.Stage, begin bool) {
 	if begin {
 		g.stageAt = time.Now()
 	} else {
-		g.p.tele.stage(s.String(), time.Since(g.stageAt).Seconds())
+		g.p.tele.stageLat[s.String()].Observe(time.Since(g.stageAt).Seconds())
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // never hands out a connection the far side is about to reap.
 type connPool struct {
 	inner   Transport
-	tele    *wireTele
+	tele    wireTele
 	perAddr int
 	ttl     time.Duration
 
@@ -27,7 +27,7 @@ type connPool struct {
 	closed bool
 }
 
-func newConnPool(inner Transport, tele *wireTele, perAddr int, ttl time.Duration) *connPool {
+func newConnPool(inner Transport, tele wireTele, perAddr int, ttl time.Duration) *connPool {
 	if perAddr <= 0 {
 		perAddr = 2
 	}
@@ -58,7 +58,7 @@ func (p *connPool) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 		p.idle[addr] = conns[:len(conns)-1]
 		if time.Since(pc.parked) < p.ttl {
 			p.mu.Unlock()
-			p.tele.connReuse1()
+			p.tele.connReuses.Inc()
 			return pc, nil
 		}
 		_ = pc.Conn.Close()
@@ -68,7 +68,7 @@ func (p *connPool) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.tele.connDial1()
+	p.tele.connDials.Inc()
 	return &pooledConn{Conn: conn, pool: p, addr: addr}, nil
 }
 

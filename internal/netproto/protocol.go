@@ -152,15 +152,15 @@ var nextReqID atomic.Uint64
 // — the legacy entry point, kept for compatibility with older peers
 // and tests that speak the rollback format.
 func rpc(tr Transport, addr string, req request, timeout time.Duration) (*response, error) {
-	return rpcWith(tr, wire.JSON{}, nil, addr, req, timeout)
+	return rpcWith(tr, wire.JSON{}, wireTele{}, addr, req, timeout)
 }
 
 // rpcWith performs one request/response exchange with addr through tr
-// using codec, accounting message-level wire bytes into wt (nil
-// disables). Encode buffers are pooled; the steady-state binary
+// using codec, accounting message-level wire bytes into wt (the zero
+// value disables). Encode buffers are pooled; the steady-state binary
 // encode/decode path allocates only the response struct the caller
 // keeps.
-func rpcWith(tr Transport, codec wire.Codec, wt *wireTele, addr string, req request, timeout time.Duration) (*response, error) {
+func rpcWith(tr Transport, codec wire.Codec, wt wireTele, addr string, req request, timeout time.Duration) (*response, error) {
 	conn, err := tr.Dial(addr, timeout)
 	if err != nil {
 		return nil, err

@@ -347,10 +347,10 @@ func TestRPCExchangeBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			pool := newConnPool(TCP{}, nil, 1, time.Minute)
+			pool := newConnPool(TCP{}, wireTele{}, 1, time.Minute)
 			defer pool.Close()
 			gate(t, func() {
-				if _, err := rpcWith(pool, codec, nil, srv.Addr(), request{Type: msgProbe}, time.Second); err != nil {
+				if _, err := rpcWith(pool, codec, wireTele{}, srv.Addr(), request{Type: msgProbe}, time.Second); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -517,7 +517,7 @@ func TestConnPoolExpiry(t *testing.T) {
 		}()
 		return c1, nil
 	})
-	pool := newConnPool(tr, nil, 1, 10*time.Millisecond)
+	pool := newConnPool(tr, wireTele{}, 1, 10*time.Millisecond)
 	conn, err := pool.Dial("x", time.Second)
 	if err != nil {
 		t.Fatal(err)

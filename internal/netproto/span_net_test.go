@@ -315,7 +315,7 @@ func TestUDPTraceEvents(t *testing.T) {
 	tr.cfg = WireConfig{AckTimeout: 10 * time.Millisecond, PacketFilter: filter}
 	tr.cfg.fillDefaults()
 
-	resp, err := rpcWith(tr, wire.NewBinary(), nil, server.Addr(),
+	resp, err := rpcWith(tr, wire.NewBinary(), wireTele{}, server.Addr(),
 		request{Type: msgProbe, TraceID: 42, SpanID: 7}, 2*time.Second)
 	if err != nil || !resp.OK {
 		t.Fatalf("probe: %v %+v", err, resp)

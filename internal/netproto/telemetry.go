@@ -43,8 +43,9 @@ func (m MeteredTransport) Dial(addr string, timeout time.Duration) (net.Conn, er
 
 // peerTele bundles a peer's metric instruments with the counter names
 // pre-resolved at construction, so the RPC hot path does no map work in
-// the registry. A nil *peerTele (telemetry disabled) makes every method
-// a no-op.
+// the registry. Every instrument is nil-safe and a nil map yields nil
+// instruments, so the zero value (telemetry disabled) no-ops at every
+// call site.
 type peerTele struct {
 	rpcSent    map[string]*obs.Counter // rpc.<type>.sent
 	rpcFailed  map[string]*obs.Counter // rpc.<type>.failed
@@ -75,7 +76,7 @@ type peerTele struct {
 	serveLat   [4]*obs.LatencyHist     // serve.latency_seconds.p<class>
 	serveDepth *obs.Gauge              // serve.queue_depth
 
-	wire *wireTele
+	wire wireTele
 }
 
 var msgTypes = []string{msgJoin, msgLeave, msgLookup, msgProbe, msgSelect, msgReserve, msgRelease, msgAggregate}
@@ -83,8 +84,8 @@ var msgTypes = []string{msgJoin, msgLeave, msgLookup, msgProbe, msgSelect, msgRe
 // shedReasons mirrors the shed* constants for counter pre-resolution.
 var shedReasons = []string{shedQueueFull, shedEvicted, shedDeadline, shedShutdown}
 
-func newPeerTele(reg *obs.Registry) *peerTele {
-	t := &peerTele{
+func newPeerTele(reg *obs.Registry) peerTele {
+	t := peerTele{
 		rpcSent:       make(map[string]*obs.Counter, len(msgTypes)),
 		rpcFailed:     make(map[string]*obs.Counter, len(msgTypes)),
 		rpcRetried:    make(map[string]*obs.Counter, len(msgTypes)),
@@ -121,27 +122,11 @@ func newPeerTele(reg *obs.Registry) *peerTele {
 	return t
 }
 
-// stage records the wall time one aggregation stage took on this peer.
-func (t *peerTele) stage(name string, seconds float64) {
-	if t == nil {
-		return
-	}
-	t.stageLat[name].Observe(seconds)
-}
-
-// aggregated records one whole Aggregate call's wall time.
-func (t *peerTele) aggregated(seconds float64) {
-	if t == nil {
-		return
-	}
-	t.aggLat.Observe(seconds)
-}
-
 // wireTele is the wire plane's instrument bundle: message-level bytes
 // per RPC type plus the datagram-layer health counters (fragments,
-// retransmits, suppressed duplicates, CRC failures). A nil *wireTele
-// makes every method a no-op, so the transport never branches on
-// whether telemetry is configured.
+// retransmits, suppressed duplicates, CRC failures). Like peerTele, its
+// zero value no-ops, so the transport never branches on whether
+// telemetry is configured.
 type wireTele struct {
 	bytesSent map[string]*obs.Counter // wire.bytes_sent.<type>
 	bytesRecv map[string]*obs.Counter // wire.bytes_recv.<type>
@@ -159,8 +144,8 @@ type wireTele struct {
 	connReuses *obs.Counter // wire.conn_reuses (pool hits)
 }
 
-func newWireTele(reg *obs.Registry) *wireTele {
-	t := &wireTele{
+func newWireTele(reg *obs.Registry) wireTele {
+	t := wireTele{
 		bytesSent:  make(map[string]*obs.Counter, len(msgTypes)),
 		bytesRecv:  make(map[string]*obs.Counter, len(msgTypes)),
 		otherSent:  reg.Counter("wire.bytes_sent.other"),
@@ -181,21 +166,10 @@ func newWireTele(reg *obs.Registry) *wireTele {
 	return t
 }
 
-// wireTele returns the wire-plane instruments (nil when telemetry is
-// disabled; every wireTele method tolerates the nil).
-func (t *peerTele) wireTele() *wireTele {
-	if t == nil {
-		return nil
-	}
-	return t.wire
-}
-
 // message accounts one encoded message: n bytes of the given RPC
-// type, received (recv) or sent.
-func (t *wireTele) message(typ string, n int, recv bool) {
-	if t == nil {
-		return
-	}
+// type, received (recv) or sent. A type without its own counter lands
+// in the "other" bucket.
+func (t wireTele) message(typ string, n int, recv bool) {
 	var c *obs.Counter
 	if recv {
 		c = t.bytesRecv[typ]
@@ -211,57 +185,10 @@ func (t *wireTele) message(typ string, n int, recv bool) {
 	c.Add(uint64(n))
 }
 
-func (t *wireTele) fragSent1() {
-	if t == nil {
-		return
-	}
-	t.fragSent.Inc()
-}
-
-func (t *wireTele) fragRecv1() {
-	if t == nil {
-		return
-	}
-	t.fragRecv.Inc()
-}
-
-func (t *wireTele) retransmit1() {
-	if t == nil {
-		return
-	}
-	t.retransmit.Inc()
-}
-
-func (t *wireTele) dupDropped1() {
-	if t == nil {
-		return
-	}
-	t.dupDropped.Inc()
-}
-
-// connDial1 counts one real dial through the connection pool.
-func (t *wireTele) connDial1() {
-	if t == nil {
-		return
-	}
-	t.connDials.Inc()
-}
-
-// connReuse1 counts one pooled-connection reuse (a dial avoided).
-func (t *wireTele) connReuse1() {
-	if t == nil {
-		return
-	}
-	t.connReuses.Inc()
-}
-
 // packetReject classifies a ParsePacket failure: CRC mismatches get
 // their own counter (the corruption signal); everything else counts
 // as a generic reject.
-func (t *wireTele) packetReject(err error) {
-	if t == nil {
-		return
-	}
+func (t wireTele) packetReject(err error) {
 	if err == wire.ErrCRC {
 		t.crcFail.Inc()
 	} else {
@@ -272,86 +199,11 @@ func (t *wireTele) packetReject(err error) {
 // observeRPC accounts one RPC exchange. An unknown message type falls
 // through to the nil counter no-op.
 func (t *peerTele) observeRPC(typ string, d time.Duration, err error) {
-	if t == nil {
-		return
-	}
 	t.rpcSent[typ].Inc()
 	if err != nil {
 		t.rpcFailed[typ].Inc()
 	}
 	t.rpcLatency.Observe(d.Seconds())
-}
-
-func (t *peerTele) retried(typ string) {
-	if t == nil {
-		return
-	}
-	t.rpcRetried[typ].Inc()
-}
-
-func (t *peerTele) lookupFailed() {
-	if t == nil {
-		return
-	}
-	t.lookupFail.Inc()
-}
-
-func (t *peerTele) probeCache(hit bool) {
-	if t == nil {
-		return
-	}
-	if hit {
-		t.probeHits.Inc()
-	} else {
-		t.probeMisses.Inc()
-	}
-}
-
-func (t *peerTele) reserve(ok bool) {
-	if t == nil {
-		return
-	}
-	if ok {
-		t.admitOK.Inc()
-	} else {
-		t.admitRejected.Inc()
-	}
-}
-
-// counters returns the compose.* and select.* bundles (no-ops when
-// disabled).
-func (t *peerTele) counters() (obs.ComposeCounters, obs.SelectionCounters) {
-	if t == nil {
-		return obs.ComposeCounters{}, obs.SelectionCounters{}
-	}
-	return t.compose, t.selection
-}
-
-// serveAdmitted counts one request the admission gate let run.
-func (t *peerTele) serveAdmitted() {
-	if t == nil {
-		return
-	}
-	t.serveAdmit.Inc()
-}
-
-// serveShed counts one shed request by reason.
-func (t *peerTele) serveShed(reason string) {
-	if t == nil {
-		return
-	}
-	if c := t.serveSheds[reason]; c != nil {
-		c.Inc()
-	}
-}
-
-// serveWaited records time a request spent parked in the admission
-// queue before running.
-func (t *peerTele) serveWaited(seconds float64) {
-	if t == nil {
-		return
-	}
-	t.serveWait.Observe(seconds)
 }
 
 // serveClass clamps a wire priority into the four reported classes.
@@ -363,21 +215,4 @@ func serveClass(priority int) int {
 		return 3
 	}
 	return priority
-}
-
-// served records one admitted aggregate's end-to-end serve time under
-// its priority class.
-func (t *peerTele) served(priority int, seconds float64) {
-	if t == nil {
-		return
-	}
-	t.serveLat[serveClass(priority)].Observe(seconds)
-}
-
-// serveQueueDepth publishes the instantaneous admission queue depth.
-func (t *peerTele) serveQueueDepth(n int) {
-	if t == nil {
-		return
-	}
-	t.serveDepth.Set(int64(n))
 }

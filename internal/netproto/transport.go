@@ -86,7 +86,7 @@ func (p *Peer) rpcRetry(addr string, req request, timeout time.Duration) (*respo
 		if err == nil || resp != nil || attempt >= p.cfg.Retry.Attempts {
 			return resp, err
 		}
-		p.tele.retried(req.Type)
+		p.tele.rpcRetried[req.Type].Inc()
 		if tr := p.cfg.Tracer; tr != nil {
 			tr.Emit(obs.Event{Kind: obs.KindRetry, RPC: req.Type, Peer: addr, Attempt: attempt,
 				Trace: req.TraceID, Span: req.SpanID})
@@ -103,11 +103,11 @@ func (p *Peer) rpcRetry(addr string, req request, timeout time.Duration) (*respo
 
 // rpc performs a single RPC exchange through the configured transport
 // with the peer's configured codec, accounting the attempt and its
-// latency when telemetry is enabled. The disabled path (tele == nil)
-// adds one branch and no clock reads.
+// latency when telemetry is enabled. The disabled path (no
+// Config.Metrics) adds one branch and no clock reads.
 func (p *Peer) rpc(addr string, req request, timeout time.Duration) (*response, error) {
-	if p.tele == nil {
-		return rpcWith(p.cfg.Transport, p.codec, nil, addr, req, timeout)
+	if p.cfg.Metrics == nil {
+		return rpcWith(p.cfg.Transport, p.codec, p.tele.wire, addr, req, timeout)
 	}
 	start := time.Now()
 	resp, err := rpcWith(p.cfg.Transport, p.codec, p.tele.wire, addr, req, timeout)

@@ -86,7 +86,7 @@ func TestUDPAggregateEndToEnd(t *testing.T) {
 	}
 	// Tear down the session over UDP as well (covers release + dedup
 	// bookkeeping on the hosts).
-	if _, err := rpcWith(user.cfg.Transport, user.codec, nil, plan.Peers[0],
+	if _, err := rpcWith(user.cfg.Transport, user.codec, wireTele{}, plan.Peers[0],
 		request{Type: msgRelease, SessionID: plan.SessionID}, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestUDPTimeoutOnBlackhole(t *testing.T) {
 	}}
 	tr := NewUDPTransport(WireConfig{AckTimeout: 10 * time.Millisecond,
 		RetransmitBudget: 1, PacketFilter: drop})
-	_, err = rpcWith(tr, wire.NewBinary(), nil, server.Addr(),
+	_, err = rpcWith(tr, wire.NewBinary(), wireTele{}, server.Addr(),
 		request{Type: msgProbe}, 150*time.Millisecond)
 	if err == nil {
 		t.Fatal("blackholed rpc succeeded")
@@ -392,7 +392,7 @@ func TestUDPDelayedDuplicates(t *testing.T) {
 		return PacketDecision{Duplicate: true, Delay: time.Duration(1+seen%3) * time.Millisecond}
 	}}
 	tr := NewUDPTransport(WireConfig{PacketFilter: filter})
-	resp, err := rpcWith(tr, wire.NewBinary(), nil, server.Addr(),
+	resp, err := rpcWith(tr, wire.NewBinary(), wireTele{}, server.Addr(),
 		request{Type: msgProbe}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +405,7 @@ func TestUDPDelayedDuplicates(t *testing.T) {
 // TestUDPListenerClose pins listener shutdown: Accept unblocks with
 // net.ErrClosed and a second Close is a no-op.
 func TestUDPListenerClose(t *testing.T) {
-	l, err := listenUDP("127.0.0.1:0", WireConfig{}, nil, nil)
+	l, err := listenUDP("127.0.0.1:0", WireConfig{}, wireTele{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +684,7 @@ func TestUDPConnPlumbing(t *testing.T) {
 		t.Fatal("read before request write must fail")
 	}
 
-	l, err := listenUDP("127.0.0.1:0", WireConfig{}, nil, nil)
+	l, err := listenUDP("127.0.0.1:0", WireConfig{}, wireTele{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +796,7 @@ func TestReadJSONResponseBounds(t *testing.T) {
 	const flood, bound = 4 << 20, wire.MaxLine + readerSize
 	client := &floodConn{n: flood}
 	dial := transportFunc(func(string, time.Duration) (net.Conn, error) { return client, nil })
-	if _, err := rpcWith(dial, wire.JSON{}, nil, "x", request{Type: msgProbe}, time.Second); !errors.Is(err, wire.ErrLineTooLong) {
+	if _, err := rpcWith(dial, wire.JSON{}, wireTele{}, "x", request{Type: msgProbe}, time.Second); !errors.Is(err, wire.ErrLineTooLong) {
 		t.Fatalf("flooded client: err = %v, want ErrLineTooLong", err)
 	}
 	if client.read > bound {
@@ -822,7 +822,7 @@ func TestReadJSONResponseBounds(t *testing.T) {
 		dial := transportFunc(func(string, time.Duration) (net.Conn, error) {
 			return &replayConn{r: strings.NewReader(reply)}, nil
 		})
-		if _, err := rpcWith(dial, wire.JSON{}, nil, "x", request{Type: msgProbe}, time.Second); err == nil {
+		if _, err := rpcWith(dial, wire.JSON{}, wireTele{}, "x", request{Type: msgProbe}, time.Second); err == nil {
 			t.Fatalf("reply %q decoded", reply)
 		}
 	}
