@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -164,7 +163,7 @@ type Curve struct {
 type SeriesSet struct {
 	Name       string
 	Algorithms []sim.Algorithm
-	Series     map[sim.Algorithm][]metrics.Point
+	Series     map[sim.Algorithm][]sim.Point
 	Overall    map[sim.Algorithm]float64
 }
 
@@ -240,7 +239,7 @@ func (s Scale) fluctuation(name string, algs []sim.Algorithm,
 	set := &SeriesSet{
 		Name:       name,
 		Algorithms: algs,
-		Series:     make(map[sim.Algorithm][]metrics.Point, len(algs)),
+		Series:     make(map[sim.Algorithm][]sim.Point, len(algs)),
 		Overall:    make(map[sim.Algorithm]float64, len(algs)),
 	}
 	for i, alg := range algs {

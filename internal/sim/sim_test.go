@@ -48,6 +48,7 @@ func TestConfigValidation(t *testing.T) {
 		{Seed: 1, Peers: 10, Duration: 0, RequestRate: 1},
 		{Seed: 1, Peers: 10, Duration: 10, RequestRate: -1},
 		{Seed: 1, Peers: 10, Duration: 10, ChurnRate: -1},
+		{Seed: 1, Peers: 10, Duration: 10, SampleWindow: -1},
 		func() Config {
 			c := DefaultConfig(1, QSA, 50)
 			c.RequestRate, c.Duration = 5, 2
