@@ -107,6 +107,11 @@ analysis 90.0
 eventsim 90.0
 wire 90.0
 load 90.0
+session 91.0
+probe 98.0
+selection 92.0
+registry 95.0
+sim 77.0
 EOF
 
 echo '>> go test -race -short ./...'

@@ -42,8 +42,8 @@ type Memo struct {
 	feed map[feedKey]bool
 	user map[userKey]bool
 
-	// Obs mirrors hit/miss counts into a metrics registry when wired; the
-	// zero value no-ops.
+	// Obs counts hits and misses into a metrics registry when wired;
+	// the zero value no-ops.
 	Obs obs.MemoCounters
 }
 
