@@ -36,10 +36,11 @@ func TestPerRequestGolden(t *testing.T) {
 		outcomes  string
 	}
 	for _, c := range []struct {
-		alg  Algorithm
-		want golden
+		alg      Algorithm
+		recovery bool
+		want     golden
 	}{
-		{QSA, golden{
+		{QSA, false, golden{
 			requests:  RequestStats{Issued: 947, DepartureFailed: 644, Succeeded: 303},
 			sessions:  session.Counters{Admitted: 947, Rejected: 12, Completed: 303, Failed: 644},
 			probes:    probe.Stats{Probes: 211959, CacheHits: 40910, Evictions: 80053, Rejected: 60126},
@@ -47,19 +48,27 @@ func TestPerRequestGolden(t *testing.T) {
 			telemetry: "851465f069c3c8646476995d98a930ab2a5788f3abd1ff43fba11f959fb08f91",
 			outcomes:  "764f1ceed1eb52b4ea7d066c23cdf9820bd83c0df84dfb4c24a098c63e037a52",
 		}},
-		{Random, golden{
+		{Random, false, golden{
 			requests:  RequestStats{Issued: 947, AdmissionFailed: 276, DepartureFailed: 481, Succeeded: 190},
 			sessions:  session.Counters{Admitted: 671, Rejected: 276, Completed: 190, Failed: 481},
 			series:    "2:0.2356020942408377/382 4:0.16756756756756758/370 6:0.19487179487179487/195",
 			telemetry: "4d1f78a3cde8c0f41644f8e5b36eaf5ad1705fff223b98d4fd2e6ab0085553a9",
 			outcomes:  "6061e3c229601ba98cd3c70cc9f1d1eb6898a595d3c9a651dc85d38bb16a9940",
 		}},
-		{Fixed, golden{
+		{Fixed, false, golden{
 			requests:  RequestStats{Issued: 947, AdmissionFailed: 925, DepartureFailed: 17, Succeeded: 5},
 			sessions:  session.Counters{Admitted: 22, Rejected: 925, Completed: 5, Failed: 17},
 			series:    "2:0.013089005235602094/382 4:0/370 6:0/195",
 			telemetry: "250f436a932d1e48db68581c9b8a5ae99dde2922139add372c12548f484eba16",
 			outcomes:  "86f98f4be887ee2c35cb37f6d1fe4bad9a62aad10060b570c44d9d62b5d286e6",
+		}},
+		{QSA, true, golden{
+			requests:  RequestStats{Issued: 947, DepartureFailed: 322, Succeeded: 625},
+			sessions:  session.Counters{Admitted: 947, Rejected: 11, Completed: 625, Failed: 322, Recoveries: 740},
+			probes:    probe.Stats{Probes: 244851, CacheHits: 52994, Evictions: 88855, Rejected: 65104},
+			series:    "2:0.680628272251309/382 4:0.6189189189189189/370 6:0.6974358974358974/195",
+			telemetry: "0e4020dc6a7accef084ad5c6e5635d98df0ca264dec20cb8b90f8d7ad1d42b08",
+			outcomes:  "4ea65d46b7ae1fabff1476ee4797d3de1a431c808f9e0d6268a1926e4c30e0ad",
 		}},
 	} {
 		cfg := DefaultConfig(1, c.alg, 2000)
@@ -67,6 +76,7 @@ func TestPerRequestGolden(t *testing.T) {
 		cfg.ChurnRate = 100
 		cfg.Duration = 5
 		cfg.Shards = 4
+		cfg.EnableRecovery = c.recovery
 		var tel bytes.Buffer
 		cfg.TelemetryOut = &tel
 		res, err := Run(cfg)
@@ -86,7 +96,7 @@ func TestPerRequestGolden(t *testing.T) {
 			outcomes:  outcomeTable(t, tel.Bytes()),
 		}
 		if got != c.want {
-			t.Errorf("%v drifted from the recorded run:\n got  %#v\n want %#v", c.alg, got, c.want)
+			t.Errorf("%v (recovery %v) drifted from the recorded run:\n got  %#v\n want %#v", c.alg, c.recovery, got, c.want)
 		}
 	}
 }
