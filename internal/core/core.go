@@ -142,6 +142,7 @@ type aggScratch struct {
 	providers [][]topology.PeerID
 	pipeline  Pipeline
 	grid      memGrid
+	rec       memGrid // Recover's
 }
 
 // Aggregator is the integrated QSA engine over a grid's subsystems — the
@@ -403,38 +404,30 @@ func (a *Aggregator) AggregateFinish(p *PreparedAggregation, user topology.PeerI
 }
 
 // Recover re-selects a replacement peer for component k of a session whose
-// host departed — the session.RecoveryFunc implementation. The replacement
-// is chosen from the component's current live providers by the downstream
-// neighbor, using the Φ selector.
+// host departed — the session.RecoveryFunc implementation: the shared
+// recovery step over the in-memory grid. The session manager moves the
+// reservations.
 func (a *Aggregator) Recover(s *session.Session, k int, now float64) (topology.PeerID, bool) {
-	downstream := s.User
-	if k < len(s.Peers)-1 {
-		downstream = s.Peers[k+1]
-	}
-	inst := s.Instances[k]
-	entries, _, err := a.Registry.Lookup(downstream, inst.Service, now)
-	if err != nil {
-		return -1, false
-	}
-	var cands []topology.PeerID
+	g := &a.sc.rec
+	*g = memGrid{a: a, now: now}
+	return Recover[topology.PeerID](g, s.User, s.Peers, s.Instances, k, s.Start+s.Duration-now, s.Span)
+}
+
+// Providers implements RecoveryGrid: a registry lookup from at.
+func (g *memGrid) Providers(at topology.PeerID, inst *service.Instance) []topology.PeerID {
+	entries, _, _ := g.a.Registry.Lookup(at, inst.Service, g.now)
 	for _, e := range entries {
 		if e.Inst == inst {
-			cands = e.Providers(now, cands)
-			break
+			return e.Providers(g.now, nil)
 		}
 	}
-	// The failed host is known to be gone regardless of what (possibly
-	// stale, within the probe period) measurements claim — exclude it.
-	dead := s.Peers[k]
-	live := cands[:0]
-	for _, c := range cands {
-		if c != dead {
-			live = append(live, c)
-		}
-	}
-	if len(live) == 0 {
-		return -1, false
-	}
-	remaining := s.Start + s.Duration - now
-	return a.PhiSelector.SelectNext(downstream, inst, live, remaining, now, probe.IndirectRank(1))
+	return nil
+}
+
+// Choose implements RecoveryGrid: the Φ selector's step at at, the
+// candidates entering its table one hop away.
+func (g *memGrid) Choose(at topology.PeerID, inst *service.Instance, cands []topology.PeerID,
+	remaining float64, _ obs.SpanContext) (topology.PeerID, bool) {
+
+	return g.a.PhiSelector.SelectNext(at, inst, cands, remaining, g.now, probe.IndirectRank(1))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compose"
 	"repro/internal/obs"
@@ -192,4 +193,51 @@ func (pl *Pipeline) step(g Grid, s Stage, attempt int, op func(obs.SpanContext) 
 		err = &ErrAggregation{s, err}
 	}
 	return sp, err
+}
+
+// RecoveryGrid is a grid's side of the runtime-recovery step. H names a
+// host: a topology.PeerID in memory, an address on the wire.
+type RecoveryGrid[H comparable] interface {
+	// Providers re-discovers inst's live providers, as host at sees
+	// them; none when discovery fails.
+	Providers(at H, inst *service.Instance) []H
+	// Choose has host at select, among cands, a host for inst whose
+	// uptime covers remaining, and books it wherever the grid books a
+	// recovered component. rec is the recovery span's context, for a
+	// remote leg to parent under.
+	Choose(at H, inst *service.Instance, cands []H, remaining float64, rec obs.SpanContext) (H, bool)
+}
+
+// Recover is the runtime-recovery step (the paper's §6 future work) for
+// component k of an admitted session, whose host hosts[k] died; user is
+// the session's sink and remaining its time left, in the grid's unit.
+// Selection keeps the paper's hop-by-hop rule (§3.2): the downstream
+// neighbour — hosts[k+1], or the user for the last component —
+// re-discovers the component's providers, drops the dead host, and
+// selects among the rest one whose uptime covers the remaining time.
+// The step owns the recovery span, a child of the session span sess.
+func Recover[H comparable](g RecoveryGrid[H], user H, hosts []H, insts []*service.Instance,
+	k int, remaining float64, sess obs.Span) (H, bool) {
+
+	at := user
+	if k < len(hosts)-1 {
+		at = hosts[k+1]
+	}
+	sp := sess.Child()
+	// Exclude the dead host whatever (possibly stale, within the probe
+	// period) measurements still claim about it.
+	live := slices.DeleteFunc(g.Providers(at, insts[k]), func(c H) bool { return c == hosts[k] })
+	var chosen H
+	ok := len(live) > 0
+	if ok {
+		chosen, ok = g.Choose(at, insts[k], live, remaining, sp.Context())
+	}
+	if sp.Active() {
+		ev := obs.Event{Stage: obs.StageRecovery, Hop: k + 1, Inst: insts[k].ID, OK: ok}
+		if ok {
+			ev.Peer = fmt.Sprint(chosen)
+		}
+		sp.End(ev)
+	}
+	return chosen, ok
 }

@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -67,12 +68,15 @@ func discoveryOverlay(t *testing.T, network string) ([]*Peer, *obs.Registry) {
 
 // perServiceDiscovery assembles layers and providers the way the
 // per-(member × service) fan-out did: one single-service lookup per path
-// position on every peer, binned by the position asked for.
+// position on every peer, binned by the position asked for. A provider
+// is listed once per instance it offers, at the first position naming
+// the service.
 func perServiceDiscovery(t *testing.T, peers []*Peer, path []string) ([][]*service.Instance, map[string][]string) {
 	t.Helper()
 	layers := make([][]*service.Instance, len(path))
 	providers := make(map[string][]string)
 	for k, svc := range path {
+		first := slices.Index(path, svc) == k
 		seen := make(map[string]bool)
 		for _, q := range peers {
 			for _, off := range q.handleLookup(request{Service: svc}).Offers {
@@ -84,7 +88,9 @@ func perServiceDiscovery(t *testing.T, peers []*Peer, path []string) ([][]*servi
 					seen[in.ID] = true
 					layers[k] = append(layers[k], in)
 				}
-				providers[in.ID] = append(providers[in.ID], off.Provider)
+				if first {
+					providers[in.ID] = append(providers[in.ID], off.Provider)
+				}
 			}
 		}
 		sort.Slice(layers[k], func(i, j int) bool { return layers[k][i].ID < layers[k][j].ID })
@@ -107,7 +113,7 @@ func TestDiscoveryMatchesPerServiceFanOut(t *testing.T) {
 			path := []string{"a", "b", "a"}
 
 			wantLayers, wantProviders := perServiceDiscovery(t, peers, path)
-			if len(wantLayers[0]) != 2 || len(wantLayers[1]) != 2 || len(wantProviders["a#0"]) != 4 {
+			if len(wantLayers[0]) != 2 || len(wantLayers[1]) != 2 || len(wantProviders["a#0"]) != 2 {
 				t.Fatalf("reference discovery is not the scenario intended: layers %v providers %v",
 					wantLayers, wantProviders)
 			}

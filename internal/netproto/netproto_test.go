@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"math"
@@ -9,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/resource"
 	"repro/internal/service"
 	"repro/internal/wire"
+	"repro/internal/xrand"
 )
 
 func inst(id string, svc service.Name, inFmt, outFmt string, r, kbps float64) *service.Instance {
@@ -254,7 +257,7 @@ func TestManualRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rpc(TCP{}, plan.Peers[0], request{Type: msgRelease, SessionID: plan.SessionID}, time.Second); err != nil {
+	if _, err := rpcWith(TCP{}, wire.JSON{}, wireTele{}, plan.Peers[0], request{Type: msgRelease, SessionID: plan.SessionID}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if av := peers[1].Available(); av[0] != 100 {
@@ -330,6 +333,100 @@ func TestMonitorRecoversFromHostFailure(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 	}
 	t.Fatal("recovered session did not complete")
+}
+
+// TestRecoverySelectsAtDownstreamNeighbour: on the path a → b, the
+// crash of a's host is repaired by core's recovery step, which has b's
+// host — the downstream neighbour — select the replacement, as the
+// simulator does. Every peer traces into one stream, so the remote
+// select leg is visible under the initiator's recovery span.
+func TestRecoverySelectsAtDownstreamNeighbour(t *testing.T) {
+	var buf bytes.Buffer
+	begin := time.Now()
+	tr := obs.NewTracer(&buf, func() float64 { return time.Since(begin).Seconds() })
+	var peers []*Peer
+	for i := 0; i < 4; i++ {
+		p, err := Start(Config{Listen: "127.0.0.1:0", CPU: 200, Memory: 200, Tracer: tr,
+			RPCTimeout: time.Second, MonitorInterval: 20 * time.Millisecond,
+			ProbeCacheTTL: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers = append(peers, p)
+		if i > 0 {
+			if err := p.Join(peers[0].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a := loopInst("a#0", "a", 40)
+	for _, p := range peers[1:3] {
+		if err := p.Provide(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := peers[3].Provide(loopInst("b#0", "b", 40)); err != nil {
+		t.Fatal(err)
+	}
+	user := peers[0]
+	plan, err := user.Aggregate([]service.Name{"a", "b"}, userQoS, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, survivor := peers[1], peers[2]
+	if plan.Peers[0] == survivor.Addr() {
+		victim, survivor = survivor, victim
+	}
+	victim.Close()
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if hosts, _ := user.SessionHosts(plan.SessionID); hosts[0] == survivor.Addr() {
+			break
+		}
+		if st, _ := user.SessionStatus(plan.SessionID); st == StatusFailed || time.Now().After(deadline) {
+			t.Fatalf("component a not re-homed onto %s (status %s)", survivor.Addr(), st)
+		}
+	}
+	for _, p := range peers {
+		p.Close() // nothing writes to the stream once it is read
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *obs.Event
+	for i, ev := range evs {
+		if ev.Kind == obs.KindSpan && ev.Stage == obs.StageRecovery {
+			rec = &evs[i]
+		}
+	}
+	if rec == nil || !rec.OK || rec.Hop != 1 || rec.Peer != survivor.Addr() {
+		t.Fatalf("recovery span %+v, want hop 1 re-homed onto %s", rec, survivor.Addr())
+	}
+	legs := 0
+	for _, ev := range evs {
+		if ev.Kind != obs.KindSpan || ev.Parent != rec.Span {
+			continue
+		}
+		switch ev.Stage {
+		case obs.StageSelection:
+			legs++
+			if ev.At != plan.Peers[1] || ev.Chosen != survivor.Addr() || !ev.OK {
+				t.Errorf("replacement selected at %s choosing %s, want at b's host %s choosing %s",
+					ev.At, ev.Chosen, plan.Peers[1], survivor.Addr())
+			}
+		case obs.StageAdmission:
+			if ev.At != survivor.Addr() || !ev.OK {
+				t.Errorf("replacement reserved at %s (ok %v), want %s", ev.At, ev.OK, survivor.Addr())
+			}
+		}
+	}
+	if legs != 1 {
+		t.Fatalf("%d selection legs under the recovery span, want 1", legs)
+	}
 }
 
 func TestMonitorFailsWhenNoReplacement(t *testing.T) {
@@ -450,26 +547,68 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffBoundedAndDeterministic(t *testing.T) {
+// TestBackoffBoundedAndDeterministic is the one jittered backoff's table
+// over its two callers, RPC retry (doubling from BaseDelay before the
+// second attempt, capped at MaxDelay) and datagram retransmission
+// (doubling from the ack timeout before the first, capped at 8×). For
+// each (attempt, local, remote) the delay equals the caller's own
+// formula from before the two shared a helper, lies in [d/2, d) of the
+// uncapped-then-capped delay d, and repeats; distinct link pairs get
+// distinct jitter.
+func TestBackoffBoundedAndDeterministic(t *testing.T) {
 	pol := RetryPolicy{Attempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond}
-	for attempt := 1; attempt <= 6; attempt++ {
-		d := pol.backoff("127.0.0.1:1", "127.0.0.1:2", attempt)
-		if d != pol.backoff("127.0.0.1:1", "127.0.0.1:2", attempt) {
-			t.Fatalf("attempt %d: backoff not deterministic", attempt)
+	ack := 40 * time.Millisecond
+	// full is a caller's delay before jitter; jittered scales it the way
+	// both callers did.
+	full := func(base, maxd time.Duration, doublings int) time.Duration {
+		d := base
+		for i := 0; i < doublings && d < maxd; i++ {
+			d *= 2
 		}
-		if d < 0 || d >= pol.MaxDelay {
-			t.Fatalf("attempt %d: backoff %v outside [0, MaxDelay)", attempt, d)
-		}
+		return min(d, maxd)
 	}
-	// The jitter desynchronizes distinct link pairs.
-	if pol.backoff("a", "b", 2) == pol.backoff("c", "d", 2) {
-		t.Fatal("distinct links share the same jittered backoff")
+	jittered := func(d time.Duration, local, remote string, attempt int) time.Duration {
+		h := xrand.MixString(xrand.MixString(uint64(attempt), local), remote)
+		return d/2 + time.Duration(float64(h>>11)/(1<<53)*float64(d/2))
+	}
+	callers := []struct {
+		name  string
+		delay func(local, remote string, attempt int) time.Duration
+		full  func(attempt int) time.Duration
+	}{
+		{"retry", func(l, r string, a int) time.Duration {
+			return backoff(pol.BaseDelay, pol.MaxDelay, a-1, l, r, a)
+		}, func(a int) time.Duration { return full(pol.BaseDelay, pol.MaxDelay, a-1) }},
+		{"retransmit", func(l, r string, a int) time.Duration {
+			return backoff(ack, 8*ack, a, l, r, a)
+		}, func(a int) time.Duration { return full(ack, 8*ack, a) }},
+	}
+	links := [][2]string{{"127.0.0.1:1", "127.0.0.1:2"}, {"a:1", "b:2"}, {"a:1", "c:3"}, {"", ""}}
+	for _, c := range callers {
+		for attempt := 0; attempt <= 6; attempt++ {
+			for _, l := range links {
+				d, f := c.delay(l[0], l[1], attempt), c.full(attempt)
+				if want := jittered(f, l[0], l[1], attempt); d != want {
+					t.Errorf("%s attempt %d %v: %v, want %v", c.name, attempt, l, d, want)
+				}
+				if d != c.delay(l[0], l[1], attempt) {
+					t.Errorf("%s attempt %d %v: not deterministic", c.name, attempt, l)
+				}
+				if d < f/2 || d >= f {
+					t.Errorf("%s attempt %d %v: %v outside [%v, %v)", c.name, attempt, l, d, f/2, f)
+				}
+			}
+		}
+		// The jitter desynchronizes distinct link pairs.
+		if c.delay("a:1", "b:2", 2) == c.delay("a:1", "c:3", 2) {
+			t.Errorf("%s: distinct links share the same jittered backoff", c.name)
+		}
 	}
 }
 
 func TestHandleSurfacesDecodeError(t *testing.T) {
 	peers := cluster(t, 1, 100)
-	resp, err := rpc(TCP{}, peers[0].Addr(), request{Type: "???"}, time.Second)
+	resp, err := rpcWith(TCP{}, wire.JSON{}, wireTele{}, peers[0].Addr(), request{Type: "???"}, time.Second)
 	if err == nil || resp == nil || resp.Err == "" {
 		t.Fatalf("unknown message type: resp=%+v err=%v, want error response", resp, err)
 	}

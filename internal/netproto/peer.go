@@ -52,8 +52,8 @@ type Config struct {
 	// MonitorInterval enables runtime failure detection and recovery (the
 	// paper's §6 future work): sessions this peer initiates are probed at
 	// this interval, and a component whose host stopped responding is
-	// re-selected and re-reserved on a replacement provider. 0 disables
-	// monitoring.
+	// re-homed by core.Recover, selected at its downstream neighbour. It
+	// is also how this peer learns that a session ended. 0 disables it.
 	MonitorInterval time.Duration
 	// Transport dials remote peers. Default TCP{}; tests inject the
 	// fault-injecting transport from internal/faults here.
@@ -190,14 +190,12 @@ const (
 
 // initiated tracks one session this peer started, for monitoring.
 type initiated struct {
-	sid        string
-	instances  []*service.Instance
-	hosts      []string
-	candidates map[string][]string
-	deadline   time.Time
-	status     SessionStatus
-	recovered  int
-	span       obs.Span // the session span, open while the session runs
+	grid      *rpcGrid // the aggregation's grid; recovery runs over it
+	instances []*service.Instance
+	hosts     []string // current hosts; only the monitor writes them
+	deadline  time.Time
+	status    SessionStatus
+	span      obs.Span // the session span, open while the session runs
 }
 
 // Peer is one QSA prototype node.
@@ -860,8 +858,9 @@ func (p *Peer) handleSelect(req request) response {
 // offers that come back are binned by their own service name — a name
 // that occurs twice in the path fills both layers. It returns one layer
 // of instances per path position, sorted by ID, and each instance's
-// provider addresses, sorted. A member whose lookup fails after retries
-// contributes nothing and is counted in discovery.lookup_failed.
+// provider addresses, sorted, each listed once. A member whose lookup
+// fails after retries contributes nothing and is counted in
+// discovery.lookup_failed.
 func (p *Peer) discover(path []string) ([][]*service.Instance, map[string][]string) {
 	members := p.Members()
 	lookup := request{Type: msgLookup, Services: path}
@@ -896,7 +895,7 @@ func (p *Peer) discover(path []string) ([][]*service.Instance, map[string][]stri
 	}
 	for offers := range results {
 		for _, off := range offers {
-			for _, k := range layerOf[off.Instance.Service] {
+			for i, k := range layerOf[off.Instance.Service] {
 				in, err := FromWire(off.Instance)
 				if err != nil {
 					continue
@@ -905,7 +904,9 @@ func (p *Peer) discover(path []string) ([][]*service.Instance, map[string][]stri
 					seen[k][in.ID] = true
 					layers[k] = append(layers[k], in)
 				}
-				providers[in.ID] = append(providers[in.ID], off.Provider)
+				if i == 0 { // once per offer, however many positions name it
+					providers[in.ID] = append(providers[in.ID], off.Provider)
+				}
 			}
 		}
 	}
@@ -919,8 +920,9 @@ func (p *Peer) discover(path []string) ([][]*service.Instance, map[string][]stri
 }
 
 // Aggregate runs the full two-tier model from this peer as the user's
-// host: core's attempt loop over this overlay (rpcGrid), composing with
-// QCS and selecting hop by hop over the network, single-shot. Every
+// host: core's attempt loop over this overlay (rpcGrid) with
+// core.StrategyQSA, which composes with QCS, selects hop by hop over the
+// network, and recomposes after a selection or admission failure. Every
 // failure is a *core.ErrAggregation naming its stage.
 func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.Duration) (*Plan, error) {
 	names := make([]string, len(path))
@@ -940,7 +942,7 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 	start := time.Now()
 	g := &rpcGrid{p: p, rid: rid, duration: duration, names: names}
 	pl := core.Pipeline{
-		Strategy: core.Strategy{Compose: core.ComposeQCS, Select: core.SelectPhi},
+		Strategy: core.StrategyQSA,
 		Compose:  compose.Config{Weights: p.cfg.Weights, Obs: p.tele.compose},
 		Req:      rid,
 		Spans:    p.spans,
@@ -967,13 +969,12 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 	}
 	if p.cfg.MonitorInterval > 0 {
 		sess := &initiated{
-			sid:        g.sid,
-			instances:  composed.Instances,
-			hosts:      append([]string(nil), g.chain...),
-			candidates: g.providers,
-			deadline:   time.Now().Add(duration),
-			status:     StatusActive,
-			span:       root.Child(),
+			grid:      g,
+			instances: composed.Instances,
+			hosts:     append([]string(nil), g.chain...),
+			deadline:  time.Now().Add(duration),
+			status:    StatusActive,
+			span:      root.Child(),
 		}
 		p.mu.Lock()
 		p.initiated[g.sid] = sess
@@ -986,7 +987,7 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 
 // rpcGrid is the core.Grid of one aggregation: the member fan-out, the
 // select recursion and a reserve per host with rollback. It times each
-// stage into agg.stage_seconds.<stage>.
+// stage into agg.stage_seconds.<stage>. The monitor recovers over it.
 type rpcGrid struct {
 	p         *Peer
 	rid       uint64
@@ -1074,6 +1075,37 @@ func (p *Peer) reserve(host, sid string, in *service.Instance, d time.Duration, 
 	return err
 }
 
+// Providers implements core.RecoveryGrid: the member fan-out for inst's
+// one service. Every member is asked whoever asks, so at plays no part.
+func (g *rpcGrid) Providers(_ string, inst *service.Instance) []string {
+	_, providers := g.p.discover([]string{string(inst.Service)})
+	return providers[inst.ID]
+}
+
+// Choose implements core.RecoveryGrid: the select RPC for the one
+// instance at member at (handled locally when at is this peer, the
+// user), then a reserve on the host it returns for the remaining
+// seconds.
+func (g *rpcGrid) Choose(at string, inst *service.Instance, cands []string, remaining float64, rec obs.SpanContext) (string, bool) {
+	p := g.p
+	req := request{Type: msgSelect, Instances: []WireInstance{ToWire(inst)},
+		Candidates: map[string][]string{inst.ID: cands}, DurationSec: remaining,
+		TraceID: rec.Trace, SpanID: rec.Span}
+	var resp *response
+	if at == p.addr {
+		local := p.handleSelect(req)
+		resp = &local
+	} else if r, err := p.rpc(at, req, p.cfg.RPCTimeout); err == nil {
+		resp = r
+	}
+	if resp == nil || !resp.OK || len(resp.Chain) != 1 {
+		return "", false
+	}
+	host := resp.Chain[0]
+	d := time.Duration(remaining * float64(time.Second))
+	return host, p.reserve(host, g.sid, inst, d, rec) == nil
+}
+
 // Names implements core.Grid.
 func (g *rpcGrid) Names() (string, []string) {
 	return g.sid, append([]string(nil), g.chain...)
@@ -1113,10 +1145,12 @@ func (p *Peer) SessionHosts(sid string) ([]string, bool) {
 }
 
 // monitor implements runtime failure detection and recovery for one
-// initiated session: each interval, every host is probed; a dead host's
-// component is re-selected among the remaining candidates and re-reserved
-// for the session's remaining time. An unrecoverable loss fails the
-// session and releases the surviving reservations.
+// initiated session: each interval, every host is probed, and a dead
+// host's component is re-homed by core.Recover over the session's grid.
+// Components are visited from the user side back, so a component's
+// downstream neighbour is live before it is asked to select. An
+// unrecoverable loss fails the session and releases the surviving
+// reservations.
 func (p *Peer) monitor(sess *initiated) {
 	defer p.wg.Done()
 	ticker := time.NewTicker(p.cfg.MonitorInterval)
@@ -1127,11 +1161,7 @@ func (p *Peer) monitor(sess *initiated) {
 			return
 		case <-ticker.C:
 		}
-		p.mu.Lock()
-		deadline := sess.deadline
-		hosts := append([]string(nil), sess.hosts...)
-		p.mu.Unlock()
-		if time.Now().After(deadline) {
+		if time.Now().After(sess.deadline) {
 			// Only this goroutine moves the status, and it closes the
 			// session span first: whoever sees the session end finds
 			// the span in the stream.
@@ -1141,47 +1171,24 @@ func (p *Peer) monitor(sess *initiated) {
 			p.mu.Unlock()
 			return
 		}
-		for k, host := range hosts {
-			if res := p.probe(host); res.alive {
+		for k := len(sess.hosts) - 1; k >= 0; k-- {
+			if p.probe(sess.hosts[k]).alive {
 				continue
 			}
-			if !p.recoverComponent(sess, k, host) {
+			remaining := time.Until(sess.deadline)
+			if remaining <= 0 {
+				break // the session is about to complete anyway
+			}
+			host, ok := core.Recover[string](sess.grid, p.addr, sess.hosts, sess.instances, k, remaining.Seconds(), sess.span)
+			if !ok {
 				p.failInitiated(sess)
 				return
 			}
+			p.mu.Lock()
+			sess.hosts[k] = host
+			p.mu.Unlock()
 		}
 	}
-}
-
-// recoverComponent re-homes component k of the session after its host
-// died. Selection runs at the initiating peer (a simplification of the
-// paper's downstream-neighbor selection, acceptable because the initiator
-// already holds the candidate lists).
-func (p *Peer) recoverComponent(sess *initiated, k int, dead string) bool {
-	inst := sess.instances[k]
-	var alive []string
-	for _, c := range sess.candidates[inst.ID] {
-		if c != dead {
-			alive = append(alive, c)
-		}
-	}
-	remaining := time.Until(sess.deadline)
-	if remaining <= 0 {
-		return true // the session is about to complete anyway
-	}
-	sp := sess.span.Child()
-	chosen, ok, _, _ := p.selectNext(inst, alive, remaining, false)
-	ok = ok && p.reserve(chosen, sess.sid, inst, remaining, sp.Context()) == nil
-	ev := obs.Event{Stage: obs.StageRecovery, Hop: k + 1, Inst: inst.ID, OK: ok}
-	if ok {
-		p.mu.Lock()
-		sess.hosts[k] = chosen
-		sess.recovered++
-		p.mu.Unlock()
-		ev.Peer = chosen
-	}
-	sp.End(ev)
-	return ok
 }
 
 // failInitiated closes the session span, marks the session failed and
@@ -1196,6 +1203,6 @@ func (p *Peer) failInitiated(sess *initiated) {
 		// Best effort (retried — release is idempotent): a host that
 		// cannot be reached is the one that failed; its reservation
 		// expires on its own.
-		_, _ = p.rpcRetry(h, request{Type: msgRelease, SessionID: sess.sid}, p.cfg.RPCTimeout)
+		_, _ = p.rpcRetry(h, request{Type: msgRelease, SessionID: sess.grid.sid}, p.cfg.RPCTimeout)
 	}
 }

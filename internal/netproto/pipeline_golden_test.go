@@ -86,6 +86,9 @@ func renderEvent(ev obs.Event, norm *strings.Replacer) string {
 	if ev.Cost != 0 {
 		field("cost", fmt.Sprintf("%.6g", ev.Cost))
 	}
+	if ev.Attempt != 0 {
+		field("attempt", fmt.Sprint(ev.Attempt))
+	}
 	if len(ev.Cands) > 0 {
 		cands := make([]string, len(ev.Cands))
 		for i, c := range ev.Cands {
@@ -103,9 +106,9 @@ func renderEvent(ev obs.Event, norm *strings.Replacer) string {
 }
 
 // TestPipelineGolden pins what Peer.Aggregate decides and reports for
-// six scenarios: success, an unknown service, a QoS-inconsistent path,
-// no selectable peer, an admission failure that rolls back, and a
-// traced three-hop select recursion. For each it records the returned
+// seven scenarios: success, an unknown service, a QoS-inconsistent path,
+// no selectable peer, an admission failure that rolls back, a selection
+// failure that recomposes, and a traced three-hop select recursion. For each it records the returned
 // plan (host indices) or error, the initiator's hop events and its
 // spans, with listen ports mapped to peer indices and times
 // left out. Candidate capacities differ enough that Φ's RTT term cannot
@@ -156,6 +159,17 @@ func TestPipelineGolden(t *testing.T) {
 				2: {mk("b#0", "b", 10)},
 			}},
 			path: []service.Name{"a", "b", "c"}, duration: long,
+		},
+		{
+			// a#0 composes cheaper (no bandwidth term) but fits no
+			// provider: attempt 0 fails selection, attempt 1 composes
+			// without it and admits a#1 on its one provider.
+			name: "retry-recompose",
+			overlay: goldenOverlay{caps: []float64{100, 200, 250}, provides: map[int][]*service.Instance{
+				1: {inst("a#0", "a", "F", "F", 300, 100), inst("a#1", "a", "F", "F", 10, 6100)},
+				2: {inst("a#0", "a", "F", "F", 300, 100)},
+			}},
+			path: []service.Name{"a"}, duration: long,
 		},
 		{
 			name: "traced-select-recursion",
@@ -222,7 +236,9 @@ func TestPipelineGolden(t *testing.T) {
 // fail) were deleted and their fields reappeared on the span lines: the
 // compose span's path and cost, the admission span's hosts, and every
 // failing span's error; the renderer stopped hiding a span's cost and
-// error. Remote reservations are spans in the hosts' own streams.
+// error. Remote reservations are spans in the hosts' own streams. The
+// retry-recompose scenario was added when Peer.Aggregate began running
+// core.StrategyQSA; single-shot, it ended in a selection error.
 const pipelineGolden = `== success
 plan a#0,b#0 on p1,p3 cost=0.02
 hop hop=2 inst=b#0 at=p0 chosen=p3 mode=informed cands=p3:chosen,p4:short-uptime ok=false
@@ -264,6 +280,19 @@ span stage=admission ok=false err="core: admission failed: netproto: reserve fai
 p0 available 100
 p1 available 100
 p2 available 1000
+== retry-recompose
+plan a#1 on p1 cost=0.21
+hop hop=1 inst=a#0 at=p0 mode=none cands=p1:infeasible,p2:infeasible ok=false
+hop hop=1 inst=a#1 at=p0 chosen=p1 mode=informed cands=p1:chosen ok=false
+span stage=discovery ok=true
+span stage=compose path=a#0 cost=0.203333 ok=true
+span stage=selection hop=1 inst=a#0 at=p0 mode=none ok=false
+span stage=selection ok=false err="no selectable peer for a#0"
+span stage=compose path=a#1 cost=0.21 attempt=1 ok=true
+span stage=selection hop=1 inst=a#1 at=p0 chosen=p1 mode=informed ok=true
+span stage=selection attempt=1 ok=true
+span stage=admission path=p1 attempt=1 session=p0/1 ok=true
+span session=p0/1 ok=true
 == traced-select-recursion
 plan a#0,b#0,c#0 on p1,p3,p1 cost=0.03
 hop hop=3 inst=c#0 at=p0 chosen=p1 mode=informed cands=p0:self,p1:chosen,p2:lower-phi,p5:infeasible ok=false

@@ -148,13 +148,6 @@ func FromWire(w WireInstance) (*service.Instance, error) {
 // process (the JSON codec, one exchange per connection, ignores it).
 var nextReqID atomic.Uint64
 
-// rpc performs one JSON request/response exchange with addr through tr
-// — the legacy entry point, kept for compatibility with older peers
-// and tests that speak the rollback format.
-func rpc(tr Transport, addr string, req request, timeout time.Duration) (*response, error) {
-	return rpcWith(tr, wire.JSON{}, wireTele{}, addr, req, timeout)
-}
-
 // rpcWith performs one request/response exchange with addr through tr
 // using codec, accounting message-level wire bytes into wt (the zero
 // value disables). Encode buffers are pooled; the steady-state binary

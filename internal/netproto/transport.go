@@ -55,18 +55,18 @@ func (r *RetryPolicy) fillDefaults() {
 	}
 }
 
-// backoff computes the jittered delay before attempt+1. The base doubles
-// per attempt and is capped at MaxDelay; jitter scales it into
-// [d/2, d) by a hash of (local addr, target addr, attempt), so
-// concurrent retries desynchronize while a given configuration replays
-// deterministically.
-func (r RetryPolicy) backoff(local, remote string, attempt int) time.Duration {
-	d := r.BaseDelay
-	for i := 1; i < attempt && d < r.MaxDelay; i++ {
+// backoff is the jittered exponential delay before attempt+1, shared by
+// RPC retry and datagram retransmission: base doubled doublings times,
+// capped at maxd, then scaled into [d/2, d) by a hash of (attempt, local
+// addr, remote addr), so concurrent retries desynchronize while a given
+// configuration replays deterministically.
+func backoff(base, maxd time.Duration, doublings int, local, remote string, attempt int) time.Duration {
+	d := base
+	for i := 0; i < doublings && d < maxd; i++ {
 		d *= 2
 	}
-	if d > r.MaxDelay {
-		d = r.MaxDelay
+	if d > maxd {
+		d = maxd
 	}
 	h := xrand.MixString(uint64(attempt), local)
 	h = xrand.MixString(h, remote)
@@ -91,7 +91,9 @@ func (p *Peer) rpcRetry(addr string, req request, timeout time.Duration) (*respo
 			tr.Emit(obs.Event{Kind: obs.KindRetry, RPC: req.Type, Peer: addr, Attempt: attempt,
 				Trace: req.TraceID, Span: req.SpanID})
 		}
-		t := time.NewTimer(p.cfg.Retry.backoff(p.addr, addr, attempt))
+		// BaseDelay before the second attempt, doubling from there.
+		pol := p.cfg.Retry
+		t := time.NewTimer(backoff(pol.BaseDelay, pol.MaxDelay, attempt-1, p.addr, addr, attempt))
 		select {
 		case <-p.done:
 			t.Stop()

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/wire"
-	"repro/internal/xrand"
 )
 
 // This file is the datagram transport of DESIGN.md §12: one RPC is one
@@ -150,26 +149,6 @@ func (t *UDPTransport) Dial(addr string, timeout time.Duration) (net.Conn, error
 		return nil, err
 	}
 	return &udpClientConn{t: t, sock: sock, remote: addr, deadline: time.Now().Add(timeout)}, nil
-}
-
-// retransmitDelay is the jittered exponential backoff before
-// retransmission attempt+1, deterministic per (local, remote, attempt)
-// like RetryPolicy.backoff so concurrent clients desynchronize while a
-// seeded run replays.
-func retransmitDelay(base time.Duration, local, remote string, attempt int) time.Duration {
-	d := base
-	maxd := 8 * base
-	for i := 0; i < attempt && d < maxd; i++ {
-		d *= 2
-	}
-	if d > maxd {
-		d = maxd
-	}
-	h := xrand.MixString(uint64(attempt), local)
-	h = xrand.MixString(h, remote)
-	frac := float64(h>>11) / (1 << 53) // uniform [0,1)
-	half := d / 2
-	return half + time.Duration(frac*float64(half))
 }
 
 // writePacket pushes one framed packet through the fault filter onto
@@ -390,7 +369,7 @@ func (c *udpClientConn) exchange() error {
 		wait := c.deadline
 		canRetransmit := idem && attempt < cfg.RetransmitBudget
 		if canRetransmit {
-			if t := time.Now().Add(retransmitDelay(cfg.AckTimeout, local, c.remote, attempt)); t.Before(wait) {
+			if t := time.Now().Add(backoff(cfg.AckTimeout, 8*cfg.AckTimeout, attempt, local, c.remote, attempt)); t.Before(wait) {
 				wait = t
 			}
 		}

@@ -515,32 +515,6 @@ func TestWritePacketVerdicts(t *testing.T) {
 	}
 }
 
-// TestRetransmitDelayDeterministic pins backoff shape: deterministic
-// per (local, remote, attempt), within [d/2, d), capped at 8× base.
-func TestRetransmitDelayDeterministic(t *testing.T) {
-	base := 40 * time.Millisecond
-	for attempt := 0; attempt < 6; attempt++ {
-		d1 := retransmitDelay(base, "a:1", "b:2", attempt)
-		d2 := retransmitDelay(base, "a:1", "b:2", attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d not deterministic: %v vs %v", attempt, d1, d2)
-		}
-		full := base
-		for i := 0; i < attempt && full < 8*base; i++ {
-			full *= 2
-		}
-		if full > 8*base {
-			full = 8 * base
-		}
-		if d1 < full/2 || d1 >= full {
-			t.Fatalf("attempt %d delay %v outside [%v, %v)", attempt, d1, full/2, full)
-		}
-	}
-	if d := retransmitDelay(base, "a:1", "c:3", 0); d == retransmitDelay(base, "a:1", "b:2", 0) {
-		t.Fatal("different remotes produced identical jitter")
-	}
-}
-
 // TestConfigValidateWireKnobs is the edge-case table for the new
 // transport and codec configuration.
 func TestConfigValidateWireKnobs(t *testing.T) {

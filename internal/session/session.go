@@ -56,7 +56,8 @@ type Session struct {
 	Start     float64
 	Duration  float64
 	State     State
-	Recovered int // components replaced by runtime recovery
+	Recovered int      // components replaced by runtime recovery
+	Span      obs.Span // open while the session runs; recovery spans are its children
 
 	// Reservation bookkeeping: which component/edge reservations this
 	// session currently holds. Indexed like Instances; edge k is the

@@ -297,10 +297,9 @@ type Simulator struct {
 	agg    *core.Aggregator
 	tracer *obs.Tracer
 
-	// The span source (nil without TelemetryOut) and the session spans
-	// still open, keyed by session ID; each closes from onSessionEnd.
-	spans    *obs.Spans
-	sessions map[uint64]obs.Span
+	// The span source (nil without TelemetryOut). A session's span rides
+	// on the session and closes from onSessionEnd.
+	spans *obs.Spans
 
 	// Per-request streams (Config.Shards > 0): the stream salt and the
 	// schedule-order index of the next request.
@@ -398,7 +397,6 @@ func New(cfg Config) (*Simulator, error) {
 		// Span IDs derive from the run seed alone, so same-seed runs mint
 		// identical trees whatever the shard count.
 		s.spans = obs.NewSpans(s.tracer, xrand.MixString(cfg.Seed, "spans"))
-		s.sessions = make(map[uint64]obs.Span)
 		s.agg.Spans = s.spans
 		// Hop reports join the selection span the aggregator is running
 		// (single simulation goroutine, so never stale here).
@@ -462,7 +460,7 @@ func New(cfg Config) (*Simulator, error) {
 
 	s.sess.OnEnd = s.onSessionEnd
 	if cfg.EnableRecovery {
-		s.sess.Recovery = s.recover
+		s.sess.Recovery = s.agg.Recover
 	}
 	return s, nil
 }
@@ -482,13 +480,12 @@ func (s *Simulator) Catalog() *catalog.Catalog { return s.cat }
 func (s *Simulator) onSessionEnd(sess *session.Session) {
 	ok := sess.State == session.Completed
 	s.sampler.record(sess.Start, ok)
-	if sp, open := s.sessions[sess.ID]; open {
-		delete(s.sessions, sess.ID)
+	if sess.Span.Active() {
 		ev := obs.Event{Stage: obs.StageSession, OK: ok}
 		if !ok {
 			ev.Err = "provisioning peer departed"
 		}
-		sp.End(ev)
+		sess.Span.End(ev)
 	}
 	if ok {
 		s.stats.Succeeded++
@@ -526,22 +523,6 @@ func (s *Simulator) fail(now float64, root obs.Span, ev obs.Event, err error) {
 		root.End(ev)
 	}
 	s.sampler.record(now, false)
-}
-
-// recover implements the runtime-recovery extension via the core engine.
-// The repair is a span under the session's, so the request's tree shows
-// what recovery replaced.
-func (s *Simulator) recover(sess *session.Session, k int, now float64) (topology.PeerID, bool) {
-	peer, ok := s.agg.Recover(sess, k, now)
-	if sp, open := s.sessions[sess.ID]; open {
-		ev := obs.Event{Stage: obs.StageRecovery, Hop: k + 1,
-			Inst: sess.Instances[k].ID, OK: ok}
-		if ok {
-			ev.Peer = strconv.Itoa(int(peer))
-		}
-		sp.Child().End(ev)
-	}
-	return peer, ok
 }
 
 // issueRequest draws one request from draw — its user peer, then its
@@ -620,7 +601,7 @@ func (s *Simulator) issueWith(now float64, user *topology.Peer, req *service.Req
 		// onSessionEnd records the outcome.
 		ev.OK, ev.Session = true, strconv.FormatUint(sess.ID, 10)
 		root.End(ev)
-		s.sessions[sess.ID] = root.Child()
+		sess.Span = root.Child()
 	}
 }
 
