@@ -142,7 +142,6 @@ type aggScratch struct {
 	providers [][]topology.PeerID
 	pipeline  Pipeline
 	grid      memGrid
-	rec       memGrid // Recover's
 }
 
 // Aggregator is the integrated QSA engine over a grid's subsystems — the
@@ -240,7 +239,8 @@ func (d *Discovery) Providers(k int, inst *service.Instance, now float64, dst []
 
 // memGrid is the in-memory Grid of one request: the registry answers
 // discovery, the strategy's selector picks the peers, and the session
-// manager admits. Aggregate reuses one in the aggregator's scratch.
+// manager admits. Aggregate reuses one in the aggregator's scratch, and
+// between requests Recover runs over it as a session's RecoveryGrid.
 type memGrid struct {
 	a     *Aggregator
 	user  topology.PeerID
@@ -408,9 +408,9 @@ func (a *Aggregator) AggregateFinish(p *PreparedAggregation, user topology.PeerI
 // recovery step over the in-memory grid. The session manager moves the
 // reservations.
 func (a *Aggregator) Recover(s *session.Session, k int, now float64) (topology.PeerID, bool) {
-	g := &a.sc.rec
+	g := &a.sc.grid // free between requests
 	*g = memGrid{a: a, now: now}
-	return Recover[topology.PeerID](g, s.User, s.Peers, s.Instances, k, s.Start+s.Duration-now, s.Span)
+	return Recover(g, s.User, s.Peers, s.Instances, k, s.Start+s.Duration-now, s.Span)
 }
 
 // Providers implements RecoveryGrid: a registry lookup from at.

@@ -1091,14 +1091,13 @@ func (g *rpcGrid) Choose(at string, inst *service.Instance, cands []string, rema
 	req := request{Type: msgSelect, Instances: []WireInstance{ToWire(inst)},
 		Candidates: map[string][]string{inst.ID: cands}, DurationSec: remaining,
 		TraceID: rec.Trace, SpanID: rec.Span}
-	var resp *response
+	resp := &response{}
 	if at == p.addr {
-		local := p.handleSelect(req)
-		resp = &local
+		*resp = p.handleSelect(req)
 	} else if r, err := p.rpc(at, req, p.cfg.RPCTimeout); err == nil {
 		resp = r
 	}
-	if resp == nil || !resp.OK || len(resp.Chain) != 1 {
+	if !resp.OK || len(resp.Chain) != 1 {
 		return "", false
 	}
 	host := resp.Chain[0]
@@ -1125,11 +1124,10 @@ func (g *rpcGrid) Stage(s core.Stage, begin bool) {
 func (p *Peer) SessionStatus(sid string) (SessionStatus, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.initiated[sid]
-	if !ok {
-		return "", false
+	if s, ok := p.initiated[sid]; ok {
+		return s.status, true
 	}
-	return s.status, true
+	return "", false
 }
 
 // SessionHosts returns the current hosts of an initiated session (they
@@ -1137,11 +1135,10 @@ func (p *Peer) SessionStatus(sid string) (SessionStatus, bool) {
 func (p *Peer) SessionHosts(sid string) ([]string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.initiated[sid]
-	if !ok {
-		return nil, false
+	if s, ok := p.initiated[sid]; ok {
+		return append([]string(nil), s.hosts...), true
 	}
-	return append([]string(nil), s.hosts...), true
+	return nil, false
 }
 
 // monitor implements runtime failure detection and recovery for one
@@ -1179,7 +1176,7 @@ func (p *Peer) monitor(sess *initiated) {
 			if remaining <= 0 {
 				break // the session is about to complete anyway
 			}
-			host, ok := core.Recover[string](sess.grid, p.addr, sess.hosts, sess.instances, k, remaining.Seconds(), sess.span)
+			host, ok := core.Recover(sess.grid, p.addr, sess.hosts, sess.instances, k, remaining.Seconds(), sess.span)
 			if !ok {
 				p.failInitiated(sess)
 				return

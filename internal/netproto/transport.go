@@ -91,9 +91,7 @@ func (p *Peer) rpcRetry(addr string, req request, timeout time.Duration) (*respo
 			tr.Emit(obs.Event{Kind: obs.KindRetry, RPC: req.Type, Peer: addr, Attempt: attempt,
 				Trace: req.TraceID, Span: req.SpanID})
 		}
-		// BaseDelay before the second attempt, doubling from there.
-		pol := p.cfg.Retry
-		t := time.NewTimer(backoff(pol.BaseDelay, pol.MaxDelay, attempt-1, p.addr, addr, attempt))
+		t := time.NewTimer(backoff(p.cfg.Retry.BaseDelay, p.cfg.Retry.MaxDelay, attempt-1, p.addr, addr, attempt))
 		select {
 		case <-p.done:
 			t.Stop()
