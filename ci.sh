@@ -19,12 +19,17 @@
 #             outcome, error, session, recompositions, recoveries) as
 #             the telemetry analyzes it, recorded while every outcome was
 #             still written twice, and to the hash of the telemetry
-#             stream, one span tree per request (TestPerRequestGolden),
+#             stream, one span tree per request; a QSA row with runtime
+#             recovery on pins the recovery path, recorded before it
+#             moved into core (TestPerRequestGolden),
 #             byte-identical output with caches off
 #             (TestCachesAreInvisible), the prototype's pipeline decisions
 #             and spans per scenario (TestPipelineGolden), the
-#             simulator and the prototype composing the same path or
-#             failing at the same stage on one catalog over 12 seeds
+#             simulator and the prototype, both running
+#             core.StrategyQSA on one catalog over 12 seeds, composing
+#             the same path at every attempt both make (a slice whose
+#             first selection fails recomposes on both) and re-homing a
+#             crashed host's component onto the same replacement
 #             (TestSimPrototypeDifferential), binary at
 #             most half of JSON on
 #             lookup/select (TestBinaryHalvesPayloadRPCs), zero shed at
@@ -45,6 +50,8 @@
 #             reader checkout)
 #   coverage  each package in the table below must keep the short
 #             suite's statement coverage at or above its floor
+#   size      prints the non-test Go line count and the qsalint waiver
+#             count, with ROADMAP.md's two commands; reported, not gated
 #   race      the short suite again under the race detector, the netproto
 #             chaos suite included; allocation gates that a sync.Pool or
 #             the instrumentation would skew skip themselves there
@@ -113,6 +120,16 @@ selection 92.0
 registry 95.0
 sim 77.0
 EOF
+
+echo '>> size (reported, not gated)'
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+	lines=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '/testdata/' -e '^benchmark/' | xargs cat | wc -l)
+	# The waiver pattern is split so that this script does not count itself.
+	waivers=$(git grep -o 'lint:''allow' -- ':!*.md' ':!internal/analysis/testdata' | wc -l)
+	echo "non-test Go lines: $lines; qsalint waivers: $waivers"
+else
+	echo 'size: not a git checkout; line and waiver counts skipped'
+fi
 
 echo '>> go test -race -short ./...'
 go test -race -short ./...

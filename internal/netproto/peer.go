@@ -190,12 +190,10 @@ const (
 
 // initiated tracks one session this peer started, for monitoring.
 type initiated struct {
-	grid      *rpcGrid // the aggregation's grid; recovery runs over it
-	instances []*service.Instance
-	hosts     []string // current hosts; only the monitor writes them
-	deadline  time.Time
-	status    SessionStatus
-	span      obs.Span // the session span, open while the session runs
+	grid     *rpcGrid // the aggregation's grid: its path and hosts
+	deadline time.Time
+	status   SessionStatus
+	span     obs.Span // the session span, open while the session runs
 }
 
 // Peer is one QSA prototype node.
@@ -963,18 +961,16 @@ func (p *Peer) Aggregate(path []service.Name, userQoS qos.Vector, duration time.
 		return nil, err
 	}
 
-	plan := &Plan{SessionID: g.sid, Peers: g.chain, Cost: composed.Cost}
+	plan := &Plan{SessionID: g.sid, Peers: append([]string(nil), g.chain...), Cost: composed.Cost}
 	for _, in := range composed.Instances {
 		plan.Instances = append(plan.Instances, in.ID)
 	}
 	if p.cfg.MonitorInterval > 0 {
 		sess := &initiated{
-			grid:      g,
-			instances: composed.Instances,
-			hosts:     append([]string(nil), g.chain...),
-			deadline:  time.Now().Add(duration),
-			status:    StatusActive,
-			span:      root.Child(),
+			grid:     g,
+			deadline: time.Now().Add(duration),
+			status:   StatusActive,
+			span:     root.Child(),
 		}
 		p.mu.Lock()
 		p.initiated[g.sid] = sess
@@ -994,7 +990,8 @@ type rpcGrid struct {
 	duration  time.Duration
 	names     []string            // the path's services
 	providers map[string][]string // instance ID -> provider addrs
-	chain     []string            // selected hosts, in path order
+	path      []*service.Instance // the path admission was last asked for
+	chain     []string            // its hosts; recovery re-homes them under Peer.mu
 	sid       string
 	stageAt   time.Time
 }
@@ -1045,6 +1042,7 @@ func (g *rpcGrid) Select(path []*service.Instance, sel obs.SpanContext) error {
 // back on the first failure.
 func (g *rpcGrid) Admit(path []*service.Instance, adm obs.SpanContext) error {
 	p := g.p
+	g.path = path
 	p.mu.Lock()
 	p.nextSess++
 	g.sid = fmt.Sprintf("%s/%d", p.addr, p.nextSess)
@@ -1124,10 +1122,11 @@ func (g *rpcGrid) Stage(s core.Stage, begin bool) {
 func (p *Peer) SessionStatus(sid string) (SessionStatus, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if s, ok := p.initiated[sid]; ok {
-		return s.status, true
+	s, ok := p.initiated[sid]
+	if !ok {
+		return "", false
 	}
-	return "", false
+	return s.status, true
 }
 
 // SessionHosts returns the current hosts of an initiated session (they
@@ -1135,10 +1134,11 @@ func (p *Peer) SessionStatus(sid string) (SessionStatus, bool) {
 func (p *Peer) SessionHosts(sid string) ([]string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if s, ok := p.initiated[sid]; ok {
-		return append([]string(nil), s.hosts...), true
+	s, ok := p.initiated[sid]
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return append([]string(nil), s.grid.chain...), true
 }
 
 // monitor implements runtime failure detection and recovery for one
@@ -1168,21 +1168,22 @@ func (p *Peer) monitor(sess *initiated) {
 			p.mu.Unlock()
 			return
 		}
-		for k := len(sess.hosts) - 1; k >= 0; k-- {
-			if p.probe(sess.hosts[k]).alive {
+		g := sess.grid // only this goroutine writes g.chain now
+		for k := len(g.chain) - 1; k >= 0; k-- {
+			if p.probe(g.chain[k]).alive {
 				continue
 			}
 			remaining := time.Until(sess.deadline)
 			if remaining <= 0 {
 				break // the session is about to complete anyway
 			}
-			host, ok := core.Recover(sess.grid, p.addr, sess.hosts, sess.instances, k, remaining.Seconds(), sess.span)
+			host, ok := core.Recover(g, p.addr, g.chain, g.path, k, remaining.Seconds(), sess.span)
 			if !ok {
 				p.failInitiated(sess)
 				return
 			}
 			p.mu.Lock()
-			sess.hosts[k] = host
+			g.chain[k] = host
 			p.mu.Unlock()
 		}
 	}
@@ -1194,7 +1195,7 @@ func (p *Peer) failInitiated(sess *initiated) {
 	sess.span.End(obs.Event{Stage: obs.StageSession, Err: "component host departed; recovery failed"})
 	p.mu.Lock()
 	sess.status = StatusFailed
-	hosts := append([]string(nil), sess.hosts...)
+	hosts := append([]string(nil), sess.grid.chain...)
 	p.mu.Unlock()
 	for _, h := range hosts {
 		// Best effort (retried — release is idempotent): a host that

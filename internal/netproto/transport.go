@@ -56,7 +56,7 @@ func (r *RetryPolicy) fillDefaults() {
 }
 
 // backoff is the jittered exponential delay before attempt+1, shared by
-// RPC retry and datagram retransmission: base doubled doublings times,
+// RPC retry and datagram retransmission: base, doubled doublings times,
 // capped at maxd, then scaled into [d/2, d) by a hash of (attempt, local
 // addr, remote addr), so concurrent retries desynchronize while a given
 // configuration replays deterministically.

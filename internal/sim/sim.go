@@ -480,13 +480,11 @@ func (s *Simulator) Catalog() *catalog.Catalog { return s.cat }
 func (s *Simulator) onSessionEnd(sess *session.Session) {
 	ok := sess.State == session.Completed
 	s.sampler.record(sess.Start, ok)
-	if sess.Span.Active() {
-		ev := obs.Event{Stage: obs.StageSession, OK: ok}
-		if !ok {
-			ev.Err = "provisioning peer departed"
-		}
-		sess.Span.End(ev)
+	ev := obs.Event{Stage: obs.StageSession, OK: ok}
+	if !ok {
+		ev.Err = "provisioning peer departed"
 	}
+	sess.Span.End(ev)
 	if ok {
 		s.stats.Succeeded++
 	} else {
