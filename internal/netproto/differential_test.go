@@ -104,12 +104,8 @@ func simAggregate(t *testing.T, insts []*service.Instance, provs map[*service.In
 
 	t.Helper()
 	g := newSimGrid(t, insts, provs, seed)
-	root := g.agg.Spans.Root(1)
-	g.agg.ReqSpan = root.Context()
+	g.agg.ReqSpan = g.agg.Spans.Root(1).Context()
 	sess, err := g.agg.Aggregate(0, req, 0, core.StrategyQSA)
-	if err == nil {
-		sess.Span = root.Child()
-	}
 	return sess, err, composedPaths(t, g.tr, g.buf)
 }
 
