@@ -547,19 +547,14 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestBackoffBoundedAndDeterministic is the one jittered backoff's table
-// over its two callers, RPC retry (doubling from BaseDelay before the
-// second attempt, capped at MaxDelay) and datagram retransmission
-// (doubling from the ack timeout before the first, capped at 8×). For
-// each (attempt, local, remote) the delay equals the caller's own
-// formula from before the two shared a helper, lies in [d/2, d) of the
-// uncapped-then-capped delay d, and repeats; distinct link pairs get
-// distinct jitter.
-func TestBackoffBoundedAndDeterministic(t *testing.T) {
+// backoffCallers is the one jittered backoff's table over its two
+// callers, RPC retry (doubling from BaseDelay before the second attempt,
+// capped at MaxDelay) and datagram retransmission (doubling from the ack
+// timeout before the first, capped at 8×). Each row pairs the caller's
+// delay with its delay before jitter.
+var backoffCallers = func() map[string]backoffCaller {
 	pol := RetryPolicy{Attempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond}
 	ack := 40 * time.Millisecond
-	// full is a caller's delay before jitter; jittered scales it the way
-	// both callers did.
 	full := func(base, maxd time.Duration, doublings int) time.Duration {
 		d := base
 		for i := 0; i < doublings && d < maxd; i++ {
@@ -567,44 +562,56 @@ func TestBackoffBoundedAndDeterministic(t *testing.T) {
 		}
 		return min(d, maxd)
 	}
+	return map[string]backoffCaller{
+		"retry": {func(l, r string, a int) time.Duration {
+			return backoff(pol.BaseDelay, pol.MaxDelay, a-1, l, r, a)
+		}, func(a int) time.Duration { return full(pol.BaseDelay, pol.MaxDelay, a-1) }},
+		"retransmit": {func(l, r string, a int) time.Duration {
+			return backoff(ack, 8*ack, a, l, r, a)
+		}, func(a int) time.Duration { return full(ack, 8*ack, a) }},
+	}
+}()
+
+type backoffCaller struct {
+	delay func(local, remote string, attempt int) time.Duration
+	full  func(attempt int) time.Duration
+}
+
+// checkBackoff checks one row of backoffCallers: for each (attempt,
+// local, remote) the delay equals the caller's own formula from before
+// the two shared a helper, lies in [d/2, d) of the uncapped-then-capped
+// delay d, and repeats; distinct link pairs get distinct jitter.
+func checkBackoff(t *testing.T, name string) {
+	t.Helper()
+	c := backoffCallers[name]
 	jittered := func(d time.Duration, local, remote string, attempt int) time.Duration {
 		h := xrand.MixString(xrand.MixString(uint64(attempt), local), remote)
 		return d/2 + time.Duration(float64(h>>11)/(1<<53)*float64(d/2))
 	}
-	callers := []struct {
-		name  string
-		delay func(local, remote string, attempt int) time.Duration
-		full  func(attempt int) time.Duration
-	}{
-		{"retry", func(l, r string, a int) time.Duration {
-			return backoff(pol.BaseDelay, pol.MaxDelay, a-1, l, r, a)
-		}, func(a int) time.Duration { return full(pol.BaseDelay, pol.MaxDelay, a-1) }},
-		{"retransmit", func(l, r string, a int) time.Duration {
-			return backoff(ack, 8*ack, a, l, r, a)
-		}, func(a int) time.Duration { return full(ack, 8*ack, a) }},
-	}
 	links := [][2]string{{"127.0.0.1:1", "127.0.0.1:2"}, {"a:1", "b:2"}, {"a:1", "c:3"}, {"", ""}}
-	for _, c := range callers {
-		for attempt := 0; attempt <= 6; attempt++ {
-			for _, l := range links {
-				d, f := c.delay(l[0], l[1], attempt), c.full(attempt)
-				if want := jittered(f, l[0], l[1], attempt); d != want {
-					t.Errorf("%s attempt %d %v: %v, want %v", c.name, attempt, l, d, want)
-				}
-				if d != c.delay(l[0], l[1], attempt) {
-					t.Errorf("%s attempt %d %v: not deterministic", c.name, attempt, l)
-				}
-				if d < f/2 || d >= f {
-					t.Errorf("%s attempt %d %v: %v outside [%v, %v)", c.name, attempt, l, d, f/2, f)
-				}
+	for attempt := 0; attempt <= 6; attempt++ {
+		for _, l := range links {
+			d, f := c.delay(l[0], l[1], attempt), c.full(attempt)
+			if want := jittered(f, l[0], l[1], attempt); d != want {
+				t.Errorf("%s attempt %d %v: %v, want %v", name, attempt, l, d, want)
+			}
+			if d != c.delay(l[0], l[1], attempt) {
+				t.Errorf("%s attempt %d %v: not deterministic", name, attempt, l)
+			}
+			if d < f/2 || d >= f {
+				t.Errorf("%s attempt %d %v: %v outside [%v, %v)", name, attempt, l, d, f/2, f)
 			}
 		}
-		// The jitter desynchronizes distinct link pairs.
-		if c.delay("a:1", "b:2", 2) == c.delay("a:1", "c:3", 2) {
-			t.Errorf("%s: distinct links share the same jittered backoff", c.name)
-		}
+	}
+	// The jitter desynchronizes distinct link pairs.
+	if c.delay("a:1", "b:2", 2) == c.delay("a:1", "c:3", 2) {
+		t.Errorf("%s: distinct links share the same jittered backoff", name)
 	}
 }
+
+func TestRetryBackoffBoundedAndDeterministic(t *testing.T) { checkBackoff(t, "retry") }
+
+func TestRetransmitDelayDeterministic(t *testing.T) { checkBackoff(t, "retransmit") }
 
 func TestHandleSurfacesDecodeError(t *testing.T) {
 	peers := cluster(t, 1, 100)
