@@ -44,8 +44,10 @@
 #             (testing.AllocsPerRun, each budget at its measured count):
 #             TestAggregateSteadyStateAllocs (Aggregate, Recover),
 #             TestQCSSteadyStateAllocs, TestResolveSteadyStateAllocs,
-#             TestBinarySteadyStateAllocs (codec, packet framing, buffer
-#             pool), TestJSONEncodeAllocs, the admission fast paths and
+#             TestResolveNewcomerAllocs (evict, insert and probe on a
+#             full table), TestBinarySteadyStateAllocs (codec, packet
+#             framing, buffer pool), TestJSONEncodeAllocs, the admission
+#             fast paths and
 #             TestRPCExchangeBytes (16 KiB per warm exchange, zero-alloc
 #             reader checkout)
 #   coverage  each package in the table below must keep the short

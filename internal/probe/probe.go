@@ -22,6 +22,8 @@
 package probe
 
 import (
+	"fmt"
+
 	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/topology"
@@ -48,47 +50,80 @@ func DirectRank(hop int) Rank { return Rank(2 * (hop - 1)) }
 // IndirectRank returns the benefit rank of an i-hop indirect neighbor.
 func IndirectRank(hop int) Rank { return Rank(2*(hop-1) + 1) }
 
-type entry struct {
-	rank    Rank
-	expires float64
-	info    Info
-	probed  bool
+// slot is one insertion-order cell of a table: a neighbor's entry held by
+// value, or a tombstone (pid == tombstonePID) left by a removal. The
+// neighbor's availability vector is row i of the table's slab.
+type slot struct {
+	expires  float64 // soft-state deadline (simulated minutes)
+	measured float64 // Info.Measured
+	uptime   float64 // Info.Uptime
+	kbps     float64 // Info.AvailKbps
+	pid      int32
+	rank     int32 // Rank
+	alive    bool  // Info.Alive
+	probed   bool
 }
 
-// orderSlot is one insertion-order cell of a table: the neighbor and its
-// entry inline, or a tombstone (pid == tombstonePID) left by a removal.
-type orderSlot struct {
-	pid topology.PeerID
-	e   *entry
-}
+const tombstonePID int32 = -1
 
-const tombstonePID topology.PeerID = -1
-
-// Table is one peer's neighbor table, capped at M entries. Insertion order
-// is tracked so that eviction scans are deterministic (Go map iteration
-// order is randomized, which would break run reproducibility). The order
-// slice carries the entries inline and removals leave tombstones, so both
-// lookups and removals are O(1) and the eviction scan is one contiguous
-// walk with no map probes; tombstones are compacted once they outnumber
-// live slots.
-type Table struct {
+// table is one peer's neighbor table, capped at M entries, and holds no
+// pointer per neighbor: the entries sit by value in the insertion-order
+// slice and the availability vectors in one slab beside it, dim floats
+// per slot. Insertion order is tracked so that eviction scans are
+// deterministic (Go map iteration order is randomized, which would break
+// run reproducibility). Removals leave tombstones, so lookups and
+// removals are O(1) and the eviction scan is one contiguous walk with no
+// map probes. Tombstones are compacted once they outnumber live slots,
+// and an insert that would grow a full order slice of at least slack()
+// slots compacts instead: live ≤ M, so that frees at least M/4 slots and
+// the slice never holds more than 5M/4.
+type table struct {
 	cap   int
-	pos   map[topology.PeerID]int // pid -> index in order
-	order []orderSlot
-	dead  int // tombstones in order
+	pos   map[int32]int32 // pid -> index in order
+	order []slot
+	avail []float64 // slot i's availability is avail[i*dim : (i+1)*dim]
+	dim   int       // resource dimension; 0 until the first live measurement
+	dead  int       // tombstones in order
 }
 
-func (t *Table) insert(p topology.PeerID, e *entry) {
-	t.pos[p] = len(t.order)
-	t.order = append(t.order, orderSlot{pid: p, e: e})
+func newTable(m int) *table { return &table{cap: m, pos: make(map[int32]int32)} }
+
+// slack is the order slice's capacity bound, 5M/4.
+func (t *table) slack() int { return t.cap + t.cap/4 }
+
+// insert appends an unprobed entry for p at the given rank and returns
+// its index. The table must hold fewer than M neighbors.
+func (t *table) insert(p int32, rank Rank) int32 {
+	if n := len(t.order); n == cap(t.order) {
+		if n >= t.slack() {
+			t.compact()
+		} else {
+			t.grow(min(max(2*n, 8), t.slack()))
+		}
+	}
+	i := int32(len(t.order))
+	t.pos[p] = i
+	t.order = append(t.order, slot{pid: p, rank: int32(rank)})
+	t.avail = t.avail[:len(t.order)*t.dim]
+	return i
 }
 
-func (t *Table) remove(p topology.PeerID) {
+// grow reallocates order and the slab to hold n slots.
+func (t *table) grow(n int) {
+	order := make([]slot, len(t.order), n)
+	copy(order, t.order)
+	t.order = order
+	avail := make([]float64, len(t.avail), n*t.dim)
+	copy(avail, t.avail)
+	t.avail = avail
+}
+
+func (t *table) remove(p int32) {
 	i, ok := t.pos[p]
 	if !ok {
 		return
 	}
-	t.order[i] = orderSlot{pid: tombstonePID}
+	t.order[i] = slot{pid: tombstonePID}
 	delete(t.pos, p)
 	t.dead++
 	if t.dead > len(t.order)-t.dead {
@@ -96,31 +131,73 @@ func (t *Table) remove(p topology.PeerID) {
 	}
 }
 
-// compact squeezes tombstones out of order, preserving insertion order.
-func (t *Table) compact() {
-	kept := t.order[:0]
-	for _, s := range t.order {
+// compact squeezes tombstones out of order, preserving insertion order;
+// each survivor's availability row moves with it.
+func (t *table) compact() {
+	d := t.dim
+	n := 0
+	for i, s := range t.order {
 		if s.pid == tombstonePID {
 			continue
 		}
-		t.pos[s.pid] = len(kept)
-		kept = append(kept, s)
+		if n != i {
+			t.order[n] = s
+			copy(t.avail[n*d:(n+1)*d], t.avail[i*d:(i+1)*d])
+			t.pos[s.pid] = int32(n)
+		}
+		n++
 	}
-	t.order = kept
+	t.order = t.order[:n]
+	t.avail = t.avail[:n*d]
 	t.dead = 0
 }
 
-// lookup returns the entry for p, or nil.
-func (t *Table) lookup(p topology.PeerID) *entry {
-	if i, ok := t.pos[p]; ok {
-		return t.order[i].e
+// row returns slot i's availability row for a vector of dimension d. The
+// first live measurement fixes the table's stride; the resource dimension
+// is fixed per simulation (resource.Vector), so a different d is a
+// programming error.
+func (t *table) row(i int32, d int) resource.Vector {
+	if d != t.dim {
+		if t.dim != 0 {
+			// lint:allow panic-in-library dimension mismatch is a programming error, as in resource.Vector
+			panic(fmt.Sprintf("probe: dimension mismatch %d vs %d", d, t.dim))
+		}
+		t.dim = d
+		t.avail = make([]float64, d*len(t.order), d*cap(t.order))
 	}
-	return nil
+	at := int(i) * d
+	return t.avail[at : at+d : at+d]
 }
 
-// Len returns the number of neighbors currently tracked (including
+// evictFor frees one slot for a newcomer of the given rank: expired
+// entries go first, then the first entry of strictly worse (greater)
+// rank. It returns the victim, or false when nothing may be evicted.
+func (t *table) evictFor(rank Rank, now float64) (int32, bool) {
+	victim := -1
+	for i := range t.order {
+		s := &t.order[i]
+		if s.pid == tombstonePID {
+			continue
+		}
+		if s.expires <= now {
+			victim = i
+			break
+		}
+		if victim < 0 && Rank(s.rank) > rank {
+			victim = i // keep scanning: an expired entry is a better victim
+		}
+	}
+	if victim < 0 {
+		return 0, false
+	}
+	p := t.order[victim].pid
+	t.remove(p)
+	return p, true
+}
+
+// size returns the number of neighbors currently tracked (including
 // expired-but-not-yet-evicted ones).
-func (t *Table) Len() int { return len(t.pos) }
+func (t *table) size() int { return len(t.pos) }
 
 // Stats counts manager-wide probing activity.
 type Stats struct {
@@ -162,7 +239,7 @@ func (c *Config) fillDefaults() {
 type Manager struct {
 	cfg    Config
 	net    *topology.Network
-	tables map[topology.PeerID]*Table
+	tables map[topology.PeerID]*table
 
 	// Obs is the one count of probing activity; Stats reads it.
 	// NewManager gives it private counters; wire it to a registry
@@ -173,7 +250,7 @@ type Manager struct {
 // NewManager returns a manager over the given network.
 func NewManager(cfg Config, net *topology.Network) *Manager {
 	cfg.fillDefaults()
-	return &Manager{cfg: cfg, net: net, tables: make(map[topology.PeerID]*Table),
+	return &Manager{cfg: cfg, net: net, tables: make(map[topology.PeerID]*table),
 		Obs: obs.NewProbeCounters(obs.NewRegistry())}
 }
 
@@ -190,11 +267,11 @@ func (m *Manager) Stats() Stats {
 // Config returns the active configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// Table returns owner's neighbor table, creating it on first use.
-func (m *Manager) Table(owner topology.PeerID) *Table {
+// table returns owner's neighbor table, creating it on first use.
+func (m *Manager) table(owner topology.PeerID) *table {
 	t, ok := m.tables[owner]
 	if !ok {
-		t = &Table{cap: m.cfg.M, pos: make(map[topology.PeerID]int)}
+		t = newTable(m.cfg.M)
 		m.tables[owner] = t
 	}
 	return t
@@ -203,21 +280,20 @@ func (m *Manager) Table(owner topology.PeerID) *Table {
 // DropPeer discards a departed peer's table.
 func (m *Manager) DropPeer(owner topology.PeerID) { delete(m.tables, owner) }
 
-// measure takes a fresh measurement of target from owner's perspective.
-// reuse, when non-nil, donates its backing array to the measurement's
-// availability vector (a refresh recycles the entry's previous one).
-func (m *Manager) measure(owner, target topology.PeerID, now float64, reuse resource.Vector) Info {
+// measure takes a fresh measurement of target from owner's perspective
+// into slot i of owner's table t.
+func (m *Manager) measure(t *table, i int32, owner, target topology.PeerID, now float64) {
+	s := &t.order[i]
+	s.measured, s.probed = now, true
 	p, err := m.net.Peer(target)
 	if err != nil || !p.Alive {
-		return Info{Alive: false, Measured: now}
+		s.alive, s.uptime, s.kbps = false, 0, 0
+		return
 	}
-	return Info{
-		Available: p.Ledger.AvailableInto(reuse[:0]),
-		Uptime:    p.Uptime(now),
-		AvailKbps: m.net.BandwidthLedger().Available(int(target), int(owner)),
-		Alive:     true,
-		Measured:  now,
-	}
+	p.Ledger.AvailableInto(t.row(i, len(p.Capacity)))
+	s.alive = true
+	s.uptime = p.Uptime(now)
+	s.kbps = m.net.BandwidthLedger().Available(int(target), int(owner))
 }
 
 // Resolve runs one step of the dynamic neighbor resolution protocol:
@@ -226,7 +302,7 @@ func (m *Manager) measure(owner, target topology.PeerID, now float64, reuse reso
 // within-period measurement is probed. Candidates that do not fit under
 // the M cap (after evicting strictly lower-benefit entries) are skipped.
 func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, rank Rank, now float64) {
-	t := m.Table(owner)
+	t := m.table(owner)
 	// Each atomic add is a memory barrier: count the call's events here
 	// and add them to Obs once.
 	var probes, hits, evictions, rejected uint64
@@ -234,25 +310,24 @@ func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, r
 		if c == owner {
 			continue
 		}
-		e := t.lookup(c)
-		if e == nil {
-			if t.Len() >= t.cap {
-				if !m.evictFor(t, rank, now) {
+		i, ok := t.pos[int32(c)]
+		if !ok {
+			if t.size() >= t.cap {
+				if _, ok := t.evictFor(rank, now); !ok {
 					rejected++
 					continue
 				}
 				evictions++
 			}
-			e = &entry{rank: rank}
-			t.insert(c, e)
+			i = t.insert(int32(c), rank)
 		}
-		if rank < e.rank {
-			e.rank = rank // promotion to a more beneficial class
+		s := &t.order[i]
+		if int32(rank) < s.rank {
+			s.rank = int32(rank) // promotion to a more beneficial class
 		}
-		e.expires = now + m.cfg.TTL
-		if !e.probed || now-e.info.Measured >= m.cfg.Period {
-			e.info = m.measure(owner, c, now, e.info.Available)
-			e.probed = true
+		s.expires = now + m.cfg.TTL
+		if !s.probed || now-s.measured >= m.cfg.Period {
+			m.measure(t, i, owner, c, now)
 			probes++
 		} else {
 			hits++
@@ -264,48 +339,31 @@ func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, r
 	m.Obs.Rejected.Add(rejected)
 }
 
-// evictFor frees one slot for a newcomer of the given rank: expired
-// entries go first, then any entry of strictly worse (greater) rank. It
-// reports whether a slot was freed.
-func (m *Manager) evictFor(t *Table, rank Rank, now float64) bool {
-	var victim topology.PeerID
-	found := false
-	for _, s := range t.order {
-		if s.pid == tombstonePID {
-			continue
-		}
-		if s.e.expires <= now {
-			victim, found = s.pid, true
-			break
-		}
-		if s.e.rank > rank && !found {
-			victim, found = s.pid, true
-			// keep scanning: an expired entry is a better victim
-		}
-	}
-	if !found {
-		return false
-	}
-	t.remove(victim)
-	return true
-}
-
 // Fresh returns owner's usable measurement of candidate: the entry must
 // exist, be unexpired soft state, and have been probed. The caller decides
 // what to do on a miss (the paper: fall back to random selection). The
-// Info's Available vector aliases the table entry and is overwritten by
-// the next re-probe — consume it before the clock advances, don't retain
-// it.
+// Info's Available vector aliases owner's availability slab: the next
+// re-probe overwrites it, and the next Resolve or DropPeer on owner may
+// move or free it (a compaction moves rows). Consume it before then;
+// don't retain it.
 func (m *Manager) Fresh(owner, candidate topology.PeerID, now float64) (Info, bool) {
 	t, ok := m.tables[owner]
 	if !ok {
 		return Info{}, false
 	}
-	e := t.lookup(candidate)
-	if e == nil || !e.probed || e.expires <= now {
+	i, ok := t.pos[int32(candidate)]
+	if !ok {
 		return Info{}, false
 	}
-	return e.info, true
+	s := &t.order[i]
+	if !s.probed || s.expires <= now {
+		return Info{}, false
+	}
+	info := Info{Uptime: s.uptime, AvailKbps: s.kbps, Alive: s.alive, Measured: s.measured}
+	if s.alive {
+		info.Available = t.row(i, t.dim)
+	}
+	return info, true
 }
 
 // NeighborCount returns how many neighbors owner currently tracks.
@@ -314,5 +372,5 @@ func (m *Manager) NeighborCount(owner topology.PeerID) int {
 	if !ok {
 		return 0
 	}
-	return t.Len()
+	return t.size()
 }

@@ -7,22 +7,28 @@ import (
 	"repro/internal/xrand"
 )
 
+// refEntry is the reference model's per-neighbor state.
+type refEntry struct {
+	rank    Rank
+	expires float64
+}
+
 // refTable is the pre-tombstone reference implementation of the neighbor
 // table's eviction bookkeeping: a plain map plus an insertion-order slice
-// with O(M) removals. The real Table must preserve its observable
+// with O(M) removals. The real table must preserve its observable
 // behaviour exactly — same victims, same rejections, in the same order.
 type refTable struct {
 	cap     int
-	entries map[topology.PeerID]*entry
-	order   []topology.PeerID
+	entries map[int32]*refEntry
+	order   []int32
 }
 
-func (t *refTable) insert(p topology.PeerID, e *entry) {
+func (t *refTable) insert(p int32, e *refEntry) {
 	t.entries[p] = e
 	t.order = append(t.order, p)
 }
 
-func (t *refTable) remove(p topology.PeerID) {
+func (t *refTable) remove(p int32) {
 	delete(t.entries, p)
 	for i, q := range t.order {
 		if q == p {
@@ -32,8 +38,8 @@ func (t *refTable) remove(p topology.PeerID) {
 	}
 }
 
-func (t *refTable) evictFor(rank Rank, now float64) (topology.PeerID, bool) {
-	var victim topology.PeerID
+func (t *refTable) evictFor(rank Rank, now float64) (int32, bool) {
+	var victim int32
 	found := false
 	for _, p := range t.order {
 		e := t.entries[p]
@@ -51,51 +57,71 @@ func (t *refTable) evictFor(rank Rank, now float64) (topology.PeerID, bool) {
 	return victim, found
 }
 
-// tableEvictFor mirrors Manager.evictFor's decision on a bare Table and
-// reports the victim, so the model comparison sees which peer went.
-func tableEvictFor(t *Table, rank Rank, now float64) (topology.PeerID, bool) {
-	var victim topology.PeerID
-	found := false
-	for _, s := range t.order {
+// testDim is the availability dimension the table tests store.
+const testDim = 2
+
+// vecOf is the availability vector the table tests store for p.
+func vecOf(p int32) [testDim]float64 { return [testDim]float64{float64(p), -float64(p) / 2} }
+
+// insertWith inserts p the way Resolve does and writes p's vector into
+// its availability row.
+func insertWith(tab *table, p int32, rank Rank, expires float64) {
+	i := tab.insert(p, rank)
+	tab.order[i].expires = expires
+	v := vecOf(p)
+	copy(tab.row(i, testDim), v[:])
+}
+
+// checkSlab requires the table's layout invariants: order within the
+// slack bound, the slab dim × len(order) long, every pos index pointing
+// at its own slot, and every live neighbor's row still holding its
+// vector.
+func checkSlab(t *testing.T, step int, tab *table) {
+	t.Helper()
+	if c, bound := cap(tab.order), tab.slack(); c > bound {
+		t.Fatalf("step %d: cap(order) = %d, above the slack bound %d", step, c, bound)
+	}
+	if len(tab.avail) != tab.dim*len(tab.order) {
+		t.Fatalf("step %d: slab holds %d floats for %d slots of dim %d",
+			step, len(tab.avail), len(tab.order), tab.dim)
+	}
+	for i, s := range tab.order {
 		if s.pid == tombstonePID {
 			continue
 		}
-		if s.e.expires <= now {
-			victim, found = s.pid, true
-			break
+		if j, ok := tab.pos[s.pid]; !ok || int(j) != i {
+			t.Fatalf("step %d: pos index stale for %v", step, s.pid)
 		}
-		if s.e.rank > rank && !found {
-			victim, found = s.pid, true
+		want := vecOf(s.pid)
+		if got := tab.row(int32(i), testDim); got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("step %d: neighbor %v's vector is %v, want %v", step, s.pid, got, want)
 		}
 	}
-	if found {
-		t.remove(victim)
-	}
-	return victim, found
 }
 
-// TestTableMatchesReferenceModel drives the tombstone table and the naive
+// TestTableMatchesReferenceModel drives the slot table and the naive
 // reference through an identical randomized insert/remove/evict workload
-// and requires identical eviction decisions and membership throughout.
+// and requires identical eviction decisions and membership throughout,
+// with the slab following every neighbor through every compaction.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	rng := xrand.New(42)
-	real := &Table{cap: 16, pos: make(map[topology.PeerID]int)}
-	ref := &refTable{cap: 16, entries: make(map[topology.PeerID]*entry)}
+	real := newTable(16)
+	ref := &refTable{cap: 16, entries: make(map[int32]*refEntry)}
 
 	now := 0.0
 	for step := 0; step < 5000; step++ {
 		now += 0.01
-		p := topology.PeerID(rng.Intn(40))
+		p := int32(rng.Intn(40))
 		switch rng.Intn(4) {
 		case 0: // insert (evicting if full), mirroring Resolve's shape
-			if real.lookup(p) != nil {
+			if _, ok := real.pos[p]; ok {
 				continue
 			}
 			rank := Rank(rng.Intn(6))
 			expires := now + 0.05 + rng.Float64()
 			canReal, canRef := true, true
-			if real.Len() >= real.cap {
-				vReal, okReal := tableEvictFor(real, rank, now)
+			if real.size() >= real.cap {
+				vReal, okReal := real.evictFor(rank, now)
 				vRef, okRef := ref.evictFor(rank, now)
 				if okReal != okRef || (okReal && vReal != vRef) {
 					t.Fatalf("step %d: eviction diverged: real (%v,%v) ref (%v,%v)",
@@ -104,28 +130,28 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				canReal, canRef = okReal, okRef
 			}
 			if canReal && canRef {
-				real.insert(p, &entry{rank: rank, expires: expires})
-				ref.insert(p, &entry{rank: rank, expires: expires})
+				insertWith(real, p, rank, expires)
+				ref.insert(p, &refEntry{rank: rank, expires: expires})
 			}
 		case 1: // remove
 			real.remove(p)
 			ref.remove(p)
 		case 2: // refresh
-			if e := real.lookup(p); e != nil {
-				e.expires = now + 1
+			if i, ok := real.pos[p]; ok {
+				real.order[i].expires = now + 1
 				ref.entries[p].expires = now + 1
 			}
 		case 3: // pure eviction probe at a random rank
 			rank := Rank(rng.Intn(6))
-			vReal, okReal := tableEvictFor(real, rank, now)
+			vReal, okReal := real.evictFor(rank, now)
 			vRef, okRef := ref.evictFor(rank, now)
 			if okReal != okRef || (okReal && vReal != vRef) {
 				t.Fatalf("step %d: eviction diverged: real (%v,%v) ref (%v,%v)",
 					step, vReal, okReal, vRef, okRef)
 			}
 		}
-		if real.Len() != len(ref.entries) {
-			t.Fatalf("step %d: size diverged: %d vs %d", step, real.Len(), len(ref.entries))
+		if real.size() != len(ref.entries) {
+			t.Fatalf("step %d: size diverged: %d vs %d", step, real.size(), len(ref.entries))
 		}
 		// Insertion order of live members must match exactly.
 		i := 0
@@ -136,34 +162,35 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			if i >= len(ref.order) || s.pid != ref.order[i] {
 				t.Fatalf("step %d: order diverged at live slot %d", step, i)
 			}
-			if real.lookup(s.pid) != s.e {
-				t.Fatalf("step %d: pos index stale for %v", step, s.pid)
-			}
 			i++
 		}
 		if i != len(ref.order) {
 			t.Fatalf("step %d: live slot count %d vs ref %d", step, i, len(ref.order))
 		}
+		checkSlab(t, step, real)
 	}
 }
 
 func TestTableCompaction(t *testing.T) {
-	tab := &Table{cap: 1 << 30, pos: make(map[topology.PeerID]int)}
-	for i := 0; i < 100; i++ {
-		tab.insert(topology.PeerID(i), &entry{})
+	tab := newTable(1 << 30)
+	for i := int32(0); i < 100; i++ {
+		insertWith(tab, i, 0, 0)
+		checkSlab(t, int(i), tab)
 	}
 	// Remove most of the table: tombstones must never stay in the
-	// majority, and the survivors must keep their relative order.
-	for i := 0; i < 90; i++ {
-		tab.remove(topology.PeerID(i))
+	// majority, and the survivors must keep their relative order and
+	// their vectors.
+	for i := int32(0); i < 90; i++ {
+		tab.remove(i)
+		checkSlab(t, 100+int(i), tab)
 	}
 	if tab.dead > len(tab.order)-tab.dead {
 		t.Fatalf("tombstones in the majority: %d dead of %d", tab.dead, len(tab.order))
 	}
-	if tab.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", tab.Len())
+	if tab.size() != 10 {
+		t.Fatalf("size = %d, want 10", tab.size())
 	}
-	want := topology.PeerID(90)
+	want := int32(90)
 	for _, s := range tab.order {
 		if s.pid == tombstonePID {
 			continue
@@ -175,6 +202,45 @@ func TestTableCompaction(t *testing.T) {
 	}
 }
 
+// TestTableSlackBound runs a full M=100 table through many evictions: an
+// insert into a full order slice of 5M/4 slots compacts instead of
+// growing, so the slice never holds more than 125 slots.
+func TestTableSlackBound(t *testing.T) {
+	const m = 100
+	tab := newTable(m)
+	compactions := 0
+	for i := int32(0); i < 20*m; i++ {
+		if tab.size() >= m {
+			if _, ok := tab.evictFor(0, float64(i)); !ok {
+				t.Fatalf("insert %d: no expired victim", i)
+			}
+		}
+		before := len(tab.order)
+		insertWith(tab, i, 0, float64(i)+0.5)
+		if len(tab.order) < before {
+			compactions++
+		}
+		checkSlab(t, int(i), tab)
+	}
+	if cap(tab.order) != tab.slack() || compactions == 0 {
+		t.Fatalf("cap(order) = %d after %d compactions, want the slack bound %d",
+			cap(tab.order), compactions, tab.slack())
+	}
+}
+
+// TestTableDimensionMismatchPanics checks that the slab's stride, fixed
+// by the first vector stored, refuses a vector of another dimension.
+func TestTableDimensionMismatchPanics(t *testing.T) {
+	tab := newTable(4)
+	insertWith(tab, 1, 0, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 3-dimensional vector in a 2-dimensional slab must panic")
+		}
+	}()
+	tab.row(0, 3)
+}
+
 // BenchmarkTableRemove measures removal at the paper's M=100 table size —
 // the operation the tombstone design takes from O(M) to O(1).
 func BenchmarkTableRemove(b *testing.B) {
@@ -183,38 +249,69 @@ func BenchmarkTableRemove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tab := &Table{cap: m, pos: make(map[topology.PeerID]int)}
-		for j := 0; j < m; j++ {
-			tab.insert(topology.PeerID(j), &entry{})
+		tab := newTable(m)
+		for j := int32(0); j < m; j++ {
+			insertWith(tab, j, 0, 0)
 		}
 		b.StartTimer()
-		for j := 0; j < m; j++ {
-			tab.remove(topology.PeerID(j))
+		for j := int32(0); j < m; j++ {
+			tab.remove(j)
 		}
 	}
 }
 
-// BenchmarkResolveFull measures Resolve against a full M=100 table where
-// every resolution triggers an eviction scan.
-func BenchmarkResolveFull(b *testing.B) {
+// newcomerShape builds a full M=100 table whose entries expire one per
+// call: each resolve lands 0.011 min after the last with a TTL of 1 min,
+// so from the first call on every call evicts the oldest (expired) entry,
+// then inserts and probes a newcomer.
+func newcomerShape(tb testing.TB) (m *Manager, resolve func()) {
+	tb.Helper()
 	net, err := topology.New(topology.Default(1, 400))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	m := NewManager(Config{M: 100, TTL: 10, Period: 1}, net)
+	m = NewManager(Config{M: 100, TTL: 1, Period: 1}, net)
 	cands := make([]topology.PeerID, 1)
-	// Fill the table with rank-1 entries, then resolve rank-0 newcomers:
-	// each insert scans for (and finds) a strictly-worse victim.
-	fill := make([]topology.PeerID, 100)
-	for i := range fill {
-		fill[i] = topology.PeerID(i + 1)
+	n := 0
+	resolve = func() {
+		cands[0] = topology.PeerID(1 + n%250)
+		m.Resolve(0, cands, DirectRank(1), 0.011*float64(n))
+		n++
 	}
-	m.Resolve(0, fill, IndirectRank(1), 0)
+	for i := 0; i < 100; i++ {
+		resolve()
+	}
+	return m, resolve
+}
+
+// BenchmarkResolveFull measures Resolve's newcomer path against a full
+// M=100 table: every call scans for a victim, evicts it, and inserts and
+// probes a newcomer.
+func BenchmarkResolveFull(b *testing.B) {
+	_, resolve := newcomerShape(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands[0] = topology.PeerID(101 + i%250)
-		m.Resolve(0, cands, DirectRank(1), 0.5)
+		resolve()
+	}
+}
+
+// TestResolveNewcomerAllocs pins the newcomer path's allocation budget:
+// with the table full and its slab at the slack bound, evicting a
+// neighbor and inserting and probing another allocates nothing.
+func TestResolveNewcomerAllocs(t *testing.T) {
+	m, resolve := newcomerShape(t)
+	for i := 0; i < 200; i++ {
+		resolve() // reach the slack bound and the pos map's high-water mark
+	}
+	before := m.Stats()
+	avg := testing.AllocsPerRun(200, resolve)
+	if avg != 0 {
+		t.Fatalf("newcomer Resolve allocates %.1f/op, want 0", avg)
+	}
+	s := m.Stats()
+	if s.Evictions-before.Evictions != 201 || s.Probes-before.Probes != 201 {
+		t.Fatalf("stats %+v -> %+v, want one eviction and one probe per call", before, s)
 	}
 }
 
