@@ -283,7 +283,7 @@ func BenchmarkChordLookup(b *testing.B) {
 	rng := xrand.New(3)
 	var nodes []*chord.Node
 	for i := 0; i < 4096; i++ {
-		n, err := r.JoinRandom("n", rng)
+		n, err := r.JoinRandom(rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,10 @@
 #             TestAggregateSteadyStateAllocs (Aggregate, Recover),
 #             TestQCSSteadyStateAllocs, TestResolveSteadyStateAllocs,
 #             TestResolveNewcomerAllocs (evict, insert and probe on a
-#             full table), TestBinarySteadyStateAllocs (codec, packet
+#             full table), TestJoinBulkAllocs (a 10⁴-node bulk join:
+#             a handful per slab chunk and per call, none per node;
+#             TestRingBytesPerNode bounds the ring's heap per node),
+#             TestBinarySteadyStateAllocs (codec, packet
 #             framing, buffer pool), TestJSONEncodeAllocs, the admission
 #             fast paths and
 #             TestRPCExchangeBytes (16 KiB per warm exchange, zero-alloc
@@ -65,9 +68,10 @@
 #             benchmarks (QCS, Discover, Aggregate, SimMinute, the probe
 #             table) also run once under -race as a smoke test, and
 #             BenchmarkRingChurn (one join + one failure on rings of 10⁴,
-#             10⁵ and 10⁶ nodes) and BenchmarkRegistryRefresh (one
-#             soft-state sweep of every registration on a 10⁴-peer ring,
-#             reporting routed lookups/op) run once; their numbers are in
+#             10⁵ and 10⁶ nodes), BenchmarkJoinBulk (populating a ring of
+#             10⁵ nodes) and BenchmarkRegistryRefresh (one soft-state
+#             sweep of every registration on a 10⁴-peer ring, reporting
+#             routed lookups/op) run once; their numbers are in
 #             EXPERIMENTS.md
 #
 # Full statistical replays (minutes): go test ./...
@@ -118,6 +122,7 @@ wire 90.0
 load 90.0
 session 91.0
 probe 98.0
+chord 97.0
 selection 92.0
 registry 95.0
 sim 77.0
@@ -147,6 +152,6 @@ go test -race -run '^$' -bench 'Benchmark(QCS|Discover|Aggregate|SimMinute|Table
 	-benchtime=1x ./internal/compose/ ./internal/core/ ./internal/probe/ ./internal/sim/ > /dev/null
 
 echo '>> ring membership and registry refresh bench smoke'
-go test -run '^$' -bench 'Benchmark(RingChurn|RegistryRefresh)$' -benchtime=1x ./internal/chord/ ./internal/registry/ > /dev/null
+go test -run '^$' -bench 'Benchmark(RingChurn|JoinBulk|RegistryRefresh)$' -benchtime=1x ./internal/chord/ ./internal/registry/ > /dev/null
 
 echo 'ci: ok'

@@ -23,7 +23,6 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/xrand"
 )
@@ -81,24 +80,44 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Node is one Chord participant.
+// Handle names a node in its ring's slab. Handles are issued in join order
+// and never reused, so a finger or successor entry written for a node keeps
+// naming that node after it has left the ring, as a stale pointer would.
+type Handle int32
+
+// noHandle is the handle of no node.
+const noHandle Handle = -1
+
+// slabBits sets the slab's chunk size, 2^slabBits nodes. Chunks are never
+// reallocated, so a *Node stays valid as the ring grows.
+const (
+	slabBits  = 10
+	slabChunk = 1 << slabBits
+)
+
+// Node is one Chord participant. It lives in its ring's slab.
 type Node struct {
-	id    ID
-	label string
-	alive bool
+	id ID
 
-	fingers  []*Node // fingers[i] ≈ successor(id + 2^i); may be stale or dead
-	succList []*Node // first SuccessorListLen successors; may be stale
-	visits   int     // lookups forwarded since the last refresh
+	// fingers is the finger table as runs, lowest levels first. Finger i is
+	// successor(id + 2^i), and a refresh gives one finger a contiguous
+	// range of levels: run r covers the levels from reach(id, run r−1)
+	// (0 for the first run) up to reach(id, run r). About log₂N runs stand
+	// for the 64 levels. They may be stale or dead.
+	fingers []Handle
+	succ    []Handle              // first SuccessorListLen successors; may be stale
+	store   map[ID]map[string]any // key -> itemID -> value; nil until the first write
 
-	store map[ID]map[string]any // key -> itemID -> value
+	h      Handle
+	visits int32 // lookups forwarded since the last refresh
+	alive  bool
 }
 
 // ID returns the node's ring identifier.
 func (n *Node) ID() ID { return n.id }
 
-// Label returns the external binding supplied at join (e.g. a peer address).
-func (n *Node) Label() string { return n.label }
+// Handle returns the node's slab handle; Ring.Node maps it back.
+func (n *Node) Handle() Handle { return n.h }
 
 // Alive reports whether the node is still part of the ring.
 func (n *Node) Alive() bool { return n.alive }
@@ -112,15 +131,25 @@ func (n *Node) Items() int {
 	return c
 }
 
+// reach is the level just past the run of a finger at id f of the node at
+// id n: 2^i <= f − n exactly for i < reach, and a finger that is the node
+// itself (the search came all the way round) covers every level.
+func reach(n, f ID) int {
+	if f == n {
+		return 64
+	}
+	return bits.Len64(f - n)
+}
+
 // Ring is the collection of Chord nodes plus the ground-truth membership
 // used by RefreshNode (the stand-in for the stabilization protocol).
 type Ring struct {
 	cfg     Config
-	idx     index        // alive nodes ordered by id
-	byID    map[ID]*Node // alive nodes
+	idx     index    // alive nodes ordered by id
+	slab    [][]Node // every node ever joined, chunked; a handle is a position
 	stats   Stats
-	targets []*Node // replicaTargets' result buffer, cap cfg.Replicas
-	preds   []*Node // notify's buffer of the joiner's predecessors
+	targets []Handle // replicaTargets' result buffer, cap cfg.Replicas
+	preds   []Handle // notify's buffer of the joiner's predecessors
 }
 
 // Stats accumulates ring-wide routing statistics. TotalHops splits by
@@ -139,7 +168,7 @@ type Stats struct {
 // NewRing returns an empty ring.
 func NewRing(cfg Config) *Ring {
 	cfg.fillDefaults()
-	return &Ring{cfg: cfg, byID: make(map[ID]*Node), targets: make([]*Node, 0, max(cfg.Replicas, 1))}
+	return &Ring{cfg: cfg, targets: make([]Handle, 0, max(cfg.Replicas, 1))}
 }
 
 // Size returns the number of alive nodes.
@@ -148,23 +177,39 @@ func (r *Ring) Size() int { return r.idx.size }
 // Stats returns routing statistics accumulated so far.
 func (r *Ring) Stats() Stats { return r.stats }
 
+// Node returns the node a handle names, alive or not.
+func (r *Ring) Node(h Handle) *Node { return &r.slab[h>>slabBits][h&(slabChunk-1)] }
+
+// alloc places a new alive node with the given id in the slab.
+func (r *Ring) alloc(id ID) *Node {
+	if len(r.slab) == 0 || len(r.slab[len(r.slab)-1]) == slabChunk {
+		r.slab = append(r.slab, make([]Node, 0, slabChunk))
+	}
+	last := &r.slab[len(r.slab)-1]
+	h := Handle((len(r.slab)-1)<<slabBits + len(*last))
+	*last = append(*last, Node{id: id, h: h, alive: true})
+	return &(*last)[len(*last)-1]
+}
+
 // Join adds a node with the given id, transfers the keys it now owns from
 // its successor, refreshes its routing state and notifies its
 // predecessors. It fails on duplicate ids.
-func (r *Ring) Join(label string, id ID) (*Node, error) {
-	if _, dup := r.byID[id]; dup {
+func (r *Ring) Join(id ID) (*Node, error) {
+	if r.idx.has(id) {
 		return nil, fmt.Errorf("chord: id %d already on the ring", id)
 	}
-	n := &Node{id: id, label: label, alive: true, store: make(map[ID]map[string]any)}
-	r.idx.insert(id, n)
-	r.byID[id] = n
+	n := r.alloc(id)
+	r.idx.insert(id, n.h)
 
 	// Take over keys in (pred, n] from the successor.
 	if r.idx.size > 1 {
-		succ := r.successorOf(id, true)
-		pred := r.predecessorOf(id)
+		succ := r.Node(r.idx.after(id).h)
+		pred := r.idx.before(id)
 		for key, items := range succ.store {
 			if between(pred.id, n.id, key) {
+				if n.store == nil {
+					n.store = make(map[ID]map[string]any)
+				}
 				n.store[key] = items
 				delete(succ.store, key)
 			}
@@ -184,46 +229,51 @@ func (r *Ring) notify(n *Node) {
 	k := min(r.cfg.SuccessorListLen, r.idx.size-1)
 	r.preds = r.idx.appendBefore(r.preds[:0], n.id, k)
 	next := n
-	for _, p := range r.preds {
-		p.succList = append(append(p.succList[:0], next), next.succList[:k-1]...)
+	for _, h := range r.preds {
+		p := r.Node(h)
+		p.succ = append(append(p.succ[:0], next.h), next.succ[:k-1]...)
 		next = p
 	}
 }
 
 // JoinRandom joins a node at a fresh pseudo-random id drawn from rng.
-func (r *Ring) JoinRandom(label string, rng *xrand.Source) (*Node, error) {
+func (r *Ring) JoinRandom(rng *xrand.Source) (*Node, error) {
 	for tries := 0; tries < 64; tries++ {
 		id := rng.Uint64()
-		if _, dup := r.byID[id]; dup {
+		if r.idx.has(id) {
 			continue
 		}
-		return r.Join(label, id)
+		return r.Join(id)
 	}
 	return nil, fmt.Errorf("chord: could not find a free id after 64 tries")
 }
 
-// JoinBulk joins one node per label at fresh pseudo-random ids, sorting
-// the ring once and refreshing all routing state once at the end,
-// instead of a per-join insert + refresh. It draws ids from rng in
-// exactly the order sequential JoinRandom calls would, so a run that
-// populates the ring either way sees identical node placement.
+// JoinBulk joins n nodes at fresh pseudo-random ids, sorting the ring once
+// and refreshing all routing state once at the end, instead of a per-join
+// insert + refresh. It draws ids from rng in exactly the order sequential
+// JoinRandom calls would, so a run that populates the ring either way
+// sees identical node placement. The ring it leaves is converged: a
+// RefreshAll right after it changes nothing.
 //
 // JoinBulk is for initial population only: it must run before any data
 // is stored on the ring (there is nothing to transfer ownership of) and
 // it returns an error if any existing node already holds items.
-func (r *Ring) JoinBulk(labels []string, rng *xrand.Source) ([]*Node, error) {
-	all := r.idx.appendAll(make([]entry, 0, r.idx.size+len(labels)))
+func (r *Ring) JoinBulk(n int, rng *xrand.Source) ([]*Node, error) {
+	all := r.idx.appendAll(make([]entry, 0, r.idx.size+n))
 	for _, e := range all {
-		if len(e.node.store) > 0 {
-			return nil, fmt.Errorf("chord: JoinBulk on a ring holding data (node %d has %d keys)", e.id, len(e.node.store))
+		if s := r.Node(e.h).store; len(s) > 0 {
+			return nil, fmt.Errorf("chord: JoinBulk on a ring holding data (node %d has %d keys)", e.id, len(s))
 		}
 	}
-	out := make([]*Node, 0, len(labels))
-	for _, label := range labels {
+	out := make([]*Node, 0, n)
+	for range n {
 		id, ok := ID(0), false
 		for tries := 0; tries < 64; tries++ {
+			// An xrand stream never repeats a value (splitmix64 mixes a
+			// state that steps by an odd constant, bijectively), so only
+			// the nodes already on the ring can collide with a draw.
 			id = rng.Uint64()
-			if _, dup := r.byID[id]; !dup {
+			if !r.idx.has(id) {
 				ok = true
 				break
 			}
@@ -231,10 +281,9 @@ func (r *Ring) JoinBulk(labels []string, rng *xrand.Source) ([]*Node, error) {
 		if !ok {
 			return nil, fmt.Errorf("chord: could not find a free id after 64 tries")
 		}
-		n := &Node{id: id, label: label, alive: true, store: make(map[ID]map[string]any)}
-		all = append(all, entry{id: id, node: n})
-		r.byID[id] = n
-		out = append(out, n)
+		nd := r.alloc(id)
+		all = append(all, entry{id: id, h: nd.h})
+		out = append(out, nd)
 	}
 	slices.SortFunc(all, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
 	r.idx.build(all)
@@ -248,8 +297,11 @@ func (r *Ring) Leave(n *Node) error {
 	if !n.alive {
 		return fmt.Errorf("chord: node %d already gone", n.id)
 	}
-	if r.idx.size > 1 {
-		succ := r.successorOf(n.id, true)
+	if r.idx.size > 1 && len(n.store) > 0 {
+		succ := r.Node(r.idx.after(n.id).h)
+		if succ.store == nil {
+			succ.store = make(map[ID]map[string]any, len(n.store))
+		}
 		for key, items := range n.store {
 			dst, ok := succ.store[key]
 			if !ok {
@@ -276,27 +328,37 @@ func (r *Ring) Fail(n *Node) error {
 	return nil
 }
 
+// remove takes n off the ring. A dead node never routes again, so its own
+// routing state and store go with it; its slab slot stays, for the
+// fingers and successor entries that still name it.
 func (r *Ring) remove(n *Node) {
 	n.alive = false
 	r.idx.remove(n.id)
-	delete(r.byID, n.id)
-	n.store = nil // a dead node is never written to again
+	n.fingers, n.succ, n.store = nil, nil, nil
 }
 
 // successorOf returns the first alive node with id >= target (wrapping).
-// When excludeSelf is true a node exactly at target is skipped.
+// When excludeSelf is true a node exactly at target is skipped. The ring
+// must not be empty.
 func (r *Ring) successorOf(target ID, excludeSelf bool) *Node {
 	if excludeSelf {
-		return r.idx.after(target)
+		return r.Node(r.idx.after(target).h)
 	}
-	return r.idx.ceil(target)
+	return r.Node(r.idx.ceil(target).h)
 }
 
 // predecessorOf returns the last alive node with id < target (wrapping).
-func (r *Ring) predecessorOf(target ID) *Node { return r.idx.before(target) }
+// The ring must not be empty.
+func (r *Ring) predecessorOf(target ID) *Node { return r.Node(r.idx.before(target).h) }
 
-// Owner returns the ground-truth owner of key: successor(key).
-func (r *Ring) Owner(key ID) *Node { return r.successorOf(key, false) }
+// Owner returns the ground-truth owner of key, successor(key), or nil on
+// an empty ring.
+func (r *Ring) Owner(key ID) *Node {
+	if r.idx.size == 0 {
+		return nil
+	}
+	return r.successorOf(key, false)
+}
 
 // RefreshNode recomputes n's finger table and successor list from ring
 // ground truth — the simulation stand-in for Chord's periodic
@@ -306,89 +368,118 @@ func (r *Ring) Owner(key ID) *Node { return r.successorOf(key, false) }
 // Finger i is successor(n.id + 2^i), and a finger f found at level i is
 // also the answer at every higher level whose start still lies in (n, f]:
 // no alive node sits between those starts and f. With N nodes that leaves
-// ~log₂N searches instead of 64 — the low ~64−log₂N levels all resolve to
-// successor(n) in one.
+// ~log₂N searches instead of 64, one per run — the low ~64−log₂N levels
+// all resolve to successor(n) in one.
 func (r *Ring) RefreshNode(n *Node) {
 	if !n.alive {
 		return
 	}
-	if n.fingers == nil {
-		n.fingers = make([]*Node, 64)
-	}
+	var buf [64]Handle
+	runs := buf[:0]
 	for i := 0; i < 64; {
 		f := r.idx.ceil(n.id + ID(1)<<uint(i)) // wraps mod 2^64 naturally
-		// 2^j <= f.id − n.id exactly for j < reach; a search that comes
-		// all the way round to n covers the rest of the ring.
-		reach := 64
-		if f != n {
-			reach = bits.Len64(f.id - n.id)
-		}
-		for ; i < reach; i++ {
-			n.fingers[i] = f
-		}
+		runs = append(runs, f.h)
+		i = reach(n.id, f.id)
 	}
-	n.succList = r.idx.appendAfter(n.succList[:0], n.id, min(r.cfg.SuccessorListLen, r.idx.size-1))
+	// Overwrite the runs in place when they fit: an arena slot from a
+	// bulk refresh, or the node's own slice from the last one.
+	if cap(n.fingers) < len(runs) {
+		n.fingers = make([]Handle, len(runs))
+	}
+	n.fingers = n.fingers[:len(runs)]
+	copy(n.fingers, runs)
+	if n.succ == nil {
+		n.succ = make([]Handle, 0, r.cfg.SuccessorListLen)
+	}
+	n.succ = r.idx.appendAfter(n.succ[:0], n.id, min(r.cfg.SuccessorListLen, r.idx.size-1))
 }
 
 // RefreshAll refreshes every alive node. It computes exactly the state
-// per-node RefreshNode calls would (the equivalence is pinned by a
-// test), but in O(64·N) instead of O(64·N·log N): for each finger level
-// the targets id+2^i are monotone in ring order except for one wrap, so
-// a single successor pointer sweeps the sorted ring once per level.
+// per-node RefreshNode calls would (the equivalence is pinned by a test).
 func (r *Ring) RefreshAll() {
 	r.refreshAll(r.idx.appendAll(make([]entry, 0, r.idx.size)))
 }
 
-// refreshAll is RefreshAll over the index's entries laid out flat.
+// refreshAll is RefreshAll over the index's entries laid out flat. It
+// goes node by node, as RefreshNode does, but finds each run's finger by
+// searching the flat ring forward from a lower bound instead of from the
+// top of the index: the node's previous finger, or the previous node's
+// finger at the same level, whichever is further on — a node's targets
+// sit just past its predecessor's, so that bound is rarely more than a
+// step short. It writes every node's runs and successor list into two
+// shared arenas: a handful of allocations per call, not a few per node.
 func (r *Ring) refreshAll(ring []entry) {
 	n := len(ring)
-	for _, e := range ring {
-		if e.node.fingers == nil {
-			e.node.fingers = make([]*Node, 64)
-		}
+	if n == 0 {
+		return
 	}
-	for i := 0; i < 64; i++ {
-		off := ID(1) << uint(i)
-		// Targets wrap past 2⁶⁴ exactly when id > ^off; those nodes have
-		// the smallest targets and are swept first.
-		wrapFrom := sort.Search(n, func(j int) bool { return ring[j].id > ^off })
-		p := 0
-		assign := func(j int) {
-			start := ring[j].id + off // wraps mod 2^64 naturally
-			for p < n && ring[p].id < start {
-				p++
-			}
-			if p == n {
-				ring[j].node.fingers[i] = ring[0].node
-			} else {
-				ring[j].node.fingers[i] = ring[p].node
-			}
+	k := min(r.cfg.SuccessorListLen, n-1)
+	succ := make([]Handle, n*k)
+	// ~log₂N runs a node; a ring that needs more grows the arena once.
+	fingers := make([]Handle, 0, n*(bits.Len(uint(n))+1))
+	ends := make([]int32, n)
+	at := func(q int) entry { // q is a position past j, unwrapped
+		if q >= n {
+			q -= n
 		}
-		for j := wrapFrom; j < n; j++ {
-			assign(j)
-		}
-		for j := 0; j < wrapFrom; j++ {
-			assign(j)
-		}
+		return ring[q]
 	}
-	k := r.cfg.SuccessorListLen
-	if k > n-1 {
-		k = n - 1
-	}
+	// prev[i] is the previous node's level-i finger position, a lower
+	// bound on this node's: its target is further round by the gap
+	// between the two.
+	var prev [64]int
 	for j, e := range ring {
-		nd := e.node
-		nd.succList = nd.succList[:0]
-		for t := 1; t <= k; t++ {
-			nd.succList = append(nd.succList, ring[(j+t)%n].node)
+		// p is the current finger's unwrapped position: j+1..j+n-1 are
+		// the other nodes in ring order, and j+n is the node itself,
+		// which every level reaches if no other node does.
+		p, self := j+1, j+n
+		for i := 0; i < 64; {
+			p = max(p, prev[i])
+			d := ID(1) << uint(i)
+			// Advance p to the first position at distance >= d from e:
+			// gallop, then bisect the last step.
+			if p < self && at(p).id-e.id < d {
+				lo, step := p, 1
+				for p = lo + step; p < self && at(p).id-e.id < d; p = lo + step {
+					lo, step = p, step*2
+				}
+				p = min(p, self)
+				for p-lo > 1 {
+					mid := int(uint(lo+p) >> 1)
+					if at(mid).id-e.id < d {
+						lo = mid
+					} else {
+						p = mid
+					}
+				}
+			}
+			f := at(p)
+			fingers = append(fingers, f.h)
+			next := reach(e.id, f.id)
+			for ; i < next; i++ {
+				prev[i] = p
+			}
 		}
+		ends[j] = int32(len(fingers))
+		for t := range k {
+			succ[j*k+t] = at(j + 1 + t).h
+		}
+	}
+	start := 0
+	for j, e := range ring {
+		nd := r.Node(e.h)
+		end := int(ends[j])
+		nd.fingers = fingers[start:end:end]
+		nd.succ = succ[j*k : (j+1)*k : (j+1)*k]
+		start = end
 	}
 }
 
 // firstAliveSuccessor returns the first alive entry of n's successor list,
 // or nil when the whole list is dead/stale.
-func (n *Node) firstAliveSuccessor() *Node {
-	for _, s := range n.succList {
-		if s.alive {
+func (r *Ring) firstAliveSuccessor(n *Node) *Node {
+	for _, h := range n.succ {
+		if s := r.Node(h); s.alive {
 			return s
 		}
 	}
@@ -397,16 +488,21 @@ func (n *Node) firstAliveSuccessor() *Node {
 
 // closestPrecedingFinger returns the alive finger of n that most closely
 // precedes key, or nil when no finger makes progress. Each dead finger it
-// passes over on the way counts as a DeadFingerSkip.
+// passes over on the way counts as a DeadFingerSkip, once per level of
+// its run.
 func (r *Ring) closestPrecedingFinger(n *Node, key ID) *Node {
-	for i := len(n.fingers) - 1; i >= 0; i-- {
-		f := n.fingers[i]
-		if f == nil || f == n || f.id == n.id || f.id == key || !between(n.id, key, f.id) {
+	for j := len(n.fingers) - 1; j >= 0; j-- {
+		f := r.Node(n.fingers[j])
+		if f == n || f.id == n.id || f.id == key || !between(n.id, key, f.id) {
 			continue
 		}
 		// f strictly precedes key going around from n.
 		if !f.alive {
-			r.stats.DeadFingerSkips++
+			lo := 0
+			if j > 0 {
+				lo = reach(n.id, r.Node(n.fingers[j-1]).id)
+			}
+			r.stats.DeadFingerSkips += uint64(reach(n.id, f.id) - lo)
 			continue
 		}
 		return f
@@ -428,14 +524,14 @@ func (r *Ring) Lookup(start *Node, key ID) (*Node, int, error) {
 	hops := 0
 	for hops < r.cfg.MaxHops {
 		r.touch(cur)
-		succ := cur.firstAliveSuccessor()
+		succ := r.firstAliveSuccessor(cur)
 		if succ == nil {
 			// Isolated routing state (e.g. single node or fully stale
 			// list): consult ground truth as last resort — equivalent to a
 			// node falling back to its bootstrap contact.
 			succ = r.successorOf(cur.id, true)
 		}
-		if succ == nil || succ == cur { // single-node ring
+		if succ == cur { // single-node ring
 			r.finish(hops)
 			return cur, hops, nil
 		}
@@ -445,7 +541,7 @@ func (r *Ring) Lookup(start *Node, key ID) (*Node, int, error) {
 			// find_successor, the candidate confirms ownership and the
 			// query walks forward until the true owner is reached.
 			hops++
-			for owner := r.Owner(key); succ != owner; {
+			for owner := r.idx.ceil(key).h; succ.h != owner; {
 				succ = r.successorOf(succ.id, true)
 				hops++
 				r.stats.OwnerWalkHops++
@@ -489,16 +585,17 @@ func (r *Ring) touch(n *Node) {
 		return
 	}
 	n.visits++
-	if n.visits >= r.cfg.AutoRefreshEvery {
+	if int(n.visits) >= r.cfg.AutoRefreshEvery {
 		r.RefreshNode(n)
 		n.visits = 0
 	}
 }
 
-// replicaTargets returns the owner and up to Replicas−1 distinct alive
-// successors of owner. The result is valid until the next call.
-func (r *Ring) replicaTargets(owner *Node) []*Node {
-	r.targets = append(r.targets[:0], owner)
+// replicaTargets returns the handles of owner and of up to Replicas−1
+// distinct alive successors of owner. The result is valid until the next
+// call.
+func (r *Ring) replicaTargets(owner *Node) []Handle {
+	r.targets = append(r.targets[:0], owner.h)
 	r.targets = r.idx.appendAfter(r.targets, owner.id, min(r.cfg.Replicas, r.idx.size)-1)
 	return r.targets
 }
@@ -511,11 +608,11 @@ func (r *Ring) Get(start *Node, key ID) (map[string]any, int, error) {
 	if err != nil {
 		return nil, hops, err
 	}
-	for i, t := range r.replicaTargets(owner) {
+	for i, h := range r.replicaTargets(owner) {
 		if i > 0 {
 			hops++ // consulting a replica costs a hop; the owner is free
 		}
-		if m, ok := t.store[key]; ok && len(m) > 0 {
+		if m, ok := r.Node(h).store[key]; ok && len(m) > 0 {
 			out := make(map[string]any, len(m))
 			for k, v := range m {
 				out[k] = v
@@ -565,7 +662,8 @@ func (r *Ring) apply(owner *Node, key ID, itemID string, fn func(prev any) any) 
 		prev = m[itemID]
 	}
 	next := fn(prev)
-	for _, t := range r.replicaTargets(owner) {
+	for _, h := range r.replicaTargets(owner) {
+		t := r.Node(h)
 		m, ok := t.store[key]
 		if next == nil {
 			if ok {
@@ -577,6 +675,9 @@ func (r *Ring) apply(owner *Node, key ID, itemID string, fn func(prev any) any) 
 			continue
 		}
 		if !ok {
+			if t.store == nil {
+				t.store = make(map[ID]map[string]any)
+			}
 			m = make(map[string]any)
 			t.store[key] = m
 		}

@@ -3,6 +3,7 @@ package chord
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func buildRing(t *testing.T, seed uint64, n int) (*Ring, []*Node) {
 	rng := xrand.New(seed)
 	nodes := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
-		nd, err := r.JoinRandom(fmt.Sprintf("peer-%d", i), rng)
+		nd, err := r.JoinRandom(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 
 func TestSingleNodeRing(t *testing.T) {
 	r := NewRing(Config{})
-	n, err := r.Join("solo", 42)
+	n, err := r.Join(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +125,10 @@ func TestSingleNodeRing(t *testing.T) {
 
 func TestDuplicateIDRejected(t *testing.T) {
 	r := NewRing(Config{})
-	if _, err := r.Join("a", 7); err != nil {
+	if _, err := r.Join(7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Join("b", 7); err == nil {
+	if _, err := r.Join(7); err == nil {
 		t.Fatal("duplicate id must be rejected")
 	}
 }
@@ -165,12 +166,12 @@ func TestUpdateAtRefusesNonOwner(t *testing.T) {
 	if err := r.UpdateAt(100, 50, "x", func(any) any { return 0 }); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("write on an empty ring = %v, want ErrNotOwner", err)
 	}
-	a, _ := r.Join("a", 100)
+	a, _ := r.Join(100)
 	set := func(v any) func(any) any { return func(any) any { return v } }
 	if err := r.UpdateAt(a.id, 50, "x", set(1)); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := r.Join("b", 60)
+	b, _ := r.Join(60)
 	if err := r.UpdateAt(a.id, 50, "x", set(2)); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("write at the pre-join owner = %v, want ErrNotOwner", err)
 	}
@@ -184,14 +185,14 @@ func TestUpdateAtRefusesNonOwner(t *testing.T) {
 
 func TestKeysMoveOnJoin(t *testing.T) {
 	r := NewRing(Config{Replicas: 1})
-	a, _ := r.Join("a", 100)
+	a, _ := r.Join(100)
 	r.RefreshAll()
 	// Key 50 is owned by a (only node).
 	if _, err := put(r, a, 50, "x", 1); err != nil {
 		t.Fatal(err)
 	}
 	// A node at 60 takes over ownership of key 50.
-	b, _ := r.Join("b", 60)
+	b, _ := r.Join(60)
 	r.RefreshAll()
 	if owner := r.Owner(50); owner != b {
 		t.Fatalf("owner of 50 = %d, want 60", owner.id)
@@ -302,7 +303,7 @@ func TestJoinRandomCollisionRetry(t *testing.T) {
 	r := NewRing(Config{})
 	rng := xrand.New(42)
 	for i := 0; i < 100; i++ {
-		if _, err := r.JoinRandom("n", rng); err != nil {
+		if _, err := r.JoinRandom(rng); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +328,7 @@ func TestPropertyLookupMatchesOwner(t *testing.T) {
 				continue
 			}
 			seen[id] = true
-			n, err := r.Join("n", id)
+			n, err := r.Join(id)
 			if err != nil {
 				return false
 			}
@@ -355,7 +356,7 @@ func TestPropertyDataDurability(t *testing.T) {
 		rng := xrand.New(11)
 		var nodes []*Node
 		for i := 0; i < 40; i++ {
-			n, err := r.JoinRandom("n", rng)
+			n, err := r.JoinRandom(rng)
 			if err != nil {
 				return false
 			}
@@ -416,16 +417,16 @@ func TestLookupCorrectDespiteStaleSuccessors(t *testing.T) {
 // arrived, the staleness Lookup's owner walk is the backstop for.
 func joinUnnotified(t *testing.T, r *Ring, rng *xrand.Source) *Node {
 	t.Helper()
-	saved := map[*Node][]*Node{}
+	saved := map[*Node][]Handle{}
 	for _, n := range ringNodes(r) {
-		saved[n] = slices.Clone(n.succList)
+		saved[n] = slices.Clone(n.succ)
 	}
-	n, err := r.JoinRandom("n", rng)
+	n, err := r.JoinRandom(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for m, list := range saved {
-		m.succList = list
+		m.succ = list
 	}
 	return n
 }
@@ -438,7 +439,7 @@ func TestAutoRefreshBoundsStaleness(t *testing.T) {
 		rng := xrand.New(44)
 		var nodes []*Node
 		for i := 0; i < 300; i++ {
-			n, _ := r.JoinRandom("n", rng)
+			n, _ := r.JoinRandom(rng)
 			nodes = append(nodes, n)
 		}
 		r.RefreshAll()
@@ -449,7 +450,7 @@ func TestAutoRefreshBoundsStaleness(t *testing.T) {
 					break
 				}
 			}
-			r.JoinRandom("n", rng)
+			r.JoinRandom(rng)
 		}
 		var start *Node
 		for _, n := range nodes {
@@ -493,7 +494,7 @@ func TestFallbackWalkWhenFingersUseless(t *testing.T) {
 	rng := xrand.New(55)
 	var nodes []*Node
 	for i := 0; i < 64; i++ {
-		n, err := r.JoinRandom("n", rng)
+		n, err := r.JoinRandom(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,9 +546,9 @@ func TestRemoveLastItemCleansKey(t *testing.T) {
 
 func TestNodeAccessors(t *testing.T) {
 	r := NewRing(Config{})
-	n, _ := r.Join("peer-9", 77)
-	if n.ID() != 77 || n.Label() != "peer-9" || !n.Alive() {
-		t.Fatalf("accessors: %d %q %v", n.ID(), n.Label(), n.Alive())
+	n, _ := r.Join(77)
+	if n.ID() != 77 || !n.Alive() || r.Node(n.Handle()) != n {
+		t.Fatalf("accessors: %d %v %d", n.ID(), n.Alive(), n.Handle())
 	}
 	if n.Items() != 0 {
 		t.Fatal("fresh node must store nothing")
@@ -562,7 +563,35 @@ func TestNodeAccessors(t *testing.T) {
 func ringNodes(r *Ring) []*Node {
 	var out []*Node
 	for _, e := range r.idx.appendAll(nil) {
-		out = append(out, e.node)
+		out = append(out, r.Node(e.h))
+	}
+	return out
+}
+
+// finger expands n's runs: the node finger level i resolves to.
+func (r *Ring) finger(n *Node, i int) *Node {
+	for _, h := range n.fingers {
+		if f := r.Node(h); i < reach(n.id, f.id) {
+			return f
+		}
+	}
+	return nil
+}
+
+// fingerTable is n's 64 finger levels, expanded from its runs.
+func (r *Ring) fingerTable(n *Node) []*Node {
+	out := make([]*Node, 64)
+	for i := range out {
+		out[i] = r.finger(n, i)
+	}
+	return out
+}
+
+// successors is n's successor list as nodes.
+func (r *Ring) successors(n *Node) []*Node {
+	var out []*Node
+	for _, h := range n.succ {
+		out = append(out, r.Node(h))
 	}
 	return out
 }
@@ -576,40 +605,51 @@ func refreshAllSlow(r *Ring) {
 }
 
 // TestRefreshAllMatchesPerNodeRefresh pins the metamorphic equivalence:
-// the O(64·N) RefreshAll sweep must compute exactly the fingers and
-// successor lists that per-node RefreshNode calls produce, across ring
-// sizes that exercise the wrap split and short rings.
+// the bulk RefreshAll must compute exactly the finger runs and successor
+// lists that per-node RefreshNode calls produce, across ring sizes that
+// exercise the wrap and short rings, and on ids at both ends of the
+// space and packed into one narrow cluster, where the forward search
+// from the previous node's fingers has the furthest to go.
 func TestRefreshAllMatchesPerNodeRefresh(t *testing.T) {
+	var rings []*Ring
 	for _, n := range []int{1, 2, 3, 9, 64, 257} {
 		rng := xrand.New(uint64(n)*77 + 1)
 		r := NewRing(Config{})
 		for i := 0; i < n; i++ {
-			if _, err := r.JoinRandom(fmt.Sprintf("p%d", i), rng); err != nil {
+			if _, err := r.JoinRandom(rng); err != nil {
 				t.Fatal(err)
 			}
 		}
+		rings = append(rings, r)
+	}
+	edges := NewRing(Config{})
+	for _, id := range []ID{0, 1, 2, 3, 1 << 32, 1<<63 - 1, 1 << 63, 1<<63 + 1, ^ID(0) - 2, ^ID(0) - 1, ^ID(0)} {
+		if _, err := edges.Join(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := ID(0); i < 100; i++ {
+		if _, err := edges.Join(5<<40 + 7*i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rings = append(rings, edges)
+	for _, r := range rings {
 		refreshAllSlow(r)
 		sorted := ringNodes(r)
-		wantFingers := make([][]*Node, n)
-		wantSucc := make([][]*Node, n)
+		wantRuns := make([][]Handle, len(sorted))
+		wantSucc := make([][]Handle, len(sorted))
 		for j, nd := range sorted {
-			wantFingers[j] = append([]*Node(nil), nd.fingers...)
-			wantSucc[j] = append([]*Node(nil), nd.succList...)
+			wantRuns[j] = slices.Clone(nd.fingers)
+			wantSucc[j] = slices.Clone(nd.succ)
 		}
 		r.RefreshAll()
 		for j, nd := range sorted {
-			for i := range nd.fingers {
-				if nd.fingers[i] != wantFingers[j][i] {
-					t.Fatalf("n=%d node %d finger %d: fast %v want %v", n, j, i, nd.fingers[i].id, wantFingers[j][i].id)
-				}
+			if !slices.Equal(nd.fingers, wantRuns[j]) {
+				t.Fatalf("n=%d node %d: runs %v, per-node refresh %v", len(sorted), j, nd.fingers, wantRuns[j])
 			}
-			if len(nd.succList) != len(wantSucc[j]) {
-				t.Fatalf("n=%d node %d succList len %d want %d", n, j, len(nd.succList), len(wantSucc[j]))
-			}
-			for i := range nd.succList {
-				if nd.succList[i] != wantSucc[j][i] {
-					t.Fatalf("n=%d node %d succ %d mismatch", n, j, i)
-				}
+			if !slices.Equal(nd.succ, wantSucc[j]) {
+				t.Fatalf("n=%d node %d: successor list %v, per-node refresh %v", len(sorted), j, nd.succ, wantSucc[j])
 			}
 		}
 	}
@@ -620,15 +660,10 @@ func TestRefreshAllMatchesPerNodeRefresh(t *testing.T) {
 // calls followed by a full refresh.
 func TestJoinBulkMatchesSequentialJoins(t *testing.T) {
 	const n = 120
-	labels := make([]string, n)
-	for i := range labels {
-		labels[i] = fmt.Sprintf("p%d", i)
-	}
-
 	seq := NewRing(Config{})
 	rngA := xrand.New(31)
-	for _, l := range labels {
-		if _, err := seq.JoinRandom(l, rngA); err != nil {
+	for range n {
+		if _, err := seq.JoinRandom(rngA); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -636,7 +671,7 @@ func TestJoinBulkMatchesSequentialJoins(t *testing.T) {
 
 	bulk := NewRing(Config{})
 	rngB := xrand.New(31)
-	nodes, err := bulk.JoinBulk(labels, rngB)
+	nodes, err := bulk.JoinBulk(n, rngB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,11 +687,11 @@ func TestJoinBulkMatchesSequentialJoins(t *testing.T) {
 	seqNodes, bulkNodes := ringNodes(seq), ringNodes(bulk)
 	for j := range seqNodes {
 		a, b := seqNodes[j], bulkNodes[j]
-		if a.id != b.id || a.label != b.label {
-			t.Fatalf("node %d: (%d,%s) vs (%d,%s)", j, a.id, a.label, b.id, b.label)
+		if a.id != b.id {
+			t.Fatalf("node %d: id %d vs %d", j, a.id, b.id)
 		}
-		for i := range a.fingers {
-			if a.fingers[i].id != b.fingers[i].id {
+		for i := range 64 {
+			if seq.finger(a, i).id != bulk.finger(b, i).id {
 				t.Fatalf("node %d finger %d differs", j, i)
 			}
 		}
@@ -668,14 +703,138 @@ func TestJoinBulkMatchesSequentialJoins(t *testing.T) {
 func TestJoinBulkRefusesDataBearingRing(t *testing.T) {
 	rng := xrand.New(3)
 	r := NewRing(Config{})
-	a, err := r.JoinRandom("a", rng)
+	a, err := r.JoinRandom(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := put(r, a, 42, "item", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.JoinBulk([]string{"b"}, rng); err == nil {
+	if _, err := r.JoinBulk(1, rng); err == nil {
 		t.Fatal("JoinBulk on a data-bearing ring should fail")
+	}
+}
+
+// joinBulkAllocs is JoinBulk's allocation budget for 10⁴ nodes on a fresh
+// ring, at its measured count: the slab chunks, the index's one block
+// arena and directory, the two routing arenas and a few buffers. A
+// pointer-per-finger layout with a map and a store per node made 70 127.
+const joinBulkAllocs = 25
+
+// TestJoinBulkAllocs gates the allocations of a bulk join: a fixed
+// handful per slab chunk and per call, none per node.
+func TestJoinBulkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const n = 10_000
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := NewRing(Config{}).JoinBulk(n, xrand.New(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > joinBulkAllocs {
+		t.Fatalf("JoinBulk of %d nodes made %.0f allocations, budget %d", n, got, joinBulkAllocs)
+	}
+}
+
+// TestRingBytesPerNode bounds the live heap of a bulk-joined ring of 10⁴
+// nodes per node: slab slot, finger runs, successor list and index
+// entry. A 64-pointer finger table alone took 512 B.
+func TestRingBytesPerNode(t *testing.T) {
+	const n, budget = 10_000, 320
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := NewRing(Config{})
+	if _, err := r.JoinBulk(n, xrand.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(r)
+	t.Logf("%.1f B per node", per)
+	if per > budget {
+		t.Fatalf("a %d-node ring holds %.1f B per node, budget %d", n, per, budget)
+	}
+}
+
+// TestCollidingDrawsAreRedrawn: an id drawn for a joiner that is already
+// on the ring is drawn again, by JoinRandom and JoinBulk alike, and 64
+// collisions in a row are an error.
+func TestCollidingDrawsAreRedrawn(t *testing.T) {
+	rng := xrand.New(7)
+	draws := make([]ID, 65)
+	for i := range draws {
+		draws[i] = rng.Uint64()
+	}
+	occupied := func(ids []ID) *Ring {
+		r := NewRing(Config{})
+		for _, id := range ids {
+			if _, err := r.Join(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	if n, err := occupied(draws[:1]).JoinRandom(xrand.New(7)); err != nil || n.id != draws[1] {
+		t.Fatalf("JoinRandom past one collision = %v, %v; want id %d", n, err, draws[1])
+	}
+	if ns, err := occupied(draws[:1]).JoinBulk(2, xrand.New(7)); err != nil || ns[0].id != draws[1] || ns[1].id != draws[2] {
+		t.Fatalf("JoinBulk past one collision = %v, %v; want ids %d, %d", ns, err, draws[1], draws[2])
+	}
+	full := occupied(draws[:64])
+	if _, err := full.JoinRandom(xrand.New(7)); err == nil {
+		t.Fatal("JoinRandom after 64 collisions must fail")
+	}
+	if _, err := full.JoinBulk(1, xrand.New(7)); err == nil {
+		t.Fatal("JoinBulk after 64 collisions must fail")
+	}
+}
+
+// TestRingEdges covers the paths a populated, converged ring never takes:
+// refreshing an empty ring or a dead node, reading an absent key,
+// handing data to a successor that stores nothing yet, and a read the
+// owner cannot serve that falls to a replica.
+func TestRingEdges(t *testing.T) {
+	r := NewRing(Config{})
+	r.RefreshAll()
+	if r.Size() != 0 {
+		t.Fatal("refreshing an empty ring changed it")
+	}
+
+	r = NewRing(Config{Replicas: 1})
+	a, _ := r.Join(100)
+	b, _ := r.Join(200)
+	if got, hops, err := r.Get(b, 50); err != nil || len(got) != 0 {
+		t.Fatalf("Get of an absent key = %v, %d, %v", got, hops, err)
+	}
+	if _, err := put(r, b, 50, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	if b.store != nil {
+		t.Fatal("a node that was never written to holds a store")
+	}
+	if err := r.Leave(a); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := r.Get(b, 50); err != nil || got["x"] != 1 {
+		t.Fatalf("item did not move to the successor on leave: %v, %v", got, err)
+	}
+	r.RefreshNode(a)
+	if a.fingers != nil || a.succ != nil || a.store != nil {
+		t.Fatal("a departed node keeps routing state or data")
+	}
+
+	r, nodes := buildRing(t, 12, 16)
+	key := HashString("replicated")
+	put(r, nodes[0], key, "i", "v")
+	owner := r.Owner(key)
+	delete(owner.store, key)
+	_, ownerHops, _ := r.Lookup(nodes[1], key)
+	got, hops, err := r.Get(nodes[1], key)
+	if err != nil || got["i"] != "v" || hops != ownerHops+1 {
+		t.Fatalf("Get past an owner without the key = %v, %d hops (owner at %d), %v", got, hops, ownerHops, err)
 	}
 }

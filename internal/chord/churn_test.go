@@ -63,7 +63,7 @@ func churnRun(t *testing.T, seed uint64, n int, churn bool, minutes, lookupsPerM
 	t.Helper()
 	rng := xrand.New(seed)
 	r := NewRing(Config{})
-	alive, err := r.JoinBulk(make([]string, n), rng)
+	alive, err := r.JoinBulk(n, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func churnRun(t *testing.T, seed uint64, n int, churn bool, minutes, lookupsPerM
 			if rng.Intn(steps) < joins+fails {
 				if joins > 0 && (fails == 0 || rng.Bool(0.5)) {
 					joins--
-					nd, err := r.JoinRandom("", rng)
+					nd, err := r.JoinRandom(rng)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -116,7 +116,7 @@ func checkPredecessorsKnow(t *testing.T, r *Ring, joiner *Node) {
 	p := joiner
 	for range min(r.cfg.SuccessorListLen, r.Size()-1) {
 		p = r.predecessorOf(p.id)
-		if want := r.successorOf(p.id, true); p.firstAliveSuccessor() != want {
+		if want := r.successorOf(p.id, true); r.firstAliveSuccessor(p) != want {
 			t.Fatalf("after join of %d: predecessor %d does not route to its ground-truth successor %d", joiner.id, p.id, want.id)
 		}
 	}

@@ -8,12 +8,16 @@ import "slices"
 // empties.
 const blockCap = 512
 
-// entry is one alive node in the index. The id sits beside the pointer so
-// that searches compare keys without dereferencing the Node.
+// entry is one alive node in the index: its id beside its slab handle, so
+// that searches compare keys without touching the Node, and a block holds
+// no pointer for the collector to scan.
 type entry struct {
-	id   ID
-	node *Node
+	id ID
+	h  Handle
 }
+
+// noEntry is what the searches return on an empty index.
+var noEntry = entry{h: noHandle}
 
 // index is the ring's ground truth: the alive nodes ordered by id, held as
 // a list of sorted blocks of 1..blockCap entries each, with firsts[b] ==
@@ -77,44 +81,47 @@ func (x *index) seek(target ID) (b, i int) {
 	return b, i
 }
 
-// ceil returns the first node with id >= target, wrapping to the smallest
-// id; nil on an empty index.
-func (x *index) ceil(target ID) *Node {
+// ceil returns the first entry with id >= target, wrapping to the
+// smallest id; noEntry on an empty index.
+func (x *index) ceil(target ID) entry {
 	if x.size == 0 {
-		return nil
+		return noEntry
 	}
 	b, i := x.seek(target)
 	if b == len(x.blocks) {
 		b, i = 0, 0
 	}
-	return x.blocks[b][i].node
+	return x.blocks[b][i]
 }
 
-// after returns the first node with id > target, wrapping.
-func (x *index) after(target ID) *Node {
+// after returns the first entry with id > target, wrapping.
+func (x *index) after(target ID) entry {
 	return x.ceil(target + 1) // ^ID(0)+1 == 0: the wrap falls out of the overflow
 }
 
-// before returns the last node with id < target, wrapping to the largest
-// id; nil on an empty index.
-func (x *index) before(target ID) *Node {
+// before returns the last entry with id < target, wrapping to the largest
+// id; noEntry on an empty index.
+func (x *index) before(target ID) entry {
 	if x.size == 0 {
-		return nil
+		return noEntry
 	}
 	b, i := x.seek(target)
 	if i > 0 {
-		return x.blocks[b][i-1].node
+		return x.blocks[b][i-1]
 	}
 	if b == 0 {
 		b = len(x.blocks)
 	}
 	last := x.blocks[b-1]
-	return last[len(last)-1].node
+	return last[len(last)-1]
 }
 
-// appendAfter appends to dst the k nodes that follow id in ring order,
-// wrapping. The caller keeps k <= size.
-func (x *index) appendAfter(dst []*Node, id ID, k int) []*Node {
+// has reports whether a node with exactly this id is on the index.
+func (x *index) has(id ID) bool { return x.size > 0 && x.ceil(id).id == id }
+
+// appendAfter appends to dst the handles of the k nodes that follow id in
+// ring order, wrapping. The caller keeps k <= size.
+func (x *index) appendAfter(dst []Handle, id ID, k int) []Handle {
 	if k <= 0 {
 		return dst
 	}
@@ -123,7 +130,7 @@ func (x *index) appendAfter(dst []*Node, id ID, k int) []*Node {
 		if b == len(x.blocks) {
 			b, i = 0, 0
 		}
-		dst = append(dst, x.blocks[b][i].node)
+		dst = append(dst, x.blocks[b][i].h)
 		if i++; i == len(x.blocks[b]) {
 			b, i = b+1, 0
 		}
@@ -131,9 +138,9 @@ func (x *index) appendAfter(dst []*Node, id ID, k int) []*Node {
 	return dst
 }
 
-// appendBefore appends to dst the k nodes that precede id in ring order,
-// nearest first, wrapping. The caller keeps k <= size.
-func (x *index) appendBefore(dst []*Node, id ID, k int) []*Node {
+// appendBefore appends to dst the handles of the k nodes that precede id
+// in ring order, nearest first, wrapping. The caller keeps k <= size.
+func (x *index) appendBefore(dst []Handle, id ID, k int) []Handle {
 	if k <= 0 {
 		return dst
 	}
@@ -147,16 +154,16 @@ func (x *index) appendBefore(dst []*Node, id ID, k int) []*Node {
 			i = len(x.blocks[b])
 		}
 		i--
-		dst = append(dst, x.blocks[b][i].node)
+		dst = append(dst, x.blocks[b][i].h)
 	}
 	return dst
 }
 
-// insert adds n under id. The caller has checked that id is not present.
-func (x *index) insert(id ID, n *Node) {
+// insert adds h under id. The caller has checked that id is not present.
+func (x *index) insert(id ID, h Handle) {
 	x.size++
 	if len(x.blocks) == 0 {
-		x.blocks = append(x.blocks, append(make([]entry, 0, blockCap), entry{id: id, node: n}))
+		x.blocks = append(x.blocks, append(make([]entry, 0, blockCap), entry{id: id, h: h}))
 		x.firsts = append(x.firsts, id)
 		return
 	}
@@ -166,7 +173,6 @@ func (x *index) insert(id ID, n *Node) {
 		// Split: the upper half moves to a fresh block after this one.
 		const half = blockCap / 2
 		hi := append(make([]entry, 0, blockCap), blk[half:]...)
-		clear(blk[half:])
 		blk = blk[:half]
 		x.blocks[b] = blk
 		x.blocks = slices.Insert(x.blocks, b+1, hi)
@@ -178,7 +184,7 @@ func (x *index) insert(id ID, n *Node) {
 	i := slotIn(blk, id)
 	blk = blk[:len(blk)+1]
 	copy(blk[i+1:], blk[i:])
-	blk[i] = entry{id: id, node: n}
+	blk[i] = entry{id: id, h: h}
 	x.blocks[b] = blk
 	if i == 0 {
 		x.firsts[b] = id
@@ -198,7 +204,6 @@ func (x *index) remove(id ID) bool {
 	}
 	x.size--
 	copy(blk[i:], blk[i+1:])
-	blk[len(blk)-1] = entry{} // let the departed node be collected
 	blk = blk[:len(blk)-1]
 	if len(blk) == 0 {
 		x.blocks = slices.Delete(x.blocks, b, b+1)
@@ -219,16 +224,21 @@ func (x *index) appendAll(dst []entry) []entry {
 
 // build replaces the index with the entries of sorted, which must be in
 // strictly ascending id order. Blocks start half full, so the first churn
-// after a bulk load does not split every block it touches.
+// after a bulk load does not split every block it touches, and all of
+// them are cut from one allocation.
 func (x *index) build(sorted []entry) {
 	const fill = blockCap / 2
 	nb := (len(sorted) + fill - 1) / fill
 	x.blocks = make([][]entry, 0, nb)
 	x.firsts = make([]ID, 0, nb)
 	x.size = len(sorted)
+	backing := make([]entry, nb*blockCap)
 	for len(sorted) > 0 {
 		n := min(fill, len(sorted))
-		x.blocks = append(x.blocks, append(make([]entry, 0, blockCap), sorted[:n]...))
+		blk := backing[:n:blockCap]
+		copy(blk, sorted)
+		backing = backing[blockCap:]
+		x.blocks = append(x.blocks, blk)
 		x.firsts = append(x.firsts, sorted[0].id)
 		sorted = sorted[n:]
 	}

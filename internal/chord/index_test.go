@@ -31,6 +31,10 @@ func (o oracle) after(target ID) ID {
 
 func (o oracle) before(target ID) ID { return o[(o.pos(target)+len(o)-1)%len(o)] }
 
+// hOf is the handle the index tests file each id under: any fixed
+// function of the id lets a read be checked against the oracle.
+func hOf(id ID) Handle { return Handle(xrand.Mix64(id) >> 33) }
+
 // checkIndex compares every read the ring makes of the index with the
 // oracle, at the probe ids and at each probe's neighbours, and checks the
 // structural invariants the searches lean on.
@@ -44,8 +48,8 @@ func checkIndex(t *testing.T, x *index, o oracle, probes []ID) {
 		t.Fatalf("iteration yields %d entries, oracle %d", len(all), len(o))
 	}
 	for i, e := range all {
-		if e.id != o[i] || e.node == nil || e.node.id != e.id {
-			t.Fatalf("entry %d = {%d, %v}, oracle id %d", i, e.id, e.node, o[i])
+		if e.id != o[i] || e.h != hOf(e.id) {
+			t.Fatalf("entry %d = {%d, %d}, oracle id %d", i, e.id, e.h, o[i])
 		}
 	}
 	if len(x.blocks) != len(x.firsts) {
@@ -58,20 +62,21 @@ func checkIndex(t *testing.T, x *index, o oracle, probes []ID) {
 		if x.firsts[b] != blk[0].id {
 			t.Fatalf("firsts[%d] = %d, block starts at %d", b, x.firsts[b], blk[0].id)
 		}
-		for _, stale := range blk[len(blk):cap(blk)] {
-			if stale.node != nil {
-				t.Fatalf("block %d keeps a node alive past its length", b)
-			}
+		if cap(blk) != blockCap {
+			t.Fatalf("block %d has capacity %d, not %d", b, cap(blk), blockCap)
 		}
 	}
 	if len(o) == 0 {
-		if x.ceil(0) != nil || x.after(0) != nil || x.before(0) != nil {
+		if x.ceil(0) != noEntry || x.after(0) != noEntry || x.before(0) != noEntry || x.has(0) {
 			t.Fatal("empty index returned a node")
 		}
 		return
 	}
 	for _, p := range probes {
 		for _, target := range []ID{p - 1, p, p + 1} {
+			if got, want := x.has(target), o.has(target); got != want {
+				t.Fatalf("has(%d) = %v, oracle %v", target, got, want)
+			}
 			if got, want := x.ceil(target).id, o.ceil(target); got != want {
 				t.Fatalf("ceil(%d) = %d, oracle %d", target, got, want)
 			}
@@ -87,16 +92,16 @@ func checkIndex(t *testing.T, x *index, o oracle, probes []ID) {
 		cur := p
 		for j := 0; j < k; j++ {
 			cur = o.after(cur)
-			if got[j].id != cur {
-				t.Fatalf("appendAfter(%d)[%d] = %d, oracle %d", p, j, got[j].id, cur)
+			if got[j] != hOf(cur) {
+				t.Fatalf("appendAfter(%d)[%d] = handle %d, oracle id %d", p, j, got[j], cur)
 			}
 		}
 		got = x.appendBefore(nil, p, k)
 		cur = p
 		for j := 0; j < k; j++ {
 			cur = o.before(cur)
-			if got[j].id != cur {
-				t.Fatalf("appendBefore(%d)[%d] = %d, oracle %d", p, j, got[j].id, cur)
+			if got[j] != hOf(cur) {
+				t.Fatalf("appendBefore(%d)[%d] = handle %d, oracle id %d", p, j, got[j], cur)
 			}
 		}
 	}
@@ -146,7 +151,7 @@ func TestIndexMatchesSortedSliceOracle(t *testing.T) {
 					if x.remove(id) {
 						t.Fatalf("remove(%d) removed an absent id", id)
 					}
-					x.insert(id, &Node{id: id})
+					x.insert(id, hOf(id))
 					o = slices.Insert(o, o.pos(id), id)
 				}
 			}
@@ -200,7 +205,7 @@ func TestIndexBuildMatchesInserts(t *testing.T) {
 			}
 		}
 		for _, id := range o {
-			sorted = append(sorted, entry{id: id, node: &Node{id: id}})
+			sorted = append(sorted, entry{id: id, h: hOf(id)})
 		}
 		var x index
 		x.build(sorted)
@@ -239,7 +244,7 @@ func TestRefreshNodeMatchesNaiveDefinition(t *testing.T) {
 			r := NewRing(Config{AutoRefreshEvery: -1})
 			var alive []*Node
 			for r.Size() < size {
-				n, err := r.JoinRandom("n", rng)
+				n, err := r.JoinRandom(rng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,7 +272,7 @@ func TestRefreshNodeMatchesNaiveDefinition(t *testing.T) {
 		r := NewRing(Config{AutoRefreshEvery: -1})
 		var nodes []*Node
 		for _, id := range []ID{0, 1, 2, 1 << 63, 1<<63 + 1, ^ID(0) - 1, ^ID(0)} {
-			n, err := r.Join("n", id)
+			n, err := r.Join(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,11 +287,16 @@ func checkRefresh(t *testing.T, r *Ring, nodes []*Node) {
 	for _, n := range nodes {
 		wantF, wantS := naiveFingers(r, n)
 		r.RefreshNode(n)
-		if !slices.Equal(n.fingers, wantF) {
+		if !slices.Equal(r.fingerTable(n), wantF) {
 			t.Fatalf("node %d: fingers differ from 64 independent searches", n.id)
 		}
-		if !slices.Equal(n.succList, wantS) {
-			t.Fatalf("node %d: successor list %d long, definition gives %d", n.id, len(n.succList), len(wantS))
+		for j := 1; j < len(n.fingers); j++ {
+			if n.fingers[j] == n.fingers[j-1] {
+				t.Fatalf("node %d: runs %d and %d hold the same finger", n.id, j-1, j)
+			}
+		}
+		if got := r.successors(n); !slices.Equal(got, wantS) {
+			t.Fatalf("node %d: successor list %d long, definition gives %d", n.id, len(got), len(wantS))
 		}
 	}
 }
@@ -303,8 +313,7 @@ func BenchmarkRingChurn(b *testing.B) {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
 			rng := xrand.New(9)
 			r := NewRing(Config{})
-			labels := make([]string, size)
-			joined, err := r.JoinBulk(labels, rng)
+			joined, err := r.JoinBulk(size, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -316,7 +325,7 @@ func BenchmarkRingChurn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%2 == 0 {
-					n, err := r.JoinRandom("", rng)
+					n, err := r.JoinRandom(rng)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -332,5 +341,18 @@ func BenchmarkRingChurn(b *testing.B) {
 				nodes = nodes[:len(nodes)-1]
 			}
 		})
+	}
+}
+
+// BenchmarkJoinBulk times populating an empty ring of 10⁵ nodes: id
+// draws, one sort, the index build and one refresh of every node's
+// routing state.
+func BenchmarkJoinBulk(b *testing.B) {
+	const size = 100_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRing(Config{}).JoinBulk(size, xrand.New(9)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -23,6 +23,7 @@ package probe
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/resource"
@@ -77,6 +78,11 @@ const tombstonePID int32 = -1
 // and an insert that would grow a full order slice of at least slack()
 // slots compacts instead: live ≤ M, so that frees at least M/4 slots and
 // the slice never holds more than 5M/4.
+//
+// minExpires and maxRank bound every live slot's expiry from below and
+// its rank from above. The setters (insert, renew) widen them as they
+// write, and a full eviction scan tightens them to the exact values, so
+// evictFor can rule a victim out without a scan.
 type table struct {
 	cap   int
 	pos   map[int32]int32 // pid -> index in order
@@ -84,16 +90,22 @@ type table struct {
 	avail []float64 // slot i's availability is avail[i*dim : (i+1)*dim]
 	dim   int       // resource dimension; 0 until the first live measurement
 	dead  int       // tombstones in order
+
+	minExpires float64
+	maxRank    int32
 }
 
-func newTable(m int) *table { return &table{cap: m, pos: make(map[int32]int32)} }
+func newTable(m int) *table {
+	return &table{cap: m, pos: make(map[int32]int32), minExpires: math.Inf(1), maxRank: math.MinInt32}
+}
 
 // slack is the order slice's capacity bound, 5M/4.
 func (t *table) slack() int { return t.cap + t.cap/4 }
 
-// insert appends an unprobed entry for p at the given rank and returns
-// its index. The table must hold fewer than M neighbors.
-func (t *table) insert(p int32, rank Rank) int32 {
+// insert appends an unprobed entry for p at the given rank, expiring at
+// expires, and returns its index. The table must hold fewer than M
+// neighbors.
+func (t *table) insert(p int32, rank Rank, expires float64) int32 {
 	if n := len(t.order); n == cap(t.order) {
 		if n >= t.slack() {
 			t.compact()
@@ -103,9 +115,21 @@ func (t *table) insert(p int32, rank Rank) int32 {
 	}
 	i := int32(len(t.order))
 	t.pos[p] = i
-	t.order = append(t.order, slot{pid: p, rank: int32(rank)})
+	t.order = append(t.order, slot{pid: p, rank: int32(rank), expires: expires})
 	t.avail = t.avail[:len(t.order)*t.dim]
+	t.minExpires = min(t.minExpires, expires)
+	t.maxRank = max(t.maxRank, int32(rank))
 	return i
+}
+
+// renew refreshes slot i's soft state to expire at expires and promotes it
+// to rank if that is more beneficial. Neither can raise the rank, so only
+// the expiry bound may widen.
+func (t *table) renew(i int32, rank Rank, expires float64) {
+	s := &t.order[i]
+	s.rank = min(s.rank, int32(rank))
+	s.expires = expires
+	t.minExpires = min(t.minExpires, expires)
 }
 
 // grow reallocates order and the slab to hold n slots.
@@ -172,20 +196,37 @@ func (t *table) row(i int32, d int) resource.Vector {
 // evictFor frees one slot for a newcomer of the given rank: expired
 // entries go first, then the first entry of strictly worse (greater)
 // rank. It returns the victim, or false when nothing may be evicted.
+//
+// When the bounds say nothing can have expired, the first worse rank is
+// the victim; when they also say no rank is worse, there is none and
+// nothing is scanned.
 func (t *table) evictFor(rank Rank, now float64) (int32, bool) {
-	victim := -1
+	mayExpire := now >= t.minExpires
+	if !mayExpire && int32(rank) >= t.maxRank {
+		return 0, false
+	}
+	victim, full := -1, true
+	minExpires, maxRank := math.Inf(1), int32(math.MinInt32)
 	for i := range t.order {
 		s := &t.order[i]
 		if s.pid == tombstonePID {
 			continue
 		}
 		if s.expires <= now {
-			victim = i
+			victim, full = i, false
 			break
 		}
-		if victim < 0 && Rank(s.rank) > rank {
-			victim = i // keep scanning: an expired entry is a better victim
+		if victim < 0 && s.rank > int32(rank) {
+			victim = i // an expired entry would be a better victim
+			if !mayExpire {
+				full = false
+				break
+			}
 		}
+		minExpires, maxRank = min(minExpires, s.expires), max(maxRank, s.rank)
+	}
+	if full {
+		t.minExpires, t.maxRank = minExpires, maxRank
 	}
 	if victim < 0 {
 		return 0, false
@@ -319,13 +360,11 @@ func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, r
 				}
 				evictions++
 			}
-			i = t.insert(int32(c), rank)
+			i = t.insert(int32(c), rank, now+m.cfg.TTL)
+		} else {
+			t.renew(i, rank, now+m.cfg.TTL) // may promote to a more beneficial class
 		}
 		s := &t.order[i]
-		if int32(rank) < s.rank {
-			s.rank = int32(rank) // promotion to a more beneficial class
-		}
-		s.expires = now + m.cfg.TTL
 		if !s.probed || now-s.measured >= m.cfg.Period {
 			m.measure(t, i, owner, c, now)
 			probes++

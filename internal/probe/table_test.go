@@ -66,8 +66,7 @@ func vecOf(p int32) [testDim]float64 { return [testDim]float64{float64(p), -floa
 // insertWith inserts p the way Resolve does and writes p's vector into
 // its availability row.
 func insertWith(tab *table, p int32, rank Rank, expires float64) {
-	i := tab.insert(p, rank)
-	tab.order[i].expires = expires
+	i := tab.insert(p, rank, expires)
 	v := vecOf(p)
 	copy(tab.row(i, testDim), v[:])
 }
@@ -138,8 +137,10 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			ref.remove(p)
 		case 2: // refresh
 			if i, ok := real.pos[p]; ok {
-				real.order[i].expires = now + 1
-				ref.entries[p].expires = now + 1
+				rank := Rank(rng.Intn(6))
+				real.renew(i, rank, now+1)
+				e := ref.entries[p]
+				e.rank, e.expires = min(e.rank, rank), now+1
 			}
 		case 3: // pure eviction probe at a random rank
 			rank := Rank(rng.Intn(6))
@@ -168,6 +169,24 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("step %d: live slot count %d vs ref %d", step, i, len(ref.order))
 		}
 		checkSlab(t, step, real)
+		checkBounds(t, step, real)
+	}
+}
+
+// checkBounds requires that the table's eviction bounds hold every live
+// slot: no expiry below minExpires, no rank above maxRank.
+func checkBounds(t *testing.T, step int, tab *table) {
+	t.Helper()
+	for _, s := range tab.order {
+		if s.pid == tombstonePID {
+			continue
+		}
+		if s.expires < tab.minExpires {
+			t.Fatalf("step %d: neighbor %v expires at %v, below the bound %v", step, s.pid, s.expires, tab.minExpires)
+		}
+		if s.rank > tab.maxRank {
+			t.Fatalf("step %d: neighbor %v has rank %v, above the bound %v", step, s.pid, s.rank, tab.maxRank)
+		}
 	}
 }
 

@@ -149,10 +149,13 @@ type ownerHint struct {
 // Registry binds peers to Chord nodes and stores instance/provider
 // records on the ring.
 type Registry struct {
-	cfg   Config
-	ring  *chord.Ring
-	nodes map[topology.PeerID]*chord.Node
-	rng   *xrand.Source
+	cfg  Config
+	ring *chord.Ring
+	// nodes maps a PeerID, which topology issues densely from 0, to its
+	// node's handle, or to noNode while the peer is not joined.
+	nodes  []chord.Handle
+	joined int
+	rng    *xrand.Source
 
 	// owners holds, for each joined peer that has written, the owner its
 	// last write under each service key reached; RemovePeer drops the
@@ -177,7 +180,6 @@ func New(cfg Config, seed uint64) *Registry {
 	return &Registry{
 		cfg:    cfg,
 		ring:   chord.NewRing(cfg.Chord),
-		nodes:  make(map[topology.PeerID]*chord.Node),
 		rng:    xrand.New(seed).SplitLabeled("registry"),
 		owners: make(map[topology.PeerID][]ownerHint),
 		cache:  make(map[service.Name]*cachedLookup),
@@ -240,26 +242,60 @@ func (r *Registry) bumpEpoch() {
 
 // Stabilize brings all routing state to convergence: every node
 // refreshes its fingers and successor list from ring ground truth, the
-// converged end state of Chord's stabilize/fix_fingers rounds. Call it
-// after bulk joins (initial grid setup): a real deployment would have run
-// its stabilization protocol continuously, so a freshly *observed* grid
-// starts converged.
+// converged end state of Chord's stabilize/fix_fingers rounds. After
+// AddPeers the ring is already converged, so there it changes nothing;
+// it matters after sequential AddPeer calls, whose early joiners' fingers
+// miss the later ones.
 func (r *Registry) Stabilize() { r.ring.RefreshAll() }
 
 // TTL returns the soft-state registration lifetime.
 func (r *Registry) TTL() float64 { return r.cfg.TTL }
 
+// noNode marks a PeerID with no node in Registry.nodes.
+const noNode chord.Handle = -1
+
+// handle returns the handle of p's node and whether p is joined.
+func (r *Registry) handle(p topology.PeerID) (chord.Handle, bool) {
+	if p < 0 || int(p) >= len(r.nodes) || r.nodes[p] == noNode {
+		return noNode, false
+	}
+	return r.nodes[p], true
+}
+
+// checkNew refuses a PeerID that cannot be added: negative, or joined.
+func (r *Registry) checkNew(p topology.PeerID) error {
+	if p < 0 {
+		return fmt.Errorf("registry: negative peer id %d", p)
+	}
+	if _, ok := r.handle(p); ok {
+		return fmt.Errorf("registry: peer %d already joined", p)
+	}
+	return nil
+}
+
+// bind records n as p's node. A PeerID listed twice in one AddPeers
+// call keeps the later node and counts once.
+func (r *Registry) bind(p topology.PeerID, n *chord.Node) {
+	for int(p) >= len(r.nodes) {
+		r.nodes = append(r.nodes, noNode)
+	}
+	if r.nodes[p] == noNode {
+		r.joined++
+	}
+	r.nodes[p] = n.Handle()
+}
+
 // AddPeer joins the peer's Chord node. Idempotent additions are an
 // error: the caller owns peer lifecycle.
 func (r *Registry) AddPeer(p topology.PeerID) error {
-	if _, ok := r.nodes[p]; ok {
-		return fmt.Errorf("registry: peer %d already joined", p)
+	if err := r.checkNew(p); err != nil {
+		return err
 	}
-	n, err := r.ring.JoinRandom(fmt.Sprintf("peer-%d", p), r.rng)
+	n, err := r.ring.JoinRandom(r.rng)
 	if err != nil {
 		return err
 	}
-	r.nodes[p] = n
+	r.bind(p, n)
 	r.bumpEpoch() // the join may have re-homed stored keys
 	return nil
 }
@@ -268,22 +304,21 @@ func (r *Registry) AddPeer(p topology.PeerID) error {
 // ids are drawn from the registry's stream exactly as sequential AddPeer
 // calls would draw them, but the ring is sorted and its routing state
 // refreshed once at the end, avoiding the per-join insert + refresh that
-// makes a 10⁶-peer population infeasible. The epoch advances once per
-// peer, so epoch counts match the sequential path exactly.
+// makes a 10⁶-peer population infeasible. The routing state it leaves is
+// converged. The epoch advances once per peer, so epoch counts match the
+// sequential path exactly.
 func (r *Registry) AddPeers(ps []topology.PeerID) error {
-	labels := make([]string, len(ps))
-	for i, p := range ps {
-		if _, dup := r.nodes[p]; dup {
-			return fmt.Errorf("registry: peer %d already joined", p)
+	for _, p := range ps {
+		if err := r.checkNew(p); err != nil {
+			return err
 		}
-		labels[i] = fmt.Sprintf("peer-%d", p)
 	}
-	nodes, err := r.ring.JoinBulk(labels, r.rng)
+	nodes, err := r.ring.JoinBulk(len(ps), r.rng)
 	if err != nil {
 		return err
 	}
 	for i, p := range ps {
-		r.nodes[p] = nodes[i]
+		r.bind(p, nodes[i])
 		r.bumpEpoch()
 	}
 	return nil
@@ -292,13 +327,15 @@ func (r *Registry) AddPeers(ps []topology.PeerID) error {
 // RemovePeer removes the peer's Chord node — gracefully (keys handed
 // over) or abruptly (fail, as under churn) — and the owners it remembers.
 func (r *Registry) RemovePeer(p topology.PeerID, graceful bool) error {
-	n, ok := r.nodes[p]
+	h, ok := r.handle(p)
 	if !ok {
 		return fmt.Errorf("registry: unknown peer %d", p)
 	}
-	delete(r.nodes, p)
+	r.nodes[p] = noNode
+	r.joined--
 	delete(r.owners, p)
 	r.bumpEpoch() // an abrupt removal may lose stored data
+	n := r.ring.Node(h)
 	if graceful {
 		return r.ring.Leave(n)
 	}
@@ -307,11 +344,12 @@ func (r *Registry) RemovePeer(p topology.PeerID, graceful bool) error {
 
 // node returns the Chord node of a joined peer.
 func (r *Registry) node(p topology.PeerID) (*chord.Node, error) {
-	n, ok := r.nodes[p]
-	if !ok || !n.Alive() {
-		return nil, fmt.Errorf("registry: peer %d not on the DHT", p)
+	if h, ok := r.handle(p); ok {
+		if n := r.ring.Node(h); n.Alive() {
+			return n, nil
+		}
 	}
-	return n, nil
+	return nil, fmt.Errorf("registry: peer %d not on the DHT", p)
 }
 
 func serviceKey(name service.Name) chord.ID { return chord.HashString(string(name)) }
@@ -439,4 +477,4 @@ func (r *Registry) route(n *chord.Node, name service.Name, now float64) (entries
 }
 
 // PeerCount returns the number of peers currently joined to the ring.
-func (r *Registry) PeerCount() int { return len(r.nodes) }
+func (r *Registry) PeerCount() int { return r.joined }

@@ -174,6 +174,15 @@ func TestPeerLifecycle(t *testing.T) {
 	if err := r.AddPeer(3); err == nil {
 		t.Fatal("duplicate AddPeer must fail")
 	}
+	if err := r.AddPeer(-1); err == nil {
+		t.Fatal("AddPeer of a negative PeerID must fail")
+	}
+	if err := r.AddPeers([]topology.PeerID{7, -2}); err == nil || r.PeerCount() != 5 {
+		t.Fatalf("AddPeers with a negative PeerID = %v, %d peers", err, r.PeerCount())
+	}
+	if twice := New(Config{}, 1); twice.AddPeers([]topology.PeerID{8, 8}) != nil || twice.PeerCount() != 1 {
+		t.Fatalf("AddPeers listing one peer twice joined %d peers, want 1", twice.PeerCount())
+	}
 	if err := r.RemovePeer(3, true); err != nil {
 		t.Fatal(err)
 	}

@@ -426,8 +426,9 @@ func New(cfg Config) (*Simulator, error) {
 	}
 
 	// Join every initial peer to the DHT in bulk (per-join sorted inserts
-	// are quadratic at 10⁶ peers), then stabilize: the grid under
-	// observation has been running, so its routing state starts converged.
+	// are quadratic at 10⁶ peers). The bulk join leaves the routing state
+	// converged, as it should be: the grid under observation has been
+	// running.
 	initial := make([]topology.PeerID, s.net.TotalCount())
 	for i := range initial {
 		initial[i] = topology.PeerID(i)
@@ -435,7 +436,6 @@ func New(cfg Config) (*Simulator, error) {
 	if err := s.reg.AddPeers(initial); err != nil {
 		return nil, err
 	}
-	s.reg.Stabilize()
 
 	// Initial provider placement: each instance gets 40–80 uniformly
 	// chosen provider peers (paper §4.1).
