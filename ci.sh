@@ -126,6 +126,8 @@ chord 97.0
 selection 92.0
 registry 95.0
 sim 77.0
+faults 89.0
+compose 98.0
 EOF
 
 echo '>> size (reported, not gated)'

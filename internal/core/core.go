@@ -425,8 +425,9 @@ func (g *memGrid) Providers(at topology.PeerID, inst *service.Instance) []topolo
 }
 
 // Choose implements RecoveryGrid: the Φ selector's step at at, the
-// candidates entering its table one hop away.
-func (g *memGrid) Choose(at topology.PeerID, inst *service.Instance, cands []topology.PeerID,
+// candidates entering its table one hop away. The session manager moves
+// the reservation, so the component index plays no part.
+func (g *memGrid) Choose(at topology.PeerID, _ int, inst *service.Instance, cands []topology.PeerID,
 	remaining float64, _ obs.SpanContext) (topology.PeerID, bool) {
 
 	return g.a.PhiSelector.SelectNext(at, inst, cands, remaining, g.now, probe.IndirectRank(1))

@@ -201,11 +201,11 @@ type RecoveryGrid[H comparable] interface {
 	// Providers re-discovers inst's live providers, as host at sees
 	// them; none when discovery fails.
 	Providers(at H, inst *service.Instance) []H
-	// Choose has host at select, among cands, a host for inst whose
-	// uptime covers remaining, and books it wherever the grid books a
-	// recovered component. rec is the recovery span's context, for a
-	// remote leg to parent under.
-	Choose(at H, inst *service.Instance, cands []H, remaining float64, rec obs.SpanContext) (H, bool)
+	// Choose has host at select, among cands, a host for inst, the
+	// session's component k, whose uptime covers remaining, and books it
+	// wherever the grid books a recovered component. rec is the recovery
+	// span's context, for a remote leg to parent under.
+	Choose(at H, k int, inst *service.Instance, cands []H, remaining float64, rec obs.SpanContext) (H, bool)
 }
 
 // Recover is the runtime-recovery step (the paper's §6 future work) for
@@ -230,7 +230,7 @@ func Recover[H comparable](g RecoveryGrid[H], user H, hosts []H, insts []*servic
 	var chosen H
 	ok := len(live) > 0
 	if ok {
-		chosen, ok = g.Choose(at, insts[k], live, remaining, sp.Context())
+		chosen, ok = g.Choose(at, k, insts[k], live, remaining, sp.Context())
 	}
 	if sp.Active() {
 		ev := obs.Event{Stage: obs.StageRecovery, Hop: k + 1, Inst: insts[k].ID, OK: ok}

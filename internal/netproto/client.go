@@ -43,38 +43,29 @@ type ClientConfig struct {
 }
 
 func (c *ClientConfig) fillDefaults() {
-	if c.Network == "" {
-		c.Network = "tcp"
-	}
-	if c.Codec == "" {
-		if c.Network == "udp" {
-			c.Codec = "binary"
-		} else {
-			c.Codec = "json"
-		}
-	}
+	defaultNet(&c.Network, &c.Codec)
 	if c.Timeout == 0 {
 		c.Timeout = 5 * time.Second
 	}
 	c.Wire.fillDefaults()
 }
 
+// validate rejects impossible client configurations by the rules
+// Config.Validate applies to the same settings: zero values mean "use
+// the default", negatives are errors.
+func (c ClientConfig) validate() error {
+	if c.Target == "" {
+		return fmt.Errorf("netproto: client needs a target")
+	}
+	return validateNet(c.Network, c.Codec, c.Wire, c.Timeout, c.PoolConns)
+}
+
 // NewClient builds a serving-plane client for cfg.Target.
 func NewClient(cfg ClientConfig) (*Client, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg.fillDefaults()
-	if cfg.Target == "" {
-		return nil, fmt.Errorf("netproto: client needs a target")
-	}
-	switch cfg.Network {
-	case "tcp", "udp":
-	default:
-		return nil, fmt.Errorf("netproto: unknown network %q", cfg.Network)
-	}
-	switch cfg.Codec {
-	case "json", "binary":
-	default:
-		return nil, fmt.Errorf("netproto: unknown codec %q", cfg.Codec)
-	}
 	cl := &Client{cfg: cfg}
 	if cfg.Metrics != nil {
 		cl.tele = newPeerTele(cfg.Metrics)

@@ -59,8 +59,8 @@ type Config struct {
 	// fault-injecting transport from internal/faults here.
 	Transport Transport
 	// Retry bounds retransmission of the idempotent RPCs (probe, lookup,
-	// join, leave, release). Reserve and select are never retried — see
-	// RetryPolicy.
+	// join, leave, reserve, release). Select and aggregate are never
+	// retried — see RetryPolicy.
 	Retry RetryPolicy
 	// Metrics, when non-nil, receives runtime counters (per-RPC
 	// sent/failed/retried, RPC latency, probe cache hits/misses,
@@ -85,17 +85,45 @@ type Config struct {
 	PoolConns int
 }
 
-func (c *Config) fillDefaults() {
-	if c.Network == "" {
-		c.Network = "tcp"
+// defaultNet fills the network and codec both Config and ClientConfig
+// default: TCP, with JSON over TCP and binary over UDP.
+func defaultNet(network, codec *string) {
+	if *network == "" {
+		*network = "tcp"
 	}
-	if c.Codec == "" {
-		if c.Network == "udp" {
-			c.Codec = "binary"
+	if *codec == "" {
+		if *network == "udp" {
+			*codec = "binary"
 		} else {
-			c.Codec = "json"
+			*codec = "json"
 		}
 	}
+}
+
+// validateNet is the check Config and ClientConfig share: the network
+// and codec names (empty means the default), the datagram layer's
+// bounds, a non-negative exchange timeout and a pool setting ≥ -1.
+func validateNet(network, codec string, w WireConfig, timeout time.Duration, poolConns int) error {
+	if network != "" && network != "tcp" && network != "udp" {
+		return fmt.Errorf("netproto: unknown network %q (want tcp or udp)", network)
+	}
+	if codec != "" && codec != "json" && codec != "binary" {
+		return fmt.Errorf("netproto: unknown codec %q (want json or binary)", codec)
+	}
+	if err := w.validate(); err != nil {
+		return err
+	}
+	if timeout < 0 {
+		return fmt.Errorf("netproto: negative timeout %v", timeout)
+	}
+	if poolConns < -1 {
+		return fmt.Errorf("netproto: PoolConns %d (want >= -1)", poolConns)
+	}
+	return nil
+}
+
+func (c *Config) fillDefaults() {
+	defaultNet(&c.Network, &c.Codec)
 	if len(c.Weights) == 0 {
 		c.Weights = []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
 	}
@@ -120,24 +148,11 @@ func (c *Config) fillDefaults() {
 // timeout would make every RPC deadline already expired, and a negative
 // interval or retry budget has no meaning.
 func (c Config) Validate() error {
-	switch c.Network {
-	case "", "tcp", "udp":
-	default:
-		return fmt.Errorf("netproto: unknown network %q (want tcp or udp)", c.Network)
-	}
-	switch c.Codec {
-	case "", "json", "binary":
-	default:
-		return fmt.Errorf("netproto: unknown codec %q (want json or binary)", c.Codec)
-	}
-	if err := c.Wire.validate(); err != nil {
+	if err := validateNet(c.Network, c.Codec, c.Wire, c.RPCTimeout, c.PoolConns); err != nil {
 		return err
 	}
 	if !resource.Sound(c.CPU, c.Memory) {
 		return fmt.Errorf("netproto: negative or non-finite capacity")
-	}
-	if c.RPCTimeout < 0 {
-		return fmt.Errorf("netproto: negative RPCTimeout %v", c.RPCTimeout)
 	}
 	if c.ProbeCacheTTL < 0 {
 		return fmt.Errorf("netproto: negative ProbeCacheTTL %v", c.ProbeCacheTTL)
@@ -153,9 +168,6 @@ func (c Config) Validate() error {
 	}
 	if c.Admit.Workers < 0 || c.Admit.MaxQueue < 0 || c.Admit.RetryAfter < 0 {
 		return fmt.Errorf("netproto: negative admission bounds")
-	}
-	if c.PoolConns < -1 {
-		return fmt.Errorf("netproto: PoolConns %d (want >= -1)", c.PoolConns)
 	}
 	return nil
 }
@@ -211,8 +223,8 @@ type Peer struct {
 	members   map[string]bool   // other peers' addresses
 	provides  map[string]*service.Instance
 	ledger    *resource.Ledger
-	sessions  map[string]resource.Vector // sessionID -> held reservation
-	initiated map[string]*initiated      // sessions this peer started
+	sessions  map[string]*holding   // sessionID -> what it holds here
+	initiated map[string]*initiated // sessions this peer started
 	probes    map[string]probeResult
 	nextSess  uint64
 	nextReq   uint64
@@ -286,7 +298,7 @@ func Start(cfg Config) (*Peer, error) {
 		members:   make(map[string]bool),
 		provides:  make(map[string]*service.Instance),
 		ledger:    ledger,
-		sessions:  make(map[string]resource.Vector),
+		sessions:  make(map[string]*holding),
 		initiated: make(map[string]*initiated),
 		probes:    make(map[string]probeResult),
 		done:      make(chan struct{}),
@@ -428,7 +440,7 @@ func (p *Peer) ReleaseLocal(cpu, mem float64) {
 	p.ledger.Release(resource.Vec2(cpu, mem))
 }
 
-// ActiveSessions returns the number of reservations currently held.
+// ActiveSessions returns the number of sessions holding capacity here.
 func (p *Peer) ActiveSessions() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -623,6 +635,19 @@ func (p *Peer) handleProbe() response {
 // resource.Sound: the binary codec decodes any float bits.
 const errUnsound = "bad request: negative or non-finite quantity"
 
+// holding is what one session holds on this host: the hops it booked
+// here (a session may place several components on one host) and their
+// summed demand, all expiring on one timer.
+type holding struct {
+	hops  []int
+	held  resource.Vector
+	timer *time.Timer
+}
+
+// handleReserve books hop req.Idx of session req.SessionID. It is
+// idempotent: holdings are keyed by (session, hop), so a repeat — a
+// retry after a lost reply, a duplicated datagram — books nothing, adds
+// no count and answers OK.
 func (p *Peer) handleReserve(req request) response {
 	if !resource.Sound(req.CPU, req.Memory, req.DurationSec) {
 		return response{Err: errUnsound}
@@ -630,31 +655,34 @@ func (p *Peer) handleReserve(req request) response {
 	sp := p.spans.Join(obs.SpanContext{Trace: req.TraceID, Span: req.SpanID}, 0)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	need := resource.Vec2(req.CPU, req.Memory)
-	if !p.ledger.Reserve(need) {
-		p.tele.admitRejected.Inc()
-		sp.End(obs.Event{Stage: obs.StageAdmission, At: p.addr, Inst: req.InstanceID,
-			Session: req.SessionID, Err: "insufficient resources"})
-		return response{Err: "insufficient resources"}
+	h := p.sessions[req.SessionID]
+	if h == nil || !slices.Contains(h.hops, req.Idx) {
+		need := resource.Vec2(req.CPU, req.Memory)
+		if !p.ledger.Reserve(need) {
+			p.tele.admitRejected.Inc()
+			sp.End(obs.Event{Stage: obs.StageAdmission, At: p.addr, Inst: req.InstanceID,
+				Session: req.SessionID, Err: "insufficient resources"})
+			return response{Err: "insufficient resources"}
+		}
+		p.tele.admitOK.Inc()
+		if h == nil {
+			sid := req.SessionID
+			h = &holding{held: need}
+			h.timer = time.AfterFunc(time.Duration(req.DurationSec*float64(time.Second)),
+				func() { p.release(sid, h) })
+			p.sessions[sid] = h
+		} else {
+			h.held = h.held.Add(need)
+		}
+		h.hops = append(h.hops, req.Idx)
 	}
-	p.tele.admitOK.Inc()
 	sp.End(obs.Event{Stage: obs.StageAdmission, At: p.addr, Inst: req.InstanceID,
 		Session: req.SessionID, OK: true})
-	// A session may place several components on the same host; the
-	// reservations accumulate and release together.
-	if held, ok := p.sessions[req.SessionID]; ok {
-		p.sessions[req.SessionID] = held.Add(need)
-	} else {
-		p.sessions[req.SessionID] = need
-	}
-	dur := time.Duration(req.DurationSec * float64(time.Second))
-	sid := req.SessionID
-	time.AfterFunc(dur, func() { p.releaseSession(sid) })
 	return response{OK: true}
 }
 
 func (p *Peer) handleRelease(req request) response {
-	p.releaseSession(req.SessionID)
+	p.release(req.SessionID, nil)
 	return response{OK: true}
 }
 
@@ -705,13 +733,19 @@ func (p *Peer) handleAggregate(req request) response {
 	return response{OK: true, SessionID: plan.SessionID, Chain: plan.Peers, Cost: plan.Cost}
 }
 
-func (p *Peer) releaseSession(sid string) {
+// release frees what session sid holds here and stops its expiry
+// timer. A non-nil only frees that holding alone, so a timer that fired
+// as a release stopped it cannot free a later holding of sid.
+func (p *Peer) release(sid string, only *holding) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if held, ok := p.sessions[sid]; ok {
-		p.ledger.Release(held)
-		delete(p.sessions, sid)
+	h := p.sessions[sid]
+	if h == nil || (only != nil && h != only) {
+		return
 	}
+	h.timer.Stop()
+	p.ledger.Release(h.held)
+	delete(p.sessions, sid)
 }
 
 // probe measures a candidate (with a short-lived cache). The prober's own
@@ -1048,28 +1082,27 @@ func (g *rpcGrid) Admit(path []*service.Instance, adm obs.SpanContext) error {
 	g.sid = fmt.Sprintf("%s/%d", p.addr, p.nextSess)
 	p.mu.Unlock()
 	for i, host := range g.chain {
-		in := path[i]
-		if err := p.reserve(host, g.sid, in, g.duration, adm); err != nil {
-			for _, h := range g.chain[:i] {
-				// Best-effort rollback (retried — release is idempotent):
-				// an unreachable host's reservation expires with the
-				// session duration anyway.
-				_, _ = p.rpcRetry(h, request{Type: msgRelease, SessionID: g.sid}, p.cfg.RPCTimeout)
-			}
+		if err := g.reserve(host, i, path[i], g.duration, adm); err != nil {
+			p.releaseOn(g.chain[:i], g.sid)
 			return err
 		}
 	}
 	return nil
 }
 
-// reserve books in's demand on host for session sid. It is NOT retried:
-// reserve is not idempotent, and a retry after a lost response would
-// accumulate the session's demand twice on the host (handleReserve adds
-// per session), double-booking capacity until the session expires.
-func (p *Peer) reserve(host, sid string, in *service.Instance, d time.Duration, ctx obs.SpanContext) error {
-	_, err := p.rpc(host, request{Type: msgReserve, SessionID: sid, InstanceID: in.ID,
+// reserve books in's demand on host as the session's component hop for
+// d, retried like every idempotent RPC: the host keys it by (session,
+// hop). A failure fails the session, so a reserve that got no answer —
+// it may have run with its reply lost — is released here; a host that
+// answered "insufficient resources" holds nothing.
+func (g *rpcGrid) reserve(host string, hop int, in *service.Instance, d time.Duration, ctx obs.SpanContext) error {
+	p := g.p
+	resp, err := p.rpcRetry(host, request{Type: msgReserve, SessionID: g.sid, InstanceID: in.ID, Idx: hop,
 		CPU: in.R[resource.CPU], Memory: in.R[resource.Memory], DurationSec: d.Seconds(),
 		TraceID: ctx.Trace, SpanID: ctx.Span}, p.cfg.RPCTimeout)
+	if err != nil && resp == nil {
+		p.releaseOn([]string{host}, g.sid)
+	}
 	return err
 }
 
@@ -1082,9 +1115,9 @@ func (g *rpcGrid) Providers(_ string, inst *service.Instance) []string {
 
 // Choose implements core.RecoveryGrid: the select RPC for the one
 // instance at member at (handled locally when at is this peer, the
-// user), then a reserve on the host it returns for the remaining
-// seconds.
-func (g *rpcGrid) Choose(at string, inst *service.Instance, cands []string, remaining float64, rec obs.SpanContext) (string, bool) {
+// user), then a reserve of hop k on the host it returns for the
+// remaining seconds. Select is sent once, as in selection.
+func (g *rpcGrid) Choose(at string, k int, inst *service.Instance, cands []string, remaining float64, rec obs.SpanContext) (string, bool) {
 	p := g.p
 	req := request{Type: msgSelect, Instances: []WireInstance{ToWire(inst)},
 		Candidates: map[string][]string{inst.ID: cands}, DurationSec: remaining,
@@ -1100,7 +1133,7 @@ func (g *rpcGrid) Choose(at string, inst *service.Instance, cands []string, rema
 	}
 	host := resp.Chain[0]
 	d := time.Duration(remaining * float64(time.Second))
-	return host, p.reserve(host, g.sid, inst, d, rec) == nil
+	return host, g.reserve(host, k, inst, d, rec) == nil
 }
 
 // Names implements core.Grid.
@@ -1197,10 +1230,14 @@ func (p *Peer) failInitiated(sess *initiated) {
 	sess.status = StatusFailed
 	hosts := append([]string(nil), sess.grid.chain...)
 	p.mu.Unlock()
+	p.releaseOn(hosts, sess.grid.sid)
+}
+
+// releaseOn releases session sid on hosts, best effort (retried —
+// release is idempotent): a host that cannot be reached holds its
+// reservation until the session duration expires it.
+func (p *Peer) releaseOn(hosts []string, sid string) {
 	for _, h := range hosts {
-		// Best effort (retried — release is idempotent): a host that
-		// cannot be reached is the one that failed; its reservation
-		// expires on its own.
-		_, _ = p.rpcRetry(h, request{Type: msgRelease, SessionID: sess.grid.sid}, p.cfg.RPCTimeout)
+		_, _ = p.rpcRetry(h, request{Type: msgRelease, SessionID: sid}, p.cfg.RPCTimeout)
 	}
 }

@@ -30,9 +30,9 @@
 // Every RPC dials through an injectable Transport (default: plain TCP;
 // internal/faults supplies a deterministic fault-injecting one, and
 // UDPTransport the datagram stack from DESIGN.md §12), and the
-// idempotent messages (probe, lookup, join, leave, release) retry
-// transport failures with bounded exponential backoff — reserve never
-// does, because it is not idempotent (see RetryPolicy).
+// idempotent messages (probe, lookup, join, leave, reserve, release)
+// retry transport failures with bounded exponential backoff — select
+// and aggregate never do (see RetryPolicy).
 //
 // A server never needs codec configuration: the first byte of a message
 // distinguishes JSON ('{') from a binary frame (0x51), and the reply

@@ -6,6 +6,7 @@ package netproto_test
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,8 +28,9 @@ func TestTelemetryChaosAttribution(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	var tick uint64
-	tracer := obs.NewTracer(&buf, func() float64 { tick++; return float64(tick) })
+	// The clock is read from the session monitors too, so it is atomic.
+	var tick atomic.Uint64
+	tracer := obs.NewTracer(&buf, func() float64 { return float64(tick.Add(1)) })
 
 	const cpu = 400
 	peers := chaosCluster(t, fab, 5, cpu, func(i int, cfg *netproto.Config) {

@@ -27,11 +27,12 @@ func (TCP) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 }
 
 // RetryPolicy bounds retransmission of idempotent RPCs (probe, lookup,
-// join, leave, release). Only transport-level failures are retried —
-// an application-level error means the peer answered and retrying
-// cannot change the outcome. Reserve is deliberately never retried:
-// it is not idempotent, so a retry after a lost response could book
-// the same session's capacity twice on one host.
+// join, leave, reserve, release). Only transport-level failures are
+// retried — an application-level error means the peer answered and
+// retrying cannot change the outcome. A repeated reserve books nothing
+// (the host keys it by session and hop), so a retry after a lost reply
+// is safe. Select and aggregate are never retried: a repeat would
+// re-run the downstream selection recursion, or admit a second session.
 type RetryPolicy struct {
 	// Attempts is the total number of dial attempts per RPC.
 	// 0 means the default (3); 1 disables retry.

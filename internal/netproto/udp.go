@@ -26,14 +26,16 @@ import (
 //     deterministically-jittered exponential backoff, until its
 //     RESPONSE completes — an ack alone does not stop retransmits,
 //     since a lost response is recovered precisely by a duplicate
-//     request hitting the server's dedup cache. Non-idempotent
-//     messages (reserve, select — DESIGN.md §6) and JSON messages
-//     (no readable flag) wait single-shot until the RPC deadline;
+//     request hitting the server's dedup cache. Select and aggregate
+//     (not idempotent — DESIGN.md §6) and JSON messages (no readable
+//     flag) wait single-shot until the RPC deadline;
 //   - duplicate requests (retransmit raced the ack, or fault-injected
 //     duplication) are suppressed by (client address, message ID): the
 //     server re-acks and resends the cached response instead of
-//     executing twice, which is what keeps reserve at-most-once even
-//     when the fault plane duplicates packets.
+//     executing twice. That saves the work and keeps a duplicated
+//     select or aggregate from running twice; a duplicated reserve
+//     would book nothing anyway, since the host keys it by (session,
+//     hop).
 
 // PacketDecision is a fault-plane verdict for one outgoing datagram.
 type PacketDecision struct {
@@ -365,7 +367,7 @@ func (c *udpClientConn) exchange() error {
 		// the RPC deadline. Retransmits continue even after an ack:
 		// losing the RESPONSE would otherwise stall the exchange until
 		// the deadline, and a duplicate request is what makes the server
-		// resend its cached response (dedup keeps it at-most-once).
+		// resend its cached response (dedup keeps it from re-running).
 		wait := c.deadline
 		canRetransmit := idem && attempt < cfg.RetransmitBudget
 		if canRetransmit {
@@ -581,8 +583,7 @@ func (l *udpListener) handlePacket(raddr *net.UDPAddr, pkt *wire.Packet) bool {
 	l.sweepLocked()
 	if ent, ok := l.seen[key]; ok {
 		// Duplicate of a completed message: re-ack, resend any cached
-		// response, never re-execute — the at-most-once half of the
-		// reliability contract.
+		// response, never re-execute.
 		resp := ent.resp
 		l.mu.Unlock()
 		l.tele.dupDropped.Inc()

@@ -515,31 +515,43 @@ func TestWritePacketVerdicts(t *testing.T) {
 	}
 }
 
-// TestConfigValidateWireKnobs is the edge-case table for the new
-// transport and codec configuration.
+// TestConfigValidateWireKnobs is the edge-case table for the transport
+// and codec configuration of a peer (Config) and of a serving-plane
+// client (ClientConfig), which share one set of rules.
 func TestConfigValidateWireKnobs(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Config
+		err  error
 		want string // substring of the error; "" means valid
 	}{
-		{"defaults", Config{}, ""},
-		{"tcp", Config{Network: "tcp"}, ""},
-		{"udp", Config{Network: "udp"}, ""},
-		{"bad network", Config{Network: "sctp"}, "unknown network"},
-		{"json codec", Config{Codec: "json"}, ""},
-		{"binary codec", Config{Codec: "binary"}, ""},
-		{"bad codec", Config{Codec: "protobuf"}, "unknown codec"},
-		{"mtu below floor", Config{Wire: WireConfig{MTU: wire.MinMTU - 1}}, "MTU"},
-		{"mtu above ceiling", Config{Wire: WireConfig{MTU: wire.MaxMTU + 1}}, "MTU"},
-		{"mtu at floor", Config{Wire: WireConfig{MTU: wire.MinMTU}}, ""},
-		{"mtu at ceiling", Config{Wire: WireConfig{MTU: wire.MaxMTU}}, ""},
-		{"negative ack timeout", Config{Wire: WireConfig{AckTimeout: -time.Millisecond}}, "AckTimeout"},
-		{"negative retransmit budget", Config{Wire: WireConfig{RetransmitBudget: -1}}, "RetransmitBudget"},
-		{"negative dedup ttl", Config{Wire: WireConfig{DedupTTL: -time.Second}}, "DedupTTL"},
+		{"defaults", Config{}.Validate(), ""},
+		{"tcp", Config{Network: "tcp"}.Validate(), ""},
+		{"udp", Config{Network: "udp"}.Validate(), ""},
+		{"bad network", Config{Network: "sctp"}.Validate(), "unknown network"},
+		{"json codec", Config{Codec: "json"}.Validate(), ""},
+		{"binary codec", Config{Codec: "binary"}.Validate(), ""},
+		{"bad codec", Config{Codec: "protobuf"}.Validate(), "unknown codec"},
+		{"mtu below floor", Config{Wire: WireConfig{MTU: wire.MinMTU - 1}}.Validate(), "MTU"},
+		{"mtu above ceiling", Config{Wire: WireConfig{MTU: wire.MaxMTU + 1}}.Validate(), "MTU"},
+		{"mtu at floor", Config{Wire: WireConfig{MTU: wire.MinMTU}}.Validate(), ""},
+		{"mtu at ceiling", Config{Wire: WireConfig{MTU: wire.MaxMTU}}.Validate(), ""},
+		{"negative ack timeout", Config{Wire: WireConfig{AckTimeout: -time.Millisecond}}.Validate(), "AckTimeout"},
+		{"negative retransmit budget", Config{Wire: WireConfig{RetransmitBudget: -1}}.Validate(), "RetransmitBudget"},
+		{"negative dedup ttl", Config{Wire: WireConfig{DedupTTL: -time.Second}}.Validate(), "DedupTTL"},
+		{"pool below -1", Config{PoolConns: -2}.Validate(), "PoolConns"},
+		{"client defaults", ClientConfig{Target: "x"}.validate(), ""},
+		{"client no target", ClientConfig{}.validate(), "target"},
+		{"client udp", ClientConfig{Target: "x", Network: "udp"}.validate(), ""},
+		{"client bad network", ClientConfig{Target: "x", Network: "sctp"}.validate(), "unknown network"},
+		{"client bad codec", ClientConfig{Target: "x", Codec: "protobuf"}.validate(), "unknown codec"},
+		{"client negative timeout", ClientConfig{Target: "x", Timeout: -time.Second}.validate(), "negative timeout"},
+		{"client unpooled", ClientConfig{Target: "x", PoolConns: -1}.validate(), ""},
+		{"client pool below -1", ClientConfig{Target: "x", PoolConns: -2}.validate(), "PoolConns"},
+		{"client mtu below floor", ClientConfig{Target: "x", Wire: WireConfig{MTU: wire.MinMTU - 1}}.validate(), "MTU"},
+		{"client mtu above ceiling", ClientConfig{Target: "x", Wire: WireConfig{MTU: wire.MaxMTU + 1}}.validate(), "MTU"},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		err := tc.err
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -552,8 +564,8 @@ func TestConfigValidateWireKnobs(t *testing.T) {
 	}
 }
 
-// TestStartRejectsBadWireConfig pins that Start refuses a bad MTU
-// instead of silently listening with it.
+// TestStartRejectsBadWireConfig pins that Start and NewClient refuse a
+// bad MTU instead of silently running with it.
 func TestStartRejectsBadWireConfig(t *testing.T) {
 	if _, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp",
 		Wire: WireConfig{MTU: 10}}); err == nil {
@@ -561,6 +573,10 @@ func TestStartRejectsBadWireConfig(t *testing.T) {
 	}
 	if _, err := Start(Config{Listen: "127.0.0.1:0", Network: "quic"}); err == nil {
 		t.Fatal("Start accepted an unknown network")
+	}
+	if _, err := NewClient(ClientConfig{Target: "127.0.0.1:1", Network: "udp",
+		Wire: WireConfig{MTU: 10}}); err == nil {
+		t.Fatal("NewClient accepted an impossible MTU")
 	}
 }
 

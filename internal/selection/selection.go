@@ -43,17 +43,13 @@ type Config struct {
 	// UseUptime enables the uptime ≥ session duration filter. On by
 	// default in QSA; the ablation benches switch it off.
 	UseUptime bool
-	// UseFeasibility enables the availability/bandwidth pre-filter against
-	// the instance requirements.
-	UseFeasibility bool
 }
 
 // DefaultConfig returns the paper's QSA selector configuration.
 func DefaultConfig() Config {
 	return Config{
-		Weights:        []float64{1.0 / 3, 1.0 / 3, 1.0 / 3},
-		UseUptime:      true,
-		UseFeasibility: true,
+		Weights:   []float64{1.0 / 3, 1.0 / 3, 1.0 / 3},
+		UseUptime: true,
 	}
 }
 
@@ -203,7 +199,7 @@ func (s *Selector) selectStep(current topology.PeerID, inst *service.Instance,
 			return Candidate{NoInfo: true}
 		case !info.Alive:
 			return Candidate{Dead: true}
-		case s.cfg.UseFeasibility && (!fits(info.Available, inst.R) || info.AvailKbps < inst.OutKbps):
+		case !fits(info.Available, inst.R) || info.AvailKbps < inst.OutKbps:
 			return Candidate{Infeasible: true}
 		}
 		return Candidate{Phi: s.Phi(info, inst.R, inst.OutKbps), UptimeOK: !s.cfg.UseUptime || info.Uptime >= dur}

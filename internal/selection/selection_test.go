@@ -71,7 +71,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestPhiFormula(t *testing.T) {
-	f := newFixture(t, 3, Config{Weights: []float64{0.25, 0.25, 0.5}, UseUptime: true, UseFeasibility: true})
+	f := newFixture(t, 3, Config{Weights: []float64{0.25, 0.25, 0.5}, UseUptime: true})
 	info := probe.Info{Available: resource.Vec2(100, 200), AvailKbps: 1000, Alive: true}
 	got := f.sel.Phi(info, []float64{10, 10}, 100)
 	want := 0.25*100/10 + 0.25*200/10 + 0.5*1000/100

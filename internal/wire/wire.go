@@ -46,69 +46,41 @@ const (
 	KindAggregate
 )
 
+// kindTypes maps each binary kind to its Type string. KindOther's is
+// empty: its string travels in the body.
+var kindTypes = [...]string{KindJoin: TypeJoin, KindLeave: TypeLeave, KindLookup: TypeLookup,
+	KindProbe: TypeProbe, KindSelect: TypeSelect, KindReserve: TypeReserve,
+	KindRelease: TypeRelease, KindAggregate: TypeAggregate}
+
 // kindOf maps a Type string to its binary kind.
 func kindOf(typ string) byte {
-	switch typ {
-	case TypeJoin:
-		return KindJoin
-	case TypeLeave:
-		return KindLeave
-	case TypeLookup:
-		return KindLookup
-	case TypeProbe:
-		return KindProbe
-	case TypeSelect:
-		return KindSelect
-	case TypeReserve:
-		return KindReserve
-	case TypeRelease:
-		return KindRelease
-	case TypeAggregate:
-		return KindAggregate
-	default:
-		return KindOther
+	for k := KindJoin; int(k) < len(kindTypes); k++ {
+		if kindTypes[k] == typ {
+			return k
+		}
 	}
+	return KindOther
 }
 
-// typeOf maps a binary kind back to its Type string ("" for
-// KindOther, whose string travels in the body).
+// typeOf maps a binary kind back to its Type string ("" for KindOther
+// and for kinds this codec does not know).
 func typeOf(kind byte) string {
-	switch kind {
-	case KindJoin:
-		return TypeJoin
-	case KindLeave:
-		return TypeLeave
-	case KindLookup:
-		return TypeLookup
-	case KindProbe:
-		return TypeProbe
-	case KindSelect:
-		return TypeSelect
-	case KindReserve:
-		return TypeReserve
-	case KindRelease:
-		return TypeRelease
-	case KindAggregate:
-		return TypeAggregate
-	default:
-		return ""
+	if int(kind) < len(kindTypes) {
+		return kindTypes[kind]
 	}
+	return ""
 }
 
 // Idempotent reports whether an RPC type may be retransmitted without
-// changing the outcome: probing, discovery and membership messages
-// are; reserve is not (a duplicate could double-book
-// capacity), select is not (a duplicate would re-run the downstream
-// selection recursion), and aggregate is not (it admits a session,
-// so a duplicate would book a second one). The UDP transport consults
-// this — via the header flag the codec sets — to decide whether a
-// lost datagram may be resent.
+// changing the outcome. Every RPC of the vocabulary is, reserve
+// included (the host keys it by session and hop), except two: select
+// (a duplicate would re-run the downstream selection recursion) and
+// aggregate (it admits a session, so a duplicate would book a second
+// one). The UDP transport consults this — via the header flag the codec
+// sets — to decide whether a lost datagram may be resent.
 func Idempotent(typ string) bool {
-	switch typ {
-	case TypeJoin, TypeLeave, TypeLookup, TypeProbe, TypeRelease:
-		return true
-	}
-	return false
+	k := kindOf(typ)
+	return k != KindOther && k != KindSelect && k != KindAggregate
 }
 
 // Param is the wire form of one QoS parameter.
@@ -164,7 +136,7 @@ type Request struct {
 	// select
 	Instances  []Instance          `json:"instances,omitempty"`
 	Candidates map[string][]string `json:"candidates,omitempty"` // instance ID -> provider addrs
-	Idx        int                 `json:"idx,omitempty"`
+	Idx        int                 `json:"idx,omitempty"`        // select: the hop to choose; reserve: the hop to book
 	Chain      []string            `json:"chain,omitempty"`
 	UserAddr   string              `json:"user_addr,omitempty"`
 	Trace      bool                `json:"trace,omitempty"` // carry Hop decision records back

@@ -230,7 +230,7 @@ func TestBinaryHeaderFlags(t *testing.T) {
 		idem bool
 	}{
 		{TypeJoin, true}, {TypeLeave, true}, {TypeLookup, true}, {TypeProbe, true},
-		{TypeRelease, true}, {TypeReserve, false}, {TypeSelect, false}, {"weird", false},
+		{TypeRelease, true}, {TypeReserve, true}, {TypeSelect, false}, {"weird", false},
 	} {
 		req := Request{Type: tc.typ}
 		buf, err := bin.AppendRequest(nil, 1, &req)
