@@ -49,8 +49,10 @@
 #             a handful per slab chunk and per call, none per node;
 #             TestRingBytesPerNode bounds the ring's heap per node),
 #             TestBinarySteadyStateAllocs (codec, packet
-#             framing, buffer pool), TestJSONEncodeAllocs, the admission
-#             fast paths and
+#             framing, buffer pool), TestJSONEncodeAllocs,
+#             TestBandwidthLedgerAllocs (reserve, available and release
+#             on a live pair: 0), TestMemoHitAllocs (a compose.Memo
+#             hit: 0), the admission fast paths and
 #             TestRPCExchangeBytes (16 KiB per warm exchange, zero-alloc
 #             reader checkout)
 #   coverage  each package in the table below must keep the short
@@ -128,6 +130,7 @@ registry 95.0
 sim 77.0
 faults 89.0
 compose 98.0
+resource 96.0
 EOF
 
 echo '>> size (reported, not gated)'

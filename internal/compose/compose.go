@@ -163,9 +163,11 @@ func Consistent(instances []*service.Instance, userQoS qos.Vector) bool {
 	return qos.Satisfies(instances[len(instances)-1].Qout, userQoS)
 }
 
-// node addresses one instance in the layered graph during Dijkstra.
+// node addresses one instance in the layered graph during Dijkstra; id
+// is the instance's dense index in the memo (Memo.id).
 type node struct {
 	layer, idx int
+	id         int32
 	dist       float64
 	heapIdx    int
 	settled    bool
@@ -226,7 +228,7 @@ func QCS(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path, e
 	for k, layer := range layers {
 		sc.off[k] = at
 		for i := range layer {
-			sc.slab[at] = node{layer: k, idx: i, dist: -1, heapIdx: -1}
+			sc.slab[at] = node{layer: k, idx: i, id: cfg.Memo.id(layer[i]), dist: -1, heapIdx: -1}
 			at++
 		}
 		cfg.Obs.Vertices.Add(uint64(len(layer)))
@@ -263,12 +265,13 @@ func QCS(layers [][]*service.Instance, userQoS qos.Vector, cfg Config) (*Path, e
 			return &Path{Instances: out, Cost: cur.dist}, nil
 		}
 		curInst := layers[cur.layer][cur.idx]
+		preds := sc.slab[sc.off[cur.layer-1]:]
 		for j, pred := range layers[cur.layer-1] {
-			if !cfg.Memo.CanFeed(pred, curInst) {
+			n := &preds[j]
+			if !cfg.Memo.feeds(pred, n.id, curInst, cur.id) {
 				continue
 			}
 			cfg.Obs.Edges.Inc()
-			n := &sc.slab[sc.off[cur.layer-1]+j]
 			if n.settled {
 				continue
 			}
@@ -299,13 +302,20 @@ func backtrack(layers [][]*service.Instance, userQoS qos.Vector, memo *Memo,
 	if layer < 0 {
 		return true
 	}
+	last := layer == len(layers)-1
+	var next *service.Instance
+	var nextID int32
+	if !last {
+		next = chosen[layer+1]
+		nextID = memo.id(next)
+	}
 	for _, i := range order(layer, len(layers[layer])) {
 		cand := layers[layer][i]
-		if layer == len(layers)-1 {
+		if last {
 			if !memo.SatisfiesUser(cand, userQoS) {
 				continue
 			}
-		} else if !memo.CanFeed(cand, chosen[layer+1]) {
+		} else if !memo.feeds(cand, memo.id(cand), next, nextID) {
 			continue
 		}
 		chosen[layer] = cand

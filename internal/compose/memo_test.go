@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -191,4 +192,118 @@ func pathIDs(p *Path) []string {
 		ids[i] = in.ID
 	}
 	return ids
+}
+
+// mapMemo is the reference model of the memo: outcomes in maps keyed by
+// the instance pointers (and, for the user check, the vector's backing
+// array), as the memo was first written, with its own hit and miss
+// counts.
+type mapMemo struct {
+	feed                 map[[2]*service.Instance]bool
+	user                 map[userKey]bool
+	feedHits, feedMisses uint64
+	userHits, userMisses uint64
+}
+
+func (m *mapMemo) canFeed(a, b *service.Instance) bool {
+	k := [2]*service.Instance{a, b}
+	if v, ok := m.feed[k]; ok {
+		m.feedHits++
+		return v
+	}
+	m.feedMisses++
+	m.feed[k] = a.CanFeed(b)
+	return m.feed[k]
+}
+
+func (m *mapMemo) satisfiesUser(in *service.Instance, u qos.Vector) bool {
+	k := userKey{inst: in, p0: &u[0], n: len(u)}
+	if v, ok := m.user[k]; ok {
+		m.userHits++
+		return v
+	}
+	m.userMisses++
+	v := qos.Satisfies(in.Qout, u)
+	if len(m.user) < maxUserMemo {
+		m.user[k] = v
+	}
+	return v
+}
+
+// TestMemoMatchesMapReference drives the memo and the map reference
+// through one random sequence of checks over a generated catalog's
+// instances: CanFeed on random pairs, the dense-index path QCS takes
+// with both indexes fetched beforehand, and SatisfiesUser against the
+// catalog's shared per-level vectors. Every outcome and all four
+// counters must agree after every check.
+func TestMemoMatchesMapReference(t *testing.T) {
+	cat, err := catalog.New(catalog.Default(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := cat.AllInstances()
+	var users []qos.Vector
+	for _, l := range qos.Levels {
+		users = append(users, cat.UserQoS(nil, l))
+	}
+	m := NewMemo()
+	m.Obs = obs.NewMemoCounters(obs.NewRegistry())
+	ref := &mapMemo{feed: make(map[[2]*service.Instance]bool), user: make(map[userKey]bool)}
+	rng := xrand.New(11)
+	pool := all[:len(all)/3] // a third of the instances, so pairs repeat
+	for step := 0; step < 20000; step++ {
+		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		var got, want bool
+		switch rng.Intn(3) {
+		case 0:
+			got, want = m.CanFeed(a, b), ref.canFeed(a, b)
+		case 1:
+			ia, ib := m.id(a), m.id(b)
+			got, want = m.feeds(a, ia, b, ib), ref.canFeed(a, b)
+		case 2:
+			u := users[rng.Intn(len(users))]
+			got, want = m.SatisfiesUser(a, u), ref.satisfiesUser(a, u)
+		}
+		if got != want {
+			t.Fatalf("step %d: memo says %v, reference %v", step, got, want)
+		}
+		if m.Obs.FeedHits.Value() != ref.feedHits || m.Obs.FeedMisses.Value() != ref.feedMisses ||
+			m.Obs.UserHits.Value() != ref.userHits || m.Obs.UserMisses.Value() != ref.userMisses {
+			t.Fatalf("step %d: counters feed %d/%d user %d/%d, reference %d/%d %d/%d", step,
+				m.Obs.FeedHits.Value(), m.Obs.FeedMisses.Value(), m.Obs.UserHits.Value(), m.Obs.UserMisses.Value(),
+				ref.feedHits, ref.feedMisses, ref.userHits, ref.userMisses)
+		}
+	}
+	yes := 0
+	for _, v := range ref.feed {
+		if v {
+			yes++
+		}
+	}
+	if yes == 0 || yes == len(ref.feed) || ref.feedHits == 0 {
+		t.Fatalf("%d of %d pairs feed, %d hits: an outcome went untested", yes, len(ref.feed), ref.feedHits)
+	}
+}
+
+// TestMemoHitAllocs pins a memo hit at zero allocations, on CanFeed, on
+// the dense-index path QCS takes and on SatisfiesUser.
+func TestMemoHitAllocs(t *testing.T) {
+	m := NewMemo()
+	m.Obs = obs.NewMemoCounters(obs.NewRegistry())
+	a := inst("a", "X", "M", 1, 1)
+	b := inst("b", "M", "A", 1, 1)
+	m.CanFeed(a, b)
+	m.SatisfiesUser(b, userA)
+	ia, ib := m.id(a), m.id(b)
+	avg := testing.AllocsPerRun(200, func() {
+		m.CanFeed(a, b)
+		m.feeds(a, ia, b, ib)
+		m.SatisfiesUser(b, userA)
+	})
+	if avg != 0 {
+		t.Fatalf("memo hits allocate %.1f/op, want 0", avg)
+	}
+	if h := m.Obs.FeedHits.Value(); h != 2*201 {
+		t.Fatalf("feed hits = %d, want %d", h, 2*201)
+	}
 }

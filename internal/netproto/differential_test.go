@@ -147,7 +147,11 @@ func composedPaths(t *testing.T, tr *obs.Tracer, buf *bytes.Buffer) []string {
 // on the same hosts on both: the simulator departs the peer
 // (Sessions.PeerDeparted), the prototype's fabric crashes it with the
 // initiator monitoring; where both recover, the replacement hosts must
-// be equal.
+// be equal. The crash takes the requests admitted on the same hosts in
+// order, each on a fresh grid and overlay, until one recovers on both or
+// none is left: which request the prototype places on the simulator's
+// hosts, and whether its repair races the crash, move with timing on a
+// busy host, so the first one alone may compare nothing recovered.
 //
 // Permitted divergences, each a difference in what the front ends
 // measure or reach rather than in the pipeline:
@@ -208,8 +212,8 @@ func TestSimPrototypeDifferential(t *testing.T) {
 		begin := time.Now()
 		tr := obs.NewTracer(&buf, func() float64 { return time.Since(begin).Seconds() })
 		_, peers, index := diffOverlay(t, seed, insts, provs, tr)
-		// crashReq is the first request admitted on the same hosts by both.
-		var crashReq *service.Request
+		// crashReqs are the requests admitted on the same hosts by both.
+		var crashReqs []*service.Request
 		for _, slice := range []struct {
 			name  string
 			insts []*service.Instance
@@ -263,20 +267,22 @@ func TestSimPrototypeDifferential(t *testing.T) {
 						diverged++ // host choice, permitted above
 					case simErr == nil:
 						succeeded++
-						if crashReq == nil && slice.name == "plain" && slices.Equal(simHosts(sess), netHosts(plan, index)) {
-							crashReq = req
+						if slice.name == "plain" && slices.Equal(simHosts(sess), netHosts(plan, index)) {
+							crashReqs = append(crashReqs, req)
 						}
 					}
 					waitReleased(t, peers)
 				}
 			}
 		}
-		if crashReq == nil {
-			continue
+		for _, req := range crashReqs {
+			c, r := crashOne(t, seed, insts, provs, req)
+			crashed += c
+			recovered += r
+			if r > 0 {
+				break
+			}
 		}
-		c, r := crashOne(t, seed, insts, provs, crashReq)
-		crashed += c
-		recovered += r
 	}
 	t.Logf("%d requests composed on both front ends (%d through a tied instance, %d recomposed on both), %d admitted on both, %d diverged after composition; %d crashes, %d recovered on both",
 		compared, ties, retried, succeeded, diverged, crashed, recovered)

@@ -71,13 +71,19 @@ const tombstonePID int32 = -1
 // pointer per neighbor: the entries sit by value in the insertion-order
 // slice and the availability vectors in one slab beside it, dim floats
 // per slot. Insertion order is tracked so that eviction scans are
-// deterministic (Go map iteration order is randomized, which would break
-// run reproducibility). Removals leave tombstones, so lookups and
-// removals are O(1) and the eviction scan is one contiguous walk with no
-// map probes. Tombstones are compacted once they outnumber live slots,
-// and an insert that would grow a full order slice of at least slack()
-// slots compacts instead: live ≤ M, so that frees at least M/4 slots and
-// the slice never holds more than 5M/4.
+// deterministic. Removals leave tombstones, so lookups and removals are
+// O(1) and the eviction scan is one contiguous walk. Tombstones are
+// compacted once they outnumber live slots, and an insert that would grow
+// a full order slice of at least slack() slots compacts instead: live ≤
+// M, so that frees at least M/4 slots and the slice never holds more than
+// 5M/4.
+//
+// idx finds a neighbor's slot: an open-addressed, linearly probed hash
+// of pid to slot index with at least two buckets per slot of cap(order),
+// rebuilt whenever order is grown or compacted. A removal marks its
+// bucket deleted, so every bucket in use stands for one slot of order
+// and at least half the buckets are always empty: a probe sequence ends
+// at an empty bucket within a few steps.
 //
 // minExpires and maxRank bound every live slot's expiry from below and
 // its rank from above. The setters (insert, renew) widen them as they
@@ -85,7 +91,8 @@ const tombstonePID int32 = -1
 // evictFor can rule a victim out without a scan.
 type table struct {
 	cap   int
-	pos   map[int32]int32 // pid -> index in order
+	idx   []int32 // open-addressed: slot index + 1, idxEmpty or idxDeleted
+	shift uint8   // 32 − log2(len(idx)): hash(pid) is its top bits
 	order []slot
 	avail []float64 // slot i's availability is avail[i*dim : (i+1)*dim]
 	dim   int       // resource dimension; 0 until the first live measurement
@@ -95,8 +102,73 @@ type table struct {
 	maxRank    int32
 }
 
+// Bucket marks of table.idx; a bucket in use holds its slot's index + 1,
+// so a cleared index is all empty.
+const (
+	idxEmpty   int32 = 0
+	idxDeleted int32 = -1
+)
+
 func newTable(m int) *table {
-	return &table{cap: m, pos: make(map[int32]int32), minExpires: math.Inf(1), maxRank: math.MinInt32}
+	return &table{cap: m, minExpires: math.Inf(1), maxRank: math.MinInt32}
+}
+
+// bucket is p's home bucket in idx: Fibonacci hashing of the pid.
+func (t *table) bucket(p int32) uint32 { return uint32(p) * 0x9E3779B9 >> t.shift }
+
+// lookup returns the bucket holding p's slot index, or −1 when p has no
+// slot.
+func (t *table) lookup(p int32) int {
+	if len(t.idx) == 0 {
+		return -1
+	}
+	mask := uint32(len(t.idx) - 1)
+	for b := t.bucket(p); ; b = (b + 1) & mask {
+		switch v := t.idx[b]; {
+		case v == idxEmpty:
+			return -1
+		case v > 0 && t.order[v-1].pid == p:
+			return int(b)
+		}
+	}
+}
+
+// find returns the index of p's slot in order.
+func (t *table) find(p int32) (int32, bool) {
+	if b := t.lookup(p); b >= 0 {
+		return t.idx[b] - 1, true
+	}
+	return 0, false
+}
+
+// place records slot i, holding p, in the first free bucket of p's probe
+// sequence. p must have no slot yet.
+func (t *table) place(p, i int32) {
+	mask := uint32(len(t.idx) - 1)
+	b := t.bucket(p)
+	for t.idx[b] > 0 {
+		b = (b + 1) & mask
+	}
+	t.idx[b] = i + 1
+}
+
+// reindex rebuilds idx for the live slots of order, sized for cap(order).
+func (t *table) reindex() {
+	n, bits := 2*cap(t.order), uint8(1)
+	for 1<<bits < n {
+		bits++
+	}
+	if len(t.idx) != 1<<bits {
+		t.idx = make([]int32, 1<<bits)
+		t.shift = 32 - bits
+	} else {
+		clear(t.idx)
+	}
+	for i, s := range t.order {
+		if s.pid != tombstonePID {
+			t.place(s.pid, int32(i))
+		}
+	}
 }
 
 // slack is the order slice's capacity bound, 5M/4.
@@ -114,8 +186,8 @@ func (t *table) insert(p int32, rank Rank, expires float64) int32 {
 		}
 	}
 	i := int32(len(t.order))
-	t.pos[p] = i
 	t.order = append(t.order, slot{pid: p, rank: int32(rank), expires: expires})
+	t.place(p, i)
 	t.avail = t.avail[:len(t.order)*t.dim]
 	t.minExpires = min(t.minExpires, expires)
 	t.maxRank = max(t.maxRank, int32(rank))
@@ -132,7 +204,8 @@ func (t *table) renew(i int32, rank Rank, expires float64) {
 	t.minExpires = min(t.minExpires, expires)
 }
 
-// grow reallocates order and the slab to hold n slots.
+// grow reallocates order and the slab to hold n slots, and the slot
+// index to match.
 func (t *table) grow(n int) {
 	order := make([]slot, len(t.order), n)
 	copy(order, t.order)
@@ -140,15 +213,16 @@ func (t *table) grow(n int) {
 	avail := make([]float64, len(t.avail), n*t.dim)
 	copy(avail, t.avail)
 	t.avail = avail
+	t.reindex()
 }
 
 func (t *table) remove(p int32) {
-	i, ok := t.pos[p]
-	if !ok {
+	b := t.lookup(p)
+	if b < 0 {
 		return
 	}
-	t.order[i] = slot{pid: tombstonePID}
-	delete(t.pos, p)
+	t.order[t.idx[b]-1] = slot{pid: tombstonePID}
+	t.idx[b] = idxDeleted
 	t.dead++
 	if t.dead > len(t.order)-t.dead {
 		t.compact()
@@ -167,13 +241,13 @@ func (t *table) compact() {
 		if n != i {
 			t.order[n] = s
 			copy(t.avail[n*d:(n+1)*d], t.avail[i*d:(i+1)*d])
-			t.pos[s.pid] = int32(n)
 		}
 		n++
 	}
 	t.order = t.order[:n]
 	t.avail = t.avail[:n*d]
 	t.dead = 0
+	t.reindex()
 }
 
 // row returns slot i's availability row for a vector of dimension d. The
@@ -238,7 +312,7 @@ func (t *table) evictFor(rank Rank, now float64) (int32, bool) {
 
 // size returns the number of neighbors currently tracked (including
 // expired-but-not-yet-evicted ones).
-func (t *table) size() int { return len(t.pos) }
+func (t *table) size() int { return len(t.order) - t.dead }
 
 // Stats counts manager-wide probing activity.
 type Stats struct {
@@ -278,9 +352,11 @@ func (c *Config) fillDefaults() {
 // instantaneous read of the target's true state — what a real probe packet
 // would report, minus propagation delay).
 type Manager struct {
-	cfg    Config
-	net    *topology.Network
-	tables map[topology.PeerID]*table
+	cfg Config
+	net *topology.Network
+	// tables holds each peer's neighbor table at its PeerID (topology
+	// numbers peers densely from 0); nil until the peer first resolves.
+	tables []*table
 
 	// Obs is the one count of probing activity; Stats reads it.
 	// NewManager gives it private counters; wire it to a registry
@@ -291,8 +367,11 @@ type Manager struct {
 // NewManager returns a manager over the given network.
 func NewManager(cfg Config, net *topology.Network) *Manager {
 	cfg.fillDefaults()
-	return &Manager{cfg: cfg, net: net, tables: make(map[topology.PeerID]*table),
-		Obs: obs.NewProbeCounters(obs.NewRegistry())}
+	m := &Manager{cfg: cfg, net: net, Obs: obs.NewProbeCounters(obs.NewRegistry())}
+	if net != nil {
+		m.tables = make([]*table, net.TotalCount())
+	}
+	return m
 }
 
 // Stats returns cumulative probing statistics.
@@ -310,16 +389,31 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // table returns owner's neighbor table, creating it on first use.
 func (m *Manager) table(owner topology.PeerID) *table {
-	t, ok := m.tables[owner]
-	if !ok {
+	for int(owner) >= len(m.tables) {
+		m.tables = append(m.tables, nil)
+	}
+	t := m.tables[owner]
+	if t == nil {
 		t = newTable(m.cfg.M)
 		m.tables[owner] = t
 	}
 	return t
 }
 
+// existing returns owner's neighbor table, or nil when it has none.
+func (m *Manager) existing(owner topology.PeerID) *table {
+	if owner < 0 || int(owner) >= len(m.tables) {
+		return nil
+	}
+	return m.tables[owner]
+}
+
 // DropPeer discards a departed peer's table.
-func (m *Manager) DropPeer(owner topology.PeerID) { delete(m.tables, owner) }
+func (m *Manager) DropPeer(owner topology.PeerID) {
+	if m.existing(owner) != nil {
+		m.tables[owner] = nil
+	}
+}
 
 // measure takes a fresh measurement of target from owner's perspective
 // into slot i of owner's table t.
@@ -351,7 +445,7 @@ func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, r
 		if c == owner {
 			continue
 		}
-		i, ok := t.pos[int32(c)]
+		i, ok := t.find(int32(c))
 		if !ok {
 			if t.size() >= t.cap {
 				if _, ok := t.evictFor(rank, now); !ok {
@@ -386,11 +480,11 @@ func (m *Manager) Resolve(owner topology.PeerID, candidates []topology.PeerID, r
 // move or free it (a compaction moves rows). Consume it before then;
 // don't retain it.
 func (m *Manager) Fresh(owner, candidate topology.PeerID, now float64) (Info, bool) {
-	t, ok := m.tables[owner]
-	if !ok {
+	t := m.existing(owner)
+	if t == nil {
 		return Info{}, false
 	}
-	i, ok := t.pos[int32(candidate)]
+	i, ok := t.find(int32(candidate))
 	if !ok {
 		return Info{}, false
 	}
@@ -407,8 +501,8 @@ func (m *Manager) Fresh(owner, candidate topology.PeerID, now float64) (Info, bo
 
 // NeighborCount returns how many neighbors owner currently tracks.
 func (m *Manager) NeighborCount(owner topology.PeerID) int {
-	t, ok := m.tables[owner]
-	if !ok {
+	t := m.existing(owner)
+	if t == nil {
 		return 0
 	}
 	return t.size()

@@ -72,9 +72,9 @@ func insertWith(tab *table, p int32, rank Rank, expires float64) {
 }
 
 // checkSlab requires the table's layout invariants: order within the
-// slack bound, the slab dim × len(order) long, every pos index pointing
-// at its own slot, and every live neighbor's row still holding its
-// vector.
+// slack bound, the slab dim × len(order) long, every slot index entry
+// pointing at its own slot, and every live neighbor's row still holding
+// its vector.
 func checkSlab(t *testing.T, step int, tab *table) {
 	t.Helper()
 	if c, bound := cap(tab.order), tab.slack(); c > bound {
@@ -88,8 +88,8 @@ func checkSlab(t *testing.T, step int, tab *table) {
 		if s.pid == tombstonePID {
 			continue
 		}
-		if j, ok := tab.pos[s.pid]; !ok || int(j) != i {
-			t.Fatalf("step %d: pos index stale for %v", step, s.pid)
+		if j, ok := tab.find(s.pid); !ok || int(j) != i {
+			t.Fatalf("step %d: slot index stale for %v", step, s.pid)
 		}
 		want := vecOf(s.pid)
 		if got := tab.row(int32(i), testDim); got[0] != want[0] || got[1] != want[1] {
@@ -113,7 +113,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		p := int32(rng.Intn(40))
 		switch rng.Intn(4) {
 		case 0: // insert (evicting if full), mirroring Resolve's shape
-			if _, ok := real.pos[p]; ok {
+			if _, ok := real.find(p); ok {
 				continue
 			}
 			rank := Rank(rng.Intn(6))
@@ -136,7 +136,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			real.remove(p)
 			ref.remove(p)
 		case 2: // refresh
-			if i, ok := real.pos[p]; ok {
+			if i, ok := real.find(p); ok {
 				rank := Rank(rng.Intn(6))
 				real.renew(i, rank, now+1)
 				e := ref.entries[p]
@@ -170,6 +170,38 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		}
 		checkSlab(t, step, real)
 		checkBounds(t, step, real)
+		checkIndex(t, step, real, func(p int32) bool { _, ok := ref.entries[p]; return ok }, 40)
+	}
+}
+
+// checkIndex requires the slot index to name exactly the live pids below
+// n: every member found at its own slot (checkSlab), every other pid —
+// evicted, removed or never inserted — absent. Buckets in use, live or
+// deleted, stand for distinct slots of order, so at least half the
+// buckets stay empty.
+func checkIndex(t *testing.T, step int, tab *table, member func(int32) bool, n int32) {
+	t.Helper()
+	for p := int32(0); p < n; p++ {
+		i, ok := tab.find(p)
+		if ok != member(p) {
+			t.Fatalf("step %d: slot index finds %v: %v, want %v", step, p, ok, member(p))
+		}
+		if ok && tab.order[i].pid != p {
+			t.Fatalf("step %d: slot index sends %v to slot %d of %v", step, p, i, tab.order[i].pid)
+		}
+	}
+	live, deleted := 0, 0
+	for _, v := range tab.idx {
+		switch {
+		case v > 0:
+			live++
+		case v == idxDeleted:
+			deleted++
+		}
+	}
+	if live != tab.size() || live+deleted > len(tab.order) || 2*(live+deleted) > len(tab.idx) {
+		t.Fatalf("step %d: %d live and %d deleted buckets of %d for %d slots, %d live",
+			step, live, deleted, len(tab.idx), len(tab.order), tab.size())
 	}
 }
 
@@ -321,7 +353,7 @@ func BenchmarkResolveFull(b *testing.B) {
 func TestResolveNewcomerAllocs(t *testing.T) {
 	m, resolve := newcomerShape(t)
 	for i := 0; i < 200; i++ {
-		resolve() // reach the slack bound and the pos map's high-water mark
+		resolve() // reach the slack bound and the slot index's final size
 	}
 	before := m.Stats()
 	avg := testing.AllocsPerRun(200, resolve)

@@ -157,10 +157,11 @@ type Registry struct {
 	joined int
 	rng    *xrand.Source
 
-	// owners holds, for each joined peer that has written, the owner its
-	// last write under each service key reached; RemovePeer drops the
-	// peer's. directWrites counts the writes that went straight there.
-	owners       map[topology.PeerID][]ownerHint
+	// owners holds, at each joined peer's PeerID (beside nodes), the
+	// owner its last write under each service key reached; RemovePeer
+	// drops the peer's. directWrites counts the writes that went straight
+	// there.
+	owners       [][]ownerHint
 	directWrites uint64
 
 	// epoch is the monotonic mutation counter: every Register, Unregister,
@@ -178,12 +179,11 @@ type Registry struct {
 func New(cfg Config, seed uint64) *Registry {
 	cfg.fillDefaults()
 	return &Registry{
-		cfg:    cfg,
-		ring:   chord.NewRing(cfg.Chord),
-		rng:    xrand.New(seed).SplitLabeled("registry"),
-		owners: make(map[topology.PeerID][]ownerHint),
-		cache:  make(map[service.Name]*cachedLookup),
-		Obs:    obs.NewDiscoveryCounters(obs.NewRegistry()),
+		cfg:   cfg,
+		ring:  chord.NewRing(cfg.Chord),
+		rng:   xrand.New(seed).SplitLabeled("registry"),
+		cache: make(map[service.Name]*cachedLookup),
+		Obs:   obs.NewDiscoveryCounters(obs.NewRegistry()),
 	}
 }
 
@@ -278,6 +278,7 @@ func (r *Registry) checkNew(p topology.PeerID) error {
 func (r *Registry) bind(p topology.PeerID, n *chord.Node) {
 	for int(p) >= len(r.nodes) {
 		r.nodes = append(r.nodes, noNode)
+		r.owners = append(r.owners, nil)
 	}
 	if r.nodes[p] == noNode {
 		r.joined++
@@ -333,7 +334,7 @@ func (r *Registry) RemovePeer(p topology.PeerID, graceful bool) error {
 	}
 	r.nodes[p] = noNode
 	r.joined--
-	delete(r.owners, p)
+	r.owners[p] = nil
 	r.bumpEpoch() // an abrupt removal may lose stored data
 	n := r.ring.Node(h)
 	if graceful {

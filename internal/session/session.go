@@ -12,7 +12,9 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/eventsim"
 	"repro/internal/obs"
@@ -116,7 +118,9 @@ type Manager struct {
 
 	nextID   uint64
 	sessions map[uint64]*Session
-	byPeer   map[topology.PeerID]map[uint64]*Session
+	// byPeer lists, at each PeerID, the live sessions the peer takes part
+	// in as user or host, each once, in no particular order.
+	byPeer [][]*Session
 
 	// Recovery, when non-nil, is invoked for each component lost to a peer
 	// departure before the session is failed.
@@ -144,7 +148,7 @@ func NewManager(net *topology.Network, engine *eventsim.Engine) *Manager {
 		net:      net,
 		engine:   engine,
 		sessions: make(map[uint64]*Session),
-		byPeer:   make(map[topology.PeerID]map[uint64]*Session),
+		byPeer:   make([][]*Session, net.TotalCount()),
 		Obs:      obs.NewSessionCounters(obs.NewRegistry()),
 	}
 }
@@ -286,20 +290,22 @@ func (m *Manager) Admit(user topology.PeerID, instances []*service.Instance,
 }
 
 func (m *Manager) indexPeer(p topology.PeerID, s *Session) {
-	set, ok := m.byPeer[p]
-	if !ok {
-		set = make(map[uint64]*Session)
-		m.byPeer[p] = set
+	for int(p) >= len(m.byPeer) {
+		m.byPeer = append(m.byPeer, nil)
 	}
-	set[s.ID] = s
+	if !slices.Contains(m.byPeer[p], s) {
+		m.byPeer[p] = append(m.byPeer[p], s)
+	}
 }
 
+// unindexPeer drops s from p's list; s was indexed at p.
 func (m *Manager) unindexPeer(p topology.PeerID, s *Session) {
-	if set, ok := m.byPeer[p]; ok {
-		delete(set, s.ID)
-		if len(set) == 0 {
-			delete(m.byPeer, p)
-		}
+	set := m.byPeer[p]
+	if i := slices.Index(set, s); i >= 0 {
+		last := len(set) - 1
+		set[i] = set[last]
+		set[last] = nil
+		m.byPeer[p] = set[:last]
 	}
 }
 
@@ -347,21 +353,13 @@ func (m *Manager) failSession(s *Session) {
 // with a component on the departed peer. Call it right after
 // Network.Depart.
 func (m *Manager) PeerDeparted(p topology.PeerID, now float64) {
-	set, ok := m.byPeer[p]
-	if !ok {
+	if int(p) >= len(m.byPeer) || len(m.byPeer[p]) == 0 {
 		return
 	}
 	// Collect first: recovery and failure mutate the index. Process in ID
 	// order for determinism.
-	affected := make([]*Session, 0, len(set))
-	for _, s := range set {
-		affected = append(affected, s)
-	}
-	for i := 1; i < len(affected); i++ {
-		for j := i; j > 0 && affected[j-1].ID > affected[j].ID; j-- {
-			affected[j-1], affected[j] = affected[j], affected[j-1]
-		}
-	}
+	affected := slices.Clone(m.byPeer[p])
+	slices.SortFunc(affected, func(a, b *Session) int { return cmp.Compare(a.ID, b.ID) })
 	for _, s := range affected {
 		if s.State != Active || !s.hosts(p) {
 			continue

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/eventsim"
@@ -379,4 +380,43 @@ func TestActiveGaugeTracksSessions(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("gauge = %d after failure, want 0", g.Value())
 	}
+}
+
+// TestPeerDepartedInIDOrderOnJoinedPeer runs sessions on a peer that
+// joined after the manager was built, so its session list is grown on
+// first use, and completes the oldest first, which reorders the list
+// (a removal moves the last session into the gap). The departure must
+// still fail the rest in session-ID order and leave nothing indexed or
+// reserved.
+func TestPeerDepartedInIDOrderOnJoinedPeer(t *testing.T) {
+	f := newFixture(t, 10)
+	p, err := f.net.Join(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for i, dur := range []float64{1, 5, 5, 5} {
+		s, err := f.mgr.Admit(0, []*service.Instance{inst(1, 1)}, []topology.PeerID{p.ID}, dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			want = append(want, s.ID)
+		}
+	}
+	f.engine.RunUntil(2)
+	var got []uint64
+	f.mgr.OnEnd = func(s *Session) { got = append(got, s.ID) }
+	if err := f.net.Depart(p.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	f.mgr.PeerDeparted(p.ID, 2)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("departure ended sessions %v, want %v in ID order", got, want)
+	}
+	if len(f.mgr.byPeer[p.ID]) != 0 || len(f.mgr.byPeer[0]) != 0 || f.mgr.Active() != 0 {
+		t.Fatalf("departure left %d, %d sessions indexed and %d active",
+			len(f.mgr.byPeer[p.ID]), len(f.mgr.byPeer[0]), f.mgr.Active())
+	}
+	f.fullyAvailable(t)
 }

@@ -313,7 +313,9 @@ type Simulator struct {
 	rngChurn    *xrand.Source
 	rngProvider *xrand.Source
 
-	provides     map[topology.PeerID][]*service.Instance
+	// provides lists, at each alive peer's PeerID, the instances it
+	// provides; churnDepart drops a departed peer's row.
+	provides     [][]*service.Instance
 	adoptPerJoin int // instances a freshly arrived peer starts providing
 }
 
@@ -335,7 +337,6 @@ func New(cfg Config) (*Simulator, error) {
 		rngWorkload: root.SplitLabeled("workload"),
 		rngChurn:    root.SplitLabeled("churn"),
 		rngProvider: root.SplitLabeled("providers"),
-		provides:    make(map[topology.PeerID][]*service.Instance),
 	}
 	if cfg.DisableRetry {
 		s.strat.Retries = 0
@@ -347,6 +348,7 @@ func New(cfg Config) (*Simulator, error) {
 	if s.net, err = topology.New(cfg.Topology); err != nil {
 		return nil, err
 	}
+	s.provides = make([][]*service.Instance, s.net.TotalCount())
 	if s.cat, err = catalog.New(cfg.Catalog); err != nil {
 		return nil, err
 	}
@@ -443,13 +445,14 @@ func New(cfg Config) (*Simulator, error) {
 	for _, inst := range s.cat.AllInstances() {
 		n := s.cat.ProviderCount(s.rngProvider, s.net.TotalCount())
 		total += n
-		seen := make(map[topology.PeerID]bool, n)
-		for len(seen) < n {
+		for placed := 0; placed < n; {
 			p := topology.PeerID(s.rngProvider.Intn(s.net.TotalCount()))
-			if seen[p] {
+			// inst is the last instance placed so far: a peer holds it
+			// already iff its row ends with it.
+			if row := s.provides[p]; len(row) > 0 && row[len(row)-1] == inst {
 				continue
 			}
-			seen[p] = true
+			placed++
 			s.provides[p] = append(s.provides[p], inst)
 			if err := s.reg.Register(p, inst, p, 0); err != nil {
 				return nil, err
@@ -611,6 +614,9 @@ func (s *Simulator) churnDepart(now float64) {
 	}
 	s.sess.PeerDeparted(p.ID, now)
 	s.probes.DropPeer(p.ID)
+	// A departed peer never returns (an arrival is a fresh PeerID), and
+	// refreshRegistrations skips it: its provider row is dead weight.
+	s.provides[p.ID] = nil
 	// Abrupt departure: the DHT node fails, registrations age out via TTL.
 	_ = s.reg.RemovePeer(p.ID, false)
 }
@@ -621,6 +627,9 @@ func (s *Simulator) churnArrive(now float64) {
 	p, err := s.net.Join(now)
 	if err != nil {
 		return
+	}
+	for int(p.ID) >= len(s.provides) {
+		s.provides = append(s.provides, nil)
 	}
 	if err := s.reg.AddPeer(p.ID); err != nil {
 		return
@@ -636,13 +645,11 @@ func (s *Simulator) churnArrive(now float64) {
 // refreshRegistrations re-registers every alive provider's instances —
 // the soft-state refresh that keeps discovery converged under churn.
 func (s *Simulator) refreshRegistrations(now float64) {
-	total := s.net.TotalCount()
-	for id := 0; id < total; id++ {
-		pid := topology.PeerID(id)
-		insts := s.provides[pid]
+	for id, insts := range s.provides {
 		if len(insts) == 0 {
 			continue
 		}
+		pid := topology.PeerID(id)
 		p := s.net.MustPeer(pid)
 		if !p.Alive {
 			continue
