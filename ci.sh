@@ -55,8 +55,9 @@
 #             hit: 0), the admission fast paths and
 #             TestRPCExchangeBytes (16 KiB per warm exchange, zero-alloc
 #             reader checkout)
-#   coverage  each package in the table below must keep the short
-#             suite's statement coverage at or above its floor
+#   coverage  each package in the table below (by import path; repro is
+#             the public façade) must keep the short suite's statement
+#             coverage at or above its floor
 #   size      prints the non-test Go line count and the qsalint waiver
 #             count, with ROADMAP.md's two commands; reported, not gated
 #   race      the short suite again under the race detector, the netproto
@@ -105,7 +106,7 @@ cat "$short_out"
 
 echo '>> coverage floors'
 while read -r pkg floor; do
-	awk -v pkg="repro/internal/$pkg" -v floor="$floor" '
+	awk -v pkg="$pkg" -v floor="$floor" '
 		$2 == pkg { for (i = 3; i < NF; i++) if ($i == "coverage:") { c = $(i + 1); sub(/%/, "", c) } }
 		END {
 			if (c == "" || c + 0 < floor + 0) {
@@ -115,22 +116,23 @@ while read -r pkg floor; do
 			print pkg " coverage " c "% (floor " floor "%)"
 		}' "$short_out"
 done <<EOF
-core 86.0
-netproto 91.0
-obs 94.0
-analysis 90.0
-eventsim 90.0
-wire 90.0
-load 90.0
-session 91.0
-probe 98.0
-chord 97.0
-selection 92.0
-registry 95.0
-sim 77.0
-faults 89.0
-compose 98.0
-resource 96.0
+repro 92.2
+repro/internal/core 89.3
+repro/internal/netproto 91.0
+repro/internal/obs 94.0
+repro/internal/analysis 90.0
+repro/internal/eventsim 90.0
+repro/internal/wire 90.0
+repro/internal/load 90.0
+repro/internal/session 91.0
+repro/internal/probe 98.0
+repro/internal/chord 97.0
+repro/internal/selection 92.0
+repro/internal/registry 95.0
+repro/internal/sim 78.7
+repro/internal/faults 89.0
+repro/internal/compose 98.0
+repro/internal/resource 96.0
 EOF
 
 echo '>> size (reported, not gated)'

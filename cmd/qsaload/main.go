@@ -1,5 +1,5 @@
 // Command qsaload is the open-loop load generator for the serving
-// plane (DESIGN §14): it fires aggregate RPCs at a running qsapeer
+// plane (DESIGN §4.3): it fires aggregate RPCs at a running qsapeer
 // overlay on a schedule that never waits for completions, so measured
 // latency includes the queueing the offered rate actually causes —
 // closed-loop benchmarks hide exactly that (coordinated omission).

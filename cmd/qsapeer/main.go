@@ -20,7 +20,7 @@
 //
 // For sustained open-loop traffic (cmd/qsaload), turn on the serving
 // plane: -admit-workers bounds concurrent aggregations, shedding with a
-// retry-after hint past -admit-queue. See DESIGN.md §14.
+// retry-after hint past -admit-queue. See DESIGN.md §4.3.
 package main
 
 import (
@@ -90,7 +90,7 @@ func parseProvide(entry string) (*service.Instance, error) {
 func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
-		transport = flag.String("transport", "tcp", "transport: tcp, or udp (reliable datagrams, DESIGN.md §12)")
+		transport = flag.String("transport", "tcp", "transport: tcp, or udp (reliable datagrams, DESIGN.md §6.2)")
 		codec     = flag.String("codec", "", "wire codec: json or binary (default: binary over udp, json over tcp)")
 		mtu       = flag.Int("mtu", 0, "udp payload budget per datagram before fragmenting (default 1200)")
 		join      = flag.String("join", "", "bootstrap peer address to join")
@@ -103,7 +103,7 @@ func main() {
 		duration  = flag.Duration("duration", time.Minute, "session duration")
 		debugAddr = flag.String("debug-addr", "", "serve runtime metrics over HTTP at this address (/metrics text, /vars JSON)")
 		teleOut   = flag.String("telemetry", "", "write the JSONL telemetry stream (a span tree per aggregation, a span per remote leg served) to this file (qsastat reads it)")
-		admitWork = flag.Int("admit-workers", 0, "concurrent aggregations served before queueing (0 = admission control off, DESIGN.md §14)")
+		admitWork = flag.Int("admit-workers", 0, "concurrent aggregations served before queueing (0 = admission control off, DESIGN.md §4.3)")
 		admitQ    = flag.Int("admit-queue", 0, "bounded wait queue behind the admission workers; beyond it the least important request is shed (default 4x workers)")
 	)
 	flag.Parse()

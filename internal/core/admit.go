@@ -1,6 +1,6 @@
 package core
 
-// Admission control for the serving plane (DESIGN §14): a bounded,
+// Admission control for the serving plane (DESIGN §4.3): a bounded,
 // priority-aware request queue in front of the aggregation pipeline.
 // The paper's admission tier (§3.2) decides whether a composed path's
 // reservations fit; this queue decides, earlier, whether the peer
@@ -12,9 +12,8 @@ package core
 // (active workers, bounded wait queue) with no clocks, channels or
 // locks, so the same offer/release sequence always yields the same
 // decisions. internal/netproto wraps it with the waiting and
-// telemetry; the simulator can drive it directly from virtual time.
-// Admission control is off by default in sim mode — the paper's
-// figures are closed-loop and must stay byte-identical.
+// telemetry, and is its only caller: the simulator's workload is
+// closed-loop, as the paper's figures are, and queues nothing.
 
 // AdmitDecision classifies the outcome of one Offer.
 type AdmitDecision int
@@ -57,8 +56,7 @@ func shedBefore(a, b AdmitItem) bool {
 }
 
 // AdmitQueue is the bounded priority admission queue. Not safe for
-// concurrent use — callers hold their own lock (netproto) or are
-// single-threaded (the simulator).
+// concurrent use — the caller holds its own lock, as netproto does.
 type AdmitQueue struct {
 	workers  int
 	maxQueue int

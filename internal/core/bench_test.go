@@ -4,20 +4,15 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/compose"
 	"repro/internal/eventsim"
-	"repro/internal/probe"
 	"repro/internal/qos"
 	"repro/internal/registry"
 	"repro/internal/resource"
-	"repro/internal/selection"
 	"repro/internal/service"
-	"repro/internal/session"
 	"repro/internal/topology"
-	"repro/internal/xrand"
 )
 
-// benchGrid wires a 100-peer grid with a 3-service application, 6
+// benchGrid builds a 100-peer grid with a 3-service application, 6
 // instances per service on 8 providers each — big enough that the
 // discovery, composition and selection tiers all do real work per
 // request. Registrations never expire (the benchmarks measure the hot
@@ -30,28 +25,17 @@ func benchGrid(tb testing.TB) (*Aggregator, *eventsim.Engine, *service.Applicati
 		tb.Fatal(err)
 	}
 	engine := eventsim.New()
-	reg := registry.New(registry.Config{TTL: 1e12}, 1)
+	agg, err := New(Config{Seed: 1, Registry: registry.Config{TTL: 1e12}}, net, engine)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg := agg.Registry
 	for i := 0; i < peers; i++ {
 		if err := reg.AddPeer(topology.PeerID(i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	reg.Stabilize()
-	probes := probe.NewManager(probe.Config{}, net)
-	sel, err := selection.New(selection.DefaultConfig(), probes, xrand.New(2))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sess := session.NewManager(net, engine)
-	agg := &Aggregator{
-		Registry:       reg,
-		Sessions:       sess,
-		PhiSelector:    sel,
-		RandomSelector: selection.NewRandom(xrand.New(3)),
-		FixedSelector:  selection.NewFixed(),
-		ComposeConfig:  compose.Config{Memo: compose.NewMemo(), Scratch: compose.NewScratch()},
-		RNG:            xrand.New(4),
-	}
 	app := &service.Application{ID: "bench", Path: []service.Name{"b/s0", "b/s1", "b/s2"}}
 	fmts := []string{"A", "M", "N", "OUT"}
 	prov := 0

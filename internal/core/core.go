@@ -21,6 +21,7 @@ import (
 	"strconv"
 
 	"repro/internal/compose"
+	"repro/internal/eventsim"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/registry"
@@ -146,11 +147,12 @@ type aggScratch struct {
 
 // Aggregator is the integrated QSA engine over a grid's subsystems — the
 // in-memory Grid the attempt loop runs over in the simulator and the
-// public façade. It is single-goroutine, like the simulation driving it:
-// the scratch buffers, the RNG, and the tracer are all unsynchronized.
+// public façade, both built by New. Like the simulation driving it, it
+// is single-goroutine: scratch buffers, RNG and tracer are unsynchronized.
 type Aggregator struct {
 	Registry *registry.Registry
 	Sessions *session.Manager
+	Probes   *probe.Manager // the tables the Φ selector probes into
 
 	// PhiSelector performs informed Φ selection (and recovery).
 	PhiSelector *selection.Selector
@@ -176,6 +178,82 @@ type Aggregator struct {
 	SelectSpan obs.SpanContext
 
 	sc aggScratch
+}
+
+// Config assembles the in-memory grid New builds. Seed derives the ring
+// and the streams "selection" (Φ fallback), "randsel" and "composerand";
+// Selection defaults to selection.DefaultConfig when it has no weights.
+type Config struct {
+	Seed      uint64
+	Registry  registry.Config
+	Probe     probe.Config
+	Selection selection.Config
+	Compose   compose.Config
+
+	DisableCaches bool          // no registry lookup cache, no compatibility memo
+	Recovery      bool          // Recover repairs sessions whose host departs
+	Metrics       *obs.Registry // when non-nil, every subsystem counts into it
+}
+
+// New builds the in-memory grid over the caller's network and engine:
+// registry, probe and session managers, the three selectors and the
+// composer's working memory. It joins no peer.
+func New(cfg Config, net *topology.Network, engine *eventsim.Engine) (*Aggregator, error) {
+	if cfg.Registry.TTL < 0 {
+		return nil, fmt.Errorf("core: negative registry TTL %g", cfg.Registry.TTL)
+	}
+	if err := cfg.Compose.Validate(); err != nil {
+		return nil, err
+	}
+	if len(cfg.Selection.Weights) == 0 {
+		cfg.Selection = selection.DefaultConfig()
+	}
+	root := xrand.New(cfg.Seed)
+	probes := probe.NewManager(cfg.Probe, net)
+	phi, err := selection.New(cfg.Selection, probes, root.SplitLabeled("selection"))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Registry.DisableCache = cfg.Registry.DisableCache || cfg.DisableCaches
+	cfg.Compose.Scratch = compose.NewScratch()
+	if !cfg.DisableCaches {
+		cfg.Compose.Memo = compose.NewMemo()
+	}
+	a := &Aggregator{
+		Registry:       registry.New(cfg.Registry, cfg.Seed),
+		Probes:         probes,
+		Sessions:       session.NewManager(net, engine),
+		PhiSelector:    phi,
+		RandomSelector: selection.NewRandom(root.SplitLabeled("randsel")),
+		FixedSelector:  selection.NewFixed(),
+		RNG:            root.SplitLabeled("composerand"),
+	}
+	// Wired bundles replace the private ones before the first request.
+	if m := cfg.Metrics; m != nil {
+		cfg.Compose.Obs = obs.NewComposeCounters(m)
+		if cfg.Compose.Memo != nil {
+			cfg.Compose.Memo.Obs = obs.NewMemoCounters(m)
+		}
+		probes.Obs = obs.NewProbeCounters(m)
+		a.Sessions.Obs = obs.NewSessionCounters(m)
+		a.Sessions.Durations = m.Latency("session.duration_minutes")
+		a.Sessions.ActiveGauge = m.Gauge("session.active")
+		phi.Counters = obs.NewSelectionCounters(m)
+		a.Registry.Obs = obs.NewDiscoveryCounters(m)
+	}
+	a.ComposeConfig = cfg.Compose
+	if cfg.Recovery {
+		a.Sessions.Recovery = a.Recover
+	}
+	return a, nil
+}
+
+// Depart propagates peer p's abrupt departure at now, once the network
+// has marked it gone: sessions, then probes, then the ring node.
+func (a *Aggregator) Depart(p topology.PeerID, now float64) error {
+	a.Sessions.PeerDeparted(p, now)
+	a.Probes.DropPeer(p)
+	return a.Registry.RemovePeer(p, false)
 }
 
 // EventStage is the trace stage a pipeline error is attributed to —

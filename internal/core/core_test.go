@@ -9,60 +9,48 @@ import (
 
 	"repro/internal/eventsim"
 	"repro/internal/obs"
-	"repro/internal/probe"
 	"repro/internal/qos"
-	"repro/internal/registry"
 	"repro/internal/resource"
-	"repro/internal/selection"
 	"repro/internal/service"
 	"repro/internal/session"
 	"repro/internal/topology"
-	"repro/internal/xrand"
 )
 
 type fixture struct {
 	net    *topology.Network
 	engine *eventsim.Engine
-	reg    *registry.Registry
 	agg    *Aggregator
 	app    *service.Application
 }
 
-// newFixture wires a 30-peer grid with a 2-service application: "src"
+// newFixture builds a 30-peer grid with a 2-service application: "src"
 // (formats A→M) feeding "snk" (M→OUT), each with 2 instances on 4
 // providers.
-func newFixture(t *testing.T) *fixture {
+func newFixture(t *testing.T) *fixture { return newFixtureWith(t, Config{Seed: 1}) }
+
+// newFixtureWith builds newFixture's grid from cfg.
+func newFixtureWith(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	net, err := topology.New(topology.Default(1, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	engine := eventsim.New()
-	reg := registry.New(registry.Config{}, 1)
+	agg, err := New(cfg, net, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := agg.Registry
 	for i := 0; i < 30; i++ {
 		if err := reg.AddPeer(topology.PeerID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	probes := probe.NewManager(probe.Config{}, net)
-	sel, err := selection.New(selection.DefaultConfig(), probes, xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := session.NewManager(net, engine)
 	f := &fixture{
 		net:    net,
 		engine: engine,
-		reg:    reg,
-		agg: &Aggregator{
-			Registry:       reg,
-			Sessions:       sess,
-			PhiSelector:    sel,
-			RandomSelector: selection.NewRandom(xrand.New(3)),
-			FixedSelector:  selection.NewFixed(),
-			RNG:            xrand.New(4),
-		},
-		app: &service.Application{ID: "app", Path: []service.Name{"src", "snk"}},
+		agg:    agg,
+		app:    &service.Application{ID: "app", Path: []service.Name{"src", "snk"}},
 	}
 	mk := func(svc service.Name, i int, inFmt, outFmt string, r float64) *service.Instance {
 		return &service.Instance{
@@ -186,15 +174,16 @@ func TestInvalidRequest(t *testing.T) {
 }
 
 func TestRecover(t *testing.T) {
-	f := newFixture(t)
-	f.agg.Sessions.Recovery = f.agg.Recover
+	f := newFixtureWith(t, Config{Seed: 1, Recovery: true})
 	sess, err := f.agg.Aggregate(0, f.request(30), 0, StrategyQSA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := sess.Peers[0]
 	f.net.Depart(victim, 1)
-	f.agg.Sessions.PeerDeparted(victim, 1)
+	if err := f.agg.Depart(victim, 1); err != nil {
+		t.Fatal(err)
+	}
 	if sess.State != session.Active {
 		t.Fatalf("state = %v after recoverable departure", sess.State)
 	}
@@ -207,8 +196,7 @@ func TestRecover(t *testing.T) {
 }
 
 func TestRecoverFailsWhenNoProviders(t *testing.T) {
-	f := newFixture(t)
-	f.agg.Sessions.Recovery = f.agg.Recover
+	f := newFixtureWith(t, Config{Seed: 1, Recovery: true})
 	sess, err := f.agg.Aggregate(0, f.request(30), 0, StrategyQSA)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +316,7 @@ func TestProvidersTTLConsistentAcrossRetries(t *testing.T) {
 		t.Fatal(disc0.Err)
 	}
 	src0 := disc0.Disc.Layers[0][0]
-	if err := f.reg.Register(0, src0, 20, 5); err != nil {
+	if err := f.agg.Registry.Register(0, src0, 20, 5); err != nil {
 		t.Fatal(err)
 	}
 

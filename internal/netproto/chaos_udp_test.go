@@ -3,7 +3,7 @@
 // released or expired, partition-heal convergence), but with faults
 // injected per DATAGRAM rather than per dial — seeded drop,
 // duplication and reordering of individual packets, exercising the
-// fragmentation, ack/retransmit and dedup machinery of DESIGN.md §12.
+// fragmentation, ack/retransmit and dedup machinery of DESIGN.md §6.2.
 package netproto_test
 
 import (

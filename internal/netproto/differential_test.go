@@ -14,11 +14,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/obs"
-	"repro/internal/probe"
 	"repro/internal/qos"
-	"repro/internal/registry"
 	"repro/internal/resource"
-	"repro/internal/selection"
 	"repro/internal/service"
 	"repro/internal/session"
 	"repro/internal/topology"
@@ -66,7 +63,12 @@ func newSimGrid(t *testing.T, insts []*service.Instance, provs map[*service.Inst
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := registry.New(registry.Config{}, seed)
+	engine := eventsim.New()
+	agg, err := core.New(core.Config{Seed: seed, Recovery: true}, net, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := agg.Registry
 	for i := 0; i < diffPeers; i++ {
 		if err := reg.AddPeer(topology.PeerID(i)); err != nil {
 			t.Fatal(err)
@@ -79,20 +81,9 @@ func newSimGrid(t *testing.T, insts []*service.Instance, provs map[*service.Inst
 			}
 		}
 	}
-	engine := eventsim.New()
-	probes := probe.NewManager(probe.Config{}, net)
-	sel, err := selection.New(selection.DefaultConfig(), probes, xrand.New(seed).SplitLabeled("selection"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &simGrid{net: net, buf: &bytes.Buffer{}}
+	g := &simGrid{agg: agg, net: net, buf: &bytes.Buffer{}}
 	g.tr = obs.NewTracer(g.buf, engine.Now)
-	g.agg = &core.Aggregator{
-		Registry: reg, Sessions: session.NewManager(net, engine), PhiSelector: sel,
-		RandomSelector: selection.NewRandom(xrand.New(seed)), FixedSelector: selection.NewFixed(),
-		RNG: xrand.New(seed), Spans: obs.NewSpans(g.tr, seed), ReqID: 1,
-	}
-	g.agg.Sessions.Recovery = g.agg.Recover
+	agg.Spans, agg.ReqID = obs.NewSpans(g.tr, seed), 1
 	return g
 }
 
@@ -157,7 +148,7 @@ func composedPaths(t *testing.T, tr *obs.Tracer, buf *bytes.Buffer) []string {
 // measure or reach rather than in the pipeline:
 //
 //   - Host choice. Φ's network term is a bandwidth oracle in the
-//     simulator and an RTT probe in the prototype (DESIGN §6); the
+//     simulator and an RTT probe in the prototype (DESIGN §6.2); the
 //     simulator's uptime is virtual and its probe table is capped at M
 //     entries, falling back to a random pick among unprobed candidates.
 //     So the hosts differ, and with them what depends on the hosts: the

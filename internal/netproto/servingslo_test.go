@@ -12,7 +12,7 @@ import (
 	"repro/internal/service"
 )
 
-// The serving plane's SLO gate (DESIGN §14): an open-loop generator
+// The serving plane's SLO gate (DESIGN §4.3): an open-loop generator
 // drives real aggregate RPCs at a fixed offered rate over {constant,
 // bursty} × {JSON/TCP, binary/UDP}, and each leg must complete with zero
 // shedding, errors or drops and hold the p99 completion target; a fifth

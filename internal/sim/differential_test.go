@@ -116,15 +116,14 @@ func BenchmarkSimMinute(b *testing.B) {
 	cfg := DefaultConfig(3, QSA, 400)
 	cfg.RequestRate = 60
 	cfg.ChurnRate = 4
-	cfg.RegistryRefresh = 5 // explicit: the ticker below needs a period
-	cfg.Duration = 1e9      // the loop below decides when to stop
+	cfg.Duration = 1e9 // the loop below decides when to stop
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := s.Engine()
-	refresh := engine.Every(cfg.RegistryRefresh, cfg.RegistryRefresh, func() {
-		s.refreshRegistrations(engine.Now())
+	period := s.refreshPeriod()
+	refresh := s.engine.Every(period, period, func() {
+		s.refreshRegistrations(s.engine.Now())
 	})
 	defer refresh.Cancel()
 	now := 0.0
@@ -134,7 +133,7 @@ func BenchmarkSimMinute(b *testing.B) {
 		s.scheduleRequests(now)
 		s.scheduleChurn(now)
 		now++
-		engine.RunUntil(now)
+		s.engine.RunUntil(now)
 	}
 }
 

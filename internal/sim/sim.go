@@ -139,10 +139,6 @@ type Config struct {
 	// re-selects a replacement peer instead of failing.
 	EnableRecovery bool
 
-	// RegistryRefresh is the provider re-registration period in minutes;
-	// default half the registry TTL.
-	RegistryRefresh float64
-
 	// DisableRetry forces single-shot aggregation (the paper-literal
 	// behaviour, without the recomposition-on-failure extension); used by
 	// the A6 ablation.
@@ -176,7 +172,7 @@ type Config struct {
 
 	// Shards, when > 0, selects the per-request-stream realization of the
 	// workload: request i draws its user, its request and its composition
-	// randomness from a private stream seeded by (seed, i) (DESIGN §11).
+	// randomness from a private stream seeded by (seed, i) (DESIGN §4.1).
 	// Every positive value gives the same results byte for byte — the
 	// count names no physical resource. 0 draws every request from the
 	// one shared workload stream, the realization the paper's figures
@@ -227,9 +223,6 @@ func (c *Config) fillDefaults() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("sim: negative shard count %d", c.Shards)
 	}
-	if c.RegistryRefresh < 0 || c.Registry.TTL < 0 {
-		return fmt.Errorf("sim: negative registry refresh %g or TTL %g", c.RegistryRefresh, c.Registry.TTL)
-	}
 	if c.Catalog.Apps == 0 {
 		c.Catalog = catalog.Default(c.Seed)
 	}
@@ -238,16 +231,6 @@ func (c *Config) fillDefaults() error {
 	}
 	c.Topology.N = c.Peers
 	c.Topology.Seed = c.Seed
-	if len(c.Selection.Weights) == 0 {
-		c.Selection = selection.DefaultConfig()
-	}
-	if c.RegistryRefresh == 0 {
-		ttl := c.Registry.TTL
-		if ttl == 0 {
-			ttl = 10
-		}
-		c.RegistryRefresh = ttl / 2
-	}
 	return nil
 }
 
@@ -289,17 +272,8 @@ type Simulator struct {
 	strat  core.Strategy
 	net    *topology.Network
 	cat    *catalog.Catalog
-	reg    *registry.Registry
-	probes *probe.Manager
-	sess   *session.Manager
-
-	qsaSel *selection.Selector
 	agg    *core.Aggregator
 	tracer *obs.Tracer
-
-	// The span source (nil without TelemetryOut). A session's span rides
-	// on the session and closes from onSessionEnd.
-	spans *obs.Spans
 
 	// Per-request streams (Config.Shards > 0): the stream salt and the
 	// schedule-order index of the next request.
@@ -323,9 +297,6 @@ type Simulator struct {
 // placement and registrations.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Compose.Validate(); err != nil {
 		return nil, err
 	}
 	root := xrand.New(cfg.Seed)
@@ -352,45 +323,17 @@ func New(cfg Config) (*Simulator, error) {
 	if s.cat, err = catalog.New(cfg.Catalog); err != nil {
 		return nil, err
 	}
-	if cfg.DisableCaches {
-		cfg.Registry.DisableCache = true
-	}
-	s.reg = registry.New(cfg.Registry, cfg.Seed)
-	s.probes = probe.NewManager(cfg.Probe, s.net)
-	s.sess = session.NewManager(s.net, s.engine)
-	if s.qsaSel, err = selection.New(cfg.Selection, s.probes, root.SplitLabeled("selection")); err != nil {
+	if s.agg, err = core.New(core.Config{
+		Seed:          cfg.Seed,
+		Registry:      cfg.Registry,
+		Probe:         cfg.Probe,
+		Selection:     cfg.Selection,
+		Compose:       cfg.Compose,
+		DisableCaches: cfg.DisableCaches,
+		Recovery:      cfg.EnableRecovery,
+		Metrics:       cfg.Metrics,
+	}, s.net, s.engine); err != nil {
 		return nil, err
-	}
-	// The composer always gets a scratch arena (pure buffer reuse, no
-	// semantic switch); the compatibility memo honours DisableCaches.
-	cfg.Compose.Scratch = compose.NewScratch()
-	if !cfg.DisableCaches {
-		cfg.Compose.Memo = compose.NewMemo()
-	}
-	// Wired bundles replace the subsystems' private ones before the first
-	// event, so Result's stats and the registry read the same counters.
-	if cfg.Metrics != nil {
-		cfg.Compose.Obs = obs.NewComposeCounters(cfg.Metrics)
-		s.probes.Obs = obs.NewProbeCounters(cfg.Metrics)
-		s.sess.Obs = obs.NewSessionCounters(cfg.Metrics)
-		// Achieved session lifetimes (virtual minutes): completed sessions
-		// land on their requested duration, departure-failed ones short.
-		s.sess.Durations = cfg.Metrics.Latency("session.duration_minutes")
-		s.sess.ActiveGauge = cfg.Metrics.Gauge("session.active")
-		s.qsaSel.Counters = obs.NewSelectionCounters(cfg.Metrics)
-		s.reg.Obs = obs.NewDiscoveryCounters(cfg.Metrics)
-		if cfg.Compose.Memo != nil {
-			cfg.Compose.Memo.Obs = obs.NewMemoCounters(cfg.Metrics)
-		}
-	}
-	s.agg = &core.Aggregator{
-		Registry:       s.reg,
-		Sessions:       s.sess,
-		PhiSelector:    s.qsaSel,
-		RandomSelector: selection.NewRandom(root.SplitLabeled("randsel")),
-		FixedSelector:  selection.NewFixed(),
-		ComposeConfig:  cfg.Compose,
-		RNG:            root.SplitLabeled("composerand"),
 	}
 	if cfg.TelemetryOut != nil {
 		// eventsim.Time is an alias for float64, so the engine clock is
@@ -398,11 +341,10 @@ func New(cfg Config) (*Simulator, error) {
 		s.tracer = obs.NewTracer(cfg.TelemetryOut, s.engine.Now)
 		// Span IDs derive from the run seed alone, so same-seed runs mint
 		// identical trees whatever the shard count.
-		s.spans = obs.NewSpans(s.tracer, xrand.MixString(cfg.Seed, "spans"))
-		s.agg.Spans = s.spans
+		s.agg.Spans = obs.NewSpans(s.tracer, xrand.MixString(cfg.Seed, "spans"))
 		// Hop reports join the selection span the aggregator is running
 		// (single simulation goroutine, so never stale here).
-		s.qsaSel.Obs = func(rep selection.StepReport) {
+		s.agg.PhiSelector.Obs = func(rep selection.StepReport) {
 			ev := obs.Event{
 				Kind:  obs.KindHop,
 				Req:   s.agg.ReqID,
@@ -435,7 +377,7 @@ func New(cfg Config) (*Simulator, error) {
 	for i := range initial {
 		initial[i] = topology.PeerID(i)
 	}
-	if err := s.reg.AddPeers(initial); err != nil {
+	if err := s.agg.Registry.AddPeers(initial); err != nil {
 		return nil, err
 	}
 
@@ -454,31 +396,19 @@ func New(cfg Config) (*Simulator, error) {
 			}
 			placed++
 			s.provides[p] = append(s.provides[p], inst)
-			if err := s.reg.Register(p, inst, p, 0); err != nil {
+			if err := s.agg.Registry.Register(p, inst, p, 0); err != nil {
 				return nil, err
 			}
 		}
 	}
 	s.adoptPerJoin = (total + s.net.TotalCount() - 1) / s.net.TotalCount()
 
-	s.sess.OnEnd = s.onSessionEnd
-	if cfg.EnableRecovery {
-		s.sess.Recovery = s.agg.Recover
-	}
+	s.agg.Sessions.OnEnd = s.onSessionEnd
 	return s, nil
 }
 
-// Engine exposes the event engine (for embedding in larger harnesses).
-func (s *Simulator) Engine() *eventsim.Engine { return s.engine }
-
 // Runner exposes the event engine's execution surface.
 func (s *Simulator) Runner() eventsim.Runner { return s.engine }
-
-// Network exposes the peer population.
-func (s *Simulator) Network() *topology.Network { return s.net }
-
-// Catalog exposes the generated application catalog.
-func (s *Simulator) Catalog() *catalog.Catalog { return s.cat }
 
 func (s *Simulator) onSessionEnd(sess *session.Session) {
 	ok := sess.State == session.Completed
@@ -502,7 +432,7 @@ func (s *Simulator) failEarly(now float64, app, reason string) {
 	s.stats.Issued++
 	s.agg.ReqID++
 	err := &core.ErrAggregation{Stage: core.StageDiscovery, Err: errors.New(reason)}
-	s.fail(now, s.spans.Root(s.agg.ReqID), obs.Event{App: app}, err)
+	s.fail(now, s.agg.Spans.Root(s.agg.ReqID), obs.Event{App: app}, err)
 }
 
 // fail accounts a request that ended without a session: its stage
@@ -586,7 +516,7 @@ func (s *Simulator) issueReplayed(now float64, e trace.Entry) {
 func (s *Simulator) issueWith(now float64, user *topology.Peer, req *service.Request) {
 	s.stats.Issued++
 	s.agg.ReqID++ // the root span's request; core's stage spans join it
-	root := s.spans.Root(s.agg.ReqID)
+	root := s.agg.Spans.Root(s.agg.ReqID)
 	s.agg.ReqSpan = root.Context()
 	var ev obs.Event
 	if root.Active() {
@@ -612,13 +542,10 @@ func (s *Simulator) churnDepart(now float64) {
 	if p == nil {
 		return
 	}
-	s.sess.PeerDeparted(p.ID, now)
-	s.probes.DropPeer(p.ID)
+	_ = s.agg.Depart(p.ID, now)
 	// A departed peer never returns (an arrival is a fresh PeerID), and
 	// refreshRegistrations skips it: its provider row is dead weight.
 	s.provides[p.ID] = nil
-	// Abrupt departure: the DHT node fails, registrations age out via TTL.
-	_ = s.reg.RemovePeer(p.ID, false)
 }
 
 // churnArrive adds a fresh peer that adopts a provider load matching the
@@ -631,16 +558,19 @@ func (s *Simulator) churnArrive(now float64) {
 	for int(p.ID) >= len(s.provides) {
 		s.provides = append(s.provides, nil)
 	}
-	if err := s.reg.AddPeer(p.ID); err != nil {
+	if err := s.agg.Registry.AddPeer(p.ID); err != nil {
 		return
 	}
 	all := s.cat.AllInstances()
 	for i := 0; i < s.adoptPerJoin; i++ {
 		inst := all[s.rngProvider.Intn(len(all))]
 		s.provides[p.ID] = append(s.provides[p.ID], inst)
-		_ = s.reg.Register(p.ID, inst, p.ID, now)
+		_ = s.agg.Registry.Register(p.ID, inst, p.ID, now)
 	}
 }
+
+// refreshPeriod is the re-registration period: half the registry TTL.
+func (s *Simulator) refreshPeriod() float64 { return s.agg.Registry.TTL() / 2 }
 
 // refreshRegistrations re-registers every alive provider's instances —
 // the soft-state refresh that keeps discovery converged under churn.
@@ -655,7 +585,7 @@ func (s *Simulator) refreshRegistrations(now float64) {
 			continue
 		}
 		for _, inst := range insts {
-			_ = s.reg.Register(pid, inst, pid, now)
+			_ = s.agg.Registry.Register(pid, inst, pid, now)
 		}
 	}
 }
@@ -685,7 +615,7 @@ func (s *Simulator) scheduleRequests(now float64) {
 
 // ChurnCounts splits one minute of topological variation at the given
 // rate (peers/min) into departure and arrival counts — Poisson-thinned
-// half/half so the population stays stationary (DESIGN.md §6 churn
+// half/half so the population stays stationary (DESIGN.md §9 churn
 // model). Exported so other fault planes (the internal/faults chaos
 // harness crashing and restarting prototype peers) schedule churn with
 // exactly the distribution the simulator uses.
@@ -746,7 +676,7 @@ func (s *Simulator) Run() *Result {
 			s.scheduleChurn(s.engine.Now())
 		}
 	})
-	refresh := s.engine.Every(s.cfg.RegistryRefresh, s.cfg.RegistryRefresh, func() {
+	refresh := s.engine.Every(s.refreshPeriod(), s.refreshPeriod(), func() {
 		s.refreshRegistrations(s.engine.Now())
 	})
 	s.engine.RunUntil(s.cfg.Duration)
@@ -765,11 +695,11 @@ func (s *Simulator) Run() *Result {
 		Psi:        Ratio{Success: s.stats.Succeeded, Failure: s.stats.Issued - s.stats.Succeeded},
 		Series:     s.sampler.series(s.cfg.Duration + s.cfg.SampleWindow),
 		Requests:   s.stats,
-		Sessions:   s.sess.Counters(),
-		Probes:     s.probes.Stats(),
-		Selection:  s.qsaSel.Stats(),
-		Lookup:     s.reg.Stats(),
-		Ring:       s.reg.RingStats(),
+		Sessions:   s.agg.Sessions.Counters(),
+		Probes:     s.agg.Probes.Stats(),
+		Selection:  s.agg.PhiSelector.Stats(),
+		Lookup:     s.agg.Registry.Stats(),
+		Ring:       s.agg.Registry.RingStats(),
 		AliveAtEnd: s.net.AliveCount(),
 	}
 	if s.tracer != nil {

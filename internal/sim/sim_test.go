@@ -52,12 +52,6 @@ func TestConfigValidation(t *testing.T) {
 		func() Config {
 			c := DefaultConfig(1, QSA, 50)
 			c.RequestRate, c.Duration = 5, 2
-			c.RegistryRefresh = -1
-			return c
-		}(),
-		func() Config {
-			c := DefaultConfig(1, QSA, 50)
-			c.RequestRate, c.Duration = 5, 2
 			c.Registry.TTL = -4
 			return c
 		}(),

@@ -65,12 +65,12 @@ const (
 	// field). Gating the extension behind a flag keeps old frames
 	// byte-identical; a decoder built without the flag rejects extended
 	// frames as trailing bytes, and the documented rollback remains the
-	// JSON codec, which ignores unknown fields (DESIGN §12).
+	// JSON codec, which ignores unknown fields (DESIGN §6.2).
 	FlagTraceCtx byte = 1 << 4
 
 	// FlagServing marks a frame whose body tail carries the serving-plane
 	// fields (lookup/aggregate path, priority, deadline, shed/retry-after
-	// — DESIGN §14), appended after the trace-context tail. Same
+	// — DESIGN §4.3), appended after the trace-context tail. Same
 	// extension discipline as FlagTraceCtx: frames without serving fields
 	// stay byte-identical to the pre-extension format. A request's tail
 	// ends with one zero byte, the count of a retired announcement batch;

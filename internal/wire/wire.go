@@ -14,7 +14,7 @@
 // starts with '{' (0x7B), a binary message with the magic byte 0x51
 // ('Q'). A server therefore decodes either format without
 // configuration, which is what makes the binary rollout reversible —
-// see DESIGN.md §12.
+// see DESIGN.md §6.2.
 package wire
 
 // Message type strings — the RPC vocabulary of the prototype. The
@@ -156,7 +156,7 @@ type Request struct {
 	TraceID uint64 `json:"trace_id,omitempty"`
 	SpanID  uint64 `json:"span_id,omitempty"`
 
-	// Serving plane (aggregate, DESIGN §14; lookup carries Services
+	// Serving plane (aggregate, DESIGN §4.3; lookup carries Services
 	// too). In JSON the fields omit when zero; the binary codec gates
 	// them behind FlagServing at the body tail, after the trace context.
 	Services  []string `json:"services,omitempty"`  // aggregate: abstract path; lookup: services wanted
@@ -188,7 +188,7 @@ type Response struct {
 	Chain []string `json:"chain,omitempty"`
 	Hops  []Hop    `json:"hops,omitempty"` // per-hop decision records (Request.Trace)
 
-	// Serving plane (aggregate replies and backpressure, DESIGN §14).
+	// Serving plane (aggregate replies and backpressure, DESIGN §4.3).
 	// Shed marks a request refused by admission control; RetryAfterSec
 	// is the server's deterministic backoff hint. In JSON the fields
 	// omit when zero; the binary codec gates them behind FlagServing.

@@ -25,6 +25,7 @@
 package qsa
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -40,7 +41,6 @@ import (
 	"repro/internal/session"
 	"repro/internal/spec"
 	"repro/internal/topology"
-	"repro/internal/xrand"
 )
 
 // PeerID identifies a peer of the grid. IDs are dense and never reused.
@@ -182,9 +182,6 @@ type Config struct {
 type Grid struct {
 	engine *eventsim.Engine
 	net    *topology.Network
-	reg    *registry.Registry
-	probes *probe.Manager
-	sess   *session.Manager
 	agg    *core.Aggregator
 
 	instances map[string]*service.Instance
@@ -193,26 +190,13 @@ type Grid struct {
 
 // New creates an empty grid (no peers yet) from cfg.
 func New(cfg Config) (*Grid, error) {
-	if cfg.RegistryTTL < 0 {
-		return nil, fmt.Errorf("qsa: negative registry TTL %v", cfg.RegistryTTL)
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	weights := cfg.Weights
-	if len(weights) == 0 {
-		weights = []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
-	}
-	composeCfg := compose.Config{
-		Weights: weights,
-		Memo:    compose.NewMemo(),
-		Scratch: compose.NewScratch(),
-	}
-	if err := composeCfg.Validate(); err != nil {
-		return nil, err
-	}
 	selCfg := selection.DefaultConfig()
-	selCfg.Weights = weights
+	if len(cfg.Weights) > 0 {
+		selCfg.Weights = cfg.Weights
+	}
 
 	g := &Grid{
 		engine:    eventsim.New(),
@@ -223,38 +207,33 @@ func New(cfg Config) (*Grid, error) {
 	// anchor that never hosts anything; user-facing peers start at ID 1.
 	topoCfg := topology.Default(cfg.Seed, 1)
 	topoCfg.InitialUptimeMax = -1 // explicit joins define uptime
-	net, err := topology.New(topoCfg)
-	if err != nil {
+	var err error
+	if g.net, err = topology.New(topoCfg); err != nil {
 		return nil, err
 	}
-	g.net = net
-	g.reg = registry.New(registry.Config{TTL: cfg.RegistryTTL}, cfg.Seed)
-	if err := g.reg.AddPeer(0); err != nil {
+	if g.agg, err = core.New(core.Config{
+		Seed:      cfg.Seed,
+		Registry:  registry.Config{TTL: cfg.RegistryTTL},
+		Probe:     probe.Config{M: cfg.ProbeBudget, TTL: cfg.ProbeTTL, Period: cfg.ProbePeriod},
+		Selection: selCfg,
+		Compose:   compose.Config{Weights: selCfg.Weights},
+		Recovery:  cfg.EnableRecovery,
+	}, g.net, g.engine); err != nil {
 		return nil, err
 	}
-	g.probes = probe.NewManager(probe.Config{
-		M:      cfg.ProbeBudget,
-		TTL:    cfg.ProbeTTL,
-		Period: cfg.ProbePeriod,
-	}, net)
-	g.sess = session.NewManager(net, g.engine)
-	selector, err := selection.New(selCfg, g.probes, xrand.New(cfg.Seed).SplitLabeled("select"))
-	if err != nil {
+	if err := g.agg.Registry.AddPeer(0); err != nil {
 		return nil, err
-	}
-	g.agg = &core.Aggregator{
-		Registry:       g.reg,
-		Sessions:       g.sess,
-		PhiSelector:    selector,
-		RandomSelector: selection.NewRandom(xrand.New(cfg.Seed).SplitLabeled("randsel")),
-		FixedSelector:  selection.NewFixed(),
-		ComposeConfig:  composeCfg,
-		RNG:            xrand.New(cfg.Seed).SplitLabeled("composerand"),
-	}
-	if cfg.EnableRecovery {
-		g.sess.Recovery = g.agg.Recover
 	}
 	return g, nil
+}
+
+// peer returns peer p, refusing the grid's internal anchor, peer 0 (see
+// New), to the operations that act on one peer.
+func (g *Grid) peer(p PeerID) (*topology.Peer, error) {
+	if p == 0 {
+		return nil, errors.New("qsa: peer 0 is the grid's internal anchor")
+	}
+	return g.net.Peer(topology.PeerID(p))
 }
 
 // Now returns the current virtual time in minutes.
@@ -288,7 +267,7 @@ func (g *Grid) AddPeer(cpu, memory float64) (PeerID, error) {
 	}
 	p.Capacity = resource.Vec2(cpu, memory)
 	p.Ledger = ledger
-	if err := g.reg.AddPeer(p.ID); err != nil {
+	if err := g.agg.Registry.AddPeer(p.ID); err != nil {
 		return -1, err
 	}
 	return int(p.ID), nil
@@ -298,18 +277,19 @@ func (g *Grid) AddPeer(cpu, memory float64) (PeerID, error) {
 // repairing) the sessions it provisions — the paper's topological
 // variation event.
 func (g *Grid) Depart(p PeerID) error {
+	if _, err := g.peer(p); err != nil {
+		return err
+	}
 	now := g.engine.Now()
 	if err := g.net.Depart(topology.PeerID(p), now); err != nil {
 		return err
 	}
-	g.sess.PeerDeparted(topology.PeerID(p), now)
-	g.probes.DropPeer(topology.PeerID(p))
-	return g.reg.RemovePeer(topology.PeerID(p), false)
+	return g.agg.Depart(topology.PeerID(p), now)
 }
 
 // Uptime returns how long the peer has been connected, in minutes.
 func (g *Grid) Uptime(p PeerID) (float64, error) {
-	peer, err := g.net.Peer(topology.PeerID(p))
+	peer, err := g.peer(p)
 	if err != nil {
 		return 0, err
 	}
@@ -318,7 +298,7 @@ func (g *Grid) Uptime(p PeerID) (float64, error) {
 
 // Available returns the peer's currently unreserved capacity.
 func (g *Grid) Available(p PeerID) (cpu, memory float64, err error) {
-	peer, err := g.net.Peer(topology.PeerID(p))
+	peer, err := g.peer(p)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -338,6 +318,9 @@ func (g *Grid) Bandwidth(a, b PeerID) float64 {
 // Registrations expire after the registry TTL; long-lived providers should
 // re-Provide periodically, as the paper's soft-state protocol prescribes.
 func (g *Grid) Provide(p PeerID, in Instance) error {
+	if _, err := g.peer(p); err != nil {
+		return err
+	}
 	si, err := in.toInternal()
 	if err != nil {
 		return err
@@ -347,16 +330,19 @@ func (g *Grid) Provide(p PeerID, in Instance) error {
 	} else {
 		g.instances[in.ID] = si
 	}
-	return g.reg.Register(topology.PeerID(p), si, topology.PeerID(p), g.engine.Now())
+	return g.agg.Registry.Register(topology.PeerID(p), si, topology.PeerID(p), g.engine.Now())
 }
 
 // Withdraw removes peer p's registration for the instance immediately.
 func (g *Grid) Withdraw(p PeerID, instanceID string) error {
+	if _, err := g.peer(p); err != nil {
+		return err
+	}
 	si, ok := g.instances[instanceID]
 	if !ok {
 		return fmt.Errorf("qsa: unknown instance %q", instanceID)
 	}
-	return g.reg.Unregister(topology.PeerID(p), si, topology.PeerID(p))
+	return g.agg.Registry.Unregister(topology.PeerID(p), si, topology.PeerID(p))
 }
 
 // Aggregate runs the full two-tier model for a user request issued by peer
@@ -365,6 +351,9 @@ func (g *Grid) Withdraw(p PeerID, instanceID string) error {
 // On success the returned plan's session is active until its duration
 // elapses (drive the clock with Advance).
 func (g *Grid) Aggregate(user PeerID, req Request) (*Plan, error) {
+	if _, err := g.peer(user); err != nil {
+		return nil, err
+	}
 	if len(req.Path) == 0 {
 		return nil, fmt.Errorf("qsa: empty service path")
 	}
@@ -479,10 +468,10 @@ func ParseSpec(r io.Reader) ([]Instance, map[string][]string, error) {
 
 // Stats returns a snapshot of the grid's activity counters.
 func (g *Grid) Stats() Stats {
-	sc := g.sess.Counters()
-	ps := g.probes.Stats()
+	sc := g.agg.Sessions.Counters()
+	ps := g.agg.Probes.Stats()
 	ss := g.agg.PhiSelector.Stats()
-	ls := g.reg.Stats()
+	ls := g.agg.Registry.Stats()
 	return Stats{
 		Admitted:           sc.Admitted,
 		Completed:          sc.Completed,

@@ -300,6 +300,41 @@ func TestAddPeerValidation(t *testing.T) {
 	}
 }
 
+// TestAnchorPeerIsNotAddressable pins that the grid's internal peer 0
+// is refused by every operation taking a peer: it can neither leave,
+// host, nor issue a request.
+func TestAnchorPeerIsNotAddressable(t *testing.T) {
+	g, _ := videoGrid(t, Config{})
+	inst := Instance{
+		ID: "source/raw", Service: "source",
+		Input:  QoS{Sym("format", "RAW")},
+		Output: QoS{Sym("format", "MPEG"), Range("fps", 20, 30)},
+		CPU:    1, Memory: 1, Kbps: 1,
+	}
+	if err := g.Provide(0, inst); err == nil {
+		t.Error("Provide(0) must fail")
+	}
+	if err := g.Withdraw(0, "source/mpeg"); err == nil {
+		t.Error("Withdraw(0) must fail")
+	}
+	if _, err := g.Uptime(0); err == nil {
+		t.Error("Uptime(0) must fail")
+	}
+	if _, _, err := g.Available(0); err == nil {
+		t.Error("Available(0) must fail")
+	}
+	if _, err := g.Aggregate(0, videoReq); err == nil {
+		t.Error("Aggregate(0) must fail")
+	}
+	before := g.Peers()
+	if err := g.Depart(0); err == nil {
+		t.Error("Depart(0) must fail")
+	}
+	if g.Peers() != before {
+		t.Fatalf("Peers = %d after Depart(0), want %d", g.Peers(), before)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Weights: []float64{0.9, 0.9, 0.9}}); err == nil {
 		t.Fatal("weights not summing to 1 must fail")
