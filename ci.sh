@@ -53,8 +53,9 @@
 #             TestBandwidthLedgerAllocs (reserve, available and release
 #             on a live pair: 0), TestMemoHitAllocs (a compose.Memo
 #             hit: 0), the admission fast paths and
-#             TestRPCExchangeBytes (16 KiB per warm exchange, zero-alloc
-#             reader checkout)
+#             TestRPCExchangeBytes (16 KiB per warm exchange; a warm UDP
+#             client exchange on the transport's shared endpoint at its
+#             measured 32 allocations; zero-alloc reader checkout)
 #   coverage  each package in the table below (by import path; repro is
 #             the public façade) must keep the short suite's statement
 #             coverage at or above its floor

@@ -132,8 +132,8 @@ func (f *Fabric) PacketStatsFor(src, dst string) PacketStats {
 }
 
 // PacketStatsFrom sums the stats of every link whose source is src —
-// requests, acks and replies alike, to registered peers and to
-// ephemeral client sockets.
+// requests, acks and replies alike, to registered peers and to client
+// endpoints (one per client transport).
 func (f *Fabric) PacketStatsFrom(src string) PacketStats {
 	f.mu.Lock()
 	pp := f.packets
@@ -156,8 +156,8 @@ func (f *Fabric) PacketStatsFrom(src string) PacketStats {
 }
 
 // admitPacket decides the fate of one outgoing datagram from src to
-// the peer at dst (a registered listen address, or an ephemeral socket
-// address for server→client traffic).
+// the peer at dst (a registered listen address, or the client
+// transport's endpoint address for server→client traffic).
 func (f *Fabric) admitPacket(src, dst string) netproto.PacketDecision {
 	f.mu.Lock()
 	pp := f.packets

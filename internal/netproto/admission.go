@@ -9,7 +9,7 @@ import (
 )
 
 // AdmitConfig bounds the serving peer's concurrent aggregation work
-// (DESIGN §14). Zero Workers disables admission control entirely —
+// (DESIGN §4.3). Zero Workers disables admission control entirely —
 // the default, so closed-loop tests and the simulator-faithful paths
 // are untouched.
 type AdmitConfig struct {

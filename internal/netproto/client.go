@@ -17,7 +17,8 @@ type Client struct {
 	cfg   ClientConfig
 	codec wire.Codec
 	tr    Transport
-	pool  *connPool
+	pool  *connPool     // TCP only
+	udp   *UDPTransport // UDP only
 	tele  peerTele
 }
 
@@ -34,8 +35,9 @@ type ClientConfig struct {
 	// Timeout bounds each aggregate exchange. Default 5 s — an
 	// aggregation fans out to the whole overlay before answering.
 	Timeout time.Duration
-	// PoolConns caps idle pooled connections per target (TCP only):
-	// 0 defaults to 2, -1 disables pooling.
+	// PoolConns caps idle pooled connections per target, over TCP
+	// only (UDP exchanges share one endpoint and are never pooled): 0
+	// defaults to 2, -1 disables pooling.
 	PoolConns int
 	// Metrics, when non-nil, receives the client's RPC counters and
 	// wire byte accounting.
@@ -76,7 +78,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cl.codec = wire.JSON{}
 	}
 	if cfg.Network == "udp" {
-		cl.tr = &UDPTransport{cfg: cfg.Wire, tele: cl.tele.wire}
+		cl.udp = &UDPTransport{cfg: cfg.Wire, tele: cl.tele.wire}
+		cl.tr = cl.udp
 	} else {
 		cl.tr = TCP{}
 		if cfg.PoolConns >= 0 {
@@ -87,10 +90,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return cl, nil
 }
 
-// Close releases pooled connections.
+// Close releases pooled connections, or closes the UDP endpoint: an
+// exchange still in flight fails at once.
 func (c *Client) Close() {
 	if c.pool != nil {
 		c.pool.Close()
+	}
+	if c.udp != nil {
+		_ = c.udp.Close() // the socket's close error leaves nothing to undo
 	}
 }
 

@@ -28,7 +28,7 @@ type Config struct {
 	// port), on the network chosen by Network.
 	Listen string
 	// Network selects the listener and default transport: "tcp"
-	// (default) or "udp" (the reliable-datagram stack of DESIGN.md §12).
+	// (default) or "udp" (the reliable-datagram stack of DESIGN.md §6.2).
 	Network string
 	// Codec selects the request encoding this peer SENDS: "json"
 	// (newline-delimited, the rollback format) or "binary"
@@ -74,10 +74,11 @@ type Config struct {
 	// tracer's clock decides timestamping: cmd/qsapeer uses wall time,
 	// tests inject deterministic clocks.
 	Tracer *obs.Tracer
-	// Admit bounds concurrent aggregate serving (DESIGN §14). Zero
+	// Admit bounds concurrent aggregate serving (DESIGN §4.3). Zero
 	// Workers — the default — disables admission control entirely.
 	Admit AdmitConfig
-	// PoolConns controls TCP connection reuse for outgoing RPCs: 0
+	// PoolConns controls connection reuse for outgoing RPCs, over TCP
+	// only (UDP exchanges share one endpoint and are never pooled): 0
 	// (default) pools up to 2 idle connections per target when this
 	// peer uses the default TCP transport; > 0 sets that per-target
 	// cap explicitly (also on injected transports); -1 disables
@@ -233,8 +234,9 @@ type Peer struct {
 	tele  peerTele   // zero when Config.Metrics is nil
 	spans *obs.Spans // nil when Config.Tracer is nil
 
-	admit *admission // nil when admission control is disabled
-	pool  *connPool  // nil when connection pooling is disabled
+	admit *admission    // nil when admission control is disabled
+	pool  *connPool     // nil when connection pooling is disabled
+	udp   *UDPTransport // the datagram transport this peer built, nil otherwise
 
 	done chan struct{} // closed on Close; stops session monitors
 	wg   sync.WaitGroup
@@ -251,21 +253,24 @@ func Start(cfg Config) (*Peer, error) {
 	if cfg.Metrics != nil {
 		tele = newPeerTele(cfg.Metrics)
 	}
+	var udp *UDPTransport
 	if cfg.Transport == nil {
 		// Only reachable for Network == "udp" (fillDefaults handles tcp):
 		// build the datagram transport here so it shares the peer's wire
-		// telemetry and trace sink.
-		cfg.Transport = &UDPTransport{cfg: cfg.Wire, tele: tele.wire, tracer: cfg.Tracer}
+		// telemetry and trace sink. The peer owns it and closes it.
+		udp = &UDPTransport{cfg: cfg.Wire, tele: tele.wire, tracer: cfg.Tracer}
+		cfg.Transport = udp
 	}
 	if cfg.Metrics != nil {
 		cfg.Transport = NewMeteredTransport(cfg.Transport, cfg.Metrics)
 	}
 	// Connection pooling sits outermost so a reuse skips the metered
-	// dial entirely. UDP conns are one message each, so the default
-	// only pools the plain-TCP configuration; an explicit PoolConns > 0
-	// also pools injected (e.g. fault-wrapped) transports.
+	// dial entirely. It is for TCP only: a UDP conn carries one message,
+	// so a parked one would answer its next user with EOF. The default
+	// pools the plain-TCP configuration; an explicit PoolConns > 0 also
+	// pools injected (e.g. fault-wrapped) transports.
 	var pool *connPool
-	if cfg.PoolConns > 0 || (cfg.PoolConns == 0 && !injectedTransport && cfg.Network == "tcp") {
+	if cfg.Network == "tcp" && (cfg.PoolConns > 0 || (cfg.PoolConns == 0 && !injectedTransport)) {
 		pool = newConnPool(cfg.Transport, tele.wire, cfg.PoolConns, cfg.RPCTimeout*4)
 		cfg.Transport = pool
 	}
@@ -308,6 +313,7 @@ func Start(cfg Config) (*Peer, error) {
 		// collide while a fixed topology stays reproducible.
 		spans: obs.NewSpans(cfg.Tracer, xrand.MixString(0x51534153, ln.Addr().String())),
 		pool:  pool,
+		udp:   udp,
 	}
 	if cfg.Admit.Workers > 0 {
 		p.admit = newAdmission(cfg.Admit, p.done, tele.serveDepth)
@@ -336,7 +342,9 @@ func (p *Peer) Leave() error {
 	return p.Close()
 }
 
-// Close departs abruptly: the listener stops, in-flight handlers finish.
+// Close departs abruptly: the listener stops, RPCs this peer has in
+// flight over its own UDP transport fail at once, in-flight handlers
+// finish.
 func (p *Peer) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -356,6 +364,11 @@ func (p *Peer) Close() error {
 	// instead of idling out its deadline.
 	for _, c := range conns {
 		_ = c.Close()
+	}
+	if p.udp != nil {
+		// Before the wait: a handler blocked on an outgoing exchange
+		// returns now instead of at its deadline.
+		err = errors.Join(err, p.udp.Close())
 	}
 	p.wg.Wait()
 	if p.pool != nil {
@@ -687,7 +700,7 @@ func (p *Peer) handleRelease(req request) response {
 }
 
 // handleAggregate serves one remote aggregation request (the serving
-// plane of DESIGN §14): the whole discover→compose→select→reserve
+// plane of DESIGN §4.3): the whole discover→compose→select→reserve
 // pipeline runs on this peer on the client's behalf, gated by
 // admission control when configured. A shed reply carries Shed plus a
 // deterministic RetryAfterSec so the client backs off instead of

@@ -22,14 +22,14 @@
 //   - admission: reservations are placed on each selected peer for the
 //     session duration and auto-expire.
 //
-// Substitutions relative to the simulator, documented per DESIGN.md §6:
+// Substitutions relative to the simulator, documented per DESIGN.md §6.2:
 // the network term of Φ uses 100/(1+RTT_ms) as the available-bandwidth
 // proxy (a prototype cannot know pairwise bottleneck bandwidth without a
 // measurement service like Nettimer, the paper's [12]).
 //
 // Every RPC dials through an injectable Transport (default: plain TCP;
 // internal/faults supplies a deterministic fault-injecting one, and
-// UDPTransport the datagram stack from DESIGN.md §12), and the
+// UDPTransport the datagram stack from DESIGN.md §6.2), and the
 // idempotent messages (probe, lookup, join, leave, reserve, release)
 // retry transport failures with bounded exponential backoff — select
 // and aggregate never do (see RetryPolicy).
@@ -83,7 +83,7 @@ const (
 	msgSelect  = wire.TypeSelect
 	msgReserve = wire.TypeReserve
 	msgRelease = wire.TypeRelease
-	// Serving plane (DESIGN §14).
+	// Serving plane (DESIGN §4.3).
 	msgAggregate = wire.TypeAggregate
 )
 

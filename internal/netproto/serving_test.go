@@ -317,9 +317,12 @@ func TestAdmissionFastPathAllocs(t *testing.T) {
 // TestRPCExchangeBytes is the ci-gated bytes-per-exchange budget: a warm
 // probe exchange allocates well under the 64 KiB stream reader it used
 // to construct — per exchange on the client (JSON and binary over a
-// pooled TCP connection, in-process server included) and per datagram on
-// the UDP server side, where handle runs once per reassembled message.
-// The pooled reader checkout both sides use is pinned at zero
+// pooled TCP connection, binary over the UDP transport's shared
+// endpoint, in-process server included) and per datagram on the UDP
+// server side, where handle runs once per reassembled message. The UDP
+// client exchange is also held at its measured allocation count, which
+// a socket per exchange (14 more) or a buffer per datagram would
+// exceed. The pooled reader checkout both sides use is pinned at zero
 // allocations once warm.
 func TestRPCExchangeBytes(t *testing.T) {
 	const budget, warm, runs = 16 << 10, 10, 200
@@ -356,6 +359,29 @@ func TestRPCExchangeBytes(t *testing.T) {
 			})
 		})
 	}
+	t.Run("udp/client", func(t *testing.T) {
+		srv, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp", CPU: 10, Memory: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tr := NewUDPTransport(WireConfig{})
+		defer tr.Close()
+		bin := wire.NewBinary()
+		exchange := func() {
+			if _, err := rpcWith(tr, bin, wireTele{}, srv.Addr(), request{Type: msgProbe}, time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gate(t, exchange)
+		if RaceEnabled {
+			t.Skip("the race detector's instrumentation allocates")
+		}
+		const allocs = 32 // client and in-process server, measured
+		if per := testing.AllocsPerRun(runs, exchange); per > allocs {
+			t.Fatalf("a warm UDP exchange allocates %.1f times, budget %d", per, allocs)
+		}
+	})
 	t.Run("udp/handle", func(t *testing.T) {
 		srv, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp", CPU: 10, Memory: 10})
 		if err != nil {

@@ -314,6 +314,7 @@ func TestUDPTraceEvents(t *testing.T) {
 	tr := &UDPTransport{tracer: ctr}
 	tr.cfg = WireConfig{AckTimeout: 10 * time.Millisecond, PacketFilter: filter}
 	tr.cfg.fillDefaults()
+	defer tr.Close()
 
 	resp, err := rpcWith(tr, wire.NewBinary(), wireTele{}, server.Addr(),
 		request{Type: msgProbe, TraceID: 42, SpanID: 7}, 2*time.Second)

@@ -68,7 +68,7 @@ type peerTele struct {
 
 	compose obs.ComposeCounters
 
-	// Serving plane (DESIGN §14): admission outcomes, queue wait, and
+	// Serving plane (DESIGN §4.3): admission outcomes, queue wait, and
 	// end-to-end serve latency split by clamped priority class.
 	serveAdmit *obs.Counter            // serve.admitted
 	serveSheds map[string]*obs.Counter // serve.shed.<reason>

@@ -1,9 +1,11 @@
 package netproto
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -13,29 +15,32 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the datagram transport of DESIGN.md §12: one RPC is one
+// This file is the datagram transport of DESIGN.md §6.2: one RPC is one
 // message (any codec), a message is 1..n individually-checksummed
 // packets (wire.Packet), and reliability is end-to-end per message:
 //
-//   - the client sends every fragment, then waits;
-//   - the server acks on complete reassembly and delivers the message
-//     to the accept loop; the response travels back as PktResp
-//     fragments (an implicit ack) and is cached for DedupTTL;
+//   - the client sends every fragment from its transport's one
+//     endpoint, then waits; the endpoint's reader hands each arriving
+//     packet to the exchange whose message ID it carries;
+//   - the server delivers a reassembled message to the accept loop and
+//     sends no ack: the response travels back as PktResp fragments (an
+//     implicit ack) and is cached for DedupTTL;
 //   - a message whose header carries wire.FlagIdempotent is
 //     retransmitted whole, up to RetransmitBudget times, after
 //     deterministically-jittered exponential backoff, until its
-//     RESPONSE completes — an ack alone does not stop retransmits,
-//     since a lost response is recovered precisely by a duplicate
-//     request hitting the server's dedup cache. Select and aggregate
-//     (not idempotent — DESIGN.md §6) and JSON messages (no readable
-//     flag) wait single-shot until the RPC deadline;
-//   - duplicate requests (retransmit raced the ack, or fault-injected
-//     duplication) are suppressed by (client address, message ID): the
-//     server re-acks and resends the cached response instead of
+//     RESPONSE completes, since a lost response is recovered precisely
+//     by a duplicate request hitting the server's dedup cache. Select
+//     and aggregate (not idempotent — DESIGN.md §6.2) and JSON messages
+//     (no readable flag) wait single-shot until the RPC deadline;
+//   - duplicate requests (a retransmit that raced the response, or
+//     fault-injected duplication) are suppressed by (client address,
+//     message ID): the server resends the cached response instead of
 //     executing twice. That saves the work and keeps a duplicated
 //     select or aggregate from running twice; a duplicated reserve
 //     would book nothing anyway, since the host keys it by (session,
-//     hop).
+//     hop);
+//   - the only ack on the wire is the client's ack-of-response, which
+//     lets the server forget the dedup entry early.
 
 // PacketDecision is a fault-plane verdict for one outgoing datagram.
 type PacketDecision struct {
@@ -56,7 +61,8 @@ type PacketDecision struct {
 type PacketFilter interface {
 	// Packet decides the fate of one size-byte datagram to dst. dst is
 	// the dialed peer address when known, else the remote socket
-	// address (the ephemeral client port, for server→client packets).
+	// address (the client's transport endpoint, for server→client
+	// packets).
 	Packet(dst string, size int) PacketDecision
 }
 
@@ -72,8 +78,9 @@ type WireConfig struct {
 	// first retransmission, doubling each attempt (jittered, capped at
 	// 8×). Default 40 ms.
 	AckTimeout time.Duration
-	// RetransmitBudget is how many times an unacked idempotent message
-	// is retransmitted after its initial send. Default 3.
+	// RetransmitBudget is how many times an idempotent message whose
+	// response has not arrived is retransmitted after its initial send.
+	// Default 3.
 	RetransmitBudget int
 	// DedupTTL is how long the server remembers a completed message ID
 	// (with its cached response) to suppress duplicates. It must
@@ -117,40 +124,185 @@ func (w WireConfig) validate() error {
 }
 
 // nextUDPMsgID is the process-wide message ID source. Uniqueness per
-// client address is all dedup needs; process-wide is stronger.
+// client address is all dedup needs; process-wide is stronger, and it
+// is what lets a transport's reader route a packet by its ID alone.
 var nextUDPMsgID atomic.Uint64
 
 // UDPTransport implements Transport over the reliable-datagram stack.
-// Each Dial opens a fresh ephemeral UDP socket (so the 4-tuple routes
-// responses without a connection table) and returns a net.Conn whose
-// Write buffers the request message and whose first Read transmits it
-// and blocks for the reassembled response.
+// It owns one UDP socket for its whole life, opened by the first Dial:
+// every exchange sends from it, and one reader goroutine hands each
+// arriving packet, by its message ID, to the exchange waiting for it.
+// Dial is a table lookup (each target address is resolved once) that
+// returns a net.Conn whose Write buffers the request message and whose
+// first Read transmits it and blocks for the reassembled response.
+// Close releases the socket and the reader; whoever builds a transport
+// closes it (Peer and Client close the ones they build).
 type UDPTransport struct {
 	cfg  WireConfig
 	tele wireTele
 	// tracer, when set, turns retransmissions into trace events stamped
 	// with the trace context the message carried (see traceCarrier).
 	tracer *obs.Tracer
+
+	mu      sync.Mutex
+	sock    *net.UDPConn // nil until the first Dial
+	local   string       // sock's address, the "local" of backoff
+	closed  bool
+	done    chan struct{}             // closed by Close once sock is open
+	targets map[string]netip.AddrPort // dialed address -> resolved
+	waiting map[uint64]*udpClientConn // exchanges by message ID
+	reader  sync.WaitGroup
 }
 
 // NewUDPTransport returns a UDP transport with cfg (zero fields take
-// defaults).
+// defaults). The caller closes it.
 func NewUDPTransport(cfg WireConfig) *UDPTransport {
 	cfg.fillDefaults()
 	return &UDPTransport{cfg: cfg}
 }
 
-// Dial implements Transport.
+// Dial implements Transport. Only the first call opens a socket.
 func (t *UDPTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	raddr, err := net.ResolveUDPAddr("udp", addr)
+	deadline := time.Now().Add(timeout)
+	t.mu.Lock()
+	err := t.openLocked()
+	to, known := t.targets[addr]
+	t.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	sock, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return nil, err
+	if !known {
+		// Resolved outside the lock: a name lookup must not stall the
+		// exchanges of every other target.
+		ra, err := net.ResolveUDPAddr("udp", addr)
+		if err != nil {
+			return nil, err
+		}
+		ap := ra.AddrPort()
+		to = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+		t.mu.Lock()
+		t.targets[addr] = to
+		t.mu.Unlock()
 	}
-	return &udpClientConn{t: t, sock: sock, remote: addr, deadline: time.Now().Add(timeout)}, nil
+	return &udpClientConn{t: t, to: to, remote: addr, deadline: deadline}, nil
+}
+
+// openLocked opens the endpoint and starts its reader, once. sock,
+// local and done never change after, so an exchange reads them
+// without the lock.
+func (t *UDPTransport) openLocked() error {
+	if t.closed {
+		return net.ErrClosed
+	}
+	if t.sock != nil {
+		return nil
+	}
+	sock, err := net.ListenUDP("udp", nil)
+	if err != nil {
+		return err
+	}
+	t.sock, t.local = sock, sock.LocalAddr().String()
+	t.done = make(chan struct{})
+	t.targets = make(map[string]netip.AddrPort)
+	t.waiting = make(map[uint64]*udpClientConn)
+	t.reader.Add(1)
+	go t.readLoop(sock)
+	return nil
+}
+
+// Close closes the endpoint and returns once its reader has exited.
+// Exchanges still waiting fail at once with net.ErrClosed, and so does
+// every later Dial. A second Close is a no-op.
+func (t *UDPTransport) Close() error {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return nil
+	}
+	t.closed = true
+	sock := t.sock
+	if sock != nil {
+		close(t.done)
+	}
+	t.mu.Unlock()
+	if sock == nil {
+		return nil
+	}
+	err := sock.Close()
+	t.reader.Wait()
+	return err
+}
+
+// readLoop drains the endpoint until Close.
+func (t *UDPTransport) readLoop(sock *net.UDPConn) {
+	defer t.reader.Done()
+	buf := make([]byte, wire.MaxMTU)
+	usable := t.cfg.MTU - wire.PacketOverhead
+	var pkt wire.Packet
+	for {
+		n, err := sock.Read(buf)
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			continue // a failed receive loses one datagram, which retransmission covers
+		}
+		if err := wire.ParsePacket(buf[:n], &pkt); err != nil {
+			t.tele.packetReject(err)
+			continue
+		}
+		// Only a response ends an exchange; anything else (an older
+		// server's ack) is ignored.
+		if pkt.Type == wire.PktResp {
+			t.deliver(&pkt, usable)
+		}
+	}
+}
+
+// deliver adds one response fragment to the exchange waiting for its
+// message ID, and wakes the exchange when the response is complete. The
+// exchange's reassembly is touched under t.mu only while it waits, so
+// an exchange that gave up (unregister) is never written again.
+func (t *UDPTransport) deliver(pkt *wire.Packet, usable int) {
+	t.mu.Lock()
+	c := t.waiting[pkt.MsgID]
+	if c == nil {
+		t.mu.Unlock()
+		// A duplicate, or a response that outlived its exchange.
+		t.tele.dupDropped.Inc()
+		return
+	}
+	t.tele.fragRecv.Inc()
+	complete := c.asm.add(pkt, usable)
+	if complete {
+		delete(t.waiting, pkt.MsgID)
+	}
+	t.mu.Unlock()
+	if complete {
+		c.ready <- struct{}{} // buffered for this one send
+	}
+}
+
+// register enters c as the exchange waiting for a fresh message ID.
+func (t *UDPTransport) register(c *udpClientConn) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return net.ErrClosed
+	}
+	c.msgID = nextUDPMsgID.Add(1)
+	c.ready = make(chan struct{}, 1)
+	t.waiting[c.msgID] = c
+	return nil
+}
+
+// unregister removes c from the waiting table if it is still there.
+func (t *UDPTransport) unregister(c *udpClientConn) {
+	t.mu.Lock()
+	if t.waiting[c.msgID] == c {
+		delete(t.waiting, c.msgID)
+	}
+	t.mu.Unlock()
 }
 
 // writePacket pushes one framed packet through the fault filter onto
@@ -201,9 +353,10 @@ func sendFragments(cfg *WireConfig, frags *obs.Counter, send func([]byte), dst s
 	return nil
 }
 
-// sendAck writes a single ack packet for msgID.
-func sendAck(cfg *WireConfig, send func([]byte), dst string, msgID uint64, flags byte, scratch *wire.Buf) {
-	p := wire.Packet{Type: wire.PktAck, Flags: flags, MsgID: msgID, FragIdx: 0, FragCount: 1}
+// sendAck writes the client's ack-of-response for msgID, the one ack
+// the protocol sends.
+func sendAck(cfg *WireConfig, send func([]byte), dst string, msgID uint64, scratch *wire.Buf) {
+	p := wire.Packet{Type: wire.PktAck, Flags: wire.AckOfResponse, MsgID: msgID, FragIdx: 0, FragCount: 1}
 	scratch.B = wire.AppendPacket(scratch.B[:0], &p)
 	writePacket(cfg.PacketFilter, send, dst, scratch.B)
 }
@@ -264,10 +417,10 @@ func (a *reassembly) release() {
 
 // udpClientConn is one RPC exchange over UDP masquerading as a
 // net.Conn: Writes accumulate the request message; the first Read
-// triggers transmit + ack/retransmit + response reassembly.
+// triggers transmit + retransmit + response reassembly.
 type udpClientConn struct {
 	t        *UDPTransport
-	sock     *net.UDPConn
+	to       netip.AddrPort
 	remote   string
 	deadline time.Time
 
@@ -275,6 +428,10 @@ type udpClientConn struct {
 	// carries (zero for untraced traffic), handed down by rpcWith via
 	// CarryTrace so retransmit events land inside the request's tree.
 	trace, span uint64
+
+	msgID uint64
+	ready chan struct{} // the reader's signal that asm is complete
+	asm   reassembly    // the response; the reader's while registered
 
 	wbuf *wire.Buf // request message
 	resp *wire.Buf // reassembled response message (owned via asm)
@@ -338,103 +495,85 @@ func (c *udpClientConn) exchange() error {
 	if c.wbuf == nil {
 		return fmt.Errorf("netproto: udp read before request write")
 	}
-	cfg := &c.t.cfg
-	tele := &c.t.tele
+	t := c.t
+	cfg := &t.cfg
+	tele := &t.tele
 	msg := c.wbuf.B
 	flags, haveFlags := wire.MessageFlags(msg)
 	idem := haveFlags && flags&wire.FlagIdempotent != 0
-	msgID := nextUDPMsgID.Add(1)
-	local := c.sock.LocalAddr().String()
-	send := func(pkt []byte) { _, _ = c.sock.Write(pkt) }
+	if err := t.register(c); err != nil {
+		return err
+	}
+	send := func(pkt []byte) { _, _ = t.sock.WriteToUDPAddrPort(pkt, c.to) }
 
 	scratch := wire.GetBuf(cfg.MTU)
 	defer wire.PutBuf(scratch)
-	if err := sendFragments(cfg, tele.fragSent, send, c.remote, wire.PktData, msgID, msg, scratch); err != nil {
+	if err := sendFragments(cfg, tele.fragSent, send, c.remote, wire.PktData, c.msgID, msg, scratch); err != nil {
 		return err
 	}
 
-	recv := wire.GetBuf(wire.MaxMTU)
-	defer wire.PutBuf(recv)
-	recv.B = recv.B[:cap(recv.B)]
-
-	var asm reassembly
-	defer asm.release()
+	// Wait until the retransmit horizon (idempotent, budget left) or the
+	// RPC deadline. Retransmits continue until the RESPONSE completes:
+	// a duplicate request is what makes the server resend its cached
+	// response (dedup keeps it from re-running).
 	attempt := 0
-	usable := cfg.MTU - wire.PacketOverhead
-	var pkt wire.Packet
-	for {
-		// Wait until the retransmit horizon (idempotent, budget left) or
-		// the RPC deadline. Retransmits continue even after an ack:
-		// losing the RESPONSE would otherwise stall the exchange until
-		// the deadline, and a duplicate request is what makes the server
-		// resend its cached response (dedup keeps it from re-running).
-		wait := c.deadline
+	horizon := func() (time.Duration, bool) {
+		wait := time.Until(c.deadline)
 		canRetransmit := idem && attempt < cfg.RetransmitBudget
 		if canRetransmit {
-			if t := time.Now().Add(backoff(cfg.AckTimeout, 8*cfg.AckTimeout, attempt, local, c.remote, attempt)); t.Before(wait) {
-				wait = t
+			wait = min(wait, backoff(cfg.AckTimeout, 8*cfg.AckTimeout, attempt, t.local, c.remote, attempt))
+		}
+		return wait, canRetransmit
+	}
+	wait, canRetransmit := horizon()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		select {
+		case <-c.ready:
+			c.resp, c.rlen = c.asm.buf, c.asm.msgLen
+			c.asm.buf = nil // ownership moves to the conn
+			// Tell the server its cached response arrived so it can
+			// forget the dedup entry early. Best effort.
+			sendAck(cfg, send, c.remote, c.msgID, scratch)
+			return nil
+		case <-t.done:
+			return fmt.Errorf("netproto: udp rpc to %s: %w", c.remote, net.ErrClosed)
+		case <-timer.C:
+		}
+		if !time.Now().Before(c.deadline) {
+			return fmt.Errorf("netproto: udp rpc to %s timed out: %w", c.remote, os.ErrDeadlineExceeded)
+		}
+		if canRetransmit {
+			attempt++
+			tele.retransmit.Inc()
+			if tr := t.tracer; tr != nil {
+				tr.Emit(obs.Event{Kind: obs.KindRetransmit, Peer: c.remote,
+					Attempt: attempt, Trace: c.trace, Span: c.span})
 			}
-		}
-		if err := c.sock.SetReadDeadline(wait); err != nil {
-			return err
-		}
-		n, err := c.sock.Read(recv.B)
-		if err != nil {
-			if !os.IsTimeout(err) {
+			if err := sendFragments(cfg, tele.fragSent, send, c.remote, wire.PktData, c.msgID, msg, scratch); err != nil {
 				return err
 			}
-			if !time.Now().Before(c.deadline) {
-				return fmt.Errorf("netproto: udp rpc to %s timed out: %w", c.remote, os.ErrDeadlineExceeded)
-			}
-			if canRetransmit {
-				attempt++
-				tele.retransmit.Inc()
-				if tr := c.t.tracer; tr != nil {
-					tr.Emit(obs.Event{Kind: obs.KindRetransmit, Peer: c.remote,
-						Attempt: attempt, Trace: c.trace, Span: c.span})
-				}
-				if err := sendFragments(cfg, tele.fragSent, send, c.remote, wire.PktData, msgID, msg, scratch); err != nil {
-					return err
-				}
-			}
-			continue
 		}
-		if err := wire.ParsePacket(recv.B[:n], &pkt); err != nil {
-			tele.packetReject(err)
-			continue
-		}
-		if pkt.MsgID != msgID {
-			tele.dupDropped.Inc() // stale packet from an earlier exchange on a reused port
-			continue
-		}
-		switch pkt.Type {
-		case wire.PktAck:
-			// The request arrived; keep waiting for the response (and keep
-			// the retransmit horizon armed in case the response is lost).
-		case wire.PktResp:
-			tele.fragRecv.Inc()
-			if asm.add(&pkt, usable) {
-				c.resp = asm.buf
-				asm.buf = nil // ownership moves to the conn
-				c.rlen = asm.msgLen
-				// Tell the server its cached response arrived so it can
-				// forget the dedup entry early. Best effort.
-				sendAck(cfg, send, c.remote, msgID, wire.AckOfResponse, scratch)
-				return nil
-			}
-		}
+		wait, canRetransmit = horizon()
+		timer.Reset(wait)
 	}
 }
 
+// Close ends the exchange: a response still on its way is dropped.
 func (c *udpClientConn) Close() error {
+	if c.ready != nil {
+		c.t.unregister(c)
+		c.asm.release()
+	}
 	wire.PutBuf(c.wbuf)
 	wire.PutBuf(c.resp)
 	c.wbuf, c.resp = nil, nil
-	return c.sock.Close()
+	return nil
 }
 
-func (c *udpClientConn) LocalAddr() net.Addr  { return c.sock.LocalAddr() }
-func (c *udpClientConn) RemoteAddr() net.Addr { return c.sock.RemoteAddr() }
+func (c *udpClientConn) LocalAddr() net.Addr  { return c.t.sock.LocalAddr() }
+func (c *udpClientConn) RemoteAddr() net.Addr { return net.UDPAddrFromAddrPort(c.to) }
 
 func (c *udpClientConn) SetDeadline(t time.Time) error {
 	c.deadline = t
@@ -461,7 +600,7 @@ type dedupEntry struct {
 }
 
 // udpListener implements net.Listener over one UDP socket: a read
-// loop reassembles request messages, suppresses duplicates, acks, and
+// loop reassembles request messages, suppresses duplicates and
 // surfaces each complete message as a connection-shaped exchange.
 type udpListener struct {
 	sock *net.UDPConn
@@ -582,20 +721,19 @@ func (l *udpListener) handlePacket(raddr *net.UDPAddr, pkt *wire.Packet) bool {
 	l.mu.Lock()
 	l.sweepLocked()
 	if ent, ok := l.seen[key]; ok {
-		// Duplicate of a completed message: re-ack, resend any cached
-		// response, never re-execute.
+		// Duplicate of a completed message: resend any cached response,
+		// never re-execute.
 		resp := ent.resp
 		l.mu.Unlock()
 		l.tele.dupDropped.Inc()
 		if l.tracer != nil {
 			l.tracer.Emit(obs.Event{Kind: obs.KindDupReplay, Peer: dst})
 		}
-		scratch := wire.GetBuf(l.cfg.MTU)
-		sendAck(&l.cfg, send, dst, pkt.MsgID, 0, scratch)
 		if resp != nil {
+			scratch := wire.GetBuf(l.cfg.MTU)
 			_ = sendFragments(&l.cfg, l.tele.fragSent, send, dst, wire.PktResp, pkt.MsgID, resp, scratch)
+			wire.PutBuf(scratch)
 		}
-		wire.PutBuf(scratch)
 		return true
 	}
 	a := l.asm[key]
@@ -611,10 +749,6 @@ func (l *udpListener) handlePacket(raddr *net.UDPAddr, pkt *wire.Packet) bool {
 	delete(l.asm, key)
 	l.seen[key] = &dedupEntry{expires: time.Now().Add(l.cfg.DedupTTL)}
 	l.mu.Unlock()
-
-	scratch := wire.GetBuf(l.cfg.MTU)
-	sendAck(&l.cfg, send, dst, pkt.MsgID, 0, scratch)
-	wire.PutBuf(scratch)
 
 	conn := &udpServerConn{l: l, raddr: raddr, key: key, msg: a.buf, msgLen: a.msgLen}
 	a.buf = nil // ownership moves to the conn

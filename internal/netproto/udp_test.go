@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -205,6 +206,163 @@ func TestUDPRetransmitRecoversDrop(t *testing.T) {
 	}
 }
 
+// dstFilter records the destination of every datagram it passes.
+type dstFilter struct {
+	mu   sync.Mutex
+	dsts map[string]int
+}
+
+func (f *dstFilter) Packet(dst string, size int) PacketDecision {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.dsts == nil {
+		f.dsts = make(map[string]int)
+	}
+	f.dsts[dst]++
+	return PacketDecision{}
+}
+
+// udpReaders counts the goroutines running a UDPTransport's reader.
+func udpReaders() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*UDPTransport).readLoop(")
+}
+
+// TestUDPSharedEndpoint pins the transport's one endpoint: concurrent
+// RPCs reach the server from a single source address, and Close — of
+// a bare transport, a Peer or a Client — fails the exchanges still
+// waiting at once and leaves no reader goroutine running.
+func TestUDPSharedEndpoint(t *testing.T) {
+	sources := &dstFilter{}
+	server, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp", CPU: 10, Memory: 10,
+		Wire: WireConfig{PacketFilter: sources}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	readers := udpReaders()
+
+	tr := NewUDPTransport(WireConfig{})
+	bin := wire.NewBinary()
+	const concurrent = 16
+	errs := make(chan error, concurrent)
+	for i := 0; i < concurrent; i++ {
+		go func() {
+			_, err := rpcWith(tr, bin, wireTele{}, server.Addr(), request{Type: msgProbe}, 2*time.Second)
+			errs <- err
+		}()
+	}
+	for i := 0; i < concurrent; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, port, err := net.SplitHostPort(tr.local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources.mu.Lock()
+	if len(sources.dsts) != 1 {
+		t.Errorf("server answered %d source addresses, want 1: %v", len(sources.dsts), sources.dsts)
+	}
+	for dst, n := range sources.dsts {
+		if !strings.HasSuffix(dst, ":"+port) || n != concurrent {
+			t.Errorf("server sent %d datagrams to %s, want %d to the endpoint %s", n, dst, concurrent, tr.local)
+		}
+	}
+	sources.mu.Unlock()
+
+	// A socket that never answers holds exchanges in flight until Close.
+	hole, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hole.Close() })
+	const wait = 30 * time.Second
+	peer, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp", CPU: 10, Memory: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClient(ClientConfig{Target: hole.LocalAddr().String(), Network: "udp", Timeout: wait})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := []struct {
+		name  string
+		tr    *UDPTransport
+		call  func() error
+		close func()
+	}{
+		{"transport", tr, func() error {
+			_, err := rpcWith(tr, bin, wireTele{}, hole.LocalAddr().String(), request{Type: msgProbe}, wait)
+			return err
+		}, func() { tr.Close() }},
+		{"peer", peer.udp, func() error {
+			_, err := peer.rpc(hole.LocalAddr().String(), request{Type: msgProbe}, wait)
+			return err
+		}, func() { peer.Close() }},
+		{"client", client.udp, func() error {
+			_, err := client.Aggregate(AggRequest{Services: []string{"x"}})
+			return err
+		}, client.Close},
+	}
+	for _, o := range owners {
+		const inFlight = 3
+		errs := make(chan error, inFlight)
+		for i := 0; i < inFlight; i++ {
+			go func() { errs <- o.call() }()
+		}
+		for {
+			o.tr.mu.Lock()
+			n := len(o.tr.waiting)
+			o.tr.mu.Unlock()
+			if n == inFlight {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		start := time.Now()
+		o.close()
+		for i := 0; i < inFlight; i++ {
+			if err := <-errs; !errors.Is(err, net.ErrClosed) {
+				t.Errorf("%s: in-flight exchange ended with %v, want net.ErrClosed", o.name, err)
+			}
+		}
+		if took := time.Since(start); took > wait/10 {
+			t.Errorf("%s: in-flight exchanges took %v to fail after Close", o.name, took)
+		}
+		if _, err := o.tr.Dial(server.Addr(), time.Second); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("%s: Dial after Close = %v, want net.ErrClosed", o.name, err)
+		}
+	}
+	if n := udpReaders(); n != readers {
+		t.Fatalf("%d transport readers running after Close, want %d", n, readers)
+	}
+}
+
+// TestUDPPoolConnsIgnored: an explicit PoolConns on a UDP peer builds
+// no pool, so sequential RPCs never get a parked one-message conn back.
+func TestUDPPoolConnsIgnored(t *testing.T) {
+	server, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp", CPU: 10, Memory: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	client, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp", CPU: 10, Memory: 10, PoolConns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	for i := 1; i <= 4; i++ {
+		if _, err := client.rpc(server.Addr(), request{Type: msgProbe}, 2*time.Second); err != nil {
+			t.Fatalf("probe %d: %v", i, err)
+		}
+	}
+	if client.pool != nil {
+		t.Fatal("a UDP peer built a connection pool")
+	}
+}
+
 // rawExchange drives the server's datagram loop directly: it sends msg
 // (pre-encoded) as packets from a plain UDP socket and returns the
 // reassembled response message.
@@ -367,6 +525,7 @@ func TestUDPTimeoutOnBlackhole(t *testing.T) {
 	}}
 	tr := NewUDPTransport(WireConfig{AckTimeout: 10 * time.Millisecond,
 		RetransmitBudget: 1, PacketFilter: drop})
+	defer tr.Close()
 	_, err = rpcWith(tr, wire.NewBinary(), wireTele{}, server.Addr(),
 		request{Type: msgProbe}, 150*time.Millisecond)
 	if err == nil {
@@ -392,6 +551,7 @@ func TestUDPDelayedDuplicates(t *testing.T) {
 		return PacketDecision{Duplicate: true, Delay: time.Duration(1+seen%3) * time.Millisecond}
 	}}
 	tr := NewUDPTransport(WireConfig{PacketFilter: filter})
+	defer tr.Close()
 	resp, err := rpcWith(tr, wire.NewBinary(), wireTele{}, server.Addr(),
 		request{Type: msgProbe}, 2*time.Second)
 	if err != nil {
@@ -656,6 +816,7 @@ func TestUDPConnPlumbing(t *testing.T) {
 	}
 	t.Cleanup(func() { server.Close() })
 	tr := NewUDPTransport(WireConfig{})
+	defer tr.Close()
 	conn, err := tr.Dial(server.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)

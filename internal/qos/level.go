@@ -48,63 +48,3 @@ func ParseLevel(s string) (Level, error) {
 	}
 	return 0, fmt.Errorf("qos: unknown level %q", s)
 }
-
-// Requirements is the output of translating an application-level QoS
-// request into resource terms: per-component end-system demand and per-edge
-// network bandwidth demand. Units match the simulator: abstract end-system
-// units for CPU/memory (peer capacities are 100–1000 units per the paper)
-// and kbps for bandwidth (pairwise link classes are 10 Mbps … 56 kbps).
-type Requirements struct {
-	CPU       float64 // end-system CPU units per component
-	Memory    float64 // end-system memory units per component
-	Bandwidth float64 // network bandwidth (kbps) per service-path edge
-}
-
-// Translator maps a user QoS level to resource requirements. The paper
-// assumes such a translator exists (§3.1, refs [3,13,21]: QoS compilers and
-// QualProbes-style profiling); here it is a calibrated table — the
-// analytical-translation approach.
-type Translator struct {
-	table map[Level]Requirements
-}
-
-// DefaultTranslator returns the translator used by the evaluation. The
-// values are calibrated so that, with the paper's peer capacities
-// (100–1000 units) and bandwidth classes, the 10⁴-peer grid transitions
-// from unloaded to saturated across the paper's request-rate sweep
-// (0–1000 req/min, sessions 1–60 min, paths 2–5 hops).
-func DefaultTranslator() *Translator {
-	return &Translator{table: map[Level]Requirements{
-		Low:     {CPU: 8, Memory: 8, Bandwidth: 56},
-		Average: {CPU: 16, Memory: 16, Bandwidth: 100},
-		High:    {CPU: 32, Memory: 32, Bandwidth: 500},
-	}}
-}
-
-// NewTranslator builds a translator from an explicit table. All three
-// levels must be present.
-func NewTranslator(table map[Level]Requirements) (*Translator, error) {
-	for _, l := range Levels {
-		r, ok := table[l]
-		if !ok {
-			return nil, fmt.Errorf("qos: translator table missing level %v", l)
-		}
-		if r.CPU < 0 || r.Memory < 0 || r.Bandwidth < 0 {
-			return nil, fmt.Errorf("qos: negative requirement for level %v", l)
-		}
-	}
-	cp := make(map[Level]Requirements, len(table))
-	for k, v := range table {
-		cp[k] = v
-	}
-	return &Translator{table: cp}, nil
-}
-
-// Translate maps a level to its resource requirements.
-func (t *Translator) Translate(l Level) (Requirements, error) {
-	r, ok := t.table[l]
-	if !ok {
-		return Requirements{}, fmt.Errorf("qos: no translation for level %v", l)
-	}
-	return r, nil
-}

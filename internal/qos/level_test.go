@@ -33,53 +33,3 @@ func TestLevelValid(t *testing.T) {
 		t.Error("out-of-range levels must be invalid")
 	}
 }
-
-func TestDefaultTranslatorMonotone(t *testing.T) {
-	tr := DefaultTranslator()
-	var prev Requirements
-	for i, l := range Levels {
-		r, err := tr.Translate(l)
-		if err != nil {
-			t.Fatalf("Translate(%v): %v", l, err)
-		}
-		if r.CPU <= 0 || r.Memory <= 0 || r.Bandwidth <= 0 {
-			t.Fatalf("level %v has non-positive requirements: %+v", l, r)
-		}
-		if i > 0 && (r.CPU < prev.CPU || r.Memory < prev.Memory || r.Bandwidth < prev.Bandwidth) {
-			t.Fatalf("requirements must be monotone in level: %v < previous", l)
-		}
-		prev = r
-	}
-}
-
-func TestTranslateUnknownLevel(t *testing.T) {
-	tr := DefaultTranslator()
-	if _, err := tr.Translate(Level(42)); err == nil {
-		t.Fatal("Translate of undefined level must fail")
-	}
-}
-
-func TestNewTranslatorValidation(t *testing.T) {
-	if _, err := NewTranslator(map[Level]Requirements{Low: {1, 1, 1}}); err == nil {
-		t.Fatal("missing levels must be rejected")
-	}
-	bad := map[Level]Requirements{
-		Low: {1, 1, 1}, Average: {2, 2, 2}, High: {-1, 3, 3},
-	}
-	if _, err := NewTranslator(bad); err == nil {
-		t.Fatal("negative requirements must be rejected")
-	}
-	good := map[Level]Requirements{
-		Low: {1, 1, 1}, Average: {2, 2, 2}, High: {3, 3, 3},
-	}
-	tr, err := NewTranslator(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the caller's table must not affect the translator.
-	good[Low] = Requirements{99, 99, 99}
-	r, _ := tr.Translate(Low)
-	if r.CPU != 1 {
-		t.Fatal("translator must copy its table")
-	}
-}

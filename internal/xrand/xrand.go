@@ -81,11 +81,6 @@ func (s *Source) SplitLabeled(label string) *Source {
 	return &Source{state: Mix64(h)}
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
