@@ -55,7 +55,7 @@
 #             hit: 0), the admission fast paths and
 #             TestRPCExchangeBytes (16 KiB per warm exchange; a warm UDP
 #             client exchange on the transport's shared endpoint at its
-#             measured 32 allocations; zero-alloc reader checkout)
+#             measured 23 allocations; zero-alloc reader checkout)
 #   coverage  each package in the table below (by import path; repro is
 #             the public façade) must keep the short suite's statement
 #             coverage at or above its floor

@@ -147,13 +147,7 @@ func main() {
 		}
 		fmt.Printf("wrote %d telemetry events to %s\n", tracer.Count(), teleFile.Name())
 	}()
-	if *codec == "" {
-		*codec = "json"
-		if *transport == "udp" {
-			*codec = "binary"
-		}
-	}
-	fmt.Printf("qsapeer listening on %s (%s/%s, cpu=%g mem=%g)\n", peer.Addr(), *transport, *codec, *cpu, *mem)
+	fmt.Printf("qsapeer listening on %s (%s, cpu=%g mem=%g)\n", peer.Addr(), peer.Protocol(), *cpu, *mem)
 
 	if *debugAddr != "" {
 		srv := &http.Server{Addr: *debugAddr, Handler: obs.Handler(pcfg.Metrics)}

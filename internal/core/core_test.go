@@ -399,3 +399,101 @@ func TestInvalidRequestSpansAgree(t *testing.T) {
 		t.Fatalf("span events differ:\nAggregate       %+v\nAggregateFinish %+v", direct, staged)
 	}
 }
+
+// TestPreparedMatchesAggregate pins the staged API the benchmark ledger
+// times each layer through: over a few seeds and all three strategies,
+// PrepareDiscovery → PrepareCompose → AggregateFinish, and
+// PrepareDiscovery → AggregateFinish alone, admit the same sessions on
+// the same hosts, fail the same requests and emit the same span stream
+// as Aggregate.
+func TestPreparedMatchesAggregate(t *testing.T) {
+	type outcome struct {
+		id    uint64
+		insts []string
+		hosts []topology.PeerID
+		err   string
+	}
+	run := func(seed uint64, strat Strategy, mode string) ([]outcome, []obs.Event) {
+		f := newFixtureWith(t, Config{Seed: seed})
+		var buf bytes.Buffer
+		tr := obs.NewTracer(&buf, f.engine.Now)
+		f.agg.Spans = obs.NewSpans(tr, seed)
+		var out []outcome
+		for i := 0; i < 4; i++ {
+			req := f.request(5)
+			if i == 2 {
+				req.UserQoS = qos.MustVector(qos.Range("rate", 30, 1e9)) // fails at compose
+			}
+			user := topology.PeerID(20 + i)
+			f.agg.ReqID = uint64(i + 1)
+			f.agg.ReqSpan = f.agg.Spans.Root(f.agg.ReqID).Context()
+			var sess *session.Session
+			var err error
+			switch mode {
+			case "aggregate":
+				sess, err = f.agg.Aggregate(user, req, 0, strat)
+			case "staged":
+				p := f.agg.PrepareDiscovery(user, req, 0)
+				f.agg.PrepareCompose(p, req, strat, f.agg.RNG)
+				sess, err = f.agg.AggregateFinish(p, user, req, 0, strat, f.agg.RNG)
+			case "finish":
+				p := f.agg.PrepareDiscovery(user, req, 0)
+				sess, err = f.agg.AggregateFinish(p, user, req, 0, strat, f.agg.RNG)
+			}
+			var o outcome
+			if err != nil {
+				o.err = EventStage(err) + ": " + err.Error()
+			} else {
+				o.id, o.hosts = sess.ID, append([]topology.PeerID(nil), sess.Peers...)
+				for _, in := range sess.Instances {
+					o.insts = append(o.insts, in.ID)
+				}
+			}
+			out = append(out, o)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := obs.ReadEvents(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, evs
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, strat := range []Strategy{StrategyQSA, StrategyRandom, StrategyFixed} {
+			want, wantEvs := run(seed, strat, "aggregate")
+			if want[0].err != "" || want[2].err == "" || len(wantEvs) == 0 {
+				t.Fatalf("seed %d %+v: outcomes %+v and %d span events, want request 0 admitted, 2 failed, spans emitted", seed, strat, want, len(wantEvs))
+			}
+			for _, mode := range []string{"staged", "finish"} {
+				got, gotEvs := run(seed, strat, mode)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d %+v %s: outcomes\n%+v\nwant %+v", seed, strat, mode, got, want)
+				}
+				if !reflect.DeepEqual(gotEvs, wantEvs) {
+					t.Errorf("seed %d %+v %s: span streams differ (%d vs %d events)", seed, strat, mode, len(gotEvs), len(wantEvs))
+				}
+			}
+		}
+	}
+}
+
+// TestEventStage: a pipeline error is attributed to its own stage, and
+// any other error to admission.
+func TestEventStage(t *testing.T) {
+	for s, want := range map[Stage]string{
+		StageDiscovery: obs.StageDiscovery,
+		StageCompose:   obs.StageCompose,
+		StageSelection: obs.StageSelection,
+		StageAdmission: obs.StageAdmission,
+	} {
+		err := fmt.Errorf("wrapped: %w", &ErrAggregation{Stage: s, Err: errors.New("x")})
+		if got := EventStage(err); got != want {
+			t.Errorf("EventStage(%v error) = %q, want %q", s, got, want)
+		}
+	}
+	if got := EventStage(errors.New("session: insufficient resources")); got != obs.StageAdmission {
+		t.Errorf("EventStage(foreign error) = %q, want %q", got, obs.StageAdmission)
+	}
+}

@@ -24,7 +24,7 @@ type PacketConfig struct {
 	DropRate float64
 	// DupRate is the per-packet probability that a datagram is written
 	// twice — the duplicate-delivery case the server's dedup table must
-	// absorb without re-executing a request.
+	// absorb without running a single-shot request twice.
 	DupRate float64
 	// ReorderRate is the per-packet probability that a datagram is
 	// delayed by ReorderDelay, letting packets sent after it overtake.

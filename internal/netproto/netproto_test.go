@@ -547,6 +547,26 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestPeerProtocol: a started peer reports the network and codec it
+// actually uses, defaults applied — JSON over TCP, binary over UDP.
+func TestPeerProtocol(t *testing.T) {
+	for _, c := range []struct{ network, codec, want string }{
+		{"", "", "tcp/json"},
+		{"udp", "", "udp/binary"},
+		{"udp", "json", "udp/json"},
+	} {
+		p, err := Start(Config{Listen: "127.0.0.1:0", Network: c.network, Codec: c.codec, CPU: 1, Memory: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.Protocol()
+		p.Close()
+		if got != c.want {
+			t.Errorf("Network %q Codec %q: Protocol() = %q, want %q", c.network, c.codec, got, c.want)
+		}
+	}
+}
+
 // backoffCallers is the one jittered backoff's table over its two
 // callers, RPC retry (doubling from BaseDelay before the second attempt,
 // capped at MaxDelay) and datagram retransmission (doubling from the ack

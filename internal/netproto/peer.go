@@ -326,6 +326,10 @@ func Start(cfg Config) (*Peer, error) {
 // Addr returns the peer's listen address.
 func (p *Peer) Addr() string { return p.addr }
 
+// Protocol returns the network and the request codec the peer sends
+// with, defaults applied: "tcp/json", "udp/binary", ….
+func (p *Peer) Protocol() string { return p.cfg.Network + "/" + p.codec.Name() }
+
 // Uptime returns how long the peer has been running.
 func (p *Peer) Uptime() time.Duration { return time.Since(p.start) }
 

@@ -2,6 +2,8 @@ package netproto
 
 import (
 	"bytes"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -287,8 +289,9 @@ func TestAnalyzedOutcomeMatchesSessionStatus(t *testing.T) {
 
 // TestUDPTraceEvents pins the transport-level trace events: a dropped
 // first transmission surfaces as a retransmit event carrying the
-// message's trace context, and the duplicate delivery it causes
-// surfaces as an (unparented) dedup-replay event at the server.
+// message's trace context, and a duplicated single-shot message, which
+// the server always suppresses, surfaces as an (unparented)
+// dedup-replay event there.
 func TestUDPTraceEvents(t *testing.T) {
 	var sbuf bytes.Buffer
 	sBegin := time.Now()
@@ -303,13 +306,14 @@ func TestUDPTraceEvents(t *testing.T) {
 	var cbuf bytes.Buffer
 	cBegin := time.Now()
 	ctr := obs.NewTracer(&cbuf, func() float64 { return time.Since(cBegin).Seconds() })
-	// Drop the very first data packet (forcing a retransmit), duplicate
-	// everything after it (forcing a server-side dedup replay).
+	// Drop the very first data packet (forcing a retransmit of the
+	// idempotent probe); once dup is set, duplicate every packet.
+	var dup atomic.Bool
 	filter := &countingFilter{decide: func(seen, size int) PacketDecision {
 		if seen == 0 {
 			return PacketDecision{Drop: true}
 		}
-		return PacketDecision{Duplicate: true}
+		return PacketDecision{Duplicate: dup.Load()}
 	}}
 	tr := &UDPTransport{tracer: ctr}
 	tr.cfg = WireConfig{AckTimeout: 10 * time.Millisecond, PacketFilter: filter}
@@ -346,7 +350,14 @@ func TestUDPTraceEvents(t *testing.T) {
 		t.Fatal("dropped first packet produced no retransmit event")
 	}
 
-	// The duplicate delivery reaches the server's dedup cache.
+	// A duplicated aggregate (single-shot; with no services it fails
+	// fast) is suppressed by the server's dedup table.
+	dup.Store(true)
+	_, err = rpcWith(tr, wire.NewBinary(), wireTele{}, server.Addr(),
+		request{Type: msgAggregate, TraceID: 42, SpanID: 8}, 2*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "no services") {
+		t.Fatalf("aggregate without services: %v, want its refusal", err)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if err := str.Flush(); err != nil {

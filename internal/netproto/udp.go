@@ -24,23 +24,23 @@ import (
 //     packet to the exchange whose message ID it carries;
 //   - the server delivers a reassembled message to the accept loop and
 //     sends no ack: the response travels back as PktResp fragments (an
-//     implicit ack) and is cached for DedupTTL;
+//     implicit ack). It keeps no copy of a response;
 //   - a message whose header carries wire.FlagIdempotent is
 //     retransmitted whole, up to RetransmitBudget times, after
 //     deterministically-jittered exponential backoff, until its
-//     RESPONSE completes, since a lost response is recovered precisely
-//     by a duplicate request hitting the server's dedup cache. Select
-//     and aggregate (not idempotent — DESIGN.md §6.2) and JSON messages
-//     (no readable flag) wait single-shot until the RPC deadline;
-//   - duplicate requests (a retransmit that raced the response, or
-//     fault-injected duplication) are suppressed by (client address,
-//     message ID): the server resends the cached response instead of
-//     executing twice. That saves the work and keeps a duplicated
-//     select or aggregate from running twice; a duplicated reserve
-//     would book nothing anyway, since the host keys it by (session,
-//     hop);
-//   - the only ack on the wire is the client's ack-of-response, which
-//     lets the server forget the dedup entry early.
+//     RESPONSE completes: a lost response is recovered by running the
+//     request again, which changes nothing (a reserve is keyed by
+//     (session, hop) on the host). Select and aggregate (not idempotent
+//     — DESIGN.md §6.2) and JSON messages (no readable flag) are
+//     single-shot: sent once, waited on until the RPC deadline;
+//   - the server suppresses a duplicate request by (client address,
+//     message ID) while it remembers the ID: an idempotent message only
+//     while its handler runs, a single-shot one until the client's
+//     ack-of-response or DedupTTL, so a duplicated select or aggregate
+//     never runs twice;
+//   - the only ack on the wire is the client's ack-of-response, sent for
+//     single-shot exchanges alone, which lets the server forget their
+//     dedup entry early.
 
 // PacketDecision is a fault-plane verdict for one outgoing datagram.
 type PacketDecision struct {
@@ -82,10 +82,10 @@ type WireConfig struct {
 	// response has not arrived is retransmitted after its initial send.
 	// Default 3.
 	RetransmitBudget int
-	// DedupTTL is how long the server remembers a completed message ID
-	// (with its cached response) to suppress duplicates. It must
-	// comfortably exceed the client's total retransmit horizon.
-	// Default 5 s.
+	// DedupTTL is how long the server remembers a single-shot message
+	// ID to suppress duplicates when no ack-of-response ends it earlier.
+	// It must comfortably exceed the time a duplicate can spend in the
+	// network. Default 5 s.
 	DedupTTL time.Duration
 	// PacketFilter, when non-nil, intercepts outgoing datagrams —
 	// the fault-injection hook (internal/faults).
@@ -353,8 +353,8 @@ func sendFragments(cfg *WireConfig, frags *obs.Counter, send func([]byte), dst s
 	return nil
 }
 
-// sendAck writes the client's ack-of-response for msgID, the one ack
-// the protocol sends.
+// sendAck writes the client's ack-of-response for single-shot msgID,
+// the one ack the protocol sends.
 func sendAck(cfg *WireConfig, send func([]byte), dst string, msgID uint64, scratch *wire.Buf) {
 	p := wire.Packet{Type: wire.PktAck, Flags: wire.AckOfResponse, MsgID: msgID, FragIdx: 0, FragCount: 1}
 	scratch.B = wire.AppendPacket(scratch.B[:0], &p)
@@ -514,8 +514,8 @@ func (c *udpClientConn) exchange() error {
 
 	// Wait until the retransmit horizon (idempotent, budget left) or the
 	// RPC deadline. Retransmits continue until the RESPONSE completes:
-	// a duplicate request is what makes the server resend its cached
-	// response (dedup keeps it from re-running).
+	// a lost response is recovered by the server running the request
+	// again.
 	attempt := 0
 	horizon := func() (time.Duration, bool) {
 		wait := time.Until(c.deadline)
@@ -533,9 +533,11 @@ func (c *udpClientConn) exchange() error {
 		case <-c.ready:
 			c.resp, c.rlen = c.asm.buf, c.asm.msgLen
 			c.asm.buf = nil // ownership moves to the conn
-			// Tell the server its cached response arrived so it can
-			// forget the dedup entry early. Best effort.
-			sendAck(cfg, send, c.remote, c.msgID, scratch)
+			if !idem {
+				// Let the server forget the single-shot dedup entry
+				// early. Best effort: DedupTTL ends it otherwise.
+				sendAck(cfg, send, c.remote, c.msgID, scratch)
+			}
 			return nil
 		case <-t.done:
 			return fmt.Errorf("netproto: udp rpc to %s: %w", c.remote, net.ErrClosed)
@@ -591,14 +593,6 @@ type dedupKey struct {
 	id   uint64
 }
 
-// dedupEntry remembers a completed message until expiry; resp holds
-// the encoded response once the handler finished, for resend when a
-// duplicate request arrives after the original response was lost.
-type dedupEntry struct {
-	expires time.Time
-	resp    []byte
-}
-
 // udpListener implements net.Listener over one UDP socket: a read
 // loop reassembles request messages, suppresses duplicates and
 // surfaces each complete message as a connection-shaped exchange.
@@ -619,7 +613,7 @@ type udpListener struct {
 	mu        sync.Mutex
 	closed    bool
 	asm       map[dedupKey]*reassembly
-	seen      map[dedupKey]*dedupEntry
+	seen      map[dedupKey]time.Time // message IDs a duplicate must not re-run, by expiry
 	nextSweep time.Time
 }
 
@@ -642,7 +636,7 @@ func listenUDP(addr string, cfg WireConfig, tele wireTele, tracer *obs.Tracer) (
 		acceptCh: make(chan *udpServerConn, 64),
 		done:     make(chan struct{}),
 		asm:      make(map[dedupKey]*reassembly),
-		seen:     make(map[dedupKey]*dedupEntry),
+		seen:     make(map[dedupKey]time.Time),
 	}
 	l.wg.Add(1)
 	go l.readLoop()
@@ -702,8 +696,6 @@ func (l *udpListener) readLoop() {
 // listener shut down mid-delivery.
 func (l *udpListener) handlePacket(raddr *net.UDPAddr, pkt *wire.Packet) bool {
 	key := dedupKey{addr: raddr.String(), id: pkt.MsgID}
-	dst := key.addr
-	send := func(b []byte) { _, _ = l.sock.WriteToUDP(b, raddr) }
 	switch pkt.Type {
 	case wire.PktAck:
 		if pkt.Flags&wire.AckOfResponse != 0 {
@@ -720,19 +712,13 @@ func (l *udpListener) handlePacket(raddr *net.UDPAddr, pkt *wire.Packet) bool {
 
 	l.mu.Lock()
 	l.sweepLocked()
-	if ent, ok := l.seen[key]; ok {
-		// Duplicate of a completed message: resend any cached response,
-		// never re-execute.
-		resp := ent.resp
+	if _, ok := l.seen[key]; ok {
+		// A duplicate that must not run again: drop it. The original's
+		// response is on its way, or was lost and is not resent.
 		l.mu.Unlock()
 		l.tele.dupDropped.Inc()
 		if l.tracer != nil {
-			l.tracer.Emit(obs.Event{Kind: obs.KindDupReplay, Peer: dst})
-		}
-		if resp != nil {
-			scratch := wire.GetBuf(l.cfg.MTU)
-			_ = sendFragments(&l.cfg, l.tele.fragSent, send, dst, wire.PktResp, pkt.MsgID, resp, scratch)
-			wire.PutBuf(scratch)
+			l.tracer.Emit(obs.Event{Kind: obs.KindDupReplay, Peer: key.addr})
 		}
 		return true
 	}
@@ -747,10 +733,12 @@ func (l *udpListener) handlePacket(raddr *net.UDPAddr, pkt *wire.Packet) bool {
 		return true
 	}
 	delete(l.asm, key)
-	l.seen[key] = &dedupEntry{expires: time.Now().Add(l.cfg.DedupTTL)}
+	l.seen[key] = time.Now().Add(l.cfg.DedupTTL)
 	l.mu.Unlock()
 
-	conn := &udpServerConn{l: l, raddr: raddr, key: key, msg: a.buf, msgLen: a.msgLen}
+	flags, ok := wire.MessageFlags(a.buf.B[:a.msgLen])
+	conn := &udpServerConn{l: l, raddr: raddr, key: key, msg: a.buf, msgLen: a.msgLen,
+		idem: ok && flags&wire.FlagIdempotent != 0}
 	a.buf = nil // ownership moves to the conn
 	select {
 	case l.acceptCh <- conn:
@@ -769,8 +757,8 @@ func (l *udpListener) sweepLocked() {
 		return
 	}
 	l.nextSweep = now.Add(time.Second)
-	for k, e := range l.seen {
-		if now.After(e.expires) {
+	for k, expires := range l.seen {
+		if now.After(expires) {
 			delete(l.seen, k)
 		}
 	}
@@ -786,11 +774,12 @@ func (l *udpListener) sweepLocked() {
 
 // udpServerConn presents one reassembled request message as a
 // net.Conn: Reads drain the message, Writes buffer the response, and
-// Close transmits the response fragments and caches them for dedup.
+// Close transmits the response fragments.
 type udpServerConn struct {
 	l      *udpListener
 	raddr  *net.UDPAddr
 	key    dedupKey
+	idem   bool // the request carries wire.FlagIdempotent
 	msg    *wire.Buf
 	msgLen int
 	pos    int
@@ -818,24 +807,22 @@ func (c *udpServerConn) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// Close sends the buffered response and retains a copy for duplicate
-// suppression until the dedup entry expires or the client acks.
+// Close sends the buffered response. An idempotent request's dedup
+// entry ends here, so a later duplicate runs again; a single-shot one's
+// stays until the client acks or it expires.
 func (c *udpServerConn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
 	l := c.l
+	if c.idem {
+		l.mu.Lock()
+		delete(l.seen, c.key)
+		l.mu.Unlock()
+	}
 	send := func(b []byte) { _, _ = l.sock.WriteToUDP(b, c.raddr) }
 	if c.out != nil && len(c.out.B) > 0 {
-		// Cache before sending: a duplicate that arrives once the client
-		// has the response must find it to resend, not just an ack.
-		respCopy := append([]byte(nil), c.out.B...)
-		l.mu.Lock()
-		if ent, ok := l.seen[c.key]; ok {
-			ent.resp = respCopy
-		}
-		l.mu.Unlock()
 		scratch := wire.GetBuf(l.cfg.MTU)
 		_ = sendFragments(&l.cfg, l.tele.fragSent, send, c.key.addr, wire.PktResp, c.key.id, c.out.B, scratch)
 		wire.PutBuf(scratch)

@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -429,11 +430,13 @@ func (rc *rawClient) recvResponse(msgID uint64, deadline time.Duration) ([]byte,
 	}
 }
 
-// TestUDPDuplicateReserveExecutesOnce is the at-most-once contract: the
-// same reserve message delivered twice (a retransmit that raced the
-// ack, or fault-injected duplication) books capacity once, and the
-// duplicate gets the cached response back.
-func TestUDPDuplicateReserveExecutesOnce(t *testing.T) {
+// TestUDPDuplicateReserveBooksOnce: a reserve is idempotent, so its
+// dedup entry ends with its handler and the same message delivered
+// again (a retransmit after a lost response, or fault-injected
+// duplication) runs again — and books nothing, since the host keys the
+// reservation by (session, hop). The duplicate gets a fresh OK and the
+// ledger is unchanged.
+func TestUDPDuplicateReserveBooksOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	server, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp",
 		CPU: 10, Memory: 10, RPCTimeout: 2 * time.Second, Metrics: reg})
@@ -451,41 +454,146 @@ func TestUDPDuplicateReserveExecutesOnce(t *testing.T) {
 	}
 
 	rc := newRawClient(t, server.Addr())
+	for _, what := range []string{"first delivery", "duplicate"} {
+		rc.send(99, frame)
+		respFrame, ok := rc.recvResponse(99, 2*time.Second)
+		if !ok {
+			t.Fatalf("no response to the %s", what)
+		}
+		var resp response
+		if _, err := bin.DecodeResponse(respFrame, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK {
+			t.Fatalf("%s: reserve failed: %s", what, resp.Err)
+		}
+		if av := server.Available(); av[0] != 6 {
+			t.Fatalf("available after the %s = %v, want 6", what, av)
+		}
+	}
+	if n := reg.Counter("reserve.admitted").Value(); n != 1 {
+		t.Fatalf("reserve.admitted = %d, want 1: the duplicate booked again", n)
+	}
+	// The server keeps no response to resend: the duplicate's answer
+	// came from running it again.
+	if n := reg.Counter("wire.dups_dropped").Value(); n != 0 {
+		t.Fatalf("wire.dups_dropped = %d: a finished idempotent message was suppressed", n)
+	}
+}
+
+// TestUDPDuplicateAggregateNeverRuns is the single-shot half of the
+// dedup contract: an aggregate datagram delivered again after its
+// response has arrived (a copy the network held back, with the
+// client's ack lost) is dropped, not run. The server keeps the entry
+// until the ack or DedupTTL, so the grid holds one session with one
+// holding per hop, and the duplicate is counted.
+func TestUDPDuplicateAggregateNeverRuns(t *testing.T) {
+	const cpu = 100
+	peers, regs := udpCluster(t, 3, cpu, WireConfig{})
+	srv, providers := peers[0], peers[1:]
+	for i, p := range providers {
+		if err := p.Provide(inst(fmt.Sprintf("work#%d", i), "work", "A", "B", 5, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bin := wire.NewBinary()
+	frame, err := bin.AppendRequest(nil, 7, &request{Type: msgAggregate,
+		Services: []string{"work"}, MinRate: 10, DurationSec: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := newRawClient(t, srv.Addr())
 	rc.send(99, frame)
 	respFrame, ok := rc.recvResponse(99, 2*time.Second)
 	if !ok {
-		t.Fatal("no response to first delivery")
+		t.Fatal("no response to the aggregate")
 	}
 	var resp response
 	if _, err := bin.DecodeResponse(respFrame, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if !resp.OK {
-		t.Fatalf("reserve failed: %s", resp.Err)
-	}
-	if av := server.Available(); av[0] != 6 {
-		t.Fatalf("available after reserve = %v, want 6", av)
+		t.Fatalf("aggregate failed: %s", resp.Err)
 	}
 
-	// Deliver the exact same message again: the server must NOT
-	// re-execute — same cached response, unchanged ledger.
-	rc.send(99, frame)
-	respFrame2, ok := rc.recvResponse(99, 2*time.Second)
-	if !ok {
-		t.Fatal("no cached response to duplicate delivery")
+	dups := regs[0].Counter("wire.dups_dropped")
+	before := dups.Value()
+	rc.send(99, frame) // the raw client sends no ack: the server must not forget
+	for deadline := time.Now().Add(2 * time.Second); dups.Value() == before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
-	var resp2 response
-	if _, err := bin.DecodeResponse(respFrame2, &resp2); err != nil {
+	if dups.Value() != before+1 {
+		t.Fatalf("wire.dups_dropped %d -> %d: the duplicate aggregate was not suppressed", before, dups.Value())
+	}
+	if _, ok := rc.recvResponse(99, 100*time.Millisecond); ok {
+		t.Fatal("the duplicate aggregate was answered")
+	}
+	srv.mu.Lock()
+	sessions := srv.nextSess
+	srv.mu.Unlock()
+	if sessions != 1 {
+		t.Fatalf("serving peer minted %d sessions, want 1", sessions)
+	}
+	if n := regs[0].Counter("rpc.reserve.sent").Value(); n != 1 {
+		t.Fatalf("serving peer sent %d reserves, want 1", n)
+	}
+	holdings := 0
+	for _, p := range providers {
+		p.mu.Lock()
+		for _, h := range p.sessions {
+			holdings++
+			if len(h.hops) != 1 || h.hops[0] != 0 {
+				t.Errorf("%s holds hops %v of %s, want [0]", p.Addr(), h.hops, resp.SessionID)
+			}
+		}
+		p.mu.Unlock()
+	}
+	if holdings != 1 {
+		t.Fatalf("providers hold %d sessions, want 1", holdings)
+	}
+}
+
+// TestUDPDatagramsPerRPC pins what one warm single-fragment exchange
+// puts on the wire, both directions counted: an idempotent RPC is its
+// request and its response (2 datagrams); a single-shot one adds the
+// client's ack-of-response (3), which lets the server forget its dedup
+// entry early.
+func TestUDPDatagramsPerRPC(t *testing.T) {
+	pass := func(int, int) PacketDecision { return PacketDecision{} }
+	toServer, toClient := &countingFilter{decide: pass}, &countingFilter{decide: pass}
+	server, err := Start(Config{Listen: "127.0.0.1:0", Network: "udp",
+		CPU: 10, Memory: 10, Wire: WireConfig{PacketFilter: toClient}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp2.OK {
-		t.Fatalf("duplicate got %+v, want the cached OK", resp2)
+	t.Cleanup(func() { server.Close() })
+	// Far past any loopback round trip: nothing is retransmitted.
+	tr := NewUDPTransport(WireConfig{AckTimeout: time.Second, PacketFilter: toServer})
+	defer tr.Close()
+	bin := wire.NewBinary()
+	datagrams := func() int {
+		toServer.mu.Lock()
+		defer toServer.mu.Unlock()
+		toClient.mu.Lock()
+		defer toClient.mu.Unlock()
+		return toServer.seen + toClient.seen
 	}
-	if av := server.Available(); av[0] != 6 {
-		t.Fatalf("duplicate reserve changed the ledger: available = %v, want 6", av)
-	}
-	if reg.Counter("wire.dups_dropped").Value() == 0 {
-		t.Fatal("duplicate not counted")
+	for _, c := range []struct {
+		req  request
+		want int
+	}{
+		{request{Type: msgProbe}, 2},
+		{request{Type: msgProbe}, 2},
+		{request{Type: msgAggregate}, 3}, // no services: refused, still answered
+	} {
+		before := datagrams()
+		_, err := rpcWith(tr, bin, wireTele{}, server.Addr(), c.req, 2*time.Second)
+		if c.req.Type == msgProbe && err != nil {
+			t.Fatal(err)
+		}
+		if got := datagrams() - before; got != c.want {
+			t.Fatalf("%s: %d datagrams, want %d", c.req.Type, got, c.want)
+		}
 	}
 }
 
@@ -876,11 +984,11 @@ func TestSweepExpiresState(t *testing.T) {
 	l := &udpListener{
 		cfg:  WireConfig{DedupTTL: time.Minute},
 		asm:  make(map[dedupKey]*reassembly),
-		seen: make(map[dedupKey]*dedupEntry),
+		seen: make(map[dedupKey]time.Time),
 	}
 	l.cfg.fillDefaults()
-	l.seen[dedupKey{addr: "old", id: 1}] = &dedupEntry{expires: time.Now().Add(-time.Second)}
-	l.seen[dedupKey{addr: "new", id: 2}] = &dedupEntry{expires: time.Now().Add(time.Hour)}
+	l.seen[dedupKey{addr: "old", id: 1}] = time.Now().Add(-time.Second)
+	l.seen[dedupKey{addr: "new", id: 2}] = time.Now().Add(time.Hour)
 	for i := 0; i < 1025; i++ {
 		l.asm[dedupKey{addr: "flood", id: uint64(i)}] = &reassembly{}
 	}
@@ -897,7 +1005,7 @@ func TestSweepExpiresState(t *testing.T) {
 		t.Fatalf("half-assembly flood survived: %d entries", len(l.asm))
 	}
 	// Within the same second the sweep is a no-op.
-	l.seen[dedupKey{addr: "old", id: 3}] = &dedupEntry{expires: time.Now().Add(-time.Second)}
+	l.seen[dedupKey{addr: "old", id: 3}] = time.Now().Add(-time.Second)
 	l.mu.Lock()
 	l.sweepLocked()
 	l.mu.Unlock()

@@ -33,9 +33,11 @@ const (
 	// reliable-UDP layer.
 	KindRetransmit = "retransmit"
 	// KindDupReplay reports a server-side duplicate suppression: a
-	// retransmitted request hit the dedup cache and the cached response
-	// was replayed instead of re-executing. Unparented — the raw packet
-	// layer never decodes the request it suppresses.
+	// duplicate of a request the server still remembers (one whose
+	// handler runs, or a single-shot one not yet acked) was dropped, not
+	// run again; nothing is replayed. The wire value keeps its old name
+	// so existing streams still read. Unparented — the raw packet layer
+	// never decodes the request it suppresses.
 	KindDupReplay = "dupreplay"
 )
 

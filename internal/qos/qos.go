@@ -147,19 +147,3 @@ func Satisfies(out, in Vector) bool {
 	}
 	return true
 }
-
-// Explain reports whether out satisfies in and, when it does not, the first
-// offending dimension — useful in composition diagnostics.
-func Explain(out, in Vector) (ok bool, reason string) {
-	for _, req := range in {
-		prod, found := out.Get(req.Name)
-		if !found {
-			return false, fmt.Sprintf("dimension %q required but not produced", req.Name)
-		}
-		if !satisfies(prod, req) {
-			return false, fmt.Sprintf("dimension %q: produced %s does not satisfy required %s",
-				req.Name, prod.String(), req.String())
-		}
-	}
-	return true, ""
-}

@@ -116,26 +116,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestExplain(t *testing.T) {
-	out := MustVector(Sym("format", "MPEG"), Range("fps", 10, 40))
-	in := MustVector(Sym("format", "MPEG"), Range("fps", 0, 30))
-	ok, reason := Explain(out, in)
-	if ok {
-		t.Fatal("fps [10,40] should not satisfy [0,30]")
-	}
-	if reason == "" {
-		t.Fatal("Explain must name the offending dimension")
-	}
-	ok, reason = Explain(out, MustVector(Sym("format", "MPEG")))
-	if !ok || reason != "" {
-		t.Fatalf("Explain on satisfied pair = %v, %q", ok, reason)
-	}
-	ok, _ = Explain(out, MustVector(Sym("codec", "x")))
-	if ok {
-		t.Fatal("missing dimension should fail Explain")
-	}
-}
-
 // Property: the satisfy relation is reflexive for range vectors
 // (Qout == Qin always matches) and antitone in the output range width.
 func TestPropertyReflexive(t *testing.T) {

@@ -50,9 +50,6 @@ func NewBandwidthLedger(capacity func(a, b int) float64) (*BandwidthLedger, erro
 	return &BandwidthLedger{capacity: capacity}, nil
 }
 
-// Capacity returns the total bandwidth of the pair (a, b) in kbps.
-func (l *BandwidthLedger) Capacity(a, b int) float64 { return l.capacity(a, b) }
-
 // find returns the index of k's entry in row k.Lo, or −1.
 func (l *BandwidthLedger) find(k PairKey) int {
 	if k.Lo >= len(l.rows) {

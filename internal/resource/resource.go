@@ -146,9 +146,6 @@ func NewLedger(capacity Vector) (*Ledger, error) {
 	}, nil
 }
 
-// Capacity returns a copy of the total capacity.
-func (l *Ledger) Capacity() Vector { return l.capacity.Clone() }
-
 // Available returns a copy of the currently unreserved capacity.
 func (l *Ledger) Available() Vector { return l.capacity.Sub(l.used) }
 
@@ -207,19 +204,4 @@ func (l *Ledger) Release(req Vector) {
 		// lint:allow panic-in-library negative reservation count means corrupted session accounting
 		panic("resource: more releases than reservations")
 	}
-}
-
-// Utilization returns the max over dimensions of used/capacity, in [0,1];
-// dimensions with zero capacity are skipped.
-func (l *Ledger) Utilization() float64 {
-	var u float64
-	for i := range l.capacity {
-		if l.capacity[i] <= 0 {
-			continue
-		}
-		if f := l.used[i] / l.capacity[i]; f > u {
-			u = f
-		}
-	}
-	return u
 }

@@ -139,25 +139,6 @@ func TestLedgerOverReleasePanics(t *testing.T) {
 	l.Release(Vec2(5, 5))
 }
 
-func TestUtilization(t *testing.T) {
-	l, _ := NewLedger(Vec2(100, 200))
-	if l.Utilization() != 0 {
-		t.Fatal("fresh ledger utilization must be 0")
-	}
-	l.Reserve(Vec2(50, 20))
-	if u := l.Utilization(); u != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5 (max over dimensions)", u)
-	}
-}
-
-func TestUtilizationZeroCapacityDim(t *testing.T) {
-	l, _ := NewLedger(Vector{0, 100})
-	l.Reserve(Vector{0, 50})
-	if u := l.Utilization(); u != 0.5 {
-		t.Fatalf("Utilization = %v", u)
-	}
-}
-
 // Property: any sequence of admitted reservations never drives Available
 // negative, and releasing them all restores full capacity.
 func TestPropertyLedgerConservation(t *testing.T) {

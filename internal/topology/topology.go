@@ -327,30 +327,14 @@ func (n *Network) AlivePeers(fn func(*Peer)) {
 	}
 }
 
-// RandomAlive returns a uniformly chosen alive peer, or nil when none.
-func (n *Network) RandomAlive() *Peer {
-	return n.RandomAliveFrom(n.rng)
-}
-
-// RandomAliveFrom is RandomAlive drawing from the caller's random source,
-// so workload randomness stays independent of topology randomness.
+// RandomAliveFrom returns a uniformly chosen alive peer, or nil when
+// none. It draws from the caller's random source, so workload
+// randomness stays independent of topology randomness.
 func (n *Network) RandomAliveFrom(rng *xrand.Source) *Peer {
 	if len(n.alive) == 0 {
 		return nil
 	}
 	return n.peerAt(n.alive[rng.Intn(len(n.alive))])
-}
-
-// MaxBandwidthClass returns the largest configured pairwise bandwidth
-// (b_max in Definition 3.1's normalization).
-func (n *Network) MaxBandwidthClass() float64 {
-	var max float64
-	for _, c := range n.cfg.BandwidthClasses {
-		if c > max {
-			max = c
-		}
-	}
-	return max
 }
 
 // MaxCapacity returns the maximum per-dimension end-system capacity

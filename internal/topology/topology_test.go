@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/resource"
+	"repro/internal/xrand"
 )
 
 func mustNet(t *testing.T, seed uint64, n int) *Network {
@@ -226,7 +227,7 @@ func TestRandomAliveEmpty(t *testing.T) {
 	net := mustNet(t, 11, 2)
 	net.DepartRandom(0)
 	net.DepartRandom(0)
-	if net.RandomAlive() != nil || net.DepartRandom(0) != nil {
+	if net.RandomAliveFrom(xrand.New(1)) != nil || net.DepartRandom(0) != nil {
 		t.Fatal("empty alive set must yield nil")
 	}
 }
@@ -267,9 +268,6 @@ func TestPropertyChurnAccounting(t *testing.T) {
 
 func TestMaxClassHelpers(t *testing.T) {
 	net := mustNet(t, 12, 5)
-	if net.MaxBandwidthClass() != 10000 {
-		t.Fatalf("MaxBandwidthClass = %v", net.MaxBandwidthClass())
-	}
 	if net.MaxCapacity() != 1000 {
 		t.Fatalf("MaxCapacity = %v", net.MaxCapacity())
 	}

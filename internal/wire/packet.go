@@ -58,8 +58,9 @@ const (
 	PktAck byte = 3
 )
 
-// AckOfResponse is the packet flag a client sets when acking a
-// response, letting the server drop its dedup-cached reply early.
+// AckOfResponse is the packet flag a client sets when acking the
+// response to a single-shot request, letting the server drop that
+// message's dedup entry early.
 const AckOfResponse byte = 1 << 0
 
 // Packet is one parsed datagram. Payload aliases the parse input —

@@ -164,14 +164,8 @@ func (s *Source) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	return s.PermInto(nil, n)
-}
-
 // PermInto fills dst with a pseudo-random permutation of [0, n), growing
-// it only when its capacity is insufficient, and returns it. It consumes
-// exactly the same stream as Perm.
+// it only when its capacity is insufficient, and returns it.
 func (s *Source) PermInto(dst []int, n int) []int {
 	if cap(dst) < n {
 		dst = make([]int, n)
@@ -185,44 +179,10 @@ func (s *Source) PermInto(dst []int, n int) []int {
 	return dst
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Pick returns a uniformly chosen index in [0, n), or -1 when n == 0.
 func (s *Source) Pick(n int) int {
 	if n == 0 {
 		return -1
 	}
 	return s.Intn(n)
-}
-
-// WeightedPick returns an index chosen with probability proportional to
-// weights[i]. Non-positive weights are treated as zero. It returns -1 when
-// all weights are zero or the slice is empty.
-func (s *Source) WeightedPick(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return -1
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

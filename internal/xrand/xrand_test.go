@@ -183,7 +183,7 @@ func TestNormMoments(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
-		p := New(seed).Perm(int(n))
+		p := New(seed).PermInto(nil, int(n))
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= int(n) || seen[v] {
@@ -198,56 +198,9 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	s := New(77)
-	xs := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestPickEmpty(t *testing.T) {
 	if New(1).Pick(0) != -1 {
 		t.Fatal("Pick(0) must be -1")
-	}
-}
-
-func TestWeightedPick(t *testing.T) {
-	s := New(13)
-	w := []float64{0, 1, 3, 0}
-	counts := make([]int, len(w))
-	const n = 100000
-	for i := 0; i < n; i++ {
-		idx := s.WeightedPick(w)
-		if idx < 0 || idx >= len(w) {
-			t.Fatalf("index %d out of range", idx)
-		}
-		counts[idx]++
-	}
-	if counts[0] != 0 || counts[3] != 0 {
-		t.Fatalf("zero-weight entries picked: %v", counts)
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if math.Abs(ratio-3) > 0.2 {
-		t.Fatalf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestWeightedPickDegenerate(t *testing.T) {
-	s := New(1)
-	if s.WeightedPick(nil) != -1 {
-		t.Fatal("nil weights must be -1")
-	}
-	if s.WeightedPick([]float64{0, 0}) != -1 {
-		t.Fatal("all-zero weights must be -1")
-	}
-	if s.WeightedPick([]float64{-1, 2}) != 1 {
-		t.Fatal("negative weights must be skipped")
 	}
 }
 
